@@ -33,26 +33,28 @@ class BudgetPlan:
             raise ValueError("rho and k must have equal length")
 
 
-def _entropy_scores(w):
-    """Shannon entropy (base 2) of each channel's spectral energy split."""
-    scores = np.zeros(w.shape[1])
-    for j in range(w.shape[1]):
-        p = np.abs(spectral.fft(w[:, j])) ** 2
-        total = p.sum()
-        if total == 0.0:
-            continue
-        p = p / total
-        nz = p > 0
-        scores[j] = float(-(p[nz] * np.log2(p[nz])).sum())
-    return scores
+def spectral_entropy(spectrum):
+    """Shannon entropy (base 2) of each column's spectral energy split.
+
+    `spectrum` is a (half, c) array of column half-spectra; a zero column
+    scores 0.
+    """
+    # Row j of the transposed power is contiguous, so its sum is the same
+    # pairwise sum a single channel's spectrum would get.
+    p = np.ascontiguousarray(np.abs(spectrum.T) ** 2)
+    total = p.sum(axis=1, keepdims=True)
+    p = p / np.where(total == 0.0, 1.0, total)
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1)
 
 
-def importance(w_smoothed, x_calib=None, metric=DEFAULT_METRIC):
+def importance(w_smoothed, x_calib=None, metric=DEFAULT_METRIC, *, spectrum=None):
     """Score output channels of a (smoothed) weight matrix.
 
     `activation-aware` pairs the mean of activation channel j with the mean
     of weight column j; the pairing is only well defined when the layer is
     square (c_in == c_out), and requires calibration activations.
+    `spectrum` is the caller's `spectral.fft_columns(w_smoothed)`, if it has
+    one; `spectral-entropy` then reuses it instead of transforming again.
     """
     w = as_matrix(w_smoothed, "w_smoothed")
     if metric not in METRICS:
@@ -64,7 +66,9 @@ def importance(w_smoothed, x_calib=None, metric=DEFAULT_METRIC):
     elif metric == "l2-norm":
         scores = np.linalg.norm(w, axis=0)
     elif metric == "spectral-entropy":
-        scores = _entropy_scores(w)
+        if spectrum is None:
+            spectrum = spectral.fft_columns(w)
+        scores = spectral_entropy(spectrum)
     else:
         if x_calib is None:
             raise ValueError("activation-aware importance requires calibration activations")

@@ -9,8 +9,7 @@ Commands:
 - ``synth``        seeded synthetic weight/activation generators (NPY out)
 
 Every command is deterministic given its inputs and --seed; reports embed the
-resolved configuration. Parallelism is capped by the SPECQUANT_THREADS
-environment variable (default 1).
+resolved configuration.
 """
 
 import argparse
@@ -23,7 +22,7 @@ import traceback
 import numpy as np
 
 from . import __version__, pipeline, quant, spectral, synth, tensor_io
-from .budget import DEFAULT_METRIC, METRICS
+from .budget import DEFAULT_METRIC, METRICS, spectral_entropy
 from .errors import SpecQuantError
 
 
@@ -87,19 +86,17 @@ def cmd_compress(args):
     stats = pipeline.layer_channel_stats(w, layer)
     w_hat = layer.smoothing.lam[:, None] * w
     w_low = layer.low_freq_matrix()
-    resid_deq = quant.dequantize(layer.residual)
+    resid_deq = layer.residual_matrix()
     half = spectral.half_spectrum_length(layer.c_in)
     total_bins = int(layer.plan.k.sum())
     params = layer.c_in * layer.c_out
-    # Storage: 2 float64 per retained bin, packed residual codes, lambda.
-    stored_bits = 128 * total_bins + args.residual_bits * params + 64 * layer.c_in
     summary = {
         "c_in": layer.c_in,
         "c_out": layer.c_out,
         "migration_strength": layer.smoothing.migration_strength,
         "total_retained_bins": total_bins,
         "achieved_bin_ratio": total_bins / (layer.c_out * half) if layer.c_out else 0.0,
-        "bits_per_parameter": stored_bits / params if params else 0.0,
+        "bits_per_parameter": 8 * tensor_io.stored_bytes(layer) / params if params else 0.0,
         "truncation_error_frobenius": _frob(w_hat - w_low),
         "reconstruction_error_frobenius": _frob(w_hat - w_low - resid_deq),
         "forward_error_highprec": _frob(
@@ -140,34 +137,26 @@ def cmd_analyze(args):
     w = tensor_io.load_matrix(args.weights)
     os.makedirs(args.out, exist_ok=True)
     c_in, c_out = w.shape
-    rows = []
-    for j in range(c_out):
-        hs = spectral.fft(w[:, j])
-        total, _, _ = spectral.band_energies(hs, 1, c_in)
-        p = np.abs(hs) ** 2
-        entropy = 0.0
-        if p.sum() > 0:
-            p = p / p.sum()
-            nz = p > 0
-            entropy = float(-(p[nz] * np.log2(p[nz])).sum())
-        rows.append(
-            {
-                "channel": j,
-                "total_energy": total,
-                "lowband_fraction": spectral.lowband_fraction(hs, c_in, args.band),
-                "spectral_entropy": entropy,
-            }
-        )
-    fractions = np.array([r["lowband_fraction"] for r in rows])
+    spec = spectral.fft_columns(w)
+    total, _, _ = spectral.band_energies(spec, 1, c_in)
+    fractions = spectral.lowband_fraction(spec, c_in, args.band)
+    entropy = spectral_entropy(spec)
+    rows = [
+        {
+            "channel": j,
+            "total_energy": float(total[j]),
+            "lowband_fraction": float(fractions[j]),
+            "spectral_entropy": float(entropy[j]),
+        }
+        for j in range(c_out)
+    ]
     summary = {
         "c_in": c_in,
         "c_out": c_out,
         "band": args.band,
         "mean_lowband_fraction": float(fractions.mean()) if c_out else 0.0,
         "std_lowband_fraction": float(fractions.std()) if c_out else 0.0,
-        "mean_spectral_entropy": float(np.mean([r["spectral_entropy"] for r in rows]))
-        if c_out
-        else 0.0,
+        "mean_spectral_entropy": float(entropy.mean()) if c_out else 0.0,
     }
     _write_json(
         os.path.join(args.out, "analyze.json"),

@@ -17,8 +17,6 @@ SVD of the same matrix acts as the baseline for error comparisons.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,17 +55,23 @@ class CompressedLayer:
     c_in: int
     c_out: int
     _w_low: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _r_deq: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def low_freq_matrix(self):
         """Dense W' materialized from the stored spectra (computed once)."""
         if self._w_low is None:
-            m = np.zeros((self.c_in, self.c_out))
-            for j, sp in enumerate(self.spectra):
-                m[:, j] = spectral.reconstruct(sp)
-            self._w_low = m
+            self._w_low = spectral.reconstruct_columns(self.spectra, self.c_in)
         return self._w_low
 
+    def residual_matrix(self):
+        """Dense dequant(R) from the stored codes (computed once)."""
+        if self._r_deq is None:
+            self._r_deq = quant.dequantize(self.residual)
+        return self._r_deq
+
     def validate(self):
+        """Raise ShapeError or DataError for any state the artifact format
+        cannot hold; save runs it before writing and load after reading."""
         if len(self.spectra) != self.c_out:
             raise ShapeError(
                 f"layer has {len(self.spectra)} spectra for c_out={self.c_out}"
@@ -87,45 +91,19 @@ class CompressedLayer:
             )
         if r.granularity != "per_channel":
             raise ShapeError("layer residual must be per_channel quantized")
+        if r.deltas.size != self.c_out or r.zero_points.size != self.c_out:
+            raise ShapeError("residual quantizer params do not match c_out")
+        if not (np.isfinite(r.deltas).all() and (r.deltas > 0).all()):
+            raise DataError("residual deltas must be positive and finite")
+        if not np.isfinite(r.zero_points).all():
+            raise DataError("residual zero points must be finite")
+        if r.codes.size and int(r.codes.max()) > 2**r.bits - 1:
+            raise DataError(f"residual codes exceed {r.bits}-bit range")
         if self.smoothing.lam.size != self.c_in:
             raise ShapeError("smoothing factors length does not match c_in")
         lam = self.smoothing.lam
         if lam.size and (not np.isfinite(lam).all() or (lam <= 0).any()):
             raise DataError("smoothing factors must be positive and finite")
-
-
-def _thread_count(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    try:
-        return max(1, int(os.environ.get("SPECQUANT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _truncate_channels(w, ks, threads=1):
-    """Per-channel truncate + reconstruct; channels are independent, so the
-    thread schedule cannot change the result."""
-    c_in, c_out = w.shape
-    spectra = [None] * c_out
-    w_low = np.zeros_like(w)
-
-    def one(j):
-        hs = spectral.fft(w[:, j])
-        sp = spectral.truncate_low_freq(hs, int(ks[j]), c_in)
-        return sp, spectral.reconstruct(sp)
-
-    if threads > 1 and c_out > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for j, (sp, col) in enumerate(pool.map(one, range(c_out))):
-                spectra[j] = sp
-                w_low[:, j] = col
-    else:
-        for j in range(c_out):
-            sp, col = one(j)
-            spectra[j] = sp
-            w_low[:, j] = col
-    return spectra, w_low
 
 
 def compute_smoothing(x_calib, w, s):
@@ -202,7 +180,7 @@ def select_migration_strength(
             residual_quant=residual_quant,
         )
         x_hat = x / layer.smoothing.lam[None, :]
-        approx = x_hat @ (layer.low_freq_matrix() + quant.dequantize(layer.residual))
+        approx = x_hat @ (layer.low_freq_matrix() + layer.residual_matrix())
         loss = float(((reference - approx) ** 2).sum())
         if loss < best_loss:
             best_loss = loss
@@ -222,7 +200,6 @@ def compress_layer(
     smooth="auto",
     residual_quant="rtn",
     smooth_grid=DEFAULT_SMOOTH_GRID,
-    threads=None,
 ):
     """Compress one layer: smooth, truncate per channel, quantize the residual.
 
@@ -265,6 +242,7 @@ def compress_layer(
     factors = compute_smoothing(x, w, float(smooth))
     x_hat, w_hat = apply_smoothing(x, w, factors)
 
+    spec = spectral.fft_columns(w_hat)
     if groups is not None:
         k = np.full(c_out, int(groups), dtype=np.int64)
         total = int(k.sum())
@@ -276,18 +254,24 @@ def compress_layer(
             raise ValueError(
                 f"budget {total} below one retained bin per channel (c_out={c_out})"
             )
-        scores = importance(w_hat, x, metric)
+        scores = importance(w_hat, x, metric, spectrum=spec)
         plan = allocate(scores, alpha, total, c_in)
 
-    spectra, w_low = _truncate_channels(w_hat, plan.k, _thread_count(threads))
+    spectra = spectral.truncate_columns(spec, plan.k, c_in)
+    del spec  # the complex spectrum need not stay alive through quantization
+    # W' is rebuilt from the stored (amplitude, phase) values, so the layer
+    # cached here and one loaded from its artifact hold the same bits.
+    w_low = spectral.reconstruct_columns(spectra, c_in)
     residual = w_hat - w_low
     if residual_quant == "compensated":
         q = quant.quantize_residual_compensated(residual, residual_bits, x_hat)
     else:
         q = quant.quantize(residual, residual_bits, "per_channel")
-    return CompressedLayer(
+    layer = CompressedLayer(
         smoothing=factors, spectra=spectra, residual=q, plan=plan, c_in=c_in, c_out=c_out
     )
+    layer._w_low = w_low
+    return layer
 
 
 def forward_approx(x, layer, activation_bits, *, simulate_half=False):
@@ -313,7 +297,7 @@ def forward_approx(x, layer, activation_bits, *, simulate_half=False):
         x_resid = quant.dequantize(quant.quantize(x_hat, activation_bits, "per_token"))
     else:
         x_resid = x_hat
-    return x_hat @ w_low + x_resid @ quant.dequantize(layer.residual)
+    return x_hat @ w_low + x_resid @ layer.residual_matrix()
 
 
 def svd_baseline(w_hat, budget):
@@ -351,7 +335,7 @@ class BudgetComparison:
     channel_tail_energy: np.ndarray
 
 
-def compare_budgets(w_hat, x_calib=None, ratio=0.2, *, metric=DEFAULT_METRIC, alpha=1.0, threads=None):
+def compare_budgets(w_hat, x_calib=None, ratio=0.2, *, metric=DEFAULT_METRIC, alpha=1.0):
     """Decompose `w_hat` both ways under one storage budget and report errors.
 
     The spectral side spends 2 reals per retained bin (B_spectral = 2 sum k_j);
@@ -366,14 +350,12 @@ def compare_budgets(w_hat, x_calib=None, ratio=0.2, *, metric=DEFAULT_METRIC, al
     budget_bins = math.floor(ratio * c_out * half)
     if budget_bins < c_out:
         raise ValueError(f"ratio {ratio} leaves less than one bin per channel")
-    scores = importance(w, x_calib, metric)
+    spec = spectral.fft_columns(w)
+    scores = importance(w, x_calib, metric, spectrum=spec)
     plan = allocate(scores, alpha, budget_bins, c_in)
-    _, w_low = _truncate_channels(w, plan.k, _thread_count(threads))
+    w_low = spectral.reconstruct_columns(spectral.truncate_columns(spec, plan.k, c_in), c_in)
     err_spectral = float(np.linalg.norm(w - w_low))
-    tails = np.zeros(c_out)
-    for j in range(c_out):
-        hs = spectral.fft(w[:, j])
-        tails[j] = spectral.band_energies(hs, int(plan.k[j]), c_in)[2]
+    tails = spectral.band_energies(spec, plan.k, c_in)[2]
     b_spectral = 2 * int(plan.k.sum())
     w_svd, svd_resid, k_svd = svd_baseline(w, b_spectral)
     b_svd = k_svd * (c_in + c_out + 1)
@@ -394,8 +376,9 @@ def compare_budgets(w_hat, x_calib=None, ratio=0.2, *, metric=DEFAULT_METRIC, al
 def layer_channel_stats(w, layer):
     """Per-channel energy/error stats of a compressed layer's truncation.
 
-    Recomputes the smoothed weights from the stored factors; the truncation
-    path is deterministic, so the stats match the stored spectra exactly.
+    Recomputes the smoothed weights from the stored factors and splits their
+    spectra at the plan's k; the achieved error is measured against the
+    layer's W', the matrix the forward pass uses.
     """
     w = as_matrix(w, "w")
     if w.shape != (layer.c_in, layer.c_out):
@@ -403,7 +386,17 @@ def layer_channel_stats(w, layer):
             f"weights are {w.shape}, layer expects {(layer.c_in, layer.c_out)}"
         )
     w_hat = layer.smoothing.lam[:, None] * w
+    total, retained, tail = spectral.band_energies(
+        spectral.fft_columns(w_hat), layer.plan.k, layer.c_in
+    )
+    achieved = np.linalg.norm(w_hat - layer.low_freq_matrix(), axis=0)
     return [
-        spectral.channel_stats(w_hat[:, j], int(layer.plan.k[j]))
+        spectral.ChannelStats(
+            total_energy=float(total[j]),
+            retained_energy=float(retained[j]),
+            tail_energy=float(tail[j]),
+            error_bound=float(np.sqrt(tail[j])),
+            achieved_error=float(achieved[j]),
+        )
         for j in range(layer.c_out)
     ]

@@ -3,7 +3,8 @@
 A b-bit slice is coded as round(clamp(x / delta + z, 0, 2^b - 1)) with
 delta = (max - min) / (2^b - 1) and z = -min / delta. Rounding is
 half-away-from-zero. A constant slice (max == min) uses delta = 1,
-z = -min so the constant is represented exactly.
+z = -min so the constant is represented exactly; so does a slice whose span
+is too small for delta to be a positive float64.
 
 Granularity picks the slicing axis: per_token quantizes each row (activation
 matrices carry one token per row), per_channel each column (weight matrices
@@ -75,12 +76,8 @@ def compute_params(values, bits):
     """Scale and zero point for one slice."""
     values = as_vector(values, "slice")
     bits = _check_bits(bits)
-    lo = float(values.min())
-    hi = float(values.max())
-    if hi == lo:
-        return QuantParams(bits, 1.0, -lo)
-    delta = (hi - lo) / (2**bits - 1)
-    return QuantParams(bits, delta, -lo / delta)
+    deltas, zps = _slice_params(values[None, :], bits, "per_token")
+    return QuantParams(bits, float(deltas[0]), float(zps[0]))
 
 
 def _slice_params(x, bits, granularity):
@@ -100,9 +97,14 @@ def _slice_params(x, bits, granularity):
         hi = x.max(axis=0) if x.size else np.zeros(x.shape[1])
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
-    span = hi - lo
-    flat = span == 0
-    deltas = np.where(flat, 1.0, span / (2**bits - 1))
+    qmax = 2**bits - 1
+    with np.errstate(over="ignore"):
+        deltas = (hi - lo) / qmax
+    # A span beyond the float64 range is split before dividing; a step that
+    # underflows to 0 (a subnormal span) is treated like a constant slice.
+    deltas = np.where(np.isinf(deltas), hi / qmax - lo / qmax, deltas)
+    flat = ~(deltas > 0)
+    deltas = np.where(flat, 1.0, deltas)
     zps = np.where(flat, -lo, -lo / deltas)
     return deltas, zps
 

@@ -13,6 +13,11 @@ Conventions, fixed once here and relied on everywhere else:
 - A truncated spectrum keeps the contiguous band from DC upward. A retained
   bin's frequency is implicit in its index, so the only stored state per bin
   is the (amplitude, phase) pair: exactly 2k reals for k bins.
+- A weight matrix is handled as its columns, all at once: `fft_columns`,
+  `truncate_columns` and `reconstruct_columns` run the same radix-2 and
+  Bluestein code along axis 0. `fft` is that path on one column, so both
+  agree bit for bit; `dft_naive` and the direct cosine sum `reconstruct`
+  are the independent references.
 """
 
 from dataclasses import dataclass
@@ -20,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .validation import as_vector
+from .validation import as_matrix, as_vector
 
 
 def half_spectrum_length(n):
@@ -47,15 +52,22 @@ def _bit_reverse(n):
     return rev
 
 
-def _fft_pow2(a):
-    """Iterative radix-2 transform; a must be complex with power-of-two length."""
-    n = a.size
+# Columns are transformed this many at a time: wide enough to amortize the
+# per-stage Python overhead, narrow enough that a Bluestein block's padded
+# work arrays stay in cache and peak memory does not grow with c_out.
+BLOCK = 16
+
+
+def _radix2(a):
+    """Iterative radix-2 transform along axis 0 of a complex (n, c) array;
+    n must be a power of two."""
+    n, c = a.shape
     out = a[_bit_reverse(n)]
     size = 2
     while size <= n:
         half = size // 2
-        tw = np.exp((-2j * np.pi / size) * np.arange(half))
-        blocks = out.reshape(-1, size)
+        tw = np.exp((-2j * np.pi / size) * np.arange(half))[:, None]
+        blocks = out.reshape(-1, size, c)
         even = blocks[:, :half].copy()
         odd = blocks[:, half:] * tw
         blocks[:, :half] = even + odd
@@ -64,37 +76,49 @@ def _fft_pow2(a):
     return out
 
 
-def _ifft_pow2(a):
-    return np.conj(_fft_pow2(np.conj(a))) / a.size
+def _iradix2(a):
+    return np.conj(_radix2(np.conj(a))) / a.shape[0]
 
 
-def _bluestein_full(x):
-    """Chirp-z transform for arbitrary length, built on power-of-two FFTs.
+@lru_cache(maxsize=64)
+def _chirp(n):
+    """Bluestein chirp w (n, 1) and the transformed conjugate-chirp kernel
+    (m, 1) for length n, with m the power of two the convolution runs at."""
+    k = np.arange(n)
+    # Reduce k^2 mod 2n before forming the angle to keep the phase accurate.
+    w = np.exp((-1j * np.pi / n) * ((k * k) % (2 * n)))
+    m = 1 << (2 * n - 2).bit_length()
+    b = np.zeros(m, dtype=complex)
+    b[:n] = np.conj(w)
+    b[m - n + 1:] = np.conj(w[1:][::-1])
+    kernel = _radix2(b[:, None])
+    w = w[:, None]
+    w.setflags(write=False)
+    kernel.setflags(write=False)
+    return w, kernel
+
+
+def _bluestein(x):
+    """Chirp-z transform along axis 0 for arbitrary n, built on radix-2.
 
     Zero-padding the input directly would move the bin frequencies and break
     implicit indexing, so lengths that are not a power of two go through the
     quadratic-phase convolution instead.
     """
-    n = x.size
-    k = np.arange(n)
-    # Reduce k^2 mod 2n before forming the angle to keep the phase accurate.
-    w = np.exp((-1j * np.pi / n) * ((k * k) % (2 * n)))
-    m = 1 << (2 * n - 2).bit_length()
-    a = np.zeros(m, dtype=complex)
+    n, c = x.shape
+    w, kernel = _chirp(n)
+    a = np.zeros((kernel.shape[0], c), dtype=complex)
     a[:n] = x * w
-    b = np.zeros(m, dtype=complex)
-    b[:n] = np.conj(w)
-    b[m - n + 1:] = np.conj(w[1:][::-1])
-    conv = _ifft_pow2(_fft_pow2(a) * _fft_pow2(b))
+    conv = _iradix2(_radix2(a) * kernel)
     return w * conv[:n]
 
 
-def _fft_full(x):
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
+def _dft_columns(a):
+    """Full N-bin transform of every column of a complex (n, c) array."""
+    n = a.shape[0]
     if n & (n - 1) == 0:
-        return _fft_pow2(x.astype(complex))
-    return _bluestein_full(x.astype(complex))
+        return _radix2(a)
+    return _bluestein(a)
 
 
 def dft_naive(x):
@@ -116,8 +140,24 @@ def fft(x):
 
     Radix-2 Cooley-Tukey for power-of-two lengths, Bluestein otherwise.
     """
-    x = as_vector(x, "x")
-    return _fft_full(x)[: half_spectrum_length(x.size)]
+    return fft_columns(as_vector(x, "x")[:, None])[:, 0]
+
+
+def fft_columns(w):
+    """Half-spectra of every column of a real (n, c) matrix, as (n // 2 + 1, c).
+
+    Column j equals `fft(w[:, j])` bit for bit; the columns are transformed
+    BLOCK at a time.
+    """
+    w = as_matrix(w, "w")
+    n, c = w.shape
+    if n == 0:
+        raise ValueError("columns must have at least 1 element")
+    half = half_spectrum_length(n)
+    out = np.empty((half, c), dtype=complex)
+    for j in range(0, c, BLOCK):
+        out[:, j : j + BLOCK] = _dft_columns(w[:, j : j + BLOCK].astype(complex))[:half]
+    return out
 
 
 def _pair_weights(n):
@@ -177,31 +217,50 @@ class ChannelSpectrum:
         return mask
 
 
-def truncate_low_freq(half_spec, k, n):
-    """Keep the k lowest-index bins of a half-spectrum as a ChannelSpectrum.
+def _split_points(half_spec, k, n):
+    """Validated (half-spectrum, split) for a 1-D half-spectrum and scalar k,
+    or a (half, c) array of column half-spectra and k per column (or one k)."""
+    hs = np.asarray(half_spec, dtype=complex)
+    half = half_spectrum_length(n)
+    if hs.ndim not in (1, 2) or hs.shape[0] != half:
+        raise ValueError(f"expected half-spectrum of length {half} for n={n}")
+    ks = np.broadcast_to(np.asarray(k, dtype=np.int64), hs.shape[1:])
+    if ((ks < 1) | (ks > half)).any():
+        raise ValueError(f"k={k} outside [1, {half}]")
+    return hs, ks
+
+
+def truncate_columns(half_spec, k, n):
+    """Keep the k[j] lowest-index bins of column j of a (half, c) array of
+    half-spectra; returns one ChannelSpectrum per column.
 
     `n` is the original signal length; it cannot be recovered from the
     half-spectrum length alone (even and odd n share lengths).
     """
-    hs = np.asarray(half_spec, dtype=complex)
-    if hs.ndim != 1 or hs.size != half_spectrum_length(n):
-        raise ValueError(
-            f"expected half-spectrum of length {half_spectrum_length(n)} for n={n}"
-        )
-    if not 1 <= k <= hs.size:
-        raise ValueError(f"k={k} outside [1, {hs.size}]")
-    band = hs[:k]
-    amps = np.abs(band)
-    phases = np.angle(band)
+    hs, ks = _split_points(half_spec, k, n)
+    if hs.ndim != 2:
+        raise ValueError("expected a (half, c) array of column half-spectra")
+    amps = np.abs(hs)
+    phases = np.angle(hs)
     phases = np.where(phases <= -np.pi, np.pi, phases)
     # Conjugate symmetry forces DC/Nyquist real; drop their rounding-level
     # imaginary part and pin the phase.
     for m in _real_bin_indices(n):
-        if m < k:
-            re = band[m].real
-            amps[m] = abs(re)
-            phases[m] = 0.0 if re >= 0.0 else np.pi
-    return ChannelSpectrum(n=n, amps=amps, phases=phases)
+        re = hs[m].real
+        amps[m] = np.abs(re)
+        phases[m] = np.where(re >= 0.0, 0.0, np.pi)
+    return [
+        ChannelSpectrum(n=n, amps=amps[:kj, j].copy(), phases=phases[:kj, j].copy())
+        for j, kj in enumerate(ks)
+    ]
+
+
+def truncate_low_freq(half_spec, k, n):
+    """Keep the k lowest-index bins of one half-spectrum as a ChannelSpectrum."""
+    hs = np.asarray(half_spec, dtype=complex)
+    if hs.ndim != 1:
+        raise ValueError("expected a 1-D half-spectrum")
+    return truncate_columns(hs[:, None], k, n)[0]
 
 
 def reconstruct(spec):
@@ -219,22 +278,44 @@ def reconstruct(spec):
     return coeff @ np.cos(theta)
 
 
+def reconstruct_columns(spectra, n):
+    """(n, len(spectra)) matrix whose column j is the signal of spectra[j].
+
+    Agrees with `reconstruct` to rounding, but runs one inverse transform per
+    BLOCK columns: the zero-padded spectrum w_m * A_m * exp(-i phi_m) / N,
+    transformed forward, has real part sum_m w_m A_m cos(2 pi m t / N + phi_m) / N.
+    The result depends only on the stored (amplitude, phase) values, so a
+    layer and its saved-and-loaded copy rebuild the same bits.
+    """
+    out = np.empty((n, len(spectra)))
+    weights = _pair_weights(n) / n
+    for start in range(0, len(spectra), BLOCK):
+        block = spectra[start : start + BLOCK]
+        z = np.zeros((n, len(block)), dtype=complex)
+        for j, sp in enumerate(block):
+            if sp.n != n:
+                raise ValueError(f"spectrum has n={sp.n}, expected {n}")
+            k = sp.retained
+            z[:k, j] = weights[:k] * sp.amps * np.exp(-1j * sp.phases)
+        out[:, start : start + len(block)] = _dft_columns(z).real
+    return out
+
+
 def band_energies(half_spec, k, n):
     """(total, retained, tail) signal energy split at bin k.
 
     Energy of bin m is w_m * |X[m]|^2 / N, so `total` equals the time-domain
     energy sum(x^2) and `tail` is exactly the squared reconstruction error of
-    a k-bin truncation.
+    a k-bin truncation. Given a (half, c) array of column half-spectra and a
+    k per column, the three values are arrays over the columns.
     """
-    hs = np.asarray(half_spec, dtype=complex)
-    if hs.ndim != 1 or hs.size != half_spectrum_length(n):
-        raise ValueError(
-            f"expected half-spectrum of length {half_spectrum_length(n)} for n={n}"
-        )
-    if not 1 <= k <= hs.size:
-        raise ValueError(f"k={k} outside [1, {hs.size}]")
-    terms = _pair_weights(n) * np.abs(hs) ** 2 / n
-    return float(terms.sum()), float(terms[:k].sum()), float(terms[k:].sum())
+    hs, ks = _split_points(half_spec, k, n)
+    shape = (-1,) + (1,) * (hs.ndim - 1)
+    terms = _pair_weights(n).reshape(shape) * np.abs(hs) ** 2 / n
+    kept = np.arange(hs.shape[0]).reshape(shape) < ks
+    out = (terms.sum(axis=0), np.where(kept, terms, 0.0).sum(axis=0),
+           np.where(kept, 0.0, terms).sum(axis=0))
+    return tuple(float(v) for v in out) if hs.ndim == 1 else out
 
 
 def error_bound(half_spec, k, n):
@@ -253,7 +334,7 @@ def parseval_check(x):
     assert the two agree to relative 1e-9.
     """
     x = as_vector(x, "x")
-    full = _fft_full(x)
+    full = _dft_columns(x.astype(complex)[:, None])[:, 0]
     return float(np.sum(x * x)), float(np.sum(np.abs(full) ** 2) / x.size)
 
 
@@ -261,15 +342,15 @@ def lowband_fraction(half_spec, n, band=0.2):
     """Fraction of channel energy in the lowest `band` share of bins.
 
     A zero-energy channel reports 1.0 (everything is trivially captured).
+    Columns of a (half, c) array of half-spectra give an array of fractions.
     """
     if not 0.0 < band <= 1.0:
         raise ValueError("band must lie in (0, 1]")
     half = half_spectrum_length(n)
     k = max(1, int(band * half))
     total, retained, _ = band_energies(half_spec, k, n)
-    if total == 0.0:
-        return 1.0
-    return retained / total
+    frac = np.divide(retained, total, out=np.ones_like(total), where=total != 0.0)
+    return float(frac) if np.ndim(frac) == 0 else frac
 
 
 @dataclass

@@ -83,13 +83,17 @@ def pack_codes(codes, bits):
     return flat.tobytes()
 
 
+def _packed_size(count, bits):
+    return (count + 1) // 2 if bits <= 4 else count
+
+
 def unpack_codes(data, bits, rows, cols):
     count = rows * cols
     if bits <= 4:
         raw = np.frombuffer(data, dtype=np.uint8)
-        if raw.size != (count + 1) // 2:
+        if raw.size != _packed_size(count, bits):
             raise ShapeError(
-                f"residual blob holds {raw.size} bytes, expected {(count + 1) // 2}"
+                f"residual blob holds {raw.size} bytes, expected {_packed_size(count, bits)}"
             )
         flat = np.empty(raw.size * 2, dtype=np.uint8)
         flat[0::2] = raw & 0x0F
@@ -124,10 +128,24 @@ def spectrum_from_bytes(data, n):
         raise DataError(f"invalid spectrum payload: {exc}") from exc
 
 
+def stored_bytes(layer):
+    """Bytes the artifact spends on the layer's numbers.
+
+    The three blobs, plus 8 bytes for each per-channel number the manifest
+    holds: the quantizer's delta and zero point and the plan's rho (float64)
+    and k (counted as int64).
+    """
+    r = layer.residual
+    blobs = 8 * layer.c_in + 16 * int(layer.plan.k.sum()) + _packed_size(r.codes.size, r.bits)
+    return blobs + 8 * 4 * layer.c_out
+
+
 def save_compressed_layer(layer, out_dir, *, layer_name="layer", budget_meta=None):
     """Write manifest + blobs; returns the manifest dict.
 
-    A subsequent `load_compressed_layer` reproduces the layer bit-exactly.
+    A subsequent `load_compressed_layer` reproduces the layer bit-exactly. A
+    layer that load would reject raises the same error before any file is
+    written.
     """
     layer.validate()
     out_dir = os.fspath(out_dir)
@@ -230,8 +248,6 @@ def load_compressed_layer(artifact_dir):
             f"lambda blob holds {len(lam_raw)} bytes, expected {8 * c_in} for c_in={c_in}"
         )
     lam = np.frombuffer(lam_raw, dtype="<f8").copy()
-    if lam.size and (not np.isfinite(lam).all() or (lam <= 0).any()):
-        raise DataError("smoothing factors must be positive and finite")
 
     spectra_raw = _read_blob(artifact_dir, manifest["spectra"])
     expected = 16 * sum(ks)
@@ -252,13 +268,7 @@ def load_compressed_layer(artifact_dir):
     zps = np.asarray([float(v) for v in rp["zero_point"]], dtype=np.float64)
     if rp["granularity"] != "per_channel":
         raise FormatError(f"unsupported residual granularity {rp['granularity']!r}")
-    if deltas.size != c_out or zps.size != c_out:
-        raise ShapeError("residual quantizer params do not match c_out")
-    if deltas.size and (not np.isfinite(deltas).all() or (deltas <= 0).any()):
-        raise DataError("residual deltas must be positive and finite")
     codes = unpack_codes(_read_blob(artifact_dir, manifest["residual"]), bits, c_in, c_out)
-    if codes.size and int(codes.max()) > 2**bits - 1:
-        raise DataError(f"residual codes exceed {bits}-bit range")
     residual = QuantizedTensor(
         codes=codes,
         bits=bits,

@@ -44,6 +44,26 @@ def test_compress_ratio_one_reports_exactness(tmp_path, decay_instance):
     assert layer.c_in == 64 and layer.c_out == 48
 
 
+def test_bits_per_parameter_counts_every_stored_byte(tmp_path, decay_instance):
+    wpath, xpath = decay_instance
+    out = tmp_path / "art"
+    assert main([
+        "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.25",
+        "--smooth", "0.5", "--residual-bits", "3", "--out", str(out),
+    ]) == 0
+    report = json.loads((out / "report.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    blobs = sum(
+        (out / name).stat().st_size for name in ("lambda.bin", "spectra.bin", "residual.bin")
+    )
+    # Every per-channel number in the manifest is counted as 8 bytes.
+    per_channel = manifest["residual_params"]["delta"] + manifest["residual_params"]["zero_point"]
+    per_channel += manifest["plan"]["rho"] + manifest["plan"]["k"]
+    counted = blobs + 8 * len(per_channel)
+    bits = report["summary"]["bits_per_parameter"]
+    assert bits == pytest.approx(8 * counted / (64 * 48), rel=1e-12)
+
+
 def test_compress_groups_mode_reports_fixed_k(tmp_path, decay_instance):
     wpath, xpath = decay_instance
     out = tmp_path / "art"

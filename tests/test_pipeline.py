@@ -191,16 +191,6 @@ class TestCompressLayer:
         )
         assert not layer.residual.rtn_fallback
 
-    def test_threads_do_not_change_result(self):
-        rng = np.random.default_rng(19)
-        x = rng.normal(size=(10, 32))
-        w = rng.normal(size=(32, 12))
-        a = compress_layer(x, w, ratio=0.4, smooth=0.5, threads=1)
-        b = compress_layer(x, w, ratio=0.4, smooth=0.5, threads=4)
-        np.testing.assert_array_equal(a.residual.codes, b.residual.codes)
-        for sa, sb in zip(a.spectra, b.spectra):
-            assert (sa.amps == sb.amps).all() and (sa.phases == sb.phases).all()
-
 
 class TestForwardApprox:
     def test_full_ratio_high_precision_is_near_exact(self):

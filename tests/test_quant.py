@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specquant.quant import (
@@ -96,6 +96,8 @@ class TestQuantizeDequantize:
         st.sampled_from([2, 3, 4, 5, 6, 7, 8]),
     )
     @settings(max_examples=200, deadline=None)
+    @example([0.0, 5e-324], 4)  # span underflows: delta would be 0
+    @example([-1.7e308, 1.7e308], 4)  # span overflows: delta would be inf
     def test_round_trip_property(self, values, bits):
         x = np.array([values])
         q = quantize(x, bits, "per_tensor")

@@ -11,9 +11,12 @@ from specquant.spectral import (
     dft_naive,
     error_bound,
     fft,
+    fft_columns,
     half_spectrum_length,
     parseval_check,
     reconstruct,
+    reconstruct_columns,
+    truncate_columns,
     truncate_low_freq,
 )
 
@@ -65,6 +68,46 @@ def test_fft_length_one_is_identity():
     out = fft([3.25])
     assert out.shape == (1,)
     assert out[0] == pytest.approx(3.25)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 100])
+@pytest.mark.parametrize("c", [0, 1, spectral.BLOCK + 1])
+def test_fft_columns_is_per_column_fft_bitwise(n, c):
+    """Radix-2 (64), Bluestein (3, 100) and the degenerate lengths, with
+    widths that leave a partial block."""
+    w = np.random.default_rng(n + c).normal(size=(n, c))
+    batched = fft_columns(w)
+    assert batched.shape == (half_spectrum_length(n), c)
+    for j in range(c):
+        assert np.array_equal(batched[:, j], fft(w[:, j]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 100, 128])
+def test_reconstruct_columns_matches_cosine_sum(n):
+    rng = np.random.default_rng(n)
+    c = 2 * spectral.BLOCK + 3
+    spec = fft_columns(rng.normal(size=(n, c)))
+    spectra = truncate_columns(spec, rng.integers(1, half_spectrum_length(n) + 1, c), n)
+    batched = reconstruct_columns(spectra, n)
+    assert batched.shape == (n, c)
+    for j, sp in enumerate(spectra):
+        ref = reconstruct(sp)
+        assert np.linalg.norm(batched[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_column_energies_match_single_channel():
+    rng = np.random.default_rng(12)
+    n, c = 24, 5
+    w = rng.normal(size=(n, c))
+    w[:, 2] = 0.0
+    ks = np.array([1, 3, 5, 13, 7])
+    total, retained, tail = band_energies(fft_columns(w), ks, n)
+    fractions = spectral.lowband_fraction(fft_columns(w), n, 0.3)
+    for j in range(c):
+        one = band_energies(fft(w[:, j]), int(ks[j]), n)
+        np.testing.assert_allclose((total[j], retained[j], tail[j]), one, rtol=1e-12, atol=0)
+        assert fractions[j] == pytest.approx(spectral.lowband_fraction(fft(w[:, j]), n, 0.3))
+    assert fractions[2] == 1.0
 
 
 def test_conjugate_symmetry_of_full_spectrum():

@@ -180,6 +180,42 @@ class TestArtifactRoundTrip:
         with pytest.raises(ShapeError):
             tensor_io.save_compressed_layer(layer, tmp_path)
 
+    def test_loaded_layer_rebuilds_the_same_w_low(self, tmp_path):
+        # c_in=100 takes the Bluestein path; c_out spans a partial block.
+        _, x, layer = _example_layer(c_in=100, c_out=2 * sq.spectral.BLOCK + 1)
+        tensor_io.save_compressed_layer(layer, tmp_path)
+        back = tensor_io.load_compressed_layer(tmp_path)
+        assert np.array_equal(back.low_freq_matrix(), layer.low_freq_matrix())
+        assert np.array_equal(sq.forward_approx(x, back, 4), sq.forward_approx(x, layer, 4))
+
+    @pytest.mark.parametrize(
+        "owner, attr, index, value",
+        [
+            ("residual", "deltas", 0, 0.0),
+            ("residual", "deltas", 1, np.inf),
+            ("residual", "zero_points", 0, np.nan),
+            ("residual", "codes", (0, 0), 16),
+            ("smoothing", "lam", 2, np.nan),
+        ],
+    )
+    def test_save_rejects_what_load_would_before_writing(self, tmp_path, owner, attr, index, value):
+        _, _, layer = _example_layer()
+        getattr(getattr(layer, owner), attr)[index] = value
+        out = tmp_path / "art"
+        with pytest.raises(DataError):
+            tensor_io.save_compressed_layer(layer, out)
+        assert not out.exists()
+
+    def test_zero_delta_in_manifest_is_data_error(self, tmp_path):
+        _, _, layer = _example_layer()
+        tensor_io.save_compressed_layer(layer, tmp_path)
+        mpath = tmp_path / tensor_io.MANIFEST_FILE
+        manifest = json.loads(mpath.read_text())
+        manifest["residual_params"]["delta"][0] = 0.0
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(DataError):
+            tensor_io.load_compressed_layer(tmp_path)
+
     def test_tampered_c_in_is_shape_error(self, tmp_path):
         _, _, layer = _example_layer()
         tensor_io.save_compressed_layer(layer, tmp_path)
