@@ -31,7 +31,6 @@ from .quant import (
     quantize_residual_compensated,
 )
 from .spectral import (
-    ChannelSpectrum,
     ChannelStats,
     channel_stats,
     dft_naive,
@@ -77,7 +76,6 @@ __all__ = [
     "dequantize",
     "quantize",
     "quantize_residual_compensated",
-    "ChannelSpectrum",
     "ChannelStats",
     "channel_stats",
     "dft_naive",

@@ -46,10 +46,15 @@ class SmoothingFactors:
 
 @dataclass
 class CompressedLayer:
-    """On-disk unit: smoothing factors, per-channel spectra, quantized residual."""
+    """On-disk unit: smoothing factors, packed spectra, quantized residual.
+
+    `spectra` is the (sum(plan.k), 2) float64 array of (amplitude, phase)
+    rows, channel after channel, split by `plan.k`: exactly the bytes of
+    `spectra.bin`.
+    """
 
     smoothing: SmoothingFactors
-    spectra: list
+    spectra: np.ndarray
     residual: quant.QuantizedTensor
     plan: BudgetPlan
     c_in: int
@@ -60,7 +65,7 @@ class CompressedLayer:
     def low_freq_matrix(self):
         """Dense W' materialized from the stored spectra (computed once)."""
         if self._w_low is None:
-            self._w_low = spectral.reconstruct_columns(self.spectra, self.c_in)
+            self._w_low = spectral.reconstruct_columns(self.spectra, self.plan.k, self.c_in)
         return self._w_low
 
     def residual_matrix(self):
@@ -72,18 +77,27 @@ class CompressedLayer:
     def validate(self):
         """Raise ShapeError or DataError for any state the artifact format
         cannot hold; save runs it before writing and load after reading."""
-        if len(self.spectra) != self.c_out:
-            raise ShapeError(
-                f"layer has {len(self.spectra)} spectra for c_out={self.c_out}"
-            )
-        for j, sp in enumerate(self.spectra):
-            if sp.n != self.c_in:
-                raise ShapeError(f"spectrum {j} has n={sp.n}, expected c_in={self.c_in}")
-        if self.plan.k.size != self.c_out:
+        k = self.plan.k
+        # A zero-length channel has no bins, so no k is valid for c_in = 0.
+        half = spectral.half_spectrum_length(self.c_in) if self.c_in else 0
+        if k.size != self.c_out:
             raise ShapeError("budget plan length does not match c_out")
-        for j, sp in enumerate(self.spectra):
-            if sp.retained != int(self.plan.k[j]):
-                raise ShapeError(f"spectrum {j} retains {sp.retained} bins, plan says {self.plan.k[j]}")
+        if ((k < 1) | (k > half)).any():
+            raise ShapeError(f"plan k outside [1, {half}] for c_in={self.c_in}")
+        shape = getattr(self.spectra, "shape", None)
+        if shape != (int(k.sum()), 2):
+            raise ShapeError(f"spectra are {shape}, expected a ({k.sum()}, 2) array for the plan")
+        if not np.isfinite(self.spectra).all():
+            raise DataError("spectra contain non-finite values")
+        amps, phases = self.spectra.T
+        if (amps < 0).any():
+            raise DataError("spectrum amplitudes must be non-negative")
+        if ((phases <= -np.pi) | (phases > np.pi)).any():
+            raise DataError("spectrum phases must lie in (-pi, pi]")
+        starts = np.cumsum(k) - k
+        for m in spectral._real_bin_indices(self.c_in):
+            if not np.isin(phases[(starts + m)[k > m]], (0.0, np.pi)).all():
+                raise DataError(f"bin {m} is real-valued; its phase must be 0 or pi")
         r = self.residual
         if (r.rows, r.cols) != (self.c_in, self.c_out):
             raise ShapeError(
@@ -97,6 +111,8 @@ class CompressedLayer:
             raise DataError("residual deltas must be positive and finite")
         if not np.isfinite(r.zero_points).all():
             raise DataError("residual zero points must be finite")
+        if not 2 <= r.bits <= 8:
+            raise DataError(f"residual bits {r.bits} outside [2, 8]")
         if r.codes.size and int(r.codes.max()) > 2**r.bits - 1:
             raise DataError(f"residual codes exceed {r.bits}-bit range")
         if self.smoothing.lam.size != self.c_in:
@@ -261,7 +277,7 @@ def compress_layer(
     del spec  # the complex spectrum need not stay alive through quantization
     # W' is rebuilt from the stored (amplitude, phase) values, so the layer
     # cached here and one loaded from its artifact hold the same bits.
-    w_low = spectral.reconstruct_columns(spectra, c_in)
+    w_low = spectral.reconstruct_columns(spectra, plan.k, c_in)
     residual = w_hat - w_low
     if residual_quant == "compensated":
         q = quant.quantize_residual_compensated(residual, residual_bits, x_hat)
@@ -274,12 +290,11 @@ def compress_layer(
     return layer
 
 
-def forward_approx(x, layer, activation_bits, *, simulate_half=False):
+def forward_approx(x, layer, activation_bits):
     """Two-branch approximate forward pass.
 
     Returns x_hat W' + dequant(quant(x_hat)) dequant(R) with x_hat = x / lambda.
-    The W' branch runs in full precision (standing in for a 16-bit kernel);
-    `simulate_half` snaps W' to the nearest 16-bit float grid first.
+    The W' branch runs in full precision (standing in for a 16-bit kernel).
     Activation bits above 8 leave the residual-branch activations unquantized,
     since the integer quantizer is defined for 2..8 bits.
     """
@@ -290,14 +305,11 @@ def forward_approx(x, layer, activation_bits, *, simulate_half=False):
     if not 2 <= activation_bits <= 16:
         raise ValueError(f"activation_bits must lie in [2, 16], got {activation_bits}")
     x_hat = x / layer.smoothing.lam[None, :]
-    w_low = layer.low_freq_matrix()
-    if simulate_half:
-        w_low = w_low.astype(np.float16).astype(np.float64)
     if activation_bits <= 8:
         x_resid = quant.dequantize(quant.quantize(x_hat, activation_bits, "per_token"))
     else:
         x_resid = x_hat
-    return x_hat @ w_low + x_resid @ layer.residual_matrix()
+    return x_hat @ layer.low_freq_matrix() + x_resid @ layer.residual_matrix()
 
 
 def svd_baseline(w_hat, budget):
@@ -353,7 +365,9 @@ def compare_budgets(w_hat, x_calib=None, ratio=0.2, *, metric=DEFAULT_METRIC, al
     spec = spectral.fft_columns(w)
     scores = importance(w, x_calib, metric, spectrum=spec)
     plan = allocate(scores, alpha, budget_bins, c_in)
-    w_low = spectral.reconstruct_columns(spectral.truncate_columns(spec, plan.k, c_in), c_in)
+    w_low = spectral.reconstruct_columns(
+        spectral.truncate_columns(spec, plan.k, c_in), plan.k, c_in
+    )
     err_spectral = float(np.linalg.norm(w - w_low))
     tails = spectral.band_energies(spec, plan.k, c_in)[2]
     b_spectral = 2 * int(plan.k.sum())

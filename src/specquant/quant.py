@@ -4,7 +4,9 @@ A b-bit slice is coded as round(clamp(x / delta + z, 0, 2^b - 1)) with
 delta = (max - min) / (2^b - 1) and z = -min / delta. Rounding is
 half-away-from-zero. A constant slice (max == min) uses delta = 1,
 z = -min so the constant is represented exactly; so does a slice whose span
-is too small for delta to be a positive float64.
+is too small for delta to be a positive float64. A slice with an end at the
+float64 limit is coded over a range narrowed by 2^-40, so that every code
+dequantizes to a finite value.
 
 Granularity picks the slicing axis: per_token quantizes each row (activation
 matrices carry one token per row), per_channel each column (weight matrices
@@ -57,13 +59,6 @@ class QuantizedTensor:
         if self.codes.shape != (self.rows, self.cols):
             raise ValueError("codes shape does not match rows/cols")
 
-    @property
-    def params(self):
-        return [
-            QuantParams(self.bits, float(d), float(z))
-            for d, z in zip(self.deltas, self.zero_points)
-        ]
-
 
 def _check_bits(bits):
     bits = int(bits)
@@ -98,6 +93,20 @@ def _slice_params(x, bits, granularity):
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
     qmax = 2**bits - 1
+    deltas, zps = _range_params(lo, hi, qmax)
+    # With an end within a few ulps of the float64 limit, (code - z) * delta
+    # can round past it at code 0 or qmax; narrowing such a range by 2^-40
+    # keeps both end codes finite at an error far below delta / 2.
+    with np.errstate(over="ignore"):
+        over = ~(np.isfinite(zps * deltas) & np.isfinite((qmax - zps) * deltas))
+    if over.any():
+        shrink = np.where(over, 1.0 - 2.0**-40, 1.0)
+        deltas, zps = _range_params(lo * shrink, hi * shrink, qmax)
+    return deltas, zps
+
+
+def _range_params(lo, hi, qmax):
+    """(deltas, zero_points) of slices spanning [lo, hi]."""
     with np.errstate(over="ignore"):
         deltas = (hi - lo) / qmax
     # A span beyond the float64 range is split before dividing; a step that
@@ -109,23 +118,18 @@ def _slice_params(x, bits, granularity):
     return deltas, zps
 
 
-def _broadcast(q):
-    if q.granularity == "per_token":
-        return q.deltas[:, None], q.zero_points[:, None]
-    if q.granularity == "per_channel":
-        return q.deltas[None, :], q.zero_points[None, :]
-    return q.deltas[0], q.zero_points[0]
+def _broadcast(deltas, zps, granularity):
+    """Per-slice scales and zero points shaped to broadcast against the matrix."""
+    if granularity == "per_token":
+        return deltas[:, None], zps[:, None]
+    if granularity == "per_channel":
+        return deltas[None, :], zps[None, :]
+    return deltas[0], zps[0]
 
 
 def _encode(x, deltas, zps, bits, granularity):
-    qmax = float(2**bits - 1)
-    if granularity == "per_token":
-        d, z = deltas[:, None], zps[:, None]
-    elif granularity == "per_channel":
-        d, z = deltas[None, :], zps[None, :]
-    else:
-        d, z = deltas[0], zps[0]
-    v = np.clip(x / d + z, 0.0, qmax)
+    d, z = _broadcast(deltas, zps, granularity)
+    v = np.clip(x / d + z, 0.0, float(2**bits - 1))
     # Values are non-negative after the clamp, so floor(v + 0.5) is
     # half-away-from-zero rounding.
     return np.floor(v + 0.5).astype(np.uint8)
@@ -150,7 +154,7 @@ def quantize(x, bits, granularity):
 
 def dequantize(q):
     """Invert quantization: (code - z) * delta per slice."""
-    d, z = _broadcast(q)
+    d, z = _broadcast(q.deltas, q.zero_points, q.granularity)
     return (q.codes.astype(np.float64) - z) * d
 
 

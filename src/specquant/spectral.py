@@ -12,7 +12,9 @@ Conventions, fixed once here and relied on everywhere else:
   up to rounding.
 - A truncated spectrum keeps the contiguous band from DC upward. A retained
   bin's frequency is implicit in its index, so the only stored state per bin
-  is the (amplitude, phase) pair: exactly 2k reals for k bins.
+  is the (amplitude, phase) pair: exactly 2k reals for k bins, held as a
+  (k, 2) array. A layer packs its channels' rows one after another into one
+  (sum k, 2) array, split by the per-channel counts.
 - A weight matrix is handled as its columns, all at once: `fft_columns`,
   `truncate_columns` and `reconstruct_columns` run the same radix-2 and
   Bluestein code along axis 0. `fft` is that path on one column, so both
@@ -169,54 +171,6 @@ def _pair_weights(n):
     return w
 
 
-@dataclass
-class ChannelSpectrum:
-    """Truncated half-spectrum of one channel: (amplitude, phase) per bin.
-
-    Bin m of a length-n channel has implicit frequency m / n. DC and (for
-    even n) Nyquist are purely real, so their phases are pinned to 0 or pi.
-    """
-
-    n: int
-    amps: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        self.amps = np.asarray(self.amps, dtype=np.float64)
-        self.phases = np.asarray(self.phases, dtype=np.float64)
-        if self.n < 1:
-            raise ValueError("channel length must be >= 1")
-        k = self.amps.size
-        if self.phases.size != k:
-            raise ValueError("amps and phases must have equal length")
-        if not 1 <= k <= half_spectrum_length(self.n):
-            raise ValueError(
-                f"retained count {k} outside [1, {half_spectrum_length(self.n)}]"
-            )
-        if not (np.isfinite(self.amps).all() and np.isfinite(self.phases).all()):
-            raise ValueError("spectrum contains non-finite values")
-        if (self.amps < 0).any():
-            raise ValueError("amplitudes must be non-negative")
-        if ((self.phases <= -np.pi) | (self.phases > np.pi)).any():
-            raise ValueError("phases must lie in (-pi, pi]")
-        for m in _real_bin_indices(self.n):
-            if m < k and self.phases[m] not in (0.0, np.pi):
-                raise ValueError(f"bin {m} is real-valued; phase must be 0 or pi")
-
-    @property
-    def retained(self):
-        return self.amps.size
-
-    @property
-    def real_bins(self):
-        """Boolean mask over retained bins that are constrained to be real."""
-        mask = np.zeros(self.retained, dtype=bool)
-        for m in _real_bin_indices(self.n):
-            if m < self.retained:
-                mask[m] = True
-        return mask
-
-
 def _split_points(half_spec, k, n):
     """Validated (half-spectrum, split) for a 1-D half-spectrum and scalar k,
     or a (half, c) array of column half-spectra and k per column (or one k)."""
@@ -224,15 +178,21 @@ def _split_points(half_spec, k, n):
     half = half_spectrum_length(n)
     if hs.ndim not in (1, 2) or hs.shape[0] != half:
         raise ValueError(f"expected half-spectrum of length {half} for n={n}")
-    ks = np.broadcast_to(np.asarray(k, dtype=np.int64), hs.shape[1:])
-    if ((ks < 1) | (ks > half)).any():
-        raise ValueError(f"k={k} outside [1, {half}]")
-    return hs, ks
+    return hs, _check_counts(k, hs.shape[1:], n)
+
+
+def _check_counts(k, shape, n):
+    """Per-channel retained counts broadcast to `shape`, each in [1, n // 2 + 1]."""
+    ks = np.broadcast_to(np.asarray(k, dtype=np.int64), shape)
+    if ((ks < 1) | (ks > half_spectrum_length(n))).any():
+        raise ValueError(f"k={k} outside [1, {half_spectrum_length(n)}]")
+    return ks
 
 
 def truncate_columns(half_spec, k, n):
     """Keep the k[j] lowest-index bins of column j of a (half, c) array of
-    half-spectra; returns one ChannelSpectrum per column.
+    half-spectra, packed as a (sum(k), 2) array of (amplitude, phase) rows,
+    channel after channel: the layout of `spectra.bin`.
 
     `n` is the original signal length; it cannot be recovered from the
     half-spectrum length alone (even and odd n share lengths).
@@ -240,46 +200,48 @@ def truncate_columns(half_spec, k, n):
     hs, ks = _split_points(half_spec, k, n)
     if hs.ndim != 2:
         raise ValueError("expected a (half, c) array of column half-spectra")
-    amps = np.abs(hs)
-    phases = np.angle(hs)
-    phases = np.where(phases <= -np.pi, np.pi, phases)
+    pairs = np.stack([np.abs(hs), np.angle(hs)], axis=-1)
+    phases = pairs[..., 1]
+    phases[phases <= -np.pi] = np.pi
     # Conjugate symmetry forces DC/Nyquist real; drop their rounding-level
     # imaginary part and pin the phase.
     for m in _real_bin_indices(n):
         re = hs[m].real
-        amps[m] = np.abs(re)
-        phases[m] = np.where(re >= 0.0, 0.0, np.pi)
-    return [
-        ChannelSpectrum(n=n, amps=amps[:kj, j].copy(), phases=phases[:kj, j].copy())
-        for j, kj in enumerate(ks)
-    ]
+        pairs[m, :, 0] = np.abs(re)
+        pairs[m, :, 1] = np.where(re >= 0.0, 0.0, np.pi)
+    kept = np.arange(hs.shape[0]) < ks[:, None]
+    return pairs.transpose(1, 0, 2)[kept]
 
 
 def truncate_low_freq(half_spec, k, n):
-    """Keep the k lowest-index bins of one half-spectrum as a ChannelSpectrum."""
+    """Keep the k lowest-index bins of one half-spectrum as a (k, 2) array."""
     hs = np.asarray(half_spec, dtype=complex)
     if hs.ndim != 1:
         raise ValueError("expected a 1-D half-spectrum")
-    return truncate_columns(hs[:, None], k, n)[0]
+    return truncate_columns(hs[:, None], k, n)
 
 
-def reconstruct(spec):
-    """Time-domain signal of a truncated spectrum.
+def reconstruct(bins, n):
+    """Time-domain signal of one channel's (k, 2) truncated spectrum.
 
     x_hat[n] = (1/N) * sum_m w_m * A_m * cos(2 pi m n / N + phi_m) with
     w_m the conjugate-pair weights; this is the unique real reconstruction
     consistent with conjugate symmetry.
     """
-    n = spec.n
-    k = spec.retained
-    coeff = _pair_weights(n)[:k] * spec.amps / n
+    bins = np.asarray(bins, dtype=np.float64)
+    if bins.ndim != 2 or bins.shape[1] != 2:
+        raise ValueError("expected a (k, 2) array of (amplitude, phase) rows")
+    k = bins.shape[0]
+    _check_counts(k, (), n)
+    coeff = _pair_weights(n)[:k] * bins[:, 0] / n
     theta = (2.0 * np.pi / n) * np.outer(np.arange(k), np.arange(n))
-    theta += spec.phases[:, None]
+    theta += bins[:, 1:]
     return coeff @ np.cos(theta)
 
 
-def reconstruct_columns(spectra, n):
-    """(n, len(spectra)) matrix whose column j is the signal of spectra[j].
+def reconstruct_columns(bins, k, n):
+    """(n, len(k)) matrix whose column j is the signal of channel j of the
+    packed (sum(k), 2) spectra `bins`.
 
     Agrees with `reconstruct` to rounding, but runs one inverse transform per
     BLOCK columns: the zero-padded spectrum w_m * A_m * exp(-i phi_m) / N,
@@ -287,17 +249,21 @@ def reconstruct_columns(spectra, n):
     The result depends only on the stored (amplitude, phase) values, so a
     layer and its saved-and-loaded copy rebuild the same bits.
     """
-    out = np.empty((n, len(spectra)))
+    ks = _check_counts(k, np.shape(k), n)
+    if ks.ndim != 1 or np.shape(bins) != (int(ks.sum()), 2):
+        raise ValueError(f"expected a ({ks.sum()}, 2) array of packed spectra")
+    bounds = np.concatenate(([0], np.cumsum(ks)))
+    out = np.empty((n, ks.size))
     weights = _pair_weights(n) / n
-    for start in range(0, len(spectra), BLOCK):
-        block = spectra[start : start + BLOCK]
-        z = np.zeros((n, len(block)), dtype=complex)
-        for j, sp in enumerate(block):
-            if sp.n != n:
-                raise ValueError(f"spectrum has n={sp.n}, expected {n}")
-            k = sp.retained
-            z[:k, j] = weights[:k] * sp.amps * np.exp(-1j * sp.phases)
-        out[:, start : start + len(block)] = _dft_columns(z).real
+    for start in range(0, ks.size, BLOCK):
+        kb = ks[start : start + BLOCK]
+        rows = bins[bounds[start] : bounds[start + kb.size]]
+        # Row-major order of the transposed mask is channel after channel,
+        # the order of the packed rows.
+        kept = np.arange(n) < kb[:, None]
+        z = np.zeros((n, kb.size), dtype=complex)
+        z.T[kept] = weights[np.nonzero(kept)[1]] * rows[:, 0] * np.exp(-1j * rows[:, 1])
+        out[:, start : start + kb.size] = _dft_columns(z).real
     return out
 
 
@@ -369,7 +335,7 @@ def channel_stats(x, k):
     x = as_vector(x, "x")
     hs = fft(x)
     total, retained, tail = band_energies(hs, k, x.size)
-    approx = reconstruct(truncate_low_freq(hs, k, x.size))
+    approx = reconstruct(truncate_low_freq(hs, k, x.size), x.size)
     achieved = float(np.linalg.norm(x - approx))
     return ChannelStats(
         total_energy=total,

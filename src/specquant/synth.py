@@ -25,8 +25,7 @@ def smooth_decay_layer(c_in, c_out, *, decay=2.0, seed=0, amp_range=(0.5, 2.0)):
         phases = np.where(phases <= -np.pi, np.pi, phases)
         for rb in real_bins:
             phases[rb] = rng.choice((0.0, np.pi))
-        sp = spectral.ChannelSpectrum(n=c_in, amps=amps, phases=phases)
-        w[:, j] = spectral.reconstruct(sp)
+        w[:, j] = spectral.reconstruct(np.stack([amps, phases], axis=1), c_in)
     return w
 
 

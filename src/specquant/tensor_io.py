@@ -7,13 +7,18 @@ directory holding `manifest.json` plus three raw little-endian blobs:
 - ``lambda.bin``    c_in float64 smoothing factors
 - ``spectra.bin``   per channel, in order: retained (amplitude, phase)
                     float64 pairs, 2 * k_j values; the per-channel counts
-                    come from the manifest's budget plan
+                    come from the manifest's budget plan. These are exactly
+                    the bytes of the in-memory `CompressedLayer.spectra`
+                    array, so save is one `tobytes` and load one `frombuffer`
 - ``residual.bin``  integer codes, row-major; two codes per byte (low
                     nibble first) when residual_bits <= 4, one byte per
                     code otherwise
 
 Everything else (plan, quantizer scales, migration strength) lives in the
-manifest, which JSON round-trips float64 exactly via shortest-repr.
+manifest, which JSON round-trips float64 exactly via shortest-repr. Load
+raises only SpecQuantError subclasses for a malformed artifact (OSError if a
+file cannot be read): FormatError for a missing or wrongly typed manifest
+field, ShapeError for sizes that disagree, DataError for invalid values.
 """
 
 import json
@@ -25,7 +30,6 @@ from .budget import BudgetPlan
 from .errors import DataError, FormatError, ShapeError
 from .pipeline import CompressedLayer, SmoothingFactors
 from .quant import QuantizedTensor
-from .spectral import ChannelSpectrum, half_spectrum_length
 from .validation import as_matrix
 
 FORMAT_VERSION = "specquant/1"
@@ -106,28 +110,6 @@ def unpack_codes(data, bits, rows, cols):
     return flat.reshape(rows, cols)
 
 
-def spectrum_to_bytes(spec):
-    """Serialize retained bins as little-endian (amplitude, phase) pairs.
-
-    The payload is exactly 2 * retained float64 values; the bin frequency is
-    implicit in the pair's position.
-    """
-    buf = np.empty(2 * spec.retained, dtype="<f8")
-    buf[0::2] = spec.amps
-    buf[1::2] = spec.phases
-    return buf.tobytes()
-
-
-def spectrum_from_bytes(data, n):
-    buf = np.frombuffer(data, dtype="<f8")
-    if buf.size % 2:
-        raise ShapeError("spectrum payload does not split into (amp, phase) pairs")
-    try:
-        return ChannelSpectrum(n=n, amps=buf[0::2].copy(), phases=buf[1::2].copy())
-    except ValueError as exc:
-        raise DataError(f"invalid spectrum payload: {exc}") from exc
-
-
 def stored_bytes(layer):
     """Bytes the artifact spends on the layer's numbers.
 
@@ -184,8 +166,7 @@ def save_compressed_layer(layer, out_dir, *, layer_name="layer", budget_meta=Non
     with open(os.path.join(out_dir, LAMBDA_FILE), "wb") as fh:
         fh.write(layer.smoothing.lam.astype("<f8").tobytes())
     with open(os.path.join(out_dir, SPECTRA_FILE), "wb") as fh:
-        for sp in layer.spectra:
-            fh.write(spectrum_to_bytes(sp))
+        fh.write(layer.spectra.astype("<f8").tobytes())
     with open(os.path.join(out_dir, RESIDUAL_FILE), "wb") as fh:
         fh.write(pack_codes(r.codes, r.bits))
     with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as fh:
@@ -199,7 +180,7 @@ def load_manifest(artifact_dir):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise FormatError(f"{path}: manifest is not valid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
@@ -219,77 +200,96 @@ def load_manifest(artifact_dir):
     return manifest
 
 
-def _read_blob(artifact_dir, name):
-    with open(os.path.join(os.fspath(artifact_dir), name), "rb") as fh:
+def _typed(value, kind, name):
+    """`value` if it has JSON type `kind`, else FormatError; `float` takes
+    any number a float64 holds, and a bool is never a number."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, allowed) and not (kind in (int, float) and isinstance(value, bool)):
+        try:
+            return float(value) if kind is float else value
+        except OverflowError:
+            pass
+    raise FormatError(f"manifest field {name} must be {kind.__name__}, got {value!r}")
+
+
+def _field(obj, key, kind, name=None):
+    name = name or key
+    if key not in obj:
+        raise FormatError(f"manifest is missing {name}")
+    return _typed(obj[key], kind, name)
+
+
+def _array(obj, key, dtype, name):
+    """A manifest list of numbers as a 1-D array of `dtype`; int64 takes
+    only integers."""
+    values = _field(obj, key, list, name)
+    try:
+        arr = np.asarray(values) if values else np.zeros(0, dtype)
+    except ValueError:  # ragged nested lists
+        arr = None
+    kinds = "i" if dtype is np.int64 else "iuf"
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in kinds:
+        raise FormatError(f"manifest field {name} must be a list of {dtype.__name__}")
+    return arr.astype(dtype)
+
+
+def _read_blob(artifact_dir, manifest, key, expected):
+    if manifest[key] != expected:
+        raise FormatError(f"manifest names {key} blob {manifest[key]!r}, expected {expected!r}")
+    with open(os.path.join(os.fspath(artifact_dir), expected), "rb") as fh:
         return fh.read()
 
 
 def load_compressed_layer(artifact_dir):
     """Rebuild a CompressedLayer from an artifact directory, validating the
-    manifest's declared shapes against the blobs."""
+    manifest's declared types and shapes against the blobs."""
     manifest = load_manifest(artifact_dir)
-    c_in = int(manifest["c_in"])
-    c_out = int(manifest["c_out"])
+    c_in = _field(manifest, "c_in", int)
+    c_out = _field(manifest, "c_out", int)
     if c_in < 0 or c_out < 0:
         raise ShapeError(f"invalid dimensions c_in={c_in}, c_out={c_out}")
-    plan_spec = manifest["plan"]
-    ks = [int(v) for v in plan_spec["k"]]
-    rho = [float(v) for v in plan_spec["rho"]]
-    if len(ks) != c_out or len(rho) != c_out:
-        raise ShapeError(f"plan length {len(ks)} does not match c_out={c_out}")
-    half = half_spectrum_length(c_in)
-    for j, k in enumerate(ks):
-        if not 1 <= k <= half:
-            raise ShapeError(f"plan k[{j}]={k} outside [1, {half}] for c_in={c_in}")
+    plan_spec = _field(manifest, "plan", dict)
+    ks = _array(plan_spec, "k", np.int64, "plan.k")
+    rho = _array(plan_spec, "rho", np.float64, "plan.rho")
+    if ks.size != c_out or rho.size != c_out:
+        raise ShapeError(f"plan length {ks.size} does not match c_out={c_out}")
+    bits = _field(manifest, "residual_bits", int)
+    rp = _field(manifest, "residual_params", dict)
+    if _field(rp, "granularity", str, "residual_params.granularity") != "per_channel":
+        raise FormatError(f"unsupported residual granularity {rp['granularity']!r}")
 
-    lam_raw = _read_blob(artifact_dir, manifest["smoothing_factors"])
+    lam_raw = _read_blob(artifact_dir, manifest, "smoothing_factors", LAMBDA_FILE)
     if len(lam_raw) != 8 * c_in:
         raise ShapeError(
             f"lambda blob holds {len(lam_raw)} bytes, expected {8 * c_in} for c_in={c_in}"
         )
-    lam = np.frombuffer(lam_raw, dtype="<f8").copy()
-
-    spectra_raw = _read_blob(artifact_dir, manifest["spectra"])
-    expected = 16 * sum(ks)
+    spectra_raw = _read_blob(artifact_dir, manifest, "spectra", SPECTRA_FILE)
+    expected = 16 * int(ks.sum())
     if len(spectra_raw) != expected:
-        raise ShapeError(
-            f"spectra blob holds {len(spectra_raw)} bytes, expected {expected}"
-        )
-    spectra = []
-    offset = 0
-    for k in ks:
-        size = 16 * k
-        spectra.append(spectrum_from_bytes(spectra_raw[offset : offset + size], c_in))
-        offset += size
-
-    bits = int(manifest["residual_bits"])
-    rp = manifest["residual_params"]
-    deltas = np.asarray([float(v) for v in rp["delta"]], dtype=np.float64)
-    zps = np.asarray([float(v) for v in rp["zero_point"]], dtype=np.float64)
-    if rp["granularity"] != "per_channel":
-        raise FormatError(f"unsupported residual granularity {rp['granularity']!r}")
-    codes = unpack_codes(_read_blob(artifact_dir, manifest["residual"]), bits, c_in, c_out)
+        raise ShapeError(f"spectra blob holds {len(spectra_raw)} bytes, expected {expected}")
+    residual_raw = _read_blob(artifact_dir, manifest, "residual", RESIDUAL_FILE)
     residual = QuantizedTensor(
-        codes=codes,
+        codes=unpack_codes(residual_raw, bits, c_in, c_out),
         bits=bits,
         granularity="per_channel",
-        deltas=deltas,
-        zero_points=zps,
+        deltas=_array(rp, "delta", np.float64, "residual_params.delta"),
+        zero_points=_array(rp, "zero_point", np.float64, "residual_params.zero_point"),
         rows=c_in,
         cols=c_out,
-        rtn_fallback=bool(rp.get("rtn_fallback", False)),
+        rtn_fallback=_typed(rp.get("rtn_fallback", False), bool, "residual_params.rtn_fallback"),
     )
     layer = CompressedLayer(
         smoothing=SmoothingFactors(
-            lam=lam, migration_strength=float(manifest["migration_strength"])
+            lam=np.frombuffer(lam_raw, dtype="<f8").astype(np.float64),
+            migration_strength=_field(manifest, "migration_strength", float),
         ),
-        spectra=spectra,
+        spectra=np.frombuffer(spectra_raw, dtype="<f8").astype(np.float64).reshape(-1, 2),
         residual=residual,
         plan=BudgetPlan(
-            rho=np.asarray(rho),
-            k=np.asarray(ks, dtype=np.int64),
-            alpha=float(plan_spec["alpha"]),
-            total_budget=int(plan_spec["total_budget"]),
+            rho=rho,
+            k=ks,
+            alpha=_field(plan_spec, "alpha", float, "plan.alpha"),
+            total_budget=_field(plan_spec, "total_budget", int, "plan.total_budget"),
         ),
         c_in=c_in,
         c_out=c_out,

@@ -65,7 +65,7 @@ def test_criterion_3_error_bound_exhaustive():
             for k in range(1, half_spectrum_length(n) + 1):
                 bound = sq.error_bound(hs, k, n)
                 achieved = float(
-                    np.linalg.norm(x - sq.reconstruct(sq.truncate_low_freq(hs, k, n)))
+                    np.linalg.norm(x - sq.reconstruct(sq.truncate_low_freq(hs, k, n), n))
                 )
                 checked += 1
                 if achieved > bound + 1e-9:
@@ -84,7 +84,7 @@ def test_criterion_4_round_trip_and_smoothing_identity():
         n = int(rng.integers(1, 257))
         x = rng.normal(size=n)
         sp = sq.truncate_low_freq(sq.fft(x), half_spectrum_length(n), n)
-        worst_rt = max(worst_rt, float(np.abs(sq.reconstruct(sp) - x).max()))
+        worst_rt = max(worst_rt, float(np.abs(sq.reconstruct(sp, n) - x).max()))
     worst_sm = 0.0
     for _ in range(100):
         t, c_in, c_out = rng.integers(2, 20), rng.integers(2, 24), rng.integers(2, 24)
@@ -125,21 +125,25 @@ def test_criterion_5_quantizer_contract():
     )
 
 
-def test_criterion_6_storage_accounting():
+def test_criterion_6_storage_accounting(tmp_path):
     rng = np.random.default_rng(1006)
     ok = True
-    for n, k in [(16, 3), (64, 16), (128, 65), (33, 5)]:
-        sp = sq.truncate_low_freq(sq.fft(rng.normal(size=n)), k, n)
-        payload = tensor_io.spectrum_to_bytes(sp)
-        ok = ok and len(payload) == 2 * k * 8  # exactly 2k reals
-        ok = ok and 3 * len(payload) == 2 * (3 * k * 8)  # one third below (A, phi, f)
+    for c_in, groups in [(16, 3), (64, 16), (128, 65), (33, 5)]:
+        x = rng.normal(size=(8, c_in))
+        layer = sq.compress_layer(x, rng.normal(size=(c_in, 4)), groups=groups, smooth=0.5)
+        out = tmp_path / f"{c_in}x{groups}"
+        sq.save_compressed_layer(layer, out)
+        payload = (out / tensor_io.SPECTRA_FILE).stat().st_size
+        k = int(layer.plan.k.sum())
+        ok = ok and payload == 2 * k * 8  # exactly 2k reals per channel
+        ok = ok and 3 * payload == 2 * (3 * k * 8)  # one third below (A, phi, f)
     for n in (8, 64, 256):
         ok = ok and 2 * half_spectrum_length(n) == n + 2  # half of 2n, plus DC/Nyquist
     _verdict(
         6,
         ok,
-        "spectrum payload is exactly 2k float64 (2/3 of a 3-parameter encoding); "
-        "half-spectrum stores n + 2 of the full spectrum's 2n reals",
+        "spectra.bin is exactly 2k float64 per channel (2/3 of a 3-parameter "
+        "encoding); half-spectrum stores n + 2 of the full spectrum's 2n reals",
     )
 
 

@@ -121,8 +121,7 @@ class TestCompressLayer:
 
     def test_zero_weights(self):
         layer = compress_layer(np.ones((4, 8)), np.zeros((8, 3)), ratio=0.5, smooth=0.5)
-        for sp in layer.spectra:
-            np.testing.assert_array_equal(sp.amps, 0.0)
+        np.testing.assert_array_equal(layer.spectra[:, 0], 0.0)
         np.testing.assert_array_equal(quant.dequantize(layer.residual), np.zeros((8, 3)))
 
     def test_groups_mode_fixed_k(self):
@@ -220,16 +219,6 @@ class TestForwardApprox:
         np.testing.assert_array_equal(
             forward_approx(np.zeros((5, 8)), layer, 4), np.zeros((5, 3))
         )
-
-    def test_simulate_half_flag(self):
-        rng = np.random.default_rng(23)
-        x = rng.normal(size=(6, 8))
-        w = rng.normal(size=(8, 4))
-        layer = compress_layer(x, w, ratio=1.0, smooth=0.5)
-        exact = forward_approx(x, layer, 16)
-        halved = forward_approx(x, layer, 16, simulate_half=True)
-        assert not np.array_equal(exact, halved)
-        assert np.linalg.norm(exact - halved) <= 1e-2 * np.linalg.norm(exact)
 
     def test_shape_and_bits_validation(self):
         layer = compress_layer(np.ones((2, 4)), np.ones((4, 2)), ratio=1.0, smooth=0.5)

@@ -98,6 +98,10 @@ class TestQuantizeDequantize:
     @settings(max_examples=200, deadline=None)
     @example([0.0, 5e-324], 4)  # span underflows: delta would be 0
     @example([-1.7e308, 1.7e308], 4)  # span overflows: delta would be inf
+    # Ends at the float64 limit: (code - z) * delta must not round past it.
+    @example([-1.7976931348623157e308, 1.7976931348623157e308], 2)
+    @example([0.0, 1.7976931348623157e308], 8)
+    @example([-1.7976931348623157e308, 0.0], 2)
     def test_round_trip_property(self, values, bits):
         x = np.array([values])
         q = quantize(x, bits, "per_tensor")
@@ -105,6 +109,18 @@ class TestQuantizeDequantize:
         tol = q.deltas[0] / 2 * (1 + 1e-9) + 1e-300
         assert (np.abs(back - x) <= tol).all()
         assert q.codes.max() <= 2**bits - 1
+
+    def test_ends_at_float64_limit_dequantize_finite(self):
+        big = np.finfo(np.float64).max
+        for values in ([-big, big], [0.0, big], [-big, 0.0], [-big, big / 2], [1e308, big]):
+            x = np.array([values])
+            for bits in range(2, 9):
+                q = quantize(x, bits, "per_tensor")
+                ends = dequantize(QuantizedTensor(
+                    np.array([[0, 2**bits - 1]]), bits, "per_tensor", q.deltas, q.zero_points, 1, 2
+                ))
+                assert np.isfinite(ends).all(), (values, bits)
+                assert (np.abs(dequantize(q) - x) <= q.deltas[0] / 2).all()
 
     def test_codes_idempotent_under_requantization(self):
         rng = np.random.default_rng(10)

@@ -1,11 +1,13 @@
 """Transform, truncation, and energy-accounting contracts."""
 
+import json
+
 import numpy as np
 import pytest
 
-from specquant import spectral
+from specquant import compress_layer, spectral, tensor_io
+from specquant.errors import DataError, ShapeError
 from specquant.spectral import (
-    ChannelSpectrum,
     band_energies,
     channel_stats,
     dft_naive,
@@ -87,11 +89,14 @@ def test_reconstruct_columns_matches_cosine_sum(n):
     rng = np.random.default_rng(n)
     c = 2 * spectral.BLOCK + 3
     spec = fft_columns(rng.normal(size=(n, c)))
-    spectra = truncate_columns(spec, rng.integers(1, half_spectrum_length(n) + 1, c), n)
-    batched = reconstruct_columns(spectra, n)
+    ks = rng.integers(1, half_spectrum_length(n) + 1, c)
+    bins = truncate_columns(spec, ks, n)
+    assert bins.shape == (ks.sum(), 2) and bins.flags.c_contiguous
+    batched = reconstruct_columns(bins, ks, n)
     assert batched.shape == (n, c)
-    for j, sp in enumerate(spectra):
-        ref = reconstruct(sp)
+    ends = np.cumsum(ks)
+    for j in range(c):
+        ref = reconstruct(bins[ends[j] - ks[j] : ends[j]], n)
         assert np.linalg.norm(batched[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -124,13 +129,13 @@ def test_truncate_full_band_round_trip():
     for n in (1, 2, 3, 4, 5, 8, 17, 64):
         x = rng.normal(size=n)
         sp = truncate_low_freq(fft(x), half_spectrum_length(n), n)
-        np.testing.assert_allclose(reconstruct(sp), x, atol=1e-9)
+        np.testing.assert_allclose(reconstruct(sp, n), x, atol=1e-9)
 
 
 def test_constant_signal_reconstructs_from_dc_alone():
     x = np.full(8, -1.75)
     sp = truncate_low_freq(fft(x), 1, 8)
-    np.testing.assert_allclose(reconstruct(sp), x, atol=1e-12)
+    np.testing.assert_allclose(reconstruct(sp, 8), x, atol=1e-12)
 
 
 def test_pure_sinusoid_truncation():
@@ -138,9 +143,9 @@ def test_pure_sinusoid_truncation():
     x = np.sin(2 * np.pi * np.arange(n) / n)
     hs = fft(x)
     # Bins 0 and 1 carry the whole signal.
-    np.testing.assert_allclose(reconstruct(truncate_low_freq(hs, 2, n)), x, atol=1e-12)
+    np.testing.assert_allclose(reconstruct(truncate_low_freq(hs, 2, n), n), x, atol=1e-12)
     # DC alone is zero; the error is the full signal norm at bin 1.
-    only_dc = reconstruct(truncate_low_freq(hs, 1, n))
+    only_dc = reconstruct(truncate_low_freq(hs, 1, n), n)
     np.testing.assert_allclose(only_dc, 0.0, atol=1e-12)
     assert np.linalg.norm(x - only_dc) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
@@ -154,13 +159,12 @@ def test_truncate_k_out_of_range():
 
 
 def test_reconstruct_dc_only_spectrum():
-    sp = ChannelSpectrum(n=4, amps=np.array([4.0]), phases=np.array([0.0]))
-    np.testing.assert_allclose(reconstruct(sp), np.ones(4), atol=1e-15)
+    np.testing.assert_allclose(reconstruct(np.array([[4.0, 0.0]]), 4), np.ones(4), atol=1e-15)
 
 
 def test_reconstruct_truncated_impulse():
     sp = truncate_low_freq(fft([1.0, 0.0, 0.0, 0.0]), 1, 4)
-    np.testing.assert_allclose(reconstruct(sp), np.full(4, 0.25), atol=1e-15)
+    np.testing.assert_allclose(reconstruct(sp, 4), np.full(4, 0.25), atol=1e-15)
 
 
 def test_error_bound_zero_for_full_band():
@@ -213,7 +217,7 @@ def test_error_monotone_in_k():
         x = rng.normal(size=n)
         hs = fft(x)
         errs = [
-            np.linalg.norm(x - reconstruct(truncate_low_freq(hs, k, n)))
+            np.linalg.norm(x - reconstruct(truncate_low_freq(hs, k, n), n))
             for k in range(1, half_spectrum_length(n) + 1)
         ]
         for lo, hi in zip(errs[1:], errs[:-1]):
@@ -223,26 +227,67 @@ def test_error_monotone_in_k():
 def test_phase_conventions():
     rng = np.random.default_rng(9)
     for n in (4, 9, 16):
-        sp = truncate_low_freq(fft(rng.normal(size=n)), half_spectrum_length(n), n)
-        assert (sp.phases > -np.pi).all() and (sp.phases <= np.pi).all()
-        assert (sp.amps >= 0).all()
-        for m in np.flatnonzero(sp.real_bins):
-            assert sp.phases[m] in (0.0, np.pi)
+        ks = np.array([1, 2, half_spectrum_length(n)])
+        bins = truncate_columns(fft_columns(rng.normal(size=(n, ks.size))), ks, n)
+        amps, phases = bins.T
+        assert (phases > -np.pi).all() and (phases <= np.pi).all()
+        assert (amps >= 0).all()
+        # DC opens every channel; Nyquist (even n) closes a full-band one.
+        real_rows = list(np.cumsum(ks) - ks) + ([bins.shape[0] - 1] if n % 2 == 0 else [])
+        assert all(phases[r] in (0.0, np.pi) for r in real_rows)
 
 
 def test_negative_dc_gets_pi_phase():
     sp = truncate_low_freq(fft(np.full(4, -2.0)), 1, 4)
-    assert sp.phases[0] == np.pi
-    assert sp.amps[0] == pytest.approx(8.0)
-    np.testing.assert_allclose(reconstruct(sp), np.full(4, -2.0), atol=1e-12)
+    assert sp.shape == (1, 2)
+    assert sp[0, 1] == np.pi
+    assert sp[0, 0] == pytest.approx(8.0)
+    np.testing.assert_allclose(reconstruct(sp, 4), np.full(4, -2.0), atol=1e-12)
 
 
-def test_channel_spectrum_rejects_bad_state():
-    with pytest.raises(ValueError):
-        ChannelSpectrum(n=4, amps=np.array([-1.0]), phases=np.array([0.0]))
-    with pytest.raises(ValueError):
-        ChannelSpectrum(n=4, amps=np.array([1.0]), phases=np.array([4.0]))
-    with pytest.raises(ValueError):
-        ChannelSpectrum(n=4, amps=np.array([1.0]), phases=np.array([0.5]))  # DC not real
-    with pytest.raises(ValueError):
-        ChannelSpectrum(n=4, amps=np.ones(4), phases=np.zeros(4))  # too many bins
+def test_channel_spectrum_rejects_bad_state(tmp_path):
+    """A layer's spectrum rows with a negative amplitude, a phase outside
+    (-pi, pi], a DC or Nyquist bin that is not real, a non-finite value, a
+    row count that disagrees with the plan or more bins than the channel has
+    are rejected at save, before any file is written, and at load from a
+    tampered artifact."""
+    rng = np.random.default_rng(10)
+    layer = compress_layer(rng.normal(size=(8, 4)), rng.normal(size=(4, 2)), ratio=1.0, smooth=0.5)
+    assert layer.plan.k.tolist() == [3, 3]  # DC, bin 1, Nyquist per channel
+    good = tmp_path / "good"
+    tensor_io.save_compressed_layer(layer, good)
+    cases = [
+        ((0, 0), -1.0, DataError, "non-negative"),
+        ((1, 1), 4.0, DataError, "phases"),
+        ((1, 1), -np.pi, DataError, "phases"),  # -pi is spelled +pi
+        ((3, 1), 0.5, DataError, "bin 0"),  # DC of channel 1 not real
+        ((5, 1), -0.5, DataError, "bin 2"),  # Nyquist of channel 1 not real
+        ((4, 0), np.nan, DataError, "non-finite"),
+        (None, None, ShapeError, "spectra"),  # one row more than the plan
+    ]
+    spectra = layer.spectra
+    for index, value, error, match in cases:
+        if index is None:
+            layer.spectra = np.vstack([spectra, [[1.0, 0.0]]])
+        else:
+            layer.spectra = spectra.copy()
+            layer.spectra[index] = value
+        out = tmp_path / "bad"
+        with pytest.raises(error, match=match):
+            tensor_io.save_compressed_layer(layer, out)
+        assert not out.exists()
+        (good / tensor_io.SPECTRA_FILE).write_bytes(layer.spectra.tobytes())
+        with pytest.raises(error, match=match):
+            tensor_io.load_compressed_layer(good)
+
+    layer.plan.k[0] = 4  # a length-4 channel has only 3 bins
+    layer.spectra = np.vstack([[[1.0, 0.0]], spectra])
+    with pytest.raises(ShapeError, match="plan k"):
+        tensor_io.save_compressed_layer(layer, tmp_path / "bad")
+    assert not (tmp_path / "bad").exists()
+    (good / tensor_io.SPECTRA_FILE).write_bytes(layer.spectra.tobytes())
+    manifest = json.loads((good / tensor_io.MANIFEST_FILE).read_text())
+    manifest["plan"]["k"][0] = 4
+    (good / tensor_io.MANIFEST_FILE).write_text(json.dumps(manifest))
+    with pytest.raises(ShapeError, match="plan k"):
+        tensor_io.load_compressed_layer(good)

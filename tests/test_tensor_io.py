@@ -2,13 +2,18 @@
 
 import json
 import os
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specquant as sq
 from specquant import synth, tensor_io
-from specquant.errors import DataError, FormatError, ShapeError
+from specquant.errors import DataError, FormatError, ShapeError, SpecQuantError
 from specquant.spectral import half_spectrum_length
 
 
@@ -115,11 +120,11 @@ class TestCodePacking:
             tensor_io.unpack_codes(b"\x00\x00", 4, 4, 4)
 
 
-def _example_layer(seed=0, c_in=16, c_out=6):
+def _example_layer(seed=0, c_in=16, c_out=6, ratio=0.4):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(24, c_in))
     w = rng.normal(size=(c_in, c_out))
-    return w, x, sq.compress_layer(x, w, ratio=0.4, smooth=0.5)
+    return w, x, sq.compress_layer(x, w, ratio=ratio, smooth=0.5)
 
 
 class TestArtifactRoundTrip:
@@ -134,9 +139,8 @@ class TestArtifactRoundTrip:
         np.testing.assert_array_equal(back.plan.k, layer.plan.k)
         assert back.plan.alpha == layer.plan.alpha
         assert back.plan.total_budget == layer.plan.total_budget
-        for a, b in zip(layer.spectra, back.spectra):
-            assert (a.amps == b.amps).all()
-            assert (a.phases == b.phases).all()
+        assert back.spectra.dtype == np.float64 and back.spectra.flags.c_contiguous
+        np.testing.assert_array_equal(back.spectra, layer.spectra)
         np.testing.assert_array_equal(back.residual.codes, layer.residual.codes)
         assert (back.residual.deltas == layer.residual.deltas).all()
         assert (back.residual.zero_points == layer.residual.zero_points).all()
@@ -161,7 +165,7 @@ class TestArtifactRoundTrip:
 
         layer = CompressedLayer(
             smoothing=SmoothingFactors(lam=np.ones(4), migration_strength=0.5),
-            spectra=[],
+            spectra=np.zeros((0, 2)),
             residual=quantize(np.zeros((4, 0)), 4, "per_channel"),
             plan=BudgetPlan(
                 rho=np.zeros(0), k=np.zeros(0, dtype=np.int64), alpha=1.0, total_budget=0
@@ -172,7 +176,7 @@ class TestArtifactRoundTrip:
         tensor_io.save_compressed_layer(layer, tmp_path)
         assert (tmp_path / tensor_io.SPECTRA_FILE).stat().st_size == 0
         back = tensor_io.load_compressed_layer(tmp_path)
-        assert back.c_out == 0 and len(back.spectra) == 0
+        assert back.c_out == 0 and back.spectra.shape == (0, 2)
 
     def test_inconsistent_layer_rejected_at_save(self, tmp_path):
         _, _, layer = _example_layer()
@@ -250,16 +254,162 @@ class TestArtifactRoundTrip:
             tensor_io.save_compressed_layer(layer, "/proc/definitely/not/writable")
 
 
+def _tampered(tmp_path, edit):
+    """Save the example layer, apply `edit` to its manifest dict, return the dir."""
+    _, _, layer = _example_layer()
+    tensor_io.save_compressed_layer(layer, tmp_path)
+    mpath = tmp_path / tensor_io.MANIFEST_FILE
+    manifest = json.loads(mpath.read_text())
+    edit(manifest)
+    mpath.write_text(json.dumps(manifest))
+    return tmp_path
+
+
+def _set(path, value):
+    def edit(manifest):
+        *parents, key = path
+        obj = manifest
+        for p in parents:
+            obj = obj[p]
+        obj[key] = value
+    return edit
+
+
+class TestLoadHardening:
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (_set(["plan"], []), FormatError),
+            (_set(["c_in"], None), FormatError),
+            (_set(["c_in"], "abc"), FormatError),
+            (_set(["c_in"], True), FormatError),
+            (_set(["c_out"], 6.0), FormatError),
+            (_set(["residual_bits"], 1), DataError),
+            (_set(["migration_strength"], 10**400), FormatError),
+            (_set(["plan", "k"], [1, 2, "3", 1, 1, 1]), FormatError),
+            (_set(["plan", "k"], [[1], [2]]), FormatError),
+            (_set(["plan", "rho"], [0.5, [0.5]]), FormatError),
+            (_set(["plan", "k"], [0, 1, 1, 1, 1, 1]), ShapeError),
+            (_set(["plan", "k"], [1, 1, 1]), ShapeError),
+            (_set(["residual_params"], "per_channel"), FormatError),
+            (_set(["residual_params", "rtn_fallback"], 1), FormatError),
+            (_set(["spectra"], "../spectra.bin"), FormatError),
+            (_set(["residual"], ["residual.bin"]), FormatError),
+            (lambda m: m["plan"].pop("k"), FormatError),
+            (lambda m: m["residual_params"].pop("delta"), FormatError),
+        ],
+        ids=[
+            "plan-list", "c_in-null", "c_in-str", "c_in-bool", "c_out-float", "bits-1",
+            "strength-huge", "k-str", "k-nested", "rho-ragged", "k-zero", "k-short",
+            "params-str", "fallback-int", "spectra-parent-dir", "residual-list",
+            "k-missing", "delta-missing",
+        ],
+    )
+    def test_bad_manifest_field_is_named_error(self, tmp_path, edit, error):
+        with pytest.raises(error):
+            tensor_io.load_compressed_layer(_tampered(tmp_path, edit))
+
+    def test_renamed_blob_is_format_error(self, tmp_path):
+        art = _tampered(tmp_path, _set(["spectra"], "other.bin"))
+        os.rename(art / tensor_io.SPECTRA_FILE, art / "other.bin")
+        with pytest.raises(FormatError):
+            tensor_io.load_compressed_layer(art)
+
+    def test_undecodable_manifest_is_format_error(self, tmp_path):
+        _, _, layer = _example_layer()
+        tensor_io.save_compressed_layer(layer, tmp_path)
+        (tmp_path / tensor_io.MANIFEST_FILE).write_bytes(b'{"format_version": "\xff\xfe')
+        with pytest.raises(FormatError):
+            tensor_io.load_compressed_layer(tmp_path)
+
+
+@lru_cache(maxsize=None)
+def _artifact_files():
+    _, _, layer = _example_layer(c_in=9, c_out=3)
+    with tempfile.TemporaryDirectory() as d:
+        tensor_io.save_compressed_layer(layer, d)
+        return {p.name: p.read_bytes() for p in Path(d).iterdir()}
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**70), 2**70)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=6,
+)
+
+
+def _manifest_paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _manifest_paths(value, prefix + (key,))
+
+
+@st.composite
+def _fuzzed_artifact(draw):
+    """The example artifact after 1 to 3 random edits: a manifest value
+    replaced, retyped or deleted, or a file truncated, overwritten or grown."""
+    files = dict(_artifact_files())
+    manifest = json.loads(files[tensor_io.MANIFEST_FILE])
+    raw_edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            path = draw(st.sampled_from(list(_manifest_paths(manifest))))
+            if not path:
+                manifest = draw(_json_values)
+                continue
+            parent = manifest
+            for key in path[:-1]:
+                parent = parent[key]
+            if draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = draw(_json_values)
+        else:
+            raw_edits.append(draw(st.tuples(
+                st.sampled_from(sorted(files)), st.sampled_from(["cut", "poke", "grow"]),
+                st.integers(0, 4096), st.binary(min_size=1, max_size=16),
+            )))
+    files[tensor_io.MANIFEST_FILE] = json.dumps(manifest).encode()
+    for name, how, at, data in raw_edits:
+        blob = files[name]
+        at = at % (len(blob) + 1)
+        files[name] = {
+            "cut": blob[:at],
+            "poke": blob[:at] + data + blob[at + len(data):],
+            "grow": blob + data,
+        }[how]
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzzed_artifact())
+def test_fuzzed_artifact_raises_only_named_errors(files):
+    with tempfile.TemporaryDirectory() as d:
+        for name, data in files.items():
+            Path(d, name).write_bytes(data)
+        try:
+            layer = tensor_io.load_compressed_layer(d)
+        except SpecQuantError:
+            return
+        # What loads is a valid layer: it saves back without complaint.
+        tensor_io.save_compressed_layer(layer, Path(d, "again"))
+
+
 class TestStorageAccounting:
-    def test_spectrum_payload_is_exactly_2k_reals(self):
-        """Serialized size is 2k float64 payloads: one third smaller than a
-        3-parameter (amp, phase, freq) encoding at the same k."""
+    def test_spectrum_payload_is_exactly_2k_reals(self, tmp_path):
+        """spectra.bin holds 2k float64 per channel, 16 * sum(k) bytes: one
+        third smaller than a 3-parameter (amp, phase, freq) encoding."""
         rng = np.random.default_rng(7)
         for n, k in [(16, 1), (16, 5), (16, 9), (17, 8), (64, 16)]:
-            sp = sq.truncate_low_freq(sq.fft(rng.normal(size=n)), k, n)
-            payload = tensor_io.spectrum_to_bytes(sp)
-            assert len(payload) == 2 * k * 8
-            assert len(payload) == (2 / 3) * (3 * k * 8)
+            x = rng.normal(size=(8, n))
+            layer = sq.compress_layer(x, rng.normal(size=(n, 3)), groups=k, smooth=0.5)
+            tensor_io.save_compressed_layer(layer, tmp_path / f"{n}-{k}")
+            payload = (tmp_path / f"{n}-{k}" / tensor_io.SPECTRA_FILE).read_bytes()
+            assert len(payload) == 16 * int(layer.plan.k.sum()) == 3 * 2 * k * 8
+            assert len(payload) == (2 / 3) * (3 * 3 * k * 8)
+            assert payload == layer.spectra.tobytes()
 
     def test_half_spectrum_storage_vs_full(self):
         # Full complex spectrum would be 2n reals; the retained half is
@@ -269,10 +419,33 @@ class TestStorageAccounting:
             assert half_reals == n + 2
             assert half_reals * 8 <= (2 * n * 8) // 2 + 16
 
-    def test_branch_overhead_per_channel(self):
+    def test_branch_overhead_per_channel(self, tmp_path):
         # Spectra bytes per channel over the channel's own float64 cost is
         # exactly 2k / c_in.
         w, x, layer = _example_layer(c_in=32, c_out=4)
-        for j, sp in enumerate(layer.spectra):
-            payload = tensor_io.spectrum_to_bytes(sp)
-            assert len(payload) / (32 * 8) == 2 * int(layer.plan.k[j]) / 32
+        tensor_io.save_compressed_layer(layer, tmp_path)
+        blob = np.frombuffer((tmp_path / tensor_io.SPECTRA_FILE).read_bytes(), "<f8")
+        chunks = np.split(blob, 2 * np.cumsum(layer.plan.k)[:-1])
+        for k, chunk in zip(layer.plan.k, chunks):
+            assert chunk.nbytes / (32 * 8) == 2 * int(k) / 32
+
+    @pytest.mark.parametrize("c_in, ratio", [(16, 0.4), (15, 0.4), (100, 0.4), (16, 1.0), (100, 1.0)])
+    def test_spectra_bin_matches_per_channel_fft(self, tmp_path, c_in, ratio):
+        """Format oracle: channel j's slice of spectra.bin is (|X|, angle X)
+        of its first k_j bins, with DC and (even c_in) Nyquist pinned real;
+        ratio 1.0 keeps every bin, Nyquist included."""
+        w, x, layer = _example_layer(c_in=c_in, c_out=2 * sq.spectral.BLOCK + 3, ratio=ratio)
+        tensor_io.save_compressed_layer(layer, tmp_path)
+        blob = np.frombuffer((tmp_path / tensor_io.SPECTRA_FILE).read_bytes(), "<f8")
+        w_hat = layer.smoothing.lam[:, None] * w
+        offset = 0
+        for j, k in enumerate(layer.plan.k):
+            spec = sq.fft(w_hat[:, j])[:k]
+            expected = np.stack([np.abs(spec), np.angle(spec)], axis=1)
+            expected[expected[:, 1] == -np.pi, 1] = np.pi
+            for m in (0, c_in // 2) if c_in % 2 == 0 else (0,):
+                if m < k:
+                    expected[m] = abs(spec[m].real), 0.0 if spec[m].real >= 0 else np.pi
+            assert np.array_equal(blob[offset : offset + 2 * k], expected.ravel())
+            offset += 2 * k
+        assert offset == blob.size
