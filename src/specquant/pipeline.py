@@ -170,7 +170,9 @@ def select_migration_strength(
     residual_bits=DEFAULT_RESIDUAL_BITS,
     residual_quant="rtn",
 ):
-    """Pick the strength in `grid` minimizing the post-compression output MSE.
+    """Compress at the strength in `grid` minimizing the post-compression
+    output MSE and return that layer; its strength is
+    `layer.smoothing.migration_strength`.
 
     Runs the full compression path per candidate and scores
     ||X W - X_hat (W' + dequant(R))||_F^2 on the calibration set. Ties go to
@@ -181,8 +183,7 @@ def select_migration_strength(
     x = as_matrix(x_calib, "x_calib")
     w = as_matrix(w, "w")
     reference = x @ w
-    best_s = None
-    best_loss = math.inf
+    best = None
     for s in sorted(float(v) for v in grid):
         layer = compress_layer(
             x,
@@ -198,10 +199,9 @@ def select_migration_strength(
         x_hat = x / layer.smoothing.lam[None, :]
         approx = x_hat @ (layer.low_freq_matrix() + layer.residual_matrix())
         loss = float(((reference - approx) ** 2).sum())
-        if loss < best_loss:
-            best_loss = loss
-            best_s = s
-    return best_s
+        if best is None or loss < best_loss:
+            best, best_loss = layer, loss
+    return best
 
 
 def compress_layer(
@@ -244,7 +244,7 @@ def compress_layer(
         raise ValueError(f"groups must lie in [1, {half}], got {groups}")
 
     if smooth == "auto":
-        smooth = select_migration_strength(
+        return select_migration_strength(
             x,
             w,
             smooth_grid,

@@ -13,7 +13,7 @@ matrices carry one token per row), per_channel each column (weight matrices
 carry one output channel per column), per_tensor the whole matrix.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -162,19 +162,28 @@ def quantize_residual_compensated(r, bits, x_calib):
     """Error-compensated quantization of a weight-like matrix.
 
     Entries are quantized in ascending input-index order (rows of r, all
-    output channels at once). After each index is fixed, the rounding error
+    output channels at once). After each index is fixed, its rounding error
     is propagated to the not-yet-quantized indices of the same channel by
     the least-squares update against the damped calibration Gram
-    H = X^T X + damp * I, with damp = 1% of the mean Gram diagonal. The
-    remaining-set inverse is maintained by rank-one downdates.
+    H = X^T X + damp * I, with damp = 1% of the mean Gram diagonal. That
+    update needs row i of the inverse of H restricted to the indices not yet
+    quantized; it equals U[i, i] * U[i, i:] for the upper Cholesky factor U
+    of H^-1 (U^T U = H^-1, GPTQ), so H^-1 is factored once instead of being
+    downdated after every index.
+
+    The update and the selection run in power-of-two units: X is scaled so
+    max|X| lies in [0.5, 1), and each channel's r and delta so that delta
+    lies in [0.5, 1). Power-of-two scalings are exact, so the codes do not
+    depend on the scale of either input, the objective cannot overflow and
+    the Gram of a nonzero X cannot underflow to zero.
 
     Per-channel scales come from the original matrix, as in plain
     round-to-nearest. Greedy compensation can occasionally lose to RTN by a
     sliver, and channels are independent in the weighted objective, so each
     channel keeps whichever of the two code vectors scores lower on
-    ||X (r - dequant)||; the result is never worse than RTN. A Gram that
-    cannot be inverted triggers a fallback to plain RTN, flagged on the
-    result.
+    ||X (r - dequant)||; the result is never worse than RTN. An empty matrix,
+    an all-zero or token-free X, or a Gram that Cholesky rejects triggers a
+    fallback to plain RTN, flagged on the result.
     """
     r = as_matrix(r, "r")
     bits = _check_bits(bits)
@@ -184,54 +193,39 @@ def quantize_residual_compensated(r, bits, x_calib):
         raise ValueError(
             f"calibration activations have {x.shape[1]} channels, expected {c_in}"
         )
-
-    def fallback():
-        q = quantize(r, bits, "per_channel")
-        q.rtn_fallback = True
+    # The RTN candidate, returned as it is by every fallback below.
+    q = quantize(r, bits, "per_channel")
+    q.rtn_fallback = True
+    if c_in == 0 or c_out == 0:
         return q
 
-    if c_in == 0 or c_out == 0:
-        return fallback()
-
+    # From here on x, r and the deltas are in power-of-two units.
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(initial=0.0))[1])
+    unit_deltas, exps = np.frexp(q.deltas)
+    r = np.ldexp(r, -exps)
     gram = x.T @ x
     damp = COMPENSATION_DAMPING * float(np.mean(np.diag(gram)))
-    if not np.isfinite(damp) or damp <= 0.0:
-        return fallback()
+    if damp <= 0.0:
+        return q
     gram[np.diag_indices_from(gram)] += damp
     try:
-        hinv = np.linalg.inv(gram)
+        u = np.linalg.cholesky(np.linalg.inv(gram)).T
     except np.linalg.LinAlgError:
-        return fallback()
-    if not np.isfinite(hinv).all():
-        return fallback()
+        return q
 
-    deltas, zps = _slice_params(r, bits, "per_channel")
+    zps = q.zero_points
     work = r.copy()
     codes = np.empty((c_in, c_out), dtype=np.uint8)
-    qmax = float(2**bits - 1)
     for i in range(c_in):
-        d = hinv[i, i]
-        if not np.isfinite(d) or d <= 0.0:
-            return fallback()
-        row = work[i, :]
-        c = np.floor(np.clip(row / deltas + zps, 0.0, qmax) + 0.5)
-        codes[i, :] = c
-        err = row - (c - zps) * deltas
-        if i + 1 < c_in:
-            work[i + 1 :, :] -= np.outer(hinv[i + 1 :, i], err) / d
-        hinv -= np.outer(hinv[:, i], hinv[i, :]) / d
+        codes[i] = _encode(work[i : i + 1], unit_deltas, zps, bits, "per_channel")
+        err = (work[i] - (codes[i] - zps) * unit_deltas) / u[i, i]
+        work[i + 1 :] -= np.outer(u[i, i + 1 :], err)
 
-    rtn_codes = _encode(r, deltas, zps, bits, "per_channel")
-    err_comp = x @ (r - (codes.astype(np.float64) - zps[None, :]) * deltas[None, :])
-    err_rtn = x @ (r - (rtn_codes.astype(np.float64) - zps[None, :]) * deltas[None, :])
-    worse = (err_comp**2).sum(axis=0) > (err_rtn**2).sum(axis=0)
-    codes[:, worse] = rtn_codes[:, worse]
-    return QuantizedTensor(
-        codes=codes,
-        bits=bits,
-        granularity="per_channel",
-        deltas=deltas,
-        zero_points=zps,
-        rows=c_in,
-        cols=c_out,
-    )
+    def loss(c):
+        deq = dequantize(replace(q, codes=c, deltas=unit_deltas))
+        return ((x @ (r - deq)) ** 2).sum(axis=0)
+
+    won = loss(codes) <= loss(q.codes)
+    q.codes[:, won] = codes[:, won]
+    q.rtn_fallback = False
+    return q

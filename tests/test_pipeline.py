@@ -78,19 +78,21 @@ class TestMigrationStrength:
     def test_singleton_grid(self):
         x = np.random.default_rng(0).normal(size=(8, 6))
         w = np.random.default_rng(1).normal(size=(6, 4))
-        assert select_migration_strength(x, w, [0.3], ratio=0.5) == 0.3
+        layer = select_migration_strength(x, w, [0.3], ratio=0.5)
+        assert layer.smoothing.migration_strength == 0.3
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             select_migration_strength(np.ones((2, 2)), np.ones((2, 2)), [], ratio=0.5)
 
-    def test_brute_force_over_grid_is_the_definition(self):
+    def test_brute_force_over_grid_is_the_definition(self, tmp_path):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(24, 16))
         x[:, 5] *= 100.0
         w = synth.smooth_decay_layer(16, 12, decay=1.0, seed=11)
         grid = (0.1, 0.3, 0.5, 0.7, 0.9)
-        picked = select_migration_strength(x, w, grid, ratio=0.3)
+        chosen = select_migration_strength(x, w, grid, ratio=0.3)
+        picked = chosen.smoothing.migration_strength
         losses = {}
         ref = x @ w
         for s in grid:
@@ -101,12 +103,22 @@ class TestMigrationStrength:
         best = min(grid, key=lambda s: (losses[s], s))
         assert picked == best
         assert picked > 0.0
+        # The winner is returned as compressed, not recompressed: it saves
+        # to the same bytes as a fixed-strength run at the picked value.
+        sq.save_compressed_layer(chosen, tmp_path / "auto")
+        sq.save_compressed_layer(compress_layer(x, w, ratio=0.3, smooth=picked), tmp_path / "fixed")
+        names = sorted(p.name for p in (tmp_path / "auto").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "fixed").iterdir())
+        for name in names:
+            auto, fixed = tmp_path / "auto" / name, tmp_path / "fixed" / name
+            assert auto.read_bytes() == fixed.read_bytes(), name
 
     def test_tie_breaks_to_smallest(self):
         # Zero weights make every strength equivalent (loss identically 0).
         x = np.ones((4, 4))
         w = np.zeros((4, 2))
-        assert select_migration_strength(x, w, [0.9, 0.5, 0.2], ratio=0.5) == 0.2
+        layer = select_migration_strength(x, w, [0.9, 0.5, 0.2], ratio=0.5)
+        assert layer.smoothing.migration_strength == 0.2
 
 
 class TestCompressLayer:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from specquant import synth
+from specquant.pipeline import apply_smoothing, compress_layer
 from specquant.quant import (
     QuantizedTensor,
     compute_params,
@@ -13,7 +15,15 @@ from specquant.quant import (
     quantize_residual_compensated,
 )
 
-from oracles import best_weighted_code_error
+from oracles import best_weighted_code_error, compensated_codes_downdate
+
+
+def _weighted_error(q, r, x):
+    """Per-channel ||X (r - dequant(q))|| with X and each channel rescaled by
+    powers of two (exact), so that no input scale overflows the objective."""
+    diff = np.ldexp(r - dequantize(q), -np.frexp(q.deltas)[1])
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    return np.linalg.norm(x @ diff, axis=0)
 
 
 class TestComputeParams:
@@ -193,15 +203,57 @@ class TestCompensatedResidual:
                 )
                 assert best <= ec + 1e-12
 
-    def test_never_worse_than_rtn_weighted(self):
+    @pytest.mark.parametrize(
+        "r_scale, x_scale",
+        [(1.0, 1.0), (1e300, 1.0), (1e-300, 1.0), (1.0, 1e-150), (1.0, 2.0**500),
+         (1e300, 1e-150), (1e-300, 1e150)],
+        ids=["unscaled", "r1e300", "r1e-300", "x1e-150", "x2^500",
+             "r1e300-x1e-150", "r1e-300-x1e150"],
+    )
+    def test_never_worse_than_rtn_weighted(self, r_scale, x_scale):
+        for seed in range(30):
+            r = np.random.default_rng(seed).normal(size=(8, 5)) * r_scale
+            x = np.random.default_rng(seed + 500).normal(size=(20, 8)) * x_scale
+            qc = quantize_residual_compensated(r, 4, x)
+            qr = quantize(r, 4, "per_channel")
+            assert not qc.rtn_fallback
+            np.testing.assert_array_equal(qc.deltas, qr.deltas)
+            ec = _weighted_error(qc, r, x)
+            er = _weighted_error(qr, r, x)
+            assert (ec <= er + 1e-12).all()
+
+    @pytest.mark.parametrize(
+        "r_exp, x_exp", [(1000, 0), (-1000, 0), (0, 500), (0, -500), (1000, -500), (-1000, 500)]
+    )
+    def test_codes_independent_of_input_scales(self, r_exp, x_exp):
+        """r * 2^e and x * 2^e leave the weighted objective's minimizer
+        unchanged, so the codes must not move and nothing may fall back."""
         for seed in range(30):
             r = np.random.default_rng(seed).normal(size=(8, 5))
             x = np.random.default_rng(seed + 500).normal(size=(20, 8))
-            qc = quantize_residual_compensated(r, 4, x)
-            qr = quantize(r, 4, "per_channel")
-            ec = np.linalg.norm(x @ (r - dequantize(qc)))
-            er = np.linalg.norm(x @ (r - dequantize(qr)))
-            assert ec <= er + 1e-12
+            base = quantize_residual_compensated(r, 4, x)
+            scaled = quantize_residual_compensated(np.ldexp(r, r_exp), 4, np.ldexp(x, x_exp))
+            assert not scaled.rtn_fallback
+            np.testing.assert_array_equal(scaled.codes, base.codes)
+
+    def test_codes_match_downdate_reference(self):
+        """The Cholesky rows of H^-1 give the same codes as downdating H^-1
+        after every index, on small fixtures and on a compressed layer's
+        residual (where compensation changes codes)."""
+        for seed in range(30):
+            r = np.random.default_rng(seed).normal(size=(8, 5))
+            x = np.random.default_rng(seed + 500).normal(size=(20, 8))
+            q = quantize_residual_compensated(r, 4, x)
+            np.testing.assert_array_equal(q.codes, compensated_codes_downdate(r, 4, x))
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(96, 64))
+        x[:, [3, 40]] *= 50.0
+        w = synth.smooth_decay_layer(64, 16, decay=1.0, seed=8)
+        layer = compress_layer(x, w, ratio=0.3, smooth=0.5, residual_quant="compensated")
+        x_hat, w_hat = apply_smoothing(x, w, layer.smoothing)
+        r = w_hat - layer.low_freq_matrix()
+        assert (layer.residual.codes != quantize(r, 4, "per_channel").codes).any()
+        np.testing.assert_array_equal(layer.residual.codes, compensated_codes_downdate(r, 4, x_hat))
 
     def test_compensation_actually_helps_somewhere(self):
         wins = 0
