@@ -33,15 +33,24 @@ class BudgetPlan:
             raise ValueError("rho and k must have equal length")
 
 
+def _pow2_units(a, axis):
+    """(a / 2^e, e) with e the frexp exponent of max|a| along `axis`; exact."""
+    exp = np.frexp(np.abs(a).max(axis=axis, keepdims=True, initial=0.0))[1]
+    return np.ldexp(a, -exp), exp
+
+
 def spectral_entropy(spectrum):
     """Shannon entropy (base 2) of each column's spectral energy split.
 
     `spectrum` is a (half, c) array of column half-spectra; a zero column
-    scores 0.
+    scores 0. Each column is squared in units of the power of two at its
+    largest bin, an exact rescaling that keeps the power from overflowing
+    or underflowing.
     """
     # Row j of the transposed power is contiguous, so its sum is the same
     # pairwise sum a single channel's spectrum would get.
-    p = np.ascontiguousarray(np.abs(spectrum.T) ** 2)
+    amp = np.ascontiguousarray(np.abs(spectrum.T))
+    p = _pow2_units(amp, axis=1)[0] ** 2
     total = p.sum(axis=1, keepdims=True)
     p = p / np.where(total == 0.0, 1.0, total)
     return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1)
@@ -64,7 +73,9 @@ def importance(w_smoothed, x_calib=None, metric=DEFAULT_METRIC, *, spectrum=None
     elif metric == "abs-max":
         scores = np.abs(w).max(axis=0)
     elif metric == "l2-norm":
-        scores = np.linalg.norm(w, axis=0)
+        # Power-of-two column units keep the squares finite and normal.
+        scaled, exp = _pow2_units(w, axis=0)
+        scores = np.ldexp(np.linalg.norm(scaled, axis=0), exp[0])
     elif metric == "spectral-entropy":
         if spectrum is None:
             spectrum = spectral.fft_columns(w)

@@ -175,14 +175,17 @@ def select_migration_strength(
     `layer.smoothing.migration_strength`.
 
     Runs the full compression path per candidate and scores
-    ||X W - X_hat (W' + dequant(R))||_F^2 on the calibration set. Ties go to
-    the smaller strength.
+    ||X W - X_hat (W' + dequant(R))||_F^2 on the calibration set, in units of
+    the power of two at max|X W| so the loss neither overflows nor underflows
+    (an exact rescaling, so the ranking is unchanged). Ties go to the smaller
+    strength.
     """
     if grid is None or len(grid) == 0:
         raise ValueError("migration strength grid must be non-empty")
     x = as_matrix(x_calib, "x_calib")
     w = as_matrix(w, "w")
     reference = x @ w
+    exp = int(np.frexp(np.abs(reference).max(initial=0.0))[1])
     best = None
     for s in sorted(float(v) for v in grid):
         layer = compress_layer(
@@ -198,7 +201,7 @@ def select_migration_strength(
         )
         x_hat = x / layer.smoothing.lam[None, :]
         approx = x_hat @ (layer.low_freq_matrix() + layer.residual_matrix())
-        loss = float(((reference - approx) ** 2).sum())
+        loss = float((np.ldexp(reference - approx, -exp) ** 2).sum())
         if best is None or loss < best_loss:
             best, best_loss = layer, loss
     return best

@@ -20,6 +20,12 @@ Conventions, fixed once here and relied on everywhere else:
   Bluestein code along axis 0. `fft` is that path on one column, so both
   agree bit for bit; `dft_naive` and the direct cosine sum `reconstruct`
   are the independent references.
+- Real columns of even length n are transformed at half length: the forward
+  transform packs the even and odd samples as one complex n/2-point signal
+  and splits its transform into the half-spectrum, and the inverse packs the
+  half-spectrum the same way and interleaves the real and imaginary parts of
+  one n/2-point transform into W'. Odd n has no such packing and runs the
+  full-length complex transform. `_rfft` and `_irfft` hold that choice.
 """
 
 from dataclasses import dataclass
@@ -60,6 +66,14 @@ def _bit_reverse(n):
 BLOCK = 16
 
 
+@lru_cache(maxsize=None)
+def _stage_twiddles(size):
+    """exp(-2 pi i j / size) for j < size / 2, as a read-only (size / 2, 1)."""
+    tw = np.exp((-2j * np.pi / size) * np.arange(size // 2))[:, None]
+    tw.setflags(write=False)
+    return tw
+
+
 def _radix2(a):
     """Iterative radix-2 transform along axis 0 of a complex (n, c) array;
     n must be a power of two."""
@@ -68,7 +82,7 @@ def _radix2(a):
     size = 2
     while size <= n:
         half = size // 2
-        tw = np.exp((-2j * np.pi / size) * np.arange(half))[:, None]
+        tw = _stage_twiddles(size)
         blocks = out.reshape(-1, size, c)
         even = blocks[:, :half].copy()
         odd = blocks[:, half:] * tw
@@ -123,6 +137,69 @@ def _dft_columns(a):
     return _bluestein(a)
 
 
+@lru_cache(maxsize=64)
+def _split_twiddle(n):
+    """-i/2 * exp(-2 pi i k / n) for k = 0 .. n / 2 as a read-only (n/2 + 1, 1)
+    array: the factor that splits the half-length transform of a packed real
+    signal of even length n into its half-spectrum."""
+    tw = -0.5j * np.exp((-2j * np.pi / n) * np.arange(n // 2 + 1))[:, None]
+    tw.setflags(write=False)
+    return tw
+
+
+def _split(z, zr, tw):
+    """(z + conj(zr)) / 2 + tw * (z - conj(zr)), elementwise."""
+    zr = np.conj(zr)
+    return 0.5 * (z + zr) + tw * (z - zr)
+
+
+def _rfft(a):
+    """Half-spectra (n // 2 + 1, c) of the columns of a real (n, c) array.
+
+    Even n runs one m = n / 2 point transform of z = a[0::2] + i a[1::2].
+    With E and O the transforms of the even and odd samples,
+    Z[k] = E[k] + i O[k] and conj(Z[m - k]) = E[k] - i O[k], so
+    X[k] = E[k] + exp(-2 pi i k / n) O[k] follows for k = 0 .. m (indices of
+    Z taken mod m). Odd n is transformed at full length as a complex signal.
+    """
+    n, c = a.shape
+    if n % 2:
+        return _dft_columns(a.astype(complex))[: n // 2 + 1]
+    m = n // 2
+    z = np.empty((m, c), dtype=complex)
+    z.real = a[0::2]
+    z.imag = a[1::2]
+    zf = _dft_columns(z)
+    k = np.arange(m + 1)
+    return _split(zf[k % m], zf[-k % m], _split_twiddle(n))
+
+
+def _irfft(h, n):
+    """Real (n, c) signals whose half-spectra are the columns of the
+    (n // 2 + 1, c) array h; the inverse of `_rfft`. Only the real part of
+    DC and (even n) Nyquist counts, as in the cosine sum.
+
+    Even n runs one m = n / 2 point transform. The packed signal
+    z = x[0::2] + i x[1::2] is the inverse transform of E[k] + i O[k], whose
+    conjugate times 2 is the `_rfft` split of conj(h) at bins k and m - k.
+    Odd n is the real part of one full-length transform of the weighted
+    conjugate spectrum.
+    """
+    c = h.shape[1]
+    if n % 2:
+        z = np.zeros((n, c), dtype=complex)
+        z[: h.shape[0]] = (_pair_weights(n) / n)[:, None] * np.conj(h)
+        return _dft_columns(z).real
+    m = n // 2
+    u = np.conj(h) / m
+    u[[0, m]] = u[[0, m]].real
+    z = _dft_columns(_split(u[:m], u[m:0:-1], _split_twiddle(n)[:m]))
+    out = np.empty((n, c))
+    out[0::2] = z.real
+    out[1::2] = -z.imag
+    return out
+
+
 def dft_naive(x):
     """Direct O(N^2) evaluation of the transform definition, full N bins.
 
@@ -140,7 +217,8 @@ def dft_naive(x):
 def fft(x):
     """Half-spectrum (bins 0 .. N // 2) of a real vector.
 
-    Radix-2 Cooley-Tukey for power-of-two lengths, Bluestein otherwise.
+    Even N runs at half length; the transform is radix-2 Cooley-Tukey when
+    its length is a power of two, Bluestein otherwise.
     """
     return fft_columns(as_vector(x, "x")[:, None])[:, 0]
 
@@ -155,10 +233,9 @@ def fft_columns(w):
     n, c = w.shape
     if n == 0:
         raise ValueError("columns must have at least 1 element")
-    half = half_spectrum_length(n)
-    out = np.empty((half, c), dtype=complex)
+    out = np.empty((half_spectrum_length(n), c), dtype=complex)
     for j in range(0, c, BLOCK):
-        out[:, j : j + BLOCK] = _dft_columns(w[:, j : j + BLOCK].astype(complex))[:half]
+        out[:, j : j + BLOCK] = _rfft(w[:, j : j + BLOCK])
     return out
 
 
@@ -243,27 +320,27 @@ def reconstruct_columns(bins, k, n):
     """(n, len(k)) matrix whose column j is the signal of channel j of the
     packed (sum(k), 2) spectra `bins`.
 
-    Agrees with `reconstruct` to rounding, but runs one inverse transform per
-    BLOCK columns: the zero-padded spectrum w_m * A_m * exp(-i phi_m) / N,
-    transformed forward, has real part sum_m w_m A_m cos(2 pi m t / N + phi_m) / N.
-    The result depends only on the stored (amplitude, phase) values, so a
-    layer and its saved-and-loaded copy rebuild the same bits.
+    Agrees with `reconstruct` to rounding, but runs one inverse real
+    transform per BLOCK columns of the zero-padded half-spectra
+    A_m * exp(i phi_m). The result depends only on the stored (amplitude,
+    phase) values, so a layer and its saved-and-loaded copy rebuild the same
+    bits.
     """
     ks = _check_counts(k, np.shape(k), n)
     if ks.ndim != 1 or np.shape(bins) != (int(ks.sum()), 2):
         raise ValueError(f"expected a ({ks.sum()}, 2) array of packed spectra")
     bounds = np.concatenate(([0], np.cumsum(ks)))
+    half = half_spectrum_length(n)
     out = np.empty((n, ks.size))
-    weights = _pair_weights(n) / n
     for start in range(0, ks.size, BLOCK):
         kb = ks[start : start + BLOCK]
         rows = bins[bounds[start] : bounds[start + kb.size]]
         # Row-major order of the transposed mask is channel after channel,
         # the order of the packed rows.
-        kept = np.arange(n) < kb[:, None]
-        z = np.zeros((n, kb.size), dtype=complex)
-        z.T[kept] = weights[np.nonzero(kept)[1]] * rows[:, 0] * np.exp(-1j * rows[:, 1])
-        out[:, start : start + kb.size] = _dft_columns(z).real
+        kept = np.arange(half) < kb[:, None]
+        h = np.zeros((half, kb.size), dtype=complex)
+        h.T[kept] = rows[:, 0] * np.exp(1j * rows[:, 1])
+        out[:, start : start + kb.size] = _irfft(h, n)
     return out
 
 

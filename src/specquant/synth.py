@@ -16,17 +16,17 @@ def smooth_decay_layer(c_in, c_out, *, decay=2.0, seed=0, amp_range=(0.5, 2.0)):
     rng = np.random.default_rng(seed)
     half = spectral.half_spectrum_length(c_in)
     real_bins = set(spectral._real_bin_indices(c_in))
-    w = np.zeros((c_in, c_out))
+    bins = np.empty((c_out, half, 2))
     m = np.arange(half)
     for j in range(c_out):
         c = rng.uniform(*amp_range)
-        amps = c / np.maximum(m, 1).astype(np.float64) ** decay
+        bins[j, :, 0] = c / np.maximum(m, 1).astype(np.float64) ** decay
         phases = rng.uniform(-np.pi, np.pi, half)
         phases = np.where(phases <= -np.pi, np.pi, phases)
         for rb in real_bins:
             phases[rb] = rng.choice((0.0, np.pi))
-        w[:, j] = spectral.reconstruct(np.stack([amps, phases], axis=1), c_in)
-    return w
+        bins[j, :, 1] = phases
+    return spectral.reconstruct_columns(bins.reshape(-1, 2), np.full(c_out, half), c_in)
 
 
 def outlier_activations(rows, c_in, *, magnitude=100.0, num_outliers=1, seed=0):

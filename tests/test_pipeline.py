@@ -6,6 +6,7 @@ import pytest
 import specquant as sq
 from specquant import quant, synth
 from specquant.pipeline import (
+    DEFAULT_SMOOTH_GRID,
     apply_smoothing,
     compare_budgets,
     compress_layer,
@@ -112,6 +113,34 @@ class TestMigrationStrength:
         for name in names:
             auto, fixed = tmp_path / "auto" / name, tmp_path / "fixed" / name
             assert auto.read_bytes() == fixed.read_bytes(), name
+
+    @pytest.mark.parametrize("scale", ["x1e200", "x1e-200", "w1e200", "w1e-200"])
+    @pytest.mark.parametrize("metric", ["spectral-entropy", "l2-norm"])
+    def test_search_survives_extreme_scales(self, metric, scale):
+        """The auto search at a scale far from 1 raises no RuntimeWarning and
+        picks the strength a brute-force search scored relative to max|XW|
+        picks. Spectral entropy is scale-invariant, so that is also the
+        unscaled pick; l2-norm scores, and so its budgets, grow with the
+        weights, so its pick may move with the scale."""
+        factor = 1e200 if scale.endswith("e200") else 1e-200
+        grid = DEFAULT_SMOOTH_GRID
+        for seed in range(12):
+            x = synth.outlier_activations(32, 16, magnitude=100.0, num_outliers=2, seed=seed)
+            w = synth.smooth_decay_layer(16, 8, decay=1.5, seed=100 + seed)
+            xs, ws = (x * factor, w) if scale[0] == "x" else (x, w * factor)
+            picked = compress_layer(xs, ws, ratio=0.5, metric=metric).smoothing.migration_strength
+            ref = xs @ ws
+            top = np.abs(ref).max()
+            losses = {}
+            for s in grid:
+                layer = compress_layer(xs, ws, ratio=0.5, metric=metric, smooth=s)
+                xh = xs / layer.smoothing.lam[None, :]
+                approx = xh @ (layer.low_freq_matrix() + quant.dequantize(layer.residual))
+                losses[s] = float((((ref - approx) / top) ** 2).sum())
+            assert picked == min(grid, key=lambda s: (losses[s], s)), seed
+            if metric == "spectral-entropy":
+                unscaled = compress_layer(x, w, ratio=0.5, metric=metric)
+                assert picked == unscaled.smoothing.migration_strength, seed
 
     def test_tie_breaks_to_smallest(self):
         # Zero weights make every strength equivalent (loss identically 0).

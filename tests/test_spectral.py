@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from specquant import compress_layer, spectral, tensor_io
+from specquant import compress_layer, spectral, synth, tensor_io
 from specquant.errors import DataError, ShapeError
 from specquant.spectral import (
     band_energies,
@@ -72,11 +72,21 @@ def test_fft_length_one_is_identity():
     assert out[0] == pytest.approx(3.25)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 100])
+@pytest.mark.parametrize("n", [2, 4, 6, 10, 16, 24, 30])
+def test_fft_even_lengths_match_extended_precision(n):
+    """The half-length real path: radix-2 halves (2, 4, 16) and Bluestein
+    halves (6, 10, 24, 30)."""
+    x = np.random.default_rng(40 + n).normal(size=n)
+    ref = dft_extended_precision(x)[: n // 2 + 1]
+    assert np.abs(fft(x) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 15, 64, 100, 768])
 @pytest.mark.parametrize("c", [0, 1, spectral.BLOCK + 1])
 def test_fft_columns_is_per_column_fft_bitwise(n, c):
-    """Radix-2 (64), Bluestein (3, 100) and the degenerate lengths, with
-    widths that leave a partial block."""
+    """Radix-2 (64) and Bluestein (100, 768) halves, an even length whose
+    half runs Bluestein (6), odd lengths on the full-length path (3, 15) and
+    the degenerate lengths, with widths that leave a partial block."""
     w = np.random.default_rng(n + c).normal(size=(n, c))
     batched = fft_columns(w)
     assert batched.shape == (half_spectrum_length(n), c)
@@ -84,7 +94,7 @@ def test_fft_columns_is_per_column_fft_bitwise(n, c):
         assert np.array_equal(batched[:, j], fft(w[:, j]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 16, 100, 128])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 15, 16, 100, 128, 768])
 def test_reconstruct_columns_matches_cosine_sum(n):
     rng = np.random.default_rng(n)
     c = 2 * spectral.BLOCK + 3
@@ -98,6 +108,45 @@ def test_reconstruct_columns_matches_cosine_sum(n):
     for j in range(c):
         ref = reconstruct(bins[ends[j] - ks[j] : ends[j]], n)
         assert np.linalg.norm(batched[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [6, 15, 16])
+def test_reconstruct_columns_takes_real_part_of_real_bins(n):
+    """Any phase at DC or Nyquist counts as A cos(phi), as in the cosine sum."""
+    rng = np.random.default_rng(42)
+    half = half_spectrum_length(n)
+    bins = np.stack([rng.uniform(0.5, 2.0, half), rng.uniform(-3.0, 3.0, half)], axis=1)
+    ref = reconstruct(bins, n)
+    got = reconstruct_columns(bins, [half], n)[:, 0]
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_full_band_columns_round_trip():
+    rng = np.random.default_rng(41)
+    n, c = 768, 17
+    w = rng.normal(size=(n, c))
+    ks = np.full(c, half_spectrum_length(n))
+    back = reconstruct_columns(truncate_columns(fft_columns(w), ks, n), ks, n)
+    assert np.linalg.norm(back - w) <= 1e-12 * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("c_in, c_out", [(64, 8), (15, 4)])
+def test_smooth_decay_layer_matches_per_channel_cosine_sum(c_in, c_out):
+    """The batched build equals one cosine sum per channel over the same
+    draws: C_j, then the phases, then a sign for each real bin."""
+    w = synth.smooth_decay_layer(c_in, c_out, decay=1.5, seed=7)
+    rng = np.random.default_rng(7)
+    half = half_spectrum_length(c_in)
+    m = np.arange(half)
+    ref = np.empty((c_in, c_out))
+    for j in range(c_out):
+        amps = rng.uniform(0.5, 2.0) / np.maximum(m, 1).astype(np.float64) ** 1.5
+        phases = rng.uniform(-np.pi, np.pi, half)
+        phases = np.where(phases <= -np.pi, np.pi, phases)
+        for rb in set(spectral._real_bin_indices(c_in)):
+            phases[rb] = rng.choice((0.0, np.pi))
+        ref[:, j] = reconstruct(np.stack([amps, phases], axis=1), c_in)
+    assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_column_energies_match_single_channel():
