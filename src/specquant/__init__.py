@@ -8,7 +8,7 @@ quantized at low bit-width.
 
 __version__ = "0.1.0"
 
-from .budget import METRICS, BudgetPlan, ImportanceVector, allocate, importance
+from .budget import METRICS, BudgetPlan, allocate, importance
 from .errors import DataError, FormatError, ShapeError, SpecQuantError
 from .pipeline import (
     BudgetComparison,
@@ -20,19 +20,14 @@ from .pipeline import (
     compute_smoothing,
     forward_approx,
     select_migration_strength,
-    svd_baseline,
 )
 from .quant import (
     QuantizedTensor,
-    QuantParams,
-    compute_params,
     dequantize,
     quantize,
     quantize_residual_compensated,
 )
 from .spectral import (
-    ChannelStats,
-    channel_stats,
     dft_naive,
     error_bound,
     fft,
@@ -53,7 +48,6 @@ __all__ = [
     "__version__",
     "METRICS",
     "BudgetPlan",
-    "ImportanceVector",
     "allocate",
     "importance",
     "DataError",
@@ -69,15 +63,10 @@ __all__ = [
     "compute_smoothing",
     "forward_approx",
     "select_migration_strength",
-    "svd_baseline",
     "QuantizedTensor",
-    "QuantParams",
-    "compute_params",
     "dequantize",
     "quantize",
     "quantize_residual_compensated",
-    "ChannelStats",
-    "channel_stats",
     "dft_naive",
     "error_bound",
     "fft",

@@ -7,14 +7,8 @@ import numpy as np
 from . import spectral
 from .validation import as_matrix
 
-METRICS = ("abs-mean", "abs-max", "l2-norm", "spectral-entropy", "activation-aware")
+METRICS = ("abs-mean", "abs-max", "l2-norm", "spectral-entropy")
 DEFAULT_METRIC = "spectral-entropy"
-
-
-@dataclass
-class ImportanceVector:
-    metric: str
-    scores: np.ndarray
 
 
 @dataclass
@@ -56,12 +50,10 @@ def spectral_entropy(spectrum):
     return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1)
 
 
-def importance(w_smoothed, x_calib=None, metric=DEFAULT_METRIC, *, spectrum=None):
-    """Score output channels of a (smoothed) weight matrix.
+def importance(w_smoothed, metric=DEFAULT_METRIC, *, spectrum=None):
+    """Score the output channels of a (smoothed) weight matrix; returns one
+    float64 score per column.
 
-    `activation-aware` pairs the mean of activation channel j with the mean
-    of weight column j; the pairing is only well defined when the layer is
-    square (c_in == c_out), and requires calibration activations.
     `spectrum` is the caller's `spectral.fft_columns(w_smoothed)`, if it has
     one; `spectral-entropy` then reuses it instead of transforming again.
     """
@@ -76,25 +68,11 @@ def importance(w_smoothed, x_calib=None, metric=DEFAULT_METRIC, *, spectrum=None
         # Power-of-two column units keep the squares finite and normal.
         scaled, exp = _pow2_units(w, axis=0)
         scores = np.ldexp(np.linalg.norm(scaled, axis=0), exp[0])
-    elif metric == "spectral-entropy":
+    else:
         if spectrum is None:
             spectrum = spectral.fft_columns(w)
         scores = spectral_entropy(spectrum)
-    else:
-        if x_calib is None:
-            raise ValueError("activation-aware importance requires calibration activations")
-        x = as_matrix(x_calib, "x_calib")
-        if x.shape[1] != w.shape[0]:
-            raise ValueError(
-                f"activations have {x.shape[1]} channels, weights expect {w.shape[0]}"
-            )
-        if w.shape[0] != w.shape[1]:
-            raise ValueError(
-                "activation-aware importance indexes activation and weight "
-                "channels by the same j and is defined for square layers only"
-            )
-        scores = np.abs(x.mean(axis=0) * w.mean(axis=0))
-    return ImportanceVector(metric=metric, scores=np.asarray(scores, dtype=np.float64))
+    return np.asarray(scores, dtype=np.float64)
 
 
 def allocate(scores, alpha, total_budget, c_in):
@@ -107,8 +85,7 @@ def allocate(scores, alpha, total_budget, c_in):
     caps are exhausted. If the keep-at-least-DC floor overshoots the budget,
     bins are taken back in the mirrored order.
     """
-    s = scores.scores if isinstance(scores, ImportanceVector) else scores
-    s = np.asarray(s, dtype=np.float64)
+    s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
         raise ValueError("scores must be 1-D")
     if not np.isfinite(alpha):

@@ -83,10 +83,10 @@ def cmd_compress(args):
         layer, args.out, layer_name=args.layer_name, budget_meta=budget_meta
     )
 
-    stats = pipeline.layer_channel_stats(w, layer)
     w_hat = layer.smoothing.lam[:, None] * w
-    w_low = layer.low_freq_matrix()
-    resid_deq = layer.residual_matrix()
+    trunc = w_hat - layer.low_freq_matrix()
+    achieved = np.linalg.norm(trunc, axis=0)
+    total, retained, tail = layer.energy
     half = spectral.half_spectrum_length(layer.c_in)
     total_bins = int(layer.plan.k.sum())
     params = layer.c_in * layer.c_out
@@ -97,8 +97,8 @@ def cmd_compress(args):
         "total_retained_bins": total_bins,
         "achieved_bin_ratio": total_bins / (layer.c_out * half) if layer.c_out else 0.0,
         "bits_per_parameter": 8 * tensor_io.stored_bytes(layer) / params if params else 0.0,
-        "truncation_error_frobenius": _frob(w_hat - w_low),
-        "reconstruction_error_frobenius": _frob(w_hat - w_low - resid_deq),
+        "truncation_error_frobenius": _frob(trunc),
+        "reconstruction_error_frobenius": _frob(trunc - layer.residual_matrix()),
         "forward_error_highprec": _frob(
             x @ w - pipeline.forward_approx(x, layer, activation_bits=16)
         ),
@@ -109,13 +109,13 @@ def cmd_compress(args):
             "channel": j,
             "k": int(layer.plan.k[j]),
             "rho": float(layer.plan.rho[j]),
-            "total_energy": st.total_energy,
-            "retained_energy": st.retained_energy,
-            "tail_energy": st.tail_energy,
-            "error_bound": st.error_bound,
-            "achieved_error": st.achieved_error,
+            "total_energy": float(total[j]),
+            "retained_energy": float(retained[j]),
+            "tail_energy": float(tail[j]),
+            "error_bound": float(np.sqrt(tail[j])),
+            "achieved_error": float(achieved[j]),
         }
-        for j, st in enumerate(stats)
+        for j in range(layer.c_out)
     ]
     _write_json(
         os.path.join(args.out, "report.json"),
@@ -176,34 +176,18 @@ def cmd_analyze(args):
 
 def cmd_compare_svd(args):
     w = tensor_io.load_matrix(args.weights)
-    x = tensor_io.load_matrix(args.calib) if args.calib else None
     ratios = [float(v) for v in args.ratios.split(",") if v.strip()]
     if not ratios:
         raise ValueError("--ratios must name at least one ratio")
+    recs = pipeline.compare_budgets(w, ratios, metric=args.metric, alpha=args.alpha)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for ratio in ratios:
-        rec = pipeline.compare_budgets(w, x, ratio, metric=args.metric, alpha=args.alpha)
-        rows.append(
-            {
-                "ratio": rec.ratio,
-                "b_spectral": rec.b_spectral,
-                "b_svd": rec.b_svd,
-                "k_svd": rec.k_svd,
-                "budget_slack": rec.budget_slack,
-                "err_spectral": rec.err_spectral,
-                "err_svd": rec.err_svd,
-            }
-        )
+    fields = ["ratio", "b_spectral", "b_svd", "k_svd", "budget_slack", "err_spectral", "err_svd"]
+    rows = [{f: getattr(rec, f) for f in fields} for rec in recs]
     _write_json(
         os.path.join(args.out, "compare_svd.json"),
         {"config": _run_config(args), "rows": rows},
     )
-    _write_csv(
-        os.path.join(args.out, "compare_svd.csv"),
-        ["ratio", "b_spectral", "b_svd", "k_svd", "budget_slack", "err_spectral", "err_svd"],
-        rows,
-    )
+    _write_csv(os.path.join(args.out, "compare_svd.csv"), fields, rows)
     print(f"wrote {len(rows)} comparison rows to {args.out}")
     return 0
 
@@ -298,7 +282,6 @@ def build_parser():
 
     p = sub.add_parser("compare-svd", help="spectral vs budget-matched SVD sweep")
     p.add_argument("--weights", required=True)
-    p.add_argument("--calib", default=None)
     p.add_argument("--ratios", default="0.1,0.2,0.3,0.4,0.5")
     p.add_argument("--metric", choices=METRICS, default=DEFAULT_METRIC)
     p.add_argument("--alpha", type=float, default=1.0)

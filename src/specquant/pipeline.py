@@ -50,7 +50,9 @@ class CompressedLayer:
 
     `spectra` is the (sum(plan.k), 2) float64 array of (amplitude, phase)
     rows, channel after channel, split by `plan.k`: exactly the bytes of
-    `spectra.bin`.
+    `spectra.bin`. `energy` is the (3, c_out) array of each channel's total,
+    retained and tail energy from the spectrum `compress_layer` truncated;
+    it is None on a loaded layer, since the artifact keeps no dropped bins.
     """
 
     smoothing: SmoothingFactors
@@ -59,6 +61,7 @@ class CompressedLayer:
     plan: BudgetPlan
     c_in: int
     c_out: int
+    energy: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _w_low: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _r_deq: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -207,6 +210,19 @@ def select_migration_strength(
     return best
 
 
+def _bin_budget(ratio, c_in, c_out):
+    """Global retained-bin budget floor(ratio * c_out * (c_in // 2 + 1)) for a
+    ratio in (0, 1], checked to cover one bin per channel."""
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+    total = math.floor(ratio * c_out * spectral.half_spectrum_length(c_in))
+    if total < c_out:
+        raise ValueError(
+            f"budget {total} below one retained bin per channel (c_out={c_out})"
+        )
+    return total
+
+
 def compress_layer(
     x_calib,
     w,
@@ -241,9 +257,9 @@ def compress_layer(
         raise ValueError(f"unknown residual quantizer {residual_quant!r}")
     c_in, c_out = w.shape
     half = spectral.half_spectrum_length(c_in)
-    if ratio is not None and not 0.0 < ratio <= 1.0:
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    if groups is not None and not 1 <= int(groups) <= half:
+    if ratio is not None:
+        budget = _bin_budget(ratio, c_in, c_out)
+    elif not 1 <= int(groups) <= half:
         raise ValueError(f"groups must lie in [1, {half}], got {groups}")
 
     if smooth == "auto":
@@ -268,15 +284,14 @@ def compress_layer(
         rho = k / total if total else k.astype(np.float64)
         plan = BudgetPlan(rho=rho, k=k, alpha=float(alpha), total_budget=total)
     else:
-        total = math.floor(ratio * c_out * half)
-        if total < c_out:
-            raise ValueError(
-                f"budget {total} below one retained bin per channel (c_out={c_out})"
-            )
-        scores = importance(w_hat, x, metric, spectrum=spec)
-        plan = allocate(scores, alpha, total, c_in)
+        scores = importance(w_hat, metric, spectrum=spec)
+        plan = allocate(scores, alpha, budget, c_in)
 
     spectra = spectral.truncate_columns(spec, plan.k, c_in)
+    # Energies are report diagnostics: past the float64 range they read inf
+    # rather than failing the compression.
+    with np.errstate(over="ignore"):
+        energy = np.stack(spectral.band_energies(spec, plan.k, c_in))
     del spec  # the complex spectrum need not stay alive through quantization
     # W' is rebuilt from the stored (amplitude, phase) values, so the layer
     # cached here and one loaded from its artifact hold the same bits.
@@ -289,6 +304,7 @@ def compress_layer(
     layer = CompressedLayer(
         smoothing=factors, spectra=spectra, residual=q, plan=plan, c_in=c_in, c_out=c_out
     )
+    layer.energy = energy
     layer._w_low = w_low
     return layer
 
@@ -315,25 +331,6 @@ def forward_approx(x, layer, activation_bits):
     return x_hat @ layer.low_freq_matrix() + x_resid @ layer.residual_matrix()
 
 
-def svd_baseline(w_hat, budget):
-    """Best rank-k approximation fitting a parameter budget.
-
-    One singular triplet costs c_in + c_out + 1 reals, so
-    k = floor(budget / (c_in + c_out + 1)). Returns (low-rank matrix,
-    residual, k).
-    """
-    w = as_matrix(w_hat, "w_hat")
-    c_in, c_out = w.shape
-    per_rank = c_in + c_out + 1
-    budget = int(budget)
-    if budget < per_rank:
-        raise ValueError(f"budget {budget} below one singular triplet ({per_rank})")
-    k = budget // per_rank
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    w_low = (u[:, :k] * s[:k]) @ vt[:k]
-    return w_low, w - w_low, k
-
-
 @dataclass
 class BudgetComparison:
     """Spectral truncation vs truncated SVD at matched parameter counts."""
@@ -350,70 +347,50 @@ class BudgetComparison:
     channel_tail_energy: np.ndarray
 
 
-def compare_budgets(w_hat, x_calib=None, ratio=0.2, *, metric=DEFAULT_METRIC, alpha=1.0):
-    """Decompose `w_hat` both ways under one storage budget and report errors.
+def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
+    """Decompose `w_hat` both ways at each ratio's storage budget and report
+    the errors, one BudgetComparison per ratio.
 
     The spectral side spends 2 reals per retained bin (B_spectral = 2 sum k_j);
-    the SVD side gets the same budget rounded down to whole singular triplets,
-    so |B_spectral - B_svd| < c_in + c_out + 1 (the slack is reported).
-    Smoothing, if wanted, happens upstream; the comparison is decomposition
-    only.
+    the SVD side gets the same budget rounded down to whole singular triplets
+    of c_in + c_out + 1 reals, so 0 <= B_spectral - B_svd < c_in + c_out + 1
+    (the slack is reported). The transform, the importance scores and the
+    SVD are computed once for the whole sweep. Smoothing, if wanted, happens
+    upstream; the comparison is decomposition only.
     """
     w = as_matrix(w_hat, "w_hat")
     c_in, c_out = w.shape
-    half = spectral.half_spectrum_length(c_in)
-    budget_bins = math.floor(ratio * c_out * half)
-    if budget_bins < c_out:
-        raise ValueError(f"ratio {ratio} leaves less than one bin per channel")
+    budgets = [_bin_budget(ratio, c_in, c_out) for ratio in ratios]
     spec = spectral.fft_columns(w)
-    scores = importance(w, x_calib, metric, spectrum=spec)
-    plan = allocate(scores, alpha, budget_bins, c_in)
-    w_low = spectral.reconstruct_columns(
-        spectral.truncate_columns(spec, plan.k, c_in), plan.k, c_in
-    )
-    err_spectral = float(np.linalg.norm(w - w_low))
-    tails = spectral.band_energies(spec, plan.k, c_in)[2]
-    b_spectral = 2 * int(plan.k.sum())
-    w_svd, svd_resid, k_svd = svd_baseline(w, b_spectral)
-    b_svd = k_svd * (c_in + c_out + 1)
-    return BudgetComparison(
-        ratio=float(ratio),
-        budget_bins=budget_bins,
-        b_spectral=b_spectral,
-        b_svd=b_svd,
-        k_svd=k_svd,
-        budget_slack=b_spectral - b_svd,
-        err_spectral=err_spectral,
-        err_svd=float(np.linalg.norm(svd_resid)),
-        k_per_channel=plan.k.copy(),
-        channel_tail_energy=tails,
-    )
-
-
-def layer_channel_stats(w, layer):
-    """Per-channel energy/error stats of a compressed layer's truncation.
-
-    Recomputes the smoothed weights from the stored factors and splits their
-    spectra at the plan's k; the achieved error is measured against the
-    layer's W', the matrix the forward pass uses.
-    """
-    w = as_matrix(w, "w")
-    if w.shape != (layer.c_in, layer.c_out):
-        raise ValueError(
-            f"weights are {w.shape}, layer expects {(layer.c_in, layer.c_out)}"
+    scores = importance(w, metric, spectrum=spec)
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    per_rank = c_in + c_out + 1
+    rows = []
+    for ratio, budget_bins in zip(ratios, budgets):
+        plan = allocate(scores, alpha, budget_bins, c_in)
+        w_low = spectral.reconstruct_columns(
+            spectral.truncate_columns(spec, plan.k, c_in), plan.k, c_in
         )
-    w_hat = layer.smoothing.lam[:, None] * w
-    total, retained, tail = spectral.band_energies(
-        spectral.fft_columns(w_hat), layer.plan.k, layer.c_in
-    )
-    achieved = np.linalg.norm(w_hat - layer.low_freq_matrix(), axis=0)
-    return [
-        spectral.ChannelStats(
-            total_energy=float(total[j]),
-            retained_energy=float(retained[j]),
-            tail_energy=float(tail[j]),
-            error_bound=float(np.sqrt(tail[j])),
-            achieved_error=float(achieved[j]),
+        b_spectral = 2 * int(plan.k.sum())
+        if b_spectral < per_rank:
+            raise ValueError(
+                f"ratio {ratio}: budget {b_spectral} below one singular triplet ({per_rank})"
+            )
+        k_svd = b_spectral // per_rank
+        b_svd = k_svd * per_rank
+        w_svd = (u[:, :k_svd] * s[:k_svd]) @ vt[:k_svd]
+        rows.append(
+            BudgetComparison(
+                ratio=float(ratio),
+                budget_bins=budget_bins,
+                b_spectral=b_spectral,
+                b_svd=b_svd,
+                k_svd=k_svd,
+                budget_slack=b_spectral - b_svd,
+                err_spectral=float(np.linalg.norm(w - w_low)),
+                err_svd=float(np.linalg.norm(w - w_svd)),
+                k_per_channel=plan.k,
+                channel_tail_energy=spectral.band_energies(spec, plan.k, c_in)[2],
+            )
         )
-        for j in range(layer.c_out)
-    ]
+    return rows

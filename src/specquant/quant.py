@@ -17,20 +17,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .validation import as_matrix, as_vector
+from .validation import as_matrix
 
 GRANULARITIES = ("per_tensor", "per_token", "per_channel")
 
 # Diagonal damping for the error-compensated scheme, as a fraction of the
 # mean Gram diagonal.
 COMPENSATION_DAMPING = 0.01
-
-
-@dataclass
-class QuantParams:
-    bits: int
-    delta: float
-    zero_point: float
 
 
 @dataclass
@@ -65,14 +58,6 @@ def _check_bits(bits):
     if not 2 <= bits <= 8:
         raise ValueError(f"bits must lie in [2, 8], got {bits}")
     return bits
-
-
-def compute_params(values, bits):
-    """Scale and zero point for one slice."""
-    values = as_vector(values, "slice")
-    bits = _check_bits(bits)
-    deltas, zps = _slice_params(values[None, :], bits, "per_token")
-    return QuantParams(bits, float(deltas[0]), float(zps[0]))
 
 
 def _slice_params(x, bits, granularity):

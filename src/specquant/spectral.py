@@ -28,7 +28,6 @@ Conventions, fixed once here and relied on everywhere else:
   full-length complex transform. `_rfft` and `_irfft` hold that choice.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -260,6 +259,8 @@ def _split_points(half_spec, k, n):
 
 def _check_counts(k, shape, n):
     """Per-channel retained counts broadcast to `shape`, each in [1, n // 2 + 1]."""
+    if n < 1:
+        raise ValueError(f"signal length must be at least 1, got {n}")
     ks = np.broadcast_to(np.asarray(k, dtype=np.int64), shape)
     if ((ks < 1) | (ks > half_spectrum_length(n))).any():
         raise ValueError(f"k={k} outside [1, {half_spectrum_length(n)}]")
@@ -394,30 +395,3 @@ def lowband_fraction(half_spec, n, band=0.2):
     total, retained, _ = band_energies(half_spec, k, n)
     frac = np.divide(retained, total, out=np.ones_like(total), where=total != 0.0)
     return float(frac) if np.ndim(frac) == 0 else frac
-
-
-@dataclass
-class ChannelStats:
-    """Energy split and error accounting for one truncated channel."""
-
-    total_energy: float
-    retained_energy: float
-    tail_energy: float
-    error_bound: float
-    achieved_error: float
-
-
-def channel_stats(x, k):
-    """Truncate x to k bins and report the full energy/error breakdown."""
-    x = as_vector(x, "x")
-    hs = fft(x)
-    total, retained, tail = band_energies(hs, k, x.size)
-    approx = reconstruct(truncate_low_freq(hs, k, x.size), x.size)
-    achieved = float(np.linalg.norm(x - approx))
-    return ChannelStats(
-        total_energy=total,
-        retained_energy=retained,
-        tail_energy=tail,
-        error_bound=float(np.sqrt(tail)),
-        achieved_error=achieved,
-    )

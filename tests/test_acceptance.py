@@ -158,8 +158,7 @@ def test_criterion_7_budget_matched_svd_ordering():
         w = synth.smooth_decay_layer(256, 256, decay=r, seed=seed)
         spectra = [sq.fft(w[:, j]) for j in range(256)]
         c = np.array([abs(hs[1]) for hs in spectra])
-        for ratio in (0.1, 0.2, 0.3):
-            rec = sq.compare_budgets(w, None, ratio)
+        for rec in sq.compare_budgets(w, (0.1, 0.2, 0.3)):
             runs += 1
             if rec.err_spectral < rec.err_svd:
                 wins += 1

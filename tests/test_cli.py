@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from specquant import synth, tensor_io
+from specquant import spectral, synth, tensor_io
 from specquant.cli import main
 
 
@@ -215,3 +215,87 @@ def test_bad_smooth_value_exits_nonzero(tmp_path, decay_instance, capsys):
     ])
     assert rc == 1
     assert "smooth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratios", ["1.5", "0", "0.2,-0.1"])
+def test_compare_svd_ratio_outside_unit_interval_exits_nonzero(
+    tmp_path, decay_instance, capsys, ratios
+):
+    wpath, _ = decay_instance
+    out = tmp_path / "cmp"
+    assert main(["compare-svd", "--weights", wpath, "--ratios", ratios, "--out", str(out)]) == 1
+    assert "specquant: error: ratio must lie in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_zero_rows_exits_nonzero(tmp_path, capsys):
+    rc = main([
+        "synth", "--kind", "smooth-decay", "--rows", "0", "--cols", "4",
+        "--out", str(tmp_path / "w.npy"),
+    ])
+    assert rc == 1
+    assert "specquant: error: signal length must be at least 1" in capsys.readouterr().err
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls of spectral.fft_columns and np.linalg.svd, counted by name."""
+    calls = {"fft_columns": 0, "svd": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(spectral, "fft_columns")
+    count(np.linalg, "svd")
+    return calls
+
+
+@pytest.mark.parametrize("smooth, transforms", [("0.5", 1), ("auto", 9)])
+def test_compress_transforms_once_per_candidate(
+    tmp_path, decay_instance, counted, smooth, transforms
+):
+    wpath, xpath = decay_instance
+    assert main([
+        "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.25",
+        "--smooth", smooth, "--out", str(tmp_path / "art"),
+    ]) == 0
+    assert counted == {"fft_columns": transforms, "svd": 0}
+
+
+def test_compare_svd_sweep_transforms_once(tmp_path, decay_instance, counted):
+    wpath, _ = decay_instance
+    assert main([
+        "compare-svd", "--weights", wpath, "--ratios", "0.1,0.2,0.3",
+        "--out", str(tmp_path / "cmp"),
+    ]) == 0
+    assert counted == {"fft_columns": 1, "svd": 1}
+    assert len(_read_csv(tmp_path / "cmp" / "compare_svd.csv")) == 3
+
+
+@pytest.mark.parametrize("smooth", ["0.5", "auto"])
+def test_report_energies_match_a_fresh_transform(tmp_path, decay_instance, smooth):
+    """The report's energy columns are bit for bit those of a second transform
+    of the smoothed weights the artifact describes."""
+    wpath, xpath = decay_instance
+    out = tmp_path / "art"
+    assert main([
+        "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.25",
+        "--smooth", smooth, "--out", str(out),
+    ]) == 0
+    w = tensor_io.load_matrix(wpath)
+    layer = tensor_io.load_compressed_layer(out)
+    w_hat = layer.smoothing.lam[:, None] * w
+    total, retained, tail = spectral.band_energies(
+        spectral.fft_columns(w_hat), layer.plan.k, layer.c_in
+    )
+    rows = json.loads((out / "report.json").read_text())["channels"]
+    assert [r["total_energy"] for r in rows] == total.tolist()
+    assert [r["retained_energy"] for r in rows] == retained.tolist()
+    assert [r["tail_energy"] for r in rows] == tail.tolist()
+    assert [r["error_bound"] for r in rows] == np.sqrt(tail).tolist()

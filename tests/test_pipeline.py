@@ -13,7 +13,6 @@ from specquant.pipeline import (
     compute_smoothing,
     forward_approx,
     select_migration_strength,
-    svd_baseline,
 )
 
 from oracles import jacobi_singular_values
@@ -186,12 +185,20 @@ class TestCompressLayer:
         x = np.ones((4, 64))
         w = synth.smooth_decay_layer(64, 10, decay=2.0, seed=16)
         layer = compress_layer(x, w, ratio=0.3, smooth=0.0)
-        stats = sq.pipeline.layer_channel_stats(w, layer)
-        for st in stats:
-            assert st.achieved_error <= st.error_bound + 1e-9
-            assert st.retained_energy + st.tail_energy == pytest.approx(
-                st.total_energy, rel=1e-9, abs=1e-300
-            )
+        w_hat = layer.smoothing.lam[:, None] * w
+        achieved = np.linalg.norm(w_hat - layer.low_freq_matrix(), axis=0)
+        total, retained, tail = layer.energy
+        for j in range(10):
+            assert achieved[j] <= np.sqrt(tail[j]) + 1e-9
+            assert retained[j] + tail[j] == pytest.approx(total[j], rel=1e-9, abs=1e-300)
+
+    def test_energy_is_not_stored(self, tmp_path):
+        x = np.ones((4, 16))
+        w = synth.smooth_decay_layer(16, 3, decay=2.0, seed=19)
+        layer = compress_layer(x, w, ratio=0.5, smooth=0.5)
+        assert layer.energy.shape == (3, 3)
+        sq.save_compressed_layer(layer, tmp_path / "art")
+        assert sq.load_compressed_layer(tmp_path / "art").energy is None
 
     def test_smooth_channels_meet_decay_bound(self):
         """Channels built with |X[m]| = C/m^2 keep their truncation tails
@@ -270,38 +277,39 @@ class TestForwardApprox:
 
 
 class TestSvdBaseline:
+    """The budget-matched truncated SVD side of `compare_budgets`."""
+
     def test_full_budget_is_exact(self):
-        w = np.random.default_rng(24).normal(size=(6, 5))
-        budget = 5 * (6 + 5 + 1)
-        w_low, resid, k = svd_baseline(w, budget)
-        assert k == 5
-        assert np.linalg.norm(resid) <= 1e-9
+        w = np.random.default_rng(24).normal(size=(4, 1))
+        (rec,) = compare_budgets(w, [1.0])
+        assert rec.k_svd == 1
+        assert rec.err_svd <= 1e-9
 
     def test_rank_one_input(self):
         rng = np.random.default_rng(25)
         w = np.outer(rng.normal(size=8), rng.normal(size=6))
-        _, resid, k = svd_baseline(w, 8 + 6 + 1)
-        assert k == 1
-        assert np.linalg.norm(resid) <= 1e-9
+        one, full = compare_budgets(w, [0.3, 1.0])
+        assert one.k_svd == 1
+        assert one.err_svd <= 1e-9
+        assert full.err_svd <= 1e-9
 
     def test_tail_matches_jacobi_oracle(self):
         w = np.random.default_rng(26).normal(size=(8, 8))
-        _, resid, k = svd_baseline(w, 3 * (8 + 8 + 1))
-        assert k == 3
+        (rec,) = compare_budgets(w, [0.7])
+        assert rec.k_svd == 3
         sv = jacobi_singular_values(w)
-        assert np.linalg.norm(resid) ** 2 == pytest.approx(
-            float((sv[3:] ** 2).sum()), rel=1e-9
-        )
+        assert rec.err_svd**2 == pytest.approx(float((sv[3:] ** 2).sum()), rel=1e-9)
 
     def test_budget_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            svd_baseline(np.ones((4, 4)), 8)
+        # 2 * 6 spectral reals buy no triplet of 64 + 2 + 1.
+        with pytest.raises(ValueError, match="singular triplet"):
+            compare_budgets(np.ones((64, 2)), [0.1])
 
 
 class TestCompareBudgets:
     def test_decay_layer_spectral_wins(self):
         w = synth.smooth_decay_layer(64, 32, decay=2.0, seed=27)
-        rec = compare_budgets(w, None, 0.2)
+        (rec,) = compare_budgets(w, [0.2])
         assert rec.err_spectral < rec.err_svd
         assert 0 <= rec.budget_slack < 64 + 32 + 1
         assert rec.b_spectral == 2 * int(rec.k_per_channel.sum())
@@ -310,18 +318,42 @@ class TestCompareBudgets:
     def test_rank_one_nonsmooth_rows_svd_wins(self):
         rng = np.random.default_rng(28)
         w = np.outer(rng.normal(size=64), rng.normal(size=32))
-        rec = compare_budgets(w, None, 0.2)
+        (rec,) = compare_budgets(w, [0.2])
         assert rec.err_svd <= 1e-9
         assert rec.err_spectral > rec.err_svd
 
     def test_zero_matrix_both_zero(self):
-        rec = compare_budgets(np.zeros((32, 16)), None, 0.3)
+        (rec,) = compare_budgets(np.zeros((32, 16)), [0.3])
         assert rec.err_spectral == 0.0
         assert rec.err_svd <= 1e-12
 
     def test_tail_decomposition_matches_total(self):
         w = synth.smooth_decay_layer(32, 16, decay=1.5, seed=29)
-        rec = compare_budgets(w, None, 0.25)
+        (rec,) = compare_budgets(w, [0.25])
         assert rec.err_spectral**2 == pytest.approx(
             float(rec.channel_tail_energy.sum()), rel=1e-9
         )
+
+    def test_sweep_rows_equal_single_ratio_calls(self):
+        w = synth.smooth_decay_layer(48, 12, decay=1.5, seed=30)
+        sweep = compare_budgets(w, [0.2, 0.3, 0.5])
+        for rec in sweep:
+            (alone,) = compare_budgets(w, [rec.ratio])
+            for name in ("budget_bins", "b_spectral", "b_svd", "k_svd", "err_spectral", "err_svd"):
+                assert getattr(rec, name) == getattr(alone, name)
+            np.testing.assert_array_equal(rec.k_per_channel, alone.k_per_channel)
+            np.testing.assert_array_equal(rec.channel_tail_energy, alone.channel_tail_energy)
+
+    def test_budget_rule_shared_with_compress(self):
+        w = synth.smooth_decay_layer(64, 8, decay=1.5, seed=31)
+        x = np.ones((4, 64))
+        for ratio in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="ratio must lie in"):
+                compare_budgets(w, [0.2, ratio])
+            with pytest.raises(ValueError, match="ratio must lie in"):
+                compress_layer(x, w, ratio=ratio, smooth=0.5)
+        (rec,) = compare_budgets(w, [1.0])
+        layer = compress_layer(x, w, ratio=1.0, smooth=0.5)
+        assert rec.budget_bins == layer.plan.total_budget == 8 * 33
+        with pytest.raises(ValueError, match="one retained bin per channel"):
+            compare_budgets(w, [0.01])

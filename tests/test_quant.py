@@ -9,7 +9,6 @@ from specquant import synth
 from specquant.pipeline import apply_smoothing, compress_layer
 from specquant.quant import (
     QuantizedTensor,
-    compute_params,
     dequantize,
     quantize,
     quantize_residual_compensated,
@@ -26,31 +25,37 @@ def _weighted_error(q, r, x):
     return np.linalg.norm(x @ diff, axis=0)
 
 
+def _slice_params(values, bits):
+    """(delta, zero point) `quantize` picks for one slice of values."""
+    q = quantize(np.array([values], dtype=np.float64), bits, "per_token")
+    return q.deltas[0], q.zero_points[0]
+
+
 class TestComputeParams:
     def test_symmetric_slice(self):
-        p = compute_params([-1.0, 0.0, 1.0], 2)
-        assert p.delta == pytest.approx(2.0 / 3.0)
-        assert p.zero_point == pytest.approx(1.5)
+        delta, zp = _slice_params([-1.0, 0.0, 1.0], 2)
+        assert delta == pytest.approx(2.0 / 3.0)
+        assert zp == pytest.approx(1.5)
 
     def test_constant_slice_degenerate_convention(self):
-        p = compute_params([5.0, 5.0, 5.0], 3)
-        assert p.delta == 1.0
-        assert p.zero_point == -5.0
+        delta, zp = _slice_params([5.0, 5.0, 5.0], 3)
+        assert delta == 1.0
+        assert zp == -5.0
 
     def test_range_equal_to_code_range(self):
-        p = compute_params([0.0, 15.0], 4)
-        assert p.delta == pytest.approx(1.0)
-        assert p.zero_point == pytest.approx(0.0)
+        delta, zp = _slice_params([0.0, 15.0], 4)
+        assert delta == pytest.approx(1.0)
+        assert zp == pytest.approx(0.0)
 
     def test_empty_slice_rejected(self):
         with pytest.raises(ValueError):
-            compute_params([], 4)
+            _slice_params([], 4)
 
     def test_bits_out_of_range(self):
         with pytest.raises(ValueError):
-            compute_params([0.0, 1.0], 1)
+            _slice_params([0.0, 1.0], 1)
         with pytest.raises(ValueError):
-            compute_params([0.0, 1.0], 9)
+            _slice_params([0.0, 1.0], 9)
 
 
 class TestQuantizeDequantize:
