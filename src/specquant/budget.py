@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .validation import as_matrix
+from .validation import as_matrix, norm, pow2_units
 
 METRICS = ("abs-mean", "abs-max", "l2-norm", "spectral-entropy")
 DEFAULT_METRIC = "spectral-entropy"
@@ -27,12 +27,6 @@ class BudgetPlan:
             raise ValueError("rho and k must have equal length")
 
 
-def _pow2_units(a, axis):
-    """(a / 2^e, e) with e the frexp exponent of max|a| along `axis`; exact."""
-    exp = np.frexp(np.abs(a).max(axis=axis, keepdims=True, initial=0.0))[1]
-    return np.ldexp(a, -exp), exp
-
-
 def spectral_entropy(spectrum):
     """Shannon entropy (base 2) of each column's spectral energy split.
 
@@ -44,7 +38,7 @@ def spectral_entropy(spectrum):
     # Row j of the transposed power is contiguous, so its sum is the same
     # pairwise sum a single channel's spectrum would get.
     amp = np.ascontiguousarray(np.abs(spectrum.T))
-    p = _pow2_units(amp, axis=1)[0] ** 2
+    p = pow2_units(amp, axis=1)[0] ** 2
     total = p.sum(axis=1, keepdims=True)
     p = p / np.where(total == 0.0, 1.0, total)
     return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1)
@@ -65,9 +59,7 @@ def importance(w_smoothed, metric=DEFAULT_METRIC, *, spectrum=None):
     elif metric == "abs-max":
         scores = np.abs(w).max(axis=0)
     elif metric == "l2-norm":
-        # Power-of-two column units keep the squares finite and normal.
-        scaled, exp = _pow2_units(w, axis=0)
-        scores = np.ldexp(np.linalg.norm(scaled, axis=0), exp[0])
+        scores = norm(w, axis=0)
     else:
         if spectrum is None:
             spectrum = spectral.fft_columns(w)
@@ -75,15 +67,33 @@ def importance(w_smoothed, metric=DEFAULT_METRIC, *, spectrum=None):
     return np.asarray(scores, dtype=np.float64)
 
 
+def _deal(count, order, room):
+    """Units per entry when `count` units are dealt one per entry per pass in
+    `order` to entries with `room` left, stopping once none has room. An
+    entry with room r gets one in each of the first r passes."""
+    r = room[order]
+    ranked = np.sort(r)
+    passes = np.arange(ranked[-1] + 1)
+    below = np.searchsorted(ranked, passes)
+    dealt = np.concatenate(([0], np.cumsum(ranked)))[below] + passes * (r.size - below)
+    full = np.searchsorted(dealt, count, side="right") - 1
+    left = r > full
+    out = np.empty_like(r)
+    out[order] = np.minimum(r, full) + (left & (np.cumsum(left) <= count - dealt[full]))
+    return out
+
+
 def allocate(scores, alpha, total_budget, c_in):
     """Turn importance scores into per-channel retained-bin counts.
 
     rho = softmax(alpha * score); provisional k_j = floor(rho_j * budget),
     clamped to [1, c_in // 2 + 1]. Whatever the flooring and clamping leave
-    over is handed out one bin at a time to channels in descending score
-    order (ties broken by ascending index), cycling until the budget or the
-    caps are exhausted. If the keep-at-least-DC floor overshoots the budget,
-    bins are taken back in the mirrored order.
+    over is dealt out one bin per channel per pass in descending score order
+    (ties broken by ascending index) until the budget or the caps are
+    exhausted. If the keep-at-least-DC floor overshoots the budget, bins are
+    taken back the same way in the mirrored order, down to one per channel.
+    Equal scores split the budget evenly within the caps: budget // c_out
+    bins each, one more for the first budget % c_out channels, as `groups` uses.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
@@ -107,29 +117,8 @@ def allocate(scores, alpha, total_budget, c_in):
     rho = e / e.sum()
     k = np.floor(rho * total_budget).astype(np.int64)
     np.clip(k, 1, cap, out=k)
-    target = min(total_budget, cap * c_out)
-    give_order = np.lexsort((np.arange(c_out), -s))
-    short = target - int(k.sum())
-    while short > 0:
-        moved = False
-        for j in give_order:
-            if k[j] < cap:
-                k[j] += 1
-                short -= 1
-                moved = True
-                if short == 0:
-                    break
-        if not moved:
-            break
-    while short < 0:
-        moved = False
-        for j in give_order[::-1]:
-            if k[j] > 1:
-                k[j] -= 1
-                short += 1
-                moved = True
-                if short == 0:
-                    break
-        if not moved:
-            break
+    short = min(total_budget, cap * c_out) - int(k.sum())
+    order = np.lexsort((np.arange(c_out), -s))
+    k += _deal(max(short, 0), order, cap - k)
+    k -= _deal(max(-short, 0), order[::-1], k - 1)
     return BudgetPlan(rho=rho, k=k, alpha=float(alpha), total_budget=total_budget)

@@ -23,13 +23,21 @@ import numpy as np
 
 from . import __version__, pipeline, quant, spectral, synth, tensor_io
 from .budget import DEFAULT_METRIC, METRICS, spectral_entropy
-from .errors import SpecQuantError
+from .errors import DataError, SpecQuantError
+from .validation import norm
 
 
-def _write_json(path, payload):
+def _json_text(payload):
+    """Strict JSON text; a value past the float64 range raises DataError."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DataError(f"report value past the float64 range: {exc}") from None
+
+
+def _write_text(path, text):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_csv(path, fieldnames, rows):
@@ -56,10 +64,6 @@ def _parse_smooth(value):
         ) from None
 
 
-def _frob(a):
-    return float(np.linalg.norm(a))
-
-
 def cmd_compress(args):
     w = tensor_io.load_matrix(args.weights)
     x = tensor_io.load_matrix(args.calib)
@@ -74,18 +78,9 @@ def cmd_compress(args):
         smooth=_parse_smooth(args.smooth),
         residual_quant=args.residual_quant,
     )
-    budget_meta = {
-        "metric": args.metric,
-        "temperature": args.alpha,
-        "compression_ratio": args.ratio,
-    }
-    tensor_io.save_compressed_layer(
-        layer, args.out, layer_name=args.layer_name, budget_meta=budget_meta
-    )
-
     w_hat = layer.smoothing.lam[:, None] * w
     trunc = w_hat - layer.low_freq_matrix()
-    achieved = np.linalg.norm(trunc, axis=0)
+    achieved = norm(trunc, axis=0)
     total, retained, tail = layer.energy
     half = spectral.half_spectrum_length(layer.c_in)
     total_bins = int(layer.plan.k.sum())
@@ -97,10 +92,10 @@ def cmd_compress(args):
         "total_retained_bins": total_bins,
         "achieved_bin_ratio": total_bins / (layer.c_out * half) if layer.c_out else 0.0,
         "bits_per_parameter": 8 * tensor_io.stored_bytes(layer) / params if params else 0.0,
-        "truncation_error_frobenius": _frob(trunc),
-        "reconstruction_error_frobenius": _frob(trunc - layer.residual_matrix()),
-        "forward_error_highprec": _frob(
-            x @ w - pipeline.forward_approx(x, layer, activation_bits=16)
+        "truncation_error_frobenius": float(norm(trunc)),
+        "reconstruction_error_frobenius": float(norm(trunc - layer.residual_matrix())),
+        "forward_error_highprec": float(
+            norm(x @ w - pipeline.forward_approx(x, layer, activation_bits=16))
         ),
         "residual_rtn_fallback": bool(layer.residual.rtn_fallback),
     }
@@ -117,10 +112,17 @@ def cmd_compress(args):
         }
         for j in range(layer.c_out)
     ]
-    _write_json(
-        os.path.join(args.out, "report.json"),
-        {"config": _run_config(args), "summary": summary, "channels": rows},
+    # Serialized first: an unrepresentable value leaves no artifact behind.
+    report = _json_text({"config": _run_config(args), "summary": summary, "channels": rows})
+    budget_meta = {
+        "metric": args.metric,
+        "temperature": args.alpha,
+        "compression_ratio": args.ratio,
+    }
+    tensor_io.save_compressed_layer(
+        layer, args.out, layer_name=args.layer_name, budget_meta=budget_meta
     )
+    _write_text(os.path.join(args.out, "report.json"), report)
     _write_csv(
         os.path.join(args.out, "report.csv"),
         [
@@ -158,9 +160,9 @@ def cmd_analyze(args):
         "std_lowband_fraction": float(fractions.std()) if c_out else 0.0,
         "mean_spectral_entropy": float(entropy.mean()) if c_out else 0.0,
     }
-    _write_json(
+    _write_text(
         os.path.join(args.out, "analyze.json"),
-        {"config": _run_config(args), "summary": summary},
+        _json_text({"config": _run_config(args), "summary": summary}),
     )
     _write_csv(
         os.path.join(args.out, "analyze.csv"),
@@ -183,9 +185,9 @@ def cmd_compare_svd(args):
     os.makedirs(args.out, exist_ok=True)
     fields = ["ratio", "b_spectral", "b_svd", "k_svd", "budget_slack", "err_spectral", "err_svd"]
     rows = [{f: getattr(rec, f) for f in fields} for rec in recs]
-    _write_json(
+    _write_text(
         os.path.join(args.out, "compare_svd.json"),
-        {"config": _run_config(args), "rows": rows},
+        _json_text({"config": _run_config(args), "rows": rows}),
     )
     _write_csv(os.path.join(args.out, "compare_svd.csv"), fields, rows)
     print(f"wrote {len(rows)} comparison rows to {args.out}")
@@ -196,12 +198,11 @@ def cmd_eval_matmul(args):
     w = tensor_io.load_matrix(args.weights)
     x = tensor_io.load_matrix(args.calib)
     layer = tensor_io.load_compressed_layer(args.artifact)
-    manifest = tensor_io.load_manifest(args.artifact)
-    weight_bits = int(manifest["residual_bits"])
+    weight_bits = layer.residual.bits
     reference = x @ w
 
     def err(y):
-        return _frob(y - reference)
+        return float(norm(y - reference))
 
     naive = quant.dequantize(quant.quantize(x, args.act_bits, "per_token")) @ quant.dequantize(
         quant.quantize(w, weight_bits, "per_channel")
@@ -221,9 +222,9 @@ def cmd_eval_matmul(args):
         {"method": "specquant", "frobenius_error": err(specq)},
     ]
     os.makedirs(args.out, exist_ok=True)
-    _write_json(
+    _write_text(
         os.path.join(args.out, "eval_matmul.json"),
-        {"config": _run_config(args), "rows": rows},
+        _json_text({"config": _run_config(args), "rows": rows}),
     )
     _write_csv(os.path.join(args.out, "eval_matmul.csv"), ["method", "frobenius_error"], rows)
     print(f"wrote {len(rows)} method rows to {args.out}")

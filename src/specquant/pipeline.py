@@ -24,7 +24,7 @@ import numpy as np
 from . import quant, spectral
 from .budget import DEFAULT_METRIC, BudgetPlan, allocate, importance
 from .errors import DataError, ShapeError
-from .validation import as_matrix
+from .validation import as_matrix, norm
 
 DEFAULT_SMOOTH_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_RESIDUAL_BITS = 4
@@ -234,7 +234,6 @@ def compress_layer(
     residual_bits=DEFAULT_RESIDUAL_BITS,
     smooth="auto",
     residual_quant="rtn",
-    smooth_grid=DEFAULT_SMOOTH_GRID,
 ):
     """Compress one layer: smooth, truncate per channel, quantize the residual.
 
@@ -242,8 +241,10 @@ def compress_layer(
     global bin budget is floor(ratio * c_out * (c_in // 2 + 1)) and the
     importance metric distributes it; ratio 1.0 therefore retains every
     channel's full half-spectrum and the decomposition is exact. With
-    `groups`, every channel keeps exactly that many bins and allocation is
-    bypassed.
+    `groups`, the budget is groups * c_out bins split evenly by the same
+    allocator (all scores equal), so every channel keeps exactly that many.
+    smooth="auto" searches DEFAULT_SMOOTH_GRID (`select_migration_strength`
+    takes any grid).
     """
     w = as_matrix(w, "w")
     x = as_matrix(x_calib, "x_calib")
@@ -257,16 +258,15 @@ def compress_layer(
         raise ValueError(f"unknown residual quantizer {residual_quant!r}")
     c_in, c_out = w.shape
     half = spectral.half_spectrum_length(c_in)
-    if ratio is not None:
-        budget = _bin_budget(ratio, c_in, c_out)
-    elif not 1 <= int(groups) <= half:
+    if groups is not None and not 1 <= int(groups) <= half:
         raise ValueError(f"groups must lie in [1, {half}], got {groups}")
+    budget = _bin_budget(ratio, c_in, c_out) if groups is None else int(groups) * c_out
 
     if smooth == "auto":
         return select_migration_strength(
             x,
             w,
-            smooth_grid,
+            DEFAULT_SMOOTH_GRID,
             ratio,
             groups=groups,
             metric=metric,
@@ -278,14 +278,8 @@ def compress_layer(
     x_hat, w_hat = apply_smoothing(x, w, factors)
 
     spec = spectral.fft_columns(w_hat)
-    if groups is not None:
-        k = np.full(c_out, int(groups), dtype=np.int64)
-        total = int(k.sum())
-        rho = k / total if total else k.astype(np.float64)
-        plan = BudgetPlan(rho=rho, k=k, alpha=float(alpha), total_budget=total)
-    else:
-        scores = importance(w_hat, metric, spectrum=spec)
-        plan = allocate(scores, alpha, budget, c_in)
+    scores = np.zeros(c_out) if groups is not None else importance(w_hat, metric, spectrum=spec)
+    plan = allocate(scores, alpha, budget, c_in)
 
     spectra = spectral.truncate_columns(spec, plan.k, c_in)
     # Energies are report diagnostics: past the float64 range they read inf
@@ -354,23 +348,24 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
     The spectral side spends 2 reals per retained bin (B_spectral = 2 sum k_j);
     the SVD side gets the same budget rounded down to whole singular triplets
     of c_in + c_out + 1 reals, so 0 <= B_spectral - B_svd < c_in + c_out + 1
-    (the slack is reported). The transform, the importance scores and the
-    SVD are computed once for the whole sweep. Smoothing, if wanted, happens
-    upstream; the comparison is decomposition only.
+    (the slack is reported). Neither approximation is rebuilt: by Parseval
+    the spectral error is the root of the summed tail energies, and by
+    Eckart-Young-Mirsky the rank-k SVD error is the norm of the trailing
+    singular values. The transform, the importance scores and the singular
+    values are computed once for the whole sweep. Smoothing, if wanted,
+    happens upstream; the comparison is decomposition only.
     """
     w = as_matrix(w_hat, "w_hat")
     c_in, c_out = w.shape
     budgets = [_bin_budget(ratio, c_in, c_out) for ratio in ratios]
     spec = spectral.fft_columns(w)
     scores = importance(w, metric, spectrum=spec)
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    s = np.linalg.svd(w, compute_uv=False)
     per_rank = c_in + c_out + 1
     rows = []
     for ratio, budget_bins in zip(ratios, budgets):
         plan = allocate(scores, alpha, budget_bins, c_in)
-        w_low = spectral.reconstruct_columns(
-            spectral.truncate_columns(spec, plan.k, c_in), plan.k, c_in
-        )
+        tail = spectral.band_energies(spec, plan.k, c_in)[2]
         b_spectral = 2 * int(plan.k.sum())
         if b_spectral < per_rank:
             raise ValueError(
@@ -378,7 +373,6 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
             )
         k_svd = b_spectral // per_rank
         b_svd = k_svd * per_rank
-        w_svd = (u[:, :k_svd] * s[:k_svd]) @ vt[:k_svd]
         rows.append(
             BudgetComparison(
                 ratio=float(ratio),
@@ -387,10 +381,10 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
                 b_svd=b_svd,
                 k_svd=k_svd,
                 budget_slack=b_spectral - b_svd,
-                err_spectral=float(np.linalg.norm(w - w_low)),
-                err_svd=float(np.linalg.norm(w - w_svd)),
+                err_spectral=float(np.sqrt(tail.sum())),
+                err_svd=float(norm(s[k_svd:])),
                 k_per_channel=plan.k,
-                channel_tail_energy=spectral.band_energies(spec, plan.k, c_in)[2],
+                channel_tail_energy=tail,
             )
         )
     return rows

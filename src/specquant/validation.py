@@ -1,8 +1,9 @@
-"""Input coercion shared by the numeric modules.
+"""Input coercion and exact rescaling shared by the numeric modules.
 
 Matrices are 2-D row-major float64 arrays; vectors are 1-D float64 arrays.
 Everything is validated to be finite on the way in so the math never has to
-re-check.
+re-check. `norm` squares in power-of-two units, an exact rescaling that
+keeps the sum inside the float64 range for any finite input.
 """
 
 import numpy as np
@@ -26,3 +27,16 @@ def as_vector(a, name="vector", min_len=1):
     if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
+
+
+def pow2_units(a, axis=None):
+    """(a / 2^e, e) with e the frexp exponent of max|a| along `axis`; exact."""
+    exp = np.frexp(np.abs(a).max(axis=axis, keepdims=True, initial=0.0))[1]
+    return np.ldexp(a, -exp), exp
+
+
+def norm(a, axis=None):
+    """2-norm along `axis` (Frobenius for None), squared in power-of-two units
+    so it neither overflows nor underflows."""
+    scaled, exp = pow2_units(a, axis)
+    return np.ldexp(np.linalg.norm(scaled, axis=axis), np.squeeze(exp, axis=axis))

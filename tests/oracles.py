@@ -4,7 +4,10 @@ These deliberately avoid the library's own code paths: the DFT oracle sums
 the transform definition in 50-digit arithmetic, the SVD oracle is a
 one-sided Jacobi iteration, and the quantizer oracle enumerates every code
 assignment. The compensated-codes reference shares only the uniform
-quantizer's scales with the library and runs the update the long way.
+quantizer's scales with the library and runs the update the long way. The
+allocator reference hands out leftover bins with the round-robin loops, and
+the budget-comparison reference rebuilds both approximations and measures
+their errors directly, from the library's transforms.
 """
 
 import itertools
@@ -12,6 +15,9 @@ import itertools
 import mpmath
 import numpy as np
 
+from specquant import spectral
+from specquant.budget import allocate, importance
+from specquant.pipeline import _bin_budget
 from specquant.quant import COMPENSATION_DAMPING, quantize
 
 
@@ -127,3 +133,65 @@ def compensated_codes_downdate(r, bits, x):
     worse = (err_comp**2).sum(axis=0) > (err_rtn**2).sum(axis=0)
     codes[:, worse] = rtn_codes[:, worse]
     return codes
+
+
+def allocate_round_robin(scores, alpha, total_budget, c_in):
+    """(rho, k) of the softmax allocator, with the leftover bins handed out
+    one at a time by round-robin loops over the channels: in descending score
+    order while bins are short, in the mirrored order while the
+    keep-at-least-DC floor overshoots."""
+    s = np.asarray(scores, dtype=np.float64)
+    c_out = s.size
+    cap = spectral.half_spectrum_length(c_in)
+    z = float(alpha) * s
+    z = z - z.max()
+    e = np.exp(z)
+    rho = e / e.sum()
+    k = np.floor(rho * total_budget).astype(np.int64)
+    np.clip(k, 1, cap, out=k)
+    target = min(total_budget, cap * c_out)
+    give_order = np.lexsort((np.arange(c_out), -s))
+    short = target - int(k.sum())
+    while short > 0:
+        moved = False
+        for j in give_order:
+            if k[j] < cap:
+                k[j] += 1
+                short -= 1
+                moved = True
+                if short == 0:
+                    break
+        if not moved:
+            break
+    while short < 0:
+        moved = False
+        for j in give_order[::-1]:
+            if k[j] > 1:
+                k[j] -= 1
+                short += 1
+                moved = True
+                if short == 0:
+                    break
+        if not moved:
+            break
+    return rho, k
+
+
+def compare_budgets_rebuilt(w, ratios, metric="spectral-entropy", alpha=1.0):
+    """(k_svd, err_spectral, err_svd) per ratio, measured on rebuilt matrices:
+    W' from the truncated, stored spectra and the rank-k_svd product of the
+    SVD factors, each subtracted from `w` and normed."""
+    c_in, c_out = w.shape
+    spec = spectral.fft_columns(w)
+    scores = importance(w, metric, spectrum=spec)
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    rows = []
+    for ratio in ratios:
+        plan = allocate(scores, alpha, _bin_budget(ratio, c_in, c_out), c_in)
+        w_low = spectral.reconstruct_columns(
+            spectral.truncate_columns(spec, plan.k, c_in), plan.k, c_in
+        )
+        k_svd = 2 * int(plan.k.sum()) // (c_in + c_out + 1)
+        w_svd = (u[:, :k_svd] * s[:k_svd]) @ vt[:k_svd]
+        rows.append((k_svd, float(np.linalg.norm(w - w_low)), float(np.linalg.norm(w - w_svd))))
+    return rows

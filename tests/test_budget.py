@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from specquant.budget import METRICS, allocate, importance
 from specquant.spectral import half_spectrum_length
 
+from oracles import allocate_round_robin
+
 
 def test_constant_channel_has_zero_entropy():
     w = np.full((8, 3), 2.0)
@@ -151,3 +153,66 @@ class TestAllocate:
         b = allocate(scores, 0.7, 77, 48)
         assert (a.rho == b.rho).all()
         np.testing.assert_array_equal(a.k, b.k)
+
+
+def _assert_matches_round_robin(scores, alpha, budget, c_in):
+    plan = allocate(scores, alpha, budget, c_in)
+    rho, k = allocate_round_robin(scores, alpha, budget, c_in)
+    np.testing.assert_array_equal(plan.rho, rho)
+    np.testing.assert_array_equal(plan.k, k)
+
+
+class TestAllocateMatchesRoundRobin:
+    """The loop-free dealing equals the round-robin loops bit for bit."""
+
+    @given(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=30),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -7.0, 40.0]),
+        st.integers(1, 70),
+        st.integers(0, 10**4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tied_scores(self, raw, alpha, c_in, extra):
+        # Few distinct score values, so ties are common; the budget runs from
+        # one bin per channel to past every cap.
+        c_out = len(raw)
+        budget = c_out + extra % (2 * half_spectrum_length(c_in) * c_out)
+        _assert_matches_round_robin(np.array(raw, dtype=np.float64), alpha, budget, c_in)
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
+        st.floats(-20.0, 20.0),
+        st.integers(1, 70),
+        st.integers(0, 10**4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_real_scores(self, raw, alpha, c_in, extra):
+        c_out = len(raw)
+        budget = c_out + extra % (2 * half_spectrum_length(c_in) * c_out)
+        _assert_matches_round_robin(np.array(raw), alpha, budget, c_in)
+
+    @pytest.mark.parametrize(
+        "scores, alpha, budget, c_in",
+        [
+            # Floor-to-1 overshoot: the top channel floors to nearly the whole
+            # budget and the rest are raised to DC, so bins are taken back.
+            ([10.0, 0.0, 0.0], 1.0, 3, 64),
+            ([50.0, 0.0, 0.0, 0.0, 0.0], 1.0, 9, 64),
+            ([0.0, 0.0, 50.0, 50.0, 1.0], 3.0, 12, 64),
+            # Negative alpha favours the low scores, and overshoots the same way.
+            ([10.0, 0.0, 0.0, -30.0], -2.0, 5, 16),
+            # Cap-saturated: the favourite is clipped to c_in // 2 + 1 and its
+            # surplus is dealt to the others, some of which saturate too.
+            ([9.0, 8.0, 0.0, 0.0], 5.0, 30, 14),
+            ([9.0, 9.0, 9.0, 0.0], 5.0, 26, 14),
+            # A budget past every cap fills every channel.
+            ([1.0, 2.0, 3.0], 1.0, 10**6, 7),
+            # alpha 0 and ties: an even split, remainder to the lowest indices.
+            ([5.0, -1.0, 3.0, 3.0, 0.0, 2.0, 7.0], 0.0, 23, 64),
+            ([1.0, 1.0, 1.0], 1.0, 11, 64),
+            # c_in 1 has a single bin per channel.
+            ([3.0, -3.0], 4.0, 2, 1),
+        ],
+    )
+    def test_table(self, scores, alpha, budget, c_in):
+        _assert_matches_round_robin(np.array(scores), alpha, budget, c_in)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import specquant as sq
 from specquant import spectral, synth, tensor_io
 from specquant.cli import main
 
@@ -239,19 +240,24 @@ def test_synth_zero_rows_exits_nonzero(tmp_path, capsys):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Calls of spectral.fft_columns and np.linalg.svd, counted by name."""
-    calls = {"fft_columns": 0, "svd": 0}
+    """Calls of the column transforms and np.linalg.svd, counted by name; an
+    SVD that computes singular vectors counts as "svd_uv"."""
+    calls = dict.fromkeys(
+        ("fft_columns", "truncate_columns", "reconstruct_columns", "svd", "svd_uv"), 0
+    )
 
     def count(owner, name):
         original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            key = "svd_uv" if name == "svd" and kwargs.get("compute_uv", True) else name
+            calls[key] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    count(spectral, "fft_columns")
+    for name in ("fft_columns", "truncate_columns", "reconstruct_columns"):
+        count(spectral, name)
     count(np.linalg, "svd")
     return calls
 
@@ -265,7 +271,13 @@ def test_compress_transforms_once_per_candidate(
         "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.25",
         "--smooth", smooth, "--out", str(tmp_path / "art"),
     ]) == 0
-    assert counted == {"fft_columns": transforms, "svd": 0}
+    assert counted == {
+        "fft_columns": transforms,
+        "truncate_columns": transforms,
+        "reconstruct_columns": transforms,
+        "svd": 0,
+        "svd_uv": 0,
+    }
 
 
 def test_compare_svd_sweep_transforms_once(tmp_path, decay_instance, counted):
@@ -274,7 +286,14 @@ def test_compare_svd_sweep_transforms_once(tmp_path, decay_instance, counted):
         "compare-svd", "--weights", wpath, "--ratios", "0.1,0.2,0.3",
         "--out", str(tmp_path / "cmp"),
     ]) == 0
-    assert counted == {"fft_columns": 1, "svd": 1}
+    # Errors come from tail energies and singular values: nothing is rebuilt.
+    assert counted == {
+        "fft_columns": 1,
+        "truncate_columns": 0,
+        "reconstruct_columns": 0,
+        "svd": 1,
+        "svd_uv": 0,
+    }
     assert len(_read_csv(tmp_path / "cmp" / "compare_svd.csv")) == 3
 
 
@@ -299,3 +318,48 @@ def test_report_energies_match_a_fresh_transform(tmp_path, decay_instance, smoot
     assert [r["retained_energy"] for r in rows] == retained.tolist()
     assert [r["tail_energy"] for r in rows] == tail.tolist()
     assert [r["error_bound"] for r in rows] == np.sqrt(tail).tolist()
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_report_norms_survive_large_scale(tmp_path):
+    """Norms whose squares pass the float64 range are still reported, as
+    finite numbers in strict JSON, without an overflow warning."""
+    w = synth.smooth_decay_layer(16, 8, decay=2.0, seed=0) * 1e200
+    x = synth.outlier_activations(32, 16, seed=1)
+    wpath, xpath = _npy(tmp_path / "w.npy", w), _npy(tmp_path / "x.npy", x)
+    out = tmp_path / "art"
+    assert main([
+        "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.5",
+        "--smooth", "0.5", "--out", str(out),
+    ]) == 0
+    summary = _strict_json(out / "report.json")["summary"]
+    layer = tensor_io.load_compressed_layer(out)
+    y = x @ w - sq.forward_approx(x, layer, activation_bits=16)
+    scale = np.abs(y).max()
+    expected = scale * np.linalg.norm(y / scale)
+    assert summary["forward_error_highprec"] == pytest.approx(expected, rel=1e-12)
+    assert 1e190 < summary["forward_error_highprec"] < 1e300
+
+
+def test_unrepresentable_report_writes_nothing(tmp_path, capsys):
+    """A forward error past the float64 range fails the command with a named
+    error before any file is written."""
+    w = synth.smooth_decay_layer(16, 8, decay=2.0, seed=0)
+    w = w / np.abs(w).max() * 1e308
+    x = synth.outlier_activations(32, 16, seed=1)
+    wpath, xpath = _npy(tmp_path / "w.npy", w), _npy(tmp_path / "x.npy", x)
+    out = tmp_path / "art"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main([
+            "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.5",
+            "--smooth", "0.5", "--out", str(out),
+        ])
+    assert rc == 1
+    assert "specquant: error: report value past the float64 range" in capsys.readouterr().err
+    assert not out.exists()

@@ -15,7 +15,7 @@ from specquant.pipeline import (
     select_migration_strength,
 )
 
-from oracles import jacobi_singular_values
+from oracles import compare_budgets_rebuilt, jacobi_singular_values
 
 
 class TestSmoothing:
@@ -169,6 +169,33 @@ class TestCompressLayer:
         w = np.random.default_rng(14).normal(size=(32, 5))
         layer = compress_layer(x, w, groups=7, smooth=0.5)
         np.testing.assert_array_equal(layer.plan.k, np.full(5, 7))
+
+    @pytest.mark.parametrize(
+        "c_in, c_out, groups", [(1, 3, 1), (7, 5, 2), (7, 49, 4), (768, 6, 9), (768, 3, 385)]
+    )
+    def test_groups_plan_is_the_even_split(self, c_in, c_out, groups):
+        """`groups` spends groups * c_out bins through `allocate`; the plan is
+        bit for bit k = groups, rho = k / sum(k), at the caller's alpha."""
+        rng = np.random.default_rng(c_in + c_out)
+        x, w = rng.normal(size=(4, c_in)), rng.normal(size=(c_in, c_out))
+        layer = compress_layer(x, w, groups=groups, smooth=0.5, alpha=-2.5)
+        k = np.full(c_out, groups, dtype=np.int64)
+        np.testing.assert_array_equal(layer.plan.k, k)
+        np.testing.assert_array_equal(layer.plan.rho, k / k.sum())
+        assert layer.plan.total_budget == groups * c_out
+        assert layer.plan.alpha == -2.5
+
+    def test_even_split_over_shapes(self):
+        """All-equal scores at a budget of g * c_out bins give k = g and
+        rho = g / (g * c_out) bit for bit, for every c_out below 400."""
+        for c_in in (1, 2, 7, 16, 100, 768, 1024):
+            half = sq.half_spectrum_length(c_in)
+            for groups in sorted({1, max(half // 3, 1), half}):
+                for c_out in range(1, 400):
+                    plan = sq.allocate(np.zeros(c_out), 1.0, groups * c_out, c_in)
+                    k = np.full(c_out, groups, dtype=np.int64)
+                    np.testing.assert_array_equal(plan.k, k)
+                    np.testing.assert_array_equal(plan.rho, k / k.sum())
 
     def test_decomposition_identity_before_quantization(self):
         rng = np.random.default_rng(15)
@@ -328,11 +355,30 @@ class TestCompareBudgets:
         assert rec.err_svd <= 1e-12
 
     def test_tail_decomposition_matches_total(self):
+        """The summed tail energies are the squared error of the W' rebuilt
+        from the stored bins."""
         w = synth.smooth_decay_layer(32, 16, decay=1.5, seed=29)
         (rec,) = compare_budgets(w, [0.25])
-        assert rec.err_spectral**2 == pytest.approx(
-            float(rec.channel_tail_energy.sum()), rel=1e-9
-        )
+        ((_, err_rebuilt, _),) = compare_budgets_rebuilt(w, [0.25])
+        assert err_rebuilt**2 == pytest.approx(float(rec.channel_tail_energy.sum()), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "c_in, c_out, seed", [(64, 32, 40), (48, 12, 41), (33, 7, 42), (24, 40, 43)]
+    )
+    def test_rows_match_rebuilt_matrices(self, c_in, c_out, seed):
+        """Errors read off the tail energies and the trailing singular values
+        equal the norms of the rebuilt approximations' errors."""
+        rng = np.random.default_rng(seed)
+        w = synth.smooth_decay_layer(c_in, c_out, decay=1.5, seed=seed)
+        w += 0.1 * rng.normal(size=w.shape)
+        ratios = [0.3, 0.5, 0.8, 1.0]
+        rows = compare_budgets(w, ratios)
+        tol = 1e-12 * np.linalg.norm(w)
+        for rec, (k_svd, err_spectral, err_svd) in zip(rows, compare_budgets_rebuilt(w, ratios)):
+            assert rec.k_svd == k_svd
+            assert abs(rec.err_spectral - err_spectral) <= tol
+            assert abs(rec.err_svd - err_svd) <= tol
+        assert rows[-1].err_spectral == 0.0
 
     def test_sweep_rows_equal_single_ratio_calls(self):
         w = synth.smooth_decay_layer(48, 12, decay=1.5, seed=30)
