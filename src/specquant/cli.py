@@ -41,6 +41,12 @@ def _write_text(path, text):
 
 
 def _write_csv(path, fieldnames, rows):
+    """CSV of the rows; a value past the float64 range raises DataError
+    before the file is opened."""
+    for row in rows:
+        for name, value in row.items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise DataError(f"report value past the float64 range: {name} is {value}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
@@ -160,15 +166,13 @@ def cmd_analyze(args):
         "std_lowband_fraction": float(fractions.std()) if c_out else 0.0,
         "mean_spectral_entropy": float(entropy.mean()) if c_out else 0.0,
     }
-    _write_text(
-        os.path.join(args.out, "analyze.json"),
-        _json_text({"config": _run_config(args), "summary": summary}),
-    )
+    text = _json_text({"config": _run_config(args), "summary": summary})
     _write_csv(
         os.path.join(args.out, "analyze.csv"),
         ["channel", "total_energy", "lowband_fraction", "spectral_entropy"],
         rows,
     )
+    _write_text(os.path.join(args.out, "analyze.json"), text)
     print(
         f"analyzed {c_out} channels: mean low-band fraction "
         f"{summary['mean_lowband_fraction']:.4f} at band {args.band}"

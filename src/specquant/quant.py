@@ -25,6 +25,9 @@ GRANULARITIES = ("per_tensor", "per_token", "per_channel")
 # mean Gram diagonal.
 COMPENSATION_DAMPING = 0.01
 
+# Rows per batch of the compensated quantizer's left-looking loop.
+BLOCK = 128
+
 
 @dataclass
 class QuantizedTensor:
@@ -150,11 +153,14 @@ def quantize_residual_compensated(r, bits, x_calib):
     output channels at once). After each index is fixed, its rounding error
     is propagated to the not-yet-quantized indices of the same channel by
     the least-squares update against the damped calibration Gram
-    H = X^T X + damp * I, with damp = 1% of the mean Gram diagonal. That
-    update needs row i of the inverse of H restricted to the indices not yet
-    quantized; it equals U[i, i] * U[i, i:] for the upper Cholesky factor U
-    of H^-1 (U^T U = H^-1, GPTQ), so H^-1 is factored once instead of being
-    downdated after every index.
+    H = X^T X + damp * I, with damp = 1% of the mean Gram diagonal (GPTQ).
+    With the upper factor V of H = V V^T, taken as the lower Cholesky factor
+    of H in reversed index order and flipped back, that update leaves row i
+    at r_i + (sum_{i' < i} V[i', i] * d_i') / V[i, i], where d_i' = r_i' -
+    dequant_i' for the rows already quantized. So H is factored once and
+    never inverted, and the rows run left-looking in batches of BLOCK: one
+    GEMM brings in every earlier batch, and rank-one updates touch only the
+    rows of the current batch.
 
     The update and the selection run in power-of-two units: X is scaled so
     max|X| lies in [0.5, 1), and each channel's r and delta so that delta
@@ -194,23 +200,25 @@ def quantize_residual_compensated(r, bits, x_calib):
         return q
     gram[np.diag_indices_from(gram)] += damp
     try:
-        u = np.linalg.cholesky(np.linalg.inv(gram)).T
+        v = np.linalg.cholesky(gram[::-1, ::-1])[::-1, ::-1]
     except np.linalg.LinAlgError:
         return q
 
     zps = q.zero_points
-    work = r.copy()
+    d = np.empty((c_in, c_out))
     codes = np.empty((c_in, c_out), dtype=np.uint8)
-    for i in range(c_in):
-        codes[i] = _encode(work[i : i + 1], unit_deltas, zps, bits, "per_channel")
-        err = (work[i] - (codes[i] - zps) * unit_deltas) / u[i, i]
-        work[i + 1 :] -= np.outer(u[i, i + 1 :], err)
+    for b in range(0, c_in, BLOCK):
+        e = min(b + BLOCK, c_in)
+        acc = v[:b, b:e].T @ d[:b]
+        for i in range(b, e):
+            work = r[i : i + 1] + acc[i - b] / v[i, i]
+            codes[i] = _encode(work, unit_deltas, zps, bits, "per_channel")
+            d[i] = r[i] - (codes[i] - zps) * unit_deltas
+            acc[i - b + 1 :] += np.outer(v[i, i + 1 : e], d[i])
 
-    def loss(c):
-        deq = dequantize(replace(q, codes=c, deltas=unit_deltas))
-        return ((x @ (r - deq)) ** 2).sum(axis=0)
-
-    won = loss(codes) <= loss(q.codes)
+    # d is r - dequant of the compensated codes; score RTN the same way.
+    rtn_d = r - dequantize(replace(q, deltas=unit_deltas))
+    won = ((x @ d) ** 2).sum(axis=0) <= ((x @ rtn_d) ** 2).sum(axis=0)
     q.codes[:, won] = codes[:, won]
     q.rtn_fallback = False
     return q

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .validation import as_matrix, as_vector
+from .validation import as_matrix, as_vector, pow2_units
 
 
 def half_spectrum_length(n):
@@ -387,11 +387,15 @@ def lowband_fraction(half_spec, n, band=0.2):
 
     A zero-energy channel reports 1.0 (everything is trivially captured).
     Columns of a (half, c) array of half-spectra give an array of fractions.
+    Each channel's amplitudes are taken in units of the power of two at its
+    largest bin, an exact rescaling that keeps the energies from overflowing
+    or underflowing, so the fraction does not depend on the channel's scale.
     """
     if not 0.0 < band <= 1.0:
         raise ValueError("band must lie in (0, 1]")
     half = half_spectrum_length(n)
     k = max(1, int(band * half))
-    total, retained, _ = band_energies(half_spec, k, n)
+    amp = pow2_units(np.abs(half_spec), axis=0)[0]
+    total, retained, _ = band_energies(amp, k, n)
     frac = np.divide(retained, total, out=np.ones_like(total), where=total != 0.0)
     return float(frac) if np.ndim(frac) == 0 else frac

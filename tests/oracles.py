@@ -91,7 +91,7 @@ def compensated_codes_downdate(r, bits, x):
     per-channel scales and per-channel "never worse than RTN" selection as
     `quantize_residual_compensated`. O(c_in^3). Returns the RTN codes when
     the Gram or a pivot is unusable in absolute units, so it is a reference
-    for the Cholesky-row form at ordinary scales only.
+    for the batched loop over the factor of H at ordinary scales only.
     """
     r = np.asarray(r, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)

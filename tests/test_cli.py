@@ -240,10 +240,13 @@ def test_synth_zero_rows_exits_nonzero(tmp_path, capsys):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Calls of the column transforms and np.linalg.svd, counted by name; an
-    SVD that computes singular vectors counts as "svd_uv"."""
+    """Calls of the column transforms and of np.linalg.svd, inv and cholesky,
+    counted by name; an SVD that computes singular vectors counts as
+    "svd_uv"."""
     calls = dict.fromkeys(
-        ("fft_columns", "truncate_columns", "reconstruct_columns", "svd", "svd_uv"), 0
+        ("fft_columns", "truncate_columns", "reconstruct_columns", "svd", "svd_uv",
+         "inv", "cholesky"),
+        0,
     )
 
     def count(owner, name):
@@ -258,7 +261,8 @@ def counted(monkeypatch):
 
     for name in ("fft_columns", "truncate_columns", "reconstruct_columns"):
         count(spectral, name)
-    count(np.linalg, "svd")
+    for name in ("svd", "inv", "cholesky"):
+        count(np.linalg, name)
     return calls
 
 
@@ -277,7 +281,25 @@ def test_compress_transforms_once_per_candidate(
         "reconstruct_columns": transforms,
         "svd": 0,
         "svd_uv": 0,
+        "inv": 0,
+        "cholesky": 0,
     }
+
+
+@pytest.mark.parametrize("smooth, candidates", [("0.5", 1), ("auto", 9)])
+def test_compensated_compress_factors_once_without_inverse(
+    tmp_path, decay_instance, counted, smooth, candidates
+):
+    """The compensated quantizer factors each candidate's damped Gram once
+    and never forms its inverse."""
+    wpath, xpath = decay_instance
+    assert main([
+        "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.25",
+        "--smooth", smooth, "--residual-quant", "compensated",
+        "--out", str(tmp_path / "art"),
+    ]) == 0
+    assert counted["inv"] == 0
+    assert counted["cholesky"] == candidates
 
 
 def test_compare_svd_sweep_transforms_once(tmp_path, decay_instance, counted):
@@ -293,6 +315,8 @@ def test_compare_svd_sweep_transforms_once(tmp_path, decay_instance, counted):
         "reconstruct_columns": 0,
         "svd": 1,
         "svd_uv": 0,
+        "inv": 0,
+        "cholesky": 0,
     }
     assert len(_read_csv(tmp_path / "cmp" / "compare_svd.csv")) == 3
 
@@ -363,3 +387,18 @@ def test_unrepresentable_report_writes_nothing(tmp_path, capsys):
     assert rc == 1
     assert "specquant: error: report value past the float64 range" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_analyze_unrepresentable_energy_writes_nothing(tmp_path, capsys):
+    """Channel energies past the float64 range fail `analyze` with a named
+    error before any report is written; the low-band fractions alone would
+    be finite."""
+    w = synth.smooth_decay_layer(16, 8, decay=1.5, seed=3) * 1e200
+    wpath = _npy(tmp_path / "w.npy", w)
+    out = tmp_path / "reports"
+    with np.errstate(over="ignore"):
+        rc = main(["analyze", "--weights", wpath, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "specquant: error: report value past the float64 range: total_energy is inf" in err
+    assert list(out.iterdir()) == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specquant import synth
+from specquant import quant, synth
 from specquant.pipeline import apply_smoothing, compress_layer
 from specquant.quant import (
     QuantizedTensor,
@@ -173,6 +173,21 @@ class TestQuantizeDequantize:
             quantize(np.zeros((0, 0)), 4, "per_tensor")
 
 
+SCALE_EXPONENTS = [(1000, 0), (-1000, 0), (0, 500), (0, -500), (1000, -500), (-1000, 500)]
+
+
+def _assert_codes_scale_free(shape, r_exp, x_exp):
+    """Compensated codes of r * 2^r_exp against x * 2^x_exp equal those of r
+    against x, over 30 seeded draws, and nothing falls back."""
+    for seed in range(30):
+        r = np.random.default_rng(seed).normal(size=shape)
+        x = np.random.default_rng(seed + 500).normal(size=(20, shape[0]))
+        base = quantize_residual_compensated(r, 4, x)
+        scaled = quantize_residual_compensated(np.ldexp(r, r_exp), 4, np.ldexp(x, x_exp))
+        assert not scaled.rtn_fallback
+        np.testing.assert_array_equal(scaled.codes, base.codes)
+
+
 class TestCompensatedResidual:
     def test_single_entry_column_matches_plain(self):
         r = np.array([[0.37]])
@@ -227,24 +242,21 @@ class TestCompensatedResidual:
             er = _weighted_error(qr, r, x)
             assert (ec <= er + 1e-12).all()
 
-    @pytest.mark.parametrize(
-        "r_exp, x_exp", [(1000, 0), (-1000, 0), (0, 500), (0, -500), (1000, -500), (-1000, 500)]
-    )
+    @pytest.mark.parametrize("r_exp, x_exp", SCALE_EXPONENTS)
     def test_codes_independent_of_input_scales(self, r_exp, x_exp):
         """r * 2^e and x * 2^e leave the weighted objective's minimizer
         unchanged, so the codes must not move and nothing may fall back."""
-        for seed in range(30):
-            r = np.random.default_rng(seed).normal(size=(8, 5))
-            x = np.random.default_rng(seed + 500).normal(size=(20, 8))
-            base = quantize_residual_compensated(r, 4, x)
-            scaled = quantize_residual_compensated(np.ldexp(r, r_exp), 4, np.ldexp(x, x_exp))
-            assert not scaled.rtn_fallback
-            np.testing.assert_array_equal(scaled.codes, base.codes)
+        _assert_codes_scale_free((8, 5), r_exp, x_exp)
+
+    @pytest.mark.parametrize("r_exp, x_exp", SCALE_EXPONENTS)
+    def test_codes_independent_of_input_scales_across_batches(self, r_exp, x_exp):
+        """The same at 300 x 24, whose rows span three batches."""
+        _assert_codes_scale_free((300, 24), r_exp, x_exp)
 
     def test_codes_match_downdate_reference(self):
-        """The Cholesky rows of H^-1 give the same codes as downdating H^-1
-        after every index, on small fixtures and on a compressed layer's
-        residual (where compensation changes codes)."""
+        """The batched loop over the factor of H gives the same codes as
+        downdating H^-1 after every index, on small fixtures and on a
+        compressed layer's residual (where compensation changes codes)."""
         for seed in range(30):
             r = np.random.default_rng(seed).normal(size=(8, 5))
             x = np.random.default_rng(seed + 500).normal(size=(20, 8))
@@ -259,6 +271,28 @@ class TestCompensatedResidual:
         r = w_hat - layer.low_freq_matrix()
         assert (layer.residual.codes != quantize(r, 4, "per_channel").codes).any()
         np.testing.assert_array_equal(layer.residual.codes, compensated_codes_downdate(r, 4, x_hat))
+
+    @pytest.mark.parametrize("c_in", [1, 127, 128, 129, 300])
+    def test_codes_match_downdate_reference_across_batches(self, c_in):
+        """Partial, exact and multiple batches of BLOCK rows, with few tokens
+        so that compensation moves codes across batch boundaries."""
+        rng = np.random.default_rng(c_in)
+        r = rng.normal(size=(c_in, 6))
+        x = rng.normal(size=(3, c_in))
+        q = quantize_residual_compensated(r, 4, x)
+        assert not q.rtn_fallback
+        np.testing.assert_array_equal(q.codes, compensated_codes_downdate(r, 4, x))
+        if c_in > quant.BLOCK:
+            assert (q.codes[quant.BLOCK :] != quantize(r, 4, "per_channel").codes[quant.BLOCK :]).any()
+
+    def test_codes_match_downdate_reference_small_batches(self, monkeypatch):
+        """With BLOCK = 3 the 8-row fixtures run as batches of 3, 3 and 2."""
+        monkeypatch.setattr(quant, "BLOCK", 3)
+        for seed in range(30):
+            r = np.random.default_rng(seed).normal(size=(8, 5))
+            x = np.random.default_rng(seed + 500).normal(size=(20, 8))
+            q = quantize_residual_compensated(r, 4, x)
+            np.testing.assert_array_equal(q.codes, compensated_codes_downdate(r, 4, x))
 
     def test_compensation_actually_helps_somewhere(self):
         wins = 0

@@ -163,6 +163,18 @@ def test_column_energies_match_single_channel():
     assert fractions[2] == 1.0
 
 
+@pytest.mark.parametrize("n, c", [(16, 8), (7, 5)])
+@pytest.mark.parametrize("exp", [660, -1000])
+def test_lowband_fraction_is_scale_free(n, c, exp):
+    """Scaling a layer by 2^exp leaves every low-band fraction unchanged,
+    also where the squared amplitudes would overflow or underflow."""
+    w = synth.smooth_decay_layer(n, c, decay=1.5, seed=3)
+    base = spectral.lowband_fraction(fft_columns(w), n)
+    scaled = spectral.lowband_fraction(fft_columns(np.ldexp(w, exp)), n)
+    np.testing.assert_array_equal(scaled, base)
+    assert ((base > 0.0) & (base < 1.0)).all()
+
+
 def test_conjugate_symmetry_of_full_spectrum():
     rng = np.random.default_rng(2)
     for n in (4, 7, 16, 33):
