@@ -29,12 +29,10 @@ from .quant import (
 )
 from .spectral import (
     dft_naive,
-    error_bound,
     fft,
     half_spectrum_length,
     parseval_check,
     reconstruct,
-    truncate_low_freq,
 )
 from .tensor_io import (
     load_compressed_layer,
@@ -68,12 +66,10 @@ __all__ = [
     "quantize",
     "quantize_residual_compensated",
     "dft_naive",
-    "error_bound",
     "fft",
     "half_spectrum_length",
     "parseval_check",
     "reconstruct",
-    "truncate_low_freq",
     "load_compressed_layer",
     "load_manifest",
     "load_matrix",

@@ -94,6 +94,8 @@ def allocate(scores, alpha, total_budget, c_in):
     taken back the same way in the mirrored order, down to one per channel.
     Equal scores split the budget evenly within the caps: budget // c_out
     bins each, one more for the first budget % c_out channels, as `groups` uses.
+    An alpha * score past the float64 range, which would make the softmax
+    NaN, raises ValueError.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
@@ -111,7 +113,10 @@ def allocate(scores, alpha, total_budget, c_in):
             rho=np.zeros(0), k=np.zeros(0, dtype=np.int64), alpha=float(alpha), total_budget=0
         )
     cap = spectral.half_spectrum_length(c_in)
-    z = float(alpha) * s
+    with np.errstate(over="ignore"):
+        z = float(alpha) * s
+    if not np.isfinite(z).all():
+        raise ValueError(f"alpha={alpha} times the importance scores is past the float64 range")
     z = z - z.max()
     e = np.exp(z)
     rho = e / e.sum()

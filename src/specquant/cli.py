@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, pipeline, quant, spectral, synth, tensor_io
 from .budget import DEFAULT_METRIC, METRICS, spectral_entropy
-from .errors import DataError, SpecQuantError
+from .errors import DataError, ShapeError, SpecQuantError
 from .validation import norm
 
 
@@ -101,7 +101,7 @@ def cmd_compress(args):
         "truncation_error_frobenius": float(norm(trunc)),
         "reconstruction_error_frobenius": float(norm(trunc - layer.residual_matrix())),
         "forward_error_highprec": float(
-            norm(x @ w - pipeline.forward_approx(x, layer, activation_bits=16))
+            norm(x @ w - pipeline.forward_approx(x, layer, activation_bits=None))
         ),
         "residual_rtn_fallback": bool(layer.residual.rtn_fallback),
     }
@@ -202,6 +202,14 @@ def cmd_eval_matmul(args):
     w = tensor_io.load_matrix(args.weights)
     x = tensor_io.load_matrix(args.calib)
     layer = tensor_io.load_compressed_layer(args.artifact)
+    if w.shape != (layer.c_in, layer.c_out):
+        raise ShapeError(
+            f"weights are {w.shape[0]}x{w.shape[1]}, the artifact is {layer.c_in}x{layer.c_out}"
+        )
+    if x.shape[1] != layer.c_in:
+        raise ShapeError(
+            f"activations have {x.shape[1]} columns, the artifact expects c_in={layer.c_in}"
+        )
     weight_bits = layer.residual.bits
     reference = x @ w
 

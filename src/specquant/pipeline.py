@@ -28,9 +28,6 @@ from .validation import as_matrix, norm
 
 DEFAULT_SMOOTH_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_RESIDUAL_BITS = 4
-# Fixed per-channel bin count used when a caller asks for "groups" mode
-# instead of a global ratio.
-DEFAULT_GROUPS = 16
 
 
 @dataclass
@@ -90,6 +87,13 @@ class CompressedLayer:
         shape = getattr(self.spectra, "shape", None)
         if shape != (int(k.sum()), 2):
             raise ShapeError(f"spectra are {shape}, expected a ({k.sum()}, 2) array for the plan")
+        for name, value in (
+            ("plan rho", self.plan.rho),
+            ("plan alpha", self.plan.alpha),
+            ("migration strength", self.smoothing.migration_strength),
+        ):
+            if not np.isfinite(value).all():
+                raise DataError(f"{name} must be finite")
         if not np.isfinite(self.spectra).all():
             raise DataError("spectra contain non-finite values")
         amps, phases = self.spectra.T
@@ -306,22 +310,19 @@ def compress_layer(
 def forward_approx(x, layer, activation_bits):
     """Two-branch approximate forward pass.
 
-    Returns x_hat W' + dequant(quant(x_hat)) dequant(R) with x_hat = x / lambda.
-    The W' branch runs in full precision (standing in for a 16-bit kernel).
-    Activation bits above 8 leave the residual-branch activations unquantized,
-    since the integer quantizer is defined for 2..8 bits.
+    Returns x_hat W' + dequant(quant(x_hat)) dequant(R) with x_hat = x / lambda,
+    the residual-branch activations quantized per token at `activation_bits`
+    (2..8, checked by the quantizer). The W' branch runs in full precision
+    (standing in for a 16-bit kernel); `activation_bits=None` leaves the
+    residual-branch activations unquantized too.
     """
     x = as_matrix(x, "x")
     if x.shape[1] != layer.c_in:
         raise ValueError(f"x has {x.shape[1]} columns, layer expects {layer.c_in}")
-    activation_bits = int(activation_bits)
-    if not 2 <= activation_bits <= 16:
-        raise ValueError(f"activation_bits must lie in [2, 16], got {activation_bits}")
     x_hat = x / layer.smoothing.lam[None, :]
-    if activation_bits <= 8:
+    x_resid = x_hat
+    if activation_bits is not None:
         x_resid = quant.dequantize(quant.quantize(x_hat, activation_bits, "per_token"))
-    else:
-        x_resid = x_hat
     return x_hat @ layer.low_freq_matrix() + x_resid @ layer.residual_matrix()
 
 

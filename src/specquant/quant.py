@@ -10,7 +10,8 @@ dequantizes to a finite value.
 
 Granularity picks the slicing axis: per_token quantizes each row (activation
 matrices carry one token per row), per_channel each column (weight matrices
-carry one output channel per column), per_tensor the whole matrix.
+carry one output channel per column). A whole matrix quantized as one slice
+is a 1-row matrix quantized per_token.
 """
 
 from dataclasses import dataclass, field, replace
@@ -19,7 +20,7 @@ import numpy as np
 
 from .validation import as_matrix
 
-GRANULARITIES = ("per_tensor", "per_token", "per_channel")
+GRANULARITIES = ("per_token", "per_channel")
 
 # Diagonal damping for the error-compensated scheme, as a fraction of the
 # mean Gram diagonal.
@@ -65,12 +66,7 @@ def _check_bits(bits):
 
 def _slice_params(x, bits, granularity):
     """Vectorized per-slice (deltas, zero_points) for a matrix."""
-    if granularity == "per_tensor":
-        if x.size == 0:
-            raise ValueError("cannot quantize an empty matrix per_tensor")
-        lo = np.array([x.min()])
-        hi = np.array([x.max()])
-    elif granularity == "per_token":
+    if granularity == "per_token":
         if x.shape[1] == 0 and x.shape[0] > 0:
             raise ValueError("per_token slices must be non-empty")
         lo = x.min(axis=1) if x.size else np.zeros(x.shape[0])
@@ -110,9 +106,7 @@ def _broadcast(deltas, zps, granularity):
     """Per-slice scales and zero points shaped to broadcast against the matrix."""
     if granularity == "per_token":
         return deltas[:, None], zps[:, None]
-    if granularity == "per_channel":
-        return deltas[None, :], zps[None, :]
-    return deltas[0], zps[0]
+    return deltas[None, :], zps[None, :]
 
 
 def _encode(x, deltas, zps, bits, granularity):

@@ -15,11 +15,13 @@ Conventions, fixed once here and relied on everywhere else:
   is the (amplitude, phase) pair: exactly 2k reals for k bins, held as a
   (k, 2) array. A layer packs its channels' rows one after another into one
   (sum k, 2) array, split by the per-channel counts.
-- A weight matrix is handled as its columns, all at once: `fft_columns`,
-  `truncate_columns` and `reconstruct_columns` run the same radix-2 and
-  Bluestein code along axis 0. `fft` is that path on one column, so both
-  agree bit for bit; `dft_naive` and the direct cosine sum `reconstruct`
-  are the independent references.
+- A weight matrix is handled as its columns, all at once: `fft_columns` and
+  `reconstruct_columns` run the radix-2 and Bluestein code along axis 0, and
+  `truncate_columns`, `band_energies` and `lowband_fraction` take the
+  (n // 2 + 1, c) half-spectra it produces; a single channel is a one-column
+  matrix. `fft` is that path on one vector, so both agree bit for bit;
+  `dft_naive`, the direct cosine sum `reconstruct` and `parseval_check` are
+  the independent references.
 - Real columns of even length n are transformed at half length: the forward
   transform packs the even and odd samples as one complex n/2-point signal
   and splits its transform into the half-spectrum, and the inverse packs the
@@ -247,13 +249,13 @@ def _pair_weights(n):
     return w
 
 
-def _split_points(half_spec, k, n):
-    """Validated (half-spectrum, split) for a 1-D half-spectrum and scalar k,
-    or a (half, c) array of column half-spectra and k per column (or one k)."""
+def _check_columns(half_spec, k, n):
+    """Validated (half-spectra, counts) for a (half, c) array of column
+    half-spectra and a k per column (or one k for all)."""
     hs = np.asarray(half_spec, dtype=complex)
     half = half_spectrum_length(n)
-    if hs.ndim not in (1, 2) or hs.shape[0] != half:
-        raise ValueError(f"expected half-spectrum of length {half} for n={n}")
+    if hs.ndim != 2 or hs.shape[0] != half:
+        raise ValueError(f"expected a ({half}, c) array of column half-spectra for n={n}")
     return hs, _check_counts(k, hs.shape[1:], n)
 
 
@@ -275,9 +277,7 @@ def truncate_columns(half_spec, k, n):
     `n` is the original signal length; it cannot be recovered from the
     half-spectrum length alone (even and odd n share lengths).
     """
-    hs, ks = _split_points(half_spec, k, n)
-    if hs.ndim != 2:
-        raise ValueError("expected a (half, c) array of column half-spectra")
+    hs, ks = _check_columns(half_spec, k, n)
     pairs = np.stack([np.abs(hs), np.angle(hs)], axis=-1)
     phases = pairs[..., 1]
     phases[phases <= -np.pi] = np.pi
@@ -289,14 +289,6 @@ def truncate_columns(half_spec, k, n):
         pairs[m, :, 1] = np.where(re >= 0.0, 0.0, np.pi)
     kept = np.arange(hs.shape[0]) < ks[:, None]
     return pairs.transpose(1, 0, 2)[kept]
-
-
-def truncate_low_freq(half_spec, k, n):
-    """Keep the k lowest-index bins of one half-spectrum as a (k, 2) array."""
-    hs = np.asarray(half_spec, dtype=complex)
-    if hs.ndim != 1:
-        raise ValueError("expected a 1-D half-spectrum")
-    return truncate_columns(hs[:, None], k, n)
 
 
 def reconstruct(bins, n):
@@ -346,29 +338,18 @@ def reconstruct_columns(bins, k, n):
 
 
 def band_energies(half_spec, k, n):
-    """(total, retained, tail) signal energy split at bin k.
+    """(total, retained, tail) energy of each column of a (half, c) array of
+    half-spectra, split at that column's k: three arrays over the columns.
 
     Energy of bin m is w_m * |X[m]|^2 / N, so `total` equals the time-domain
     energy sum(x^2) and `tail` is exactly the squared reconstruction error of
-    a k-bin truncation. Given a (half, c) array of column half-spectra and a
-    k per column, the three values are arrays over the columns.
+    a k-bin truncation; its square root is the error bound.
     """
-    hs, ks = _split_points(half_spec, k, n)
-    shape = (-1,) + (1,) * (hs.ndim - 1)
-    terms = _pair_weights(n).reshape(shape) * np.abs(hs) ** 2 / n
-    kept = np.arange(hs.shape[0]).reshape(shape) < ks
-    out = (terms.sum(axis=0), np.where(kept, terms, 0.0).sum(axis=0),
-           np.where(kept, 0.0, terms).sum(axis=0))
-    return tuple(float(v) for v in out) if hs.ndim == 1 else out
-
-
-def error_bound(half_spec, k, n):
-    """Upper bound on the L2 reconstruction error of a k-bin truncation.
-
-    sqrt of the weighted tail energy, in the same normalization used by
-    `reconstruct`, so achieved error <= bound always holds.
-    """
-    return float(np.sqrt(band_energies(half_spec, k, n)[2]))
+    hs, ks = _check_columns(half_spec, k, n)
+    terms = _pair_weights(n)[:, None] * np.abs(hs) ** 2 / n
+    kept = np.arange(hs.shape[0])[:, None] < ks
+    return (terms.sum(axis=0), np.where(kept, terms, 0.0).sum(axis=0),
+            np.where(kept, 0.0, terms).sum(axis=0))
 
 
 def parseval_check(x):
@@ -383,10 +364,10 @@ def parseval_check(x):
 
 
 def lowband_fraction(half_spec, n, band=0.2):
-    """Fraction of channel energy in the lowest `band` share of bins.
+    """Fraction of each channel's energy in the lowest `band` share of bins,
+    one per column of a (half, c) array of half-spectra.
 
     A zero-energy channel reports 1.0 (everything is trivially captured).
-    Columns of a (half, c) array of half-spectra give an array of fractions.
     Each channel's amplitudes are taken in units of the power of two at its
     largest bin, an exact rescaling that keeps the energies from overflowing
     or underflowing, so the fraction does not depend on the channel's scale.
@@ -397,5 +378,4 @@ def lowband_fraction(half_spec, n, band=0.2):
     k = max(1, int(band * half))
     amp = pow2_units(np.abs(half_spec), axis=0)[0]
     total, retained, _ = band_energies(amp, k, n)
-    frac = np.divide(retained, total, out=np.ones_like(total), where=total != 0.0)
-    return float(frac) if np.ndim(frac) == 0 else frac
+    return np.divide(retained, total, out=np.ones_like(total), where=total != 0.0)

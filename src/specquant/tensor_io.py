@@ -15,7 +15,8 @@ directory holding `manifest.json` plus three raw little-endian blobs:
                     code otherwise
 
 Everything else (plan, quantizer scales, migration strength) lives in the
-manifest, which JSON round-trips float64 exactly via shortest-repr. Load
+manifest, which JSON round-trips float64 exactly via shortest-repr; it is
+strict JSON, so save refuses a non-finite value instead of writing NaN. Load
 raises only SpecQuantError subclasses for a malformed artifact (OSError if a
 file cannot be read): FormatError for a missing or wrongly typed manifest
 field, ShapeError for sizes that disagree, DataError for invalid values.
@@ -126,12 +127,11 @@ def save_compressed_layer(layer, out_dir, *, layer_name="layer", budget_meta=Non
     """Write manifest + blobs; returns the manifest dict.
 
     A subsequent `load_compressed_layer` reproduces the layer bit-exactly. A
-    layer that load would reject raises the same error before any file is
-    written.
+    layer that load would reject raises the same error, and a non-finite
+    manifest value (`budget_meta` included) raises DataError, before any file
+    or directory is written.
     """
     layer.validate()
-    out_dir = os.fspath(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     if budget_meta is None:
         budget_meta = {
             "metric": None,
@@ -163,6 +163,12 @@ def save_compressed_layer(layer, out_dir, *, layer_name="layer", budget_meta=Non
             "rtn_fallback": bool(r.rtn_fallback),
         },
     }
+    try:
+        text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DataError(f"manifest holds a non-finite value ({exc})") from None
+    out_dir = os.fspath(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, LAMBDA_FILE), "wb") as fh:
         fh.write(layer.smoothing.lam.astype("<f8").tobytes())
     with open(os.path.join(out_dir, SPECTRA_FILE), "wb") as fh:
@@ -170,8 +176,7 @@ def save_compressed_layer(layer, out_dir, *, layer_name="layer", budget_meta=Non
     with open(os.path.join(out_dir, RESIDUAL_FILE), "wb") as fh:
         fh.write(pack_codes(r.codes, r.bits))
     with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     return manifest
 
 

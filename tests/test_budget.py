@@ -1,5 +1,7 @@
 """Importance metrics and softmax budget allocation."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -141,6 +143,14 @@ class TestAllocate:
     def test_budget_below_channel_count_rejected(self):
         with pytest.raises(ValueError):
             allocate(np.ones(5), 1.0, 4, 16)
+
+    @pytest.mark.parametrize("alpha", [1e308, -1e308])
+    def test_overflowing_alpha_is_named_error_without_warning(self, alpha):
+        """alpha * score past the float64 range would make the softmax NaN."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="alpha"):
+                allocate(np.array([0.5, 2.0, 3.0]), alpha, 12, 16)
 
     def test_deterministic_tie_break_by_index(self):
         plan = allocate(np.array([1.0, 1.0, 1.0]), 1.0, 11, 64)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,66 @@ def test_compare_svd_ratio_outside_unit_interval_exits_nonzero(
     assert not out.exists()
 
 
+def _synth(tmp_path, name, kind, rows, cols, seed):
+    path = str(tmp_path / name)
+    assert main([
+        "synth", "--kind", kind, "--rows", str(rows), "--cols", str(cols),
+        "--seed", str(seed), "--out", path,
+    ]) == 0
+    return path
+
+
+def test_overflowing_alpha_exits_nonzero_and_writes_nothing(tmp_path, capsys):
+    """alpha * score past the float64 range is a named error, not a NaN
+    softmax: no warning, no misleading report error, no artifact."""
+    wpath = _synth(tmp_path, "w.npy", "gaussian", 64, 8, 1)
+    xpath = _synth(tmp_path, "x.npy", "gaussian", 32, 64, 3)
+    capsys.readouterr()
+    out = tmp_path / "art"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([
+            "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.5",
+            "--smooth", "0.5", "--alpha", "1e308", "--out", str(out),
+        ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "specquant: error: alpha=1e+308" in err
+    assert "nan" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "weights, calib, message",
+    [
+        ((16, 1), (32, 16), "weights are 16x1, the artifact is 16x8"),
+        ((16, 8), (32, 12), "activations have 12 columns, the artifact expects c_in=16"),
+    ],
+    ids=["weights", "activations"],
+)
+def test_eval_matmul_rejects_shapes_other_than_the_artifact(
+    tmp_path, capsys, weights, calib, message
+):
+    """(32, 8) - (32, 1) would broadcast into a meaningless error table."""
+    wpath = _synth(tmp_path, "w.npy", "smooth-decay", 16, 8, 1)
+    xpath = _synth(tmp_path, "x.npy", "gaussian", 32, 16, 3)
+    art = tmp_path / "art"
+    assert main([
+        "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.5",
+        "--smooth", "0.5", "--out", str(art),
+    ]) == 0
+    w_eval = _synth(tmp_path, "w_eval.npy", "smooth-decay", *weights, 1)
+    x_eval = _synth(tmp_path, "x_eval.npy", "gaussian", *calib, 3)
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main([
+        "eval-matmul", "--weights", w_eval, "--calib", x_eval,
+        "--artifact", str(art), "--act-bits", "4", "--out", str(out),
+    ]) == 1
+    assert f"specquant: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_zero_rows_exits_nonzero(tmp_path, capsys):
     rc = main([
         "synth", "--kind", "smooth-decay", "--rows", "0", "--cols", "4",
@@ -364,7 +425,7 @@ def test_report_norms_survive_large_scale(tmp_path):
     ]) == 0
     summary = _strict_json(out / "report.json")["summary"]
     layer = tensor_io.load_compressed_layer(out)
-    y = x @ w - sq.forward_approx(x, layer, activation_bits=16)
+    y = x @ w - sq.forward_approx(x, layer, activation_bits=None)
     scale = np.abs(y).max()
     expected = scale * np.linalg.norm(y / scale)
     assert summary["forward_error_highprec"] == pytest.approx(expected, rel=1e-12)

@@ -1,5 +1,7 @@
 """Smoothing, layer compression, the two-branch forward, and baselines."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,12 @@ from specquant.pipeline import (
 )
 
 from oracles import compare_budgets_rebuilt, jacobi_singular_values
+
+
+def test_public_names_resolve():
+    assert len(set(sq.__all__)) == len(sq.__all__)
+    for name in sq.__all__:
+        assert getattr(sq, name) is not None, name
 
 
 class TestSmoothing:
@@ -256,6 +264,15 @@ class TestCompressLayer:
         with pytest.raises(ValueError):
             compress_layer(x, w, smooth=0.5)
 
+    def test_overflowing_alpha_is_named_error(self):
+        """The softmax of alpha * score must not turn NaN into the plan."""
+        w = synth.gaussian_matrix(64, 8, seed=1)
+        x = synth.gaussian_matrix(32, 64, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="alpha=1e\\+308"):
+                compress_layer(x, w, ratio=0.5, smooth=0.5, alpha=1e308)
+
     def test_compensated_residual_option(self):
         rng = np.random.default_rng(18)
         x = rng.normal(size=(30, 16))
@@ -272,7 +289,7 @@ class TestForwardApprox:
         x = rng.normal(size=(20, 16))
         w = rng.normal(size=(16, 8))
         layer = compress_layer(x, w, ratio=1.0, smooth=0.5)
-        out = forward_approx(x, layer, activation_bits=16)
+        out = forward_approx(x, layer, activation_bits=None)
         ref = x @ w
         assert np.linalg.norm(out - ref) <= 1e-6 * np.linalg.norm(ref)
 
@@ -299,8 +316,9 @@ class TestForwardApprox:
         layer = compress_layer(np.ones((2, 4)), np.ones((4, 2)), ratio=1.0, smooth=0.5)
         with pytest.raises(ValueError):
             forward_approx(np.ones((2, 5)), layer, 4)
-        with pytest.raises(ValueError):
-            forward_approx(np.ones((2, 4)), layer, 17)
+        for bits in (1, 9, 17):
+            with pytest.raises(ValueError, match="bits must lie in"):
+                forward_approx(np.ones((2, 4)), layer, bits)
 
 
 class TestSvdBaseline:

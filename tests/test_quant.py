@@ -61,14 +61,14 @@ class TestComputeParams:
 class TestQuantizeDequantize:
     def test_worked_example_half_away_rounding(self):
         # x/delta + z = [0, 1.5, 3]; 1.5 rounds away from zero to 2.
-        q = quantize(np.array([[-1.0, 0.0, 1.0]]), 2, "per_tensor")
+        q = quantize(np.array([[-1.0, 0.0, 1.0]]), 2, "per_token")
         np.testing.assert_array_equal(q.codes, [[0, 2, 3]])
 
     def test_dequantize_worked_example(self):
         q = QuantizedTensor(
             codes=np.array([[0, 2, 3]], dtype=np.uint8),
             bits=2,
-            granularity="per_tensor",
+            granularity="per_token",
             deltas=np.array([2.0 / 3.0]),
             zero_points=np.array([1.5]),
             rows=1,
@@ -85,7 +85,7 @@ class TestQuantizeDequantize:
         x = np.full((2, 3), 5.0)
         np.testing.assert_array_equal(dequantize(quantize(x, 4, "per_channel")), x)
 
-    @pytest.mark.parametrize("granularity", ["per_tensor", "per_token", "per_channel"])
+    @pytest.mark.parametrize("granularity", ["per_token", "per_channel"])
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_round_trip_within_half_step(self, bits, granularity):
         rng = np.random.default_rng(bits)
@@ -95,10 +95,8 @@ class TestQuantizeDequantize:
             back = dequantize(q)
             if granularity == "per_token":
                 d = q.deltas[:, None]
-            elif granularity == "per_channel":
-                d = q.deltas[None, :]
             else:
-                d = q.deltas[0]
+                d = q.deltas[None, :]
             assert (np.abs(back - x) <= d / 2 * (1 + 1e-9) + 1e-300).all()
             assert q.codes.max() <= 2**bits - 1
 
@@ -119,7 +117,7 @@ class TestQuantizeDequantize:
     @example([-1.7976931348623157e308, 0.0], 2)
     def test_round_trip_property(self, values, bits):
         x = np.array([values])
-        q = quantize(x, bits, "per_tensor")
+        q = quantize(x, bits, "per_token")
         back = dequantize(q)
         tol = q.deltas[0] / 2 * (1 + 1e-9) + 1e-300
         assert (np.abs(back - x) <= tol).all()
@@ -130,9 +128,9 @@ class TestQuantizeDequantize:
         for values in ([-big, big], [0.0, big], [-big, 0.0], [-big, big / 2], [1e308, big]):
             x = np.array([values])
             for bits in range(2, 9):
-                q = quantize(x, bits, "per_tensor")
+                q = quantize(x, bits, "per_token")
                 ends = dequantize(QuantizedTensor(
-                    np.array([[0, 2**bits - 1]]), bits, "per_tensor", q.deltas, q.zero_points, 1, 2
+                    np.array([[0, 2**bits - 1]]), bits, "per_token", q.deltas, q.zero_points, 1, 2
                 ))
                 assert np.isfinite(ends).all(), (values, bits)
                 assert (np.abs(dequantize(q) - x) <= q.deltas[0] / 2).all()
@@ -148,7 +146,7 @@ class TestQuantizeDequantize:
     def test_outliers_still_land_in_range(self):
         x = np.array([[1e12, -1e12, 0.0, 1e-12]])
         for bits in (2, 8):
-            q = quantize(x, bits, "per_tensor")
+            q = quantize(x, bits, "per_token")
             assert q.codes.min() >= 0 and q.codes.max() <= 2**bits - 1
 
     def test_partition_axes(self):
@@ -163,14 +161,15 @@ class TestQuantizeDequantize:
         assert per_channel.deltas[0] == pytest.approx(1.0 / 15.0)
         assert per_channel.deltas[1] == pytest.approx(98.0 / 15.0)
 
+    def test_unknown_granularity_rejected(self):
+        for granularity in ("per_tensor", "per_row"):
+            with pytest.raises(ValueError, match="unknown granularity"):
+                quantize(np.ones((2, 3)), 4, granularity)
+
     def test_empty_per_channel_allowed(self):
         q = quantize(np.zeros((4, 0)), 4, "per_channel")
         assert q.codes.shape == (4, 0)
         assert q.deltas.size == 0
-
-    def test_per_tensor_empty_rejected(self):
-        with pytest.raises(ValueError):
-            quantize(np.zeros((0, 0)), 4, "per_tensor")
 
 
 SCALE_EXPONENTS = [(1000, 0), (-1000, 0), (0, 500), (0, -500), (1000, -500), (-1000, 500)]

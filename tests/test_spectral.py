@@ -10,7 +10,6 @@ from specquant.errors import DataError, ShapeError
 from specquant.spectral import (
     band_energies,
     dft_naive,
-    error_bound,
     fft,
     fft_columns,
     half_spectrum_length,
@@ -18,7 +17,6 @@ from specquant.spectral import (
     reconstruct,
     reconstruct_columns,
     truncate_columns,
-    truncate_low_freq,
 )
 
 from oracles import dft_extended_precision
@@ -157,9 +155,11 @@ def test_column_energies_match_single_channel():
     total, retained, tail = band_energies(fft_columns(w), ks, n)
     fractions = spectral.lowband_fraction(fft_columns(w), n, 0.3)
     for j in range(c):
-        one = band_energies(fft(w[:, j]), int(ks[j]), n)
+        one = np.concatenate(band_energies(fft(w[:, j])[:, None], int(ks[j]), n))
         np.testing.assert_allclose((total[j], retained[j], tail[j]), one, rtol=1e-12, atol=0)
-        assert fractions[j] == pytest.approx(spectral.lowband_fraction(fft(w[:, j]), n, 0.3))
+        assert fractions[j] == pytest.approx(
+            spectral.lowband_fraction(fft(w[:, j])[:, None], n, 0.3)[0]
+        )
     assert fractions[2] == 1.0
 
 
@@ -188,13 +188,13 @@ def test_truncate_full_band_round_trip():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4, 5, 8, 17, 64):
         x = rng.normal(size=n)
-        sp = truncate_low_freq(fft(x), half_spectrum_length(n), n)
+        sp = truncate_columns(fft(x)[:, None], half_spectrum_length(n), n)
         np.testing.assert_allclose(reconstruct(sp, n), x, atol=1e-9)
 
 
 def test_constant_signal_reconstructs_from_dc_alone():
     x = np.full(8, -1.75)
-    sp = truncate_low_freq(fft(x), 1, 8)
+    sp = truncate_columns(fft(x)[:, None], 1, 8)
     np.testing.assert_allclose(reconstruct(sp, 8), x, atol=1e-12)
 
 
@@ -203,19 +203,36 @@ def test_pure_sinusoid_truncation():
     x = np.sin(2 * np.pi * np.arange(n) / n)
     hs = fft(x)
     # Bins 0 and 1 carry the whole signal.
-    np.testing.assert_allclose(reconstruct(truncate_low_freq(hs, 2, n), n), x, atol=1e-12)
+    np.testing.assert_allclose(reconstruct(truncate_columns(hs[:, None], 2, n), n), x, atol=1e-12)
     # DC alone is zero; the error is the full signal norm at bin 1.
-    only_dc = reconstruct(truncate_low_freq(hs, 1, n), n)
+    only_dc = reconstruct(truncate_columns(hs[:, None], 1, n), n)
     np.testing.assert_allclose(only_dc, 0.0, atol=1e-12)
     assert np.linalg.norm(x - only_dc) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
 
 def test_truncate_k_out_of_range():
-    hs = fft(np.ones(8))
+    hs = fft(np.ones(8))[:, None]
     with pytest.raises(ValueError):
-        truncate_low_freq(hs, 0, 8)
+        truncate_columns(hs, 0, 8)
     with pytest.raises(ValueError):
-        truncate_low_freq(hs, 6, 8)
+        truncate_columns(hs, 6, 8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda hs: truncate_columns(hs, 1, 8),
+        lambda hs: band_energies(hs, 1, 8),
+        lambda hs: spectral.lowband_fraction(hs, 8),
+    ],
+    ids=["truncate_columns", "band_energies", "lowband_fraction"],
+)
+def test_column_functions_reject_a_1d_half_spectrum(call):
+    """A single channel is a one-column matrix; a bare vector is refused."""
+    hs = fft(np.arange(8.0))
+    with pytest.raises(ValueError, match=r"\(5, c\) array"):
+        call(hs)
+    call(hs[:, None])
 
 
 def test_reconstruct_dc_only_spectrum():
@@ -223,29 +240,31 @@ def test_reconstruct_dc_only_spectrum():
 
 
 def test_reconstruct_truncated_impulse():
-    sp = truncate_low_freq(fft([1.0, 0.0, 0.0, 0.0]), 1, 4)
+    sp = truncate_columns(fft([1.0, 0.0, 0.0, 0.0])[:, None], 1, 4)
     np.testing.assert_allclose(reconstruct(sp, 4), np.full(4, 0.25), atol=1e-15)
 
 
 def test_error_bound_zero_for_full_band():
     x = np.random.default_rng(4).normal(size=12)
-    assert error_bound(fft(x), half_spectrum_length(12), 12) == pytest.approx(0.0, abs=1e-12)
+    tail = band_energies(fft(x)[:, None], half_spectrum_length(12), 12)[2]
+    assert np.sqrt(tail[0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_error_bound_sinusoid_equals_l2_norm():
     n = 32
     x = np.sin(2 * np.pi * np.arange(n) / n)
-    assert error_bound(fft(x), 1, n) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+    tail = band_energies(fft(x)[:, None], 1, n)[2]
+    assert np.sqrt(tail[0]) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
 
 def test_bound_dominates_achieved_error_exhaustively():
     rng = np.random.default_rng(5)
     for n in range(1, 33):
         for x in (rng.normal(size=n), rng.uniform(-1, 1, n)):
-            hs = fft(x)
+            hs = fft(x)[:, None]
             for k in range(1, half_spectrum_length(n) + 1):
-                tail = band_energies(hs, k, n)[2]
-                achieved = np.linalg.norm(x - reconstruct(truncate_low_freq(hs, k, n), n))
+                tail = band_energies(hs, k, n)[2][0]
+                achieved = np.linalg.norm(x - reconstruct(truncate_columns(hs, k, n), n))
                 assert achieved <= np.sqrt(tail) + 1e-9
 
 
@@ -253,7 +272,7 @@ def test_energy_split_matches_parseval():
     rng = np.random.default_rng(6)
     for n in (1, 5, 16, 50):
         x = rng.normal(size=n)
-        total, retained, tail = band_energies(fft(x), 1, n)
+        total, retained, tail = (v[0] for v in band_energies(fft(x)[:, None], 1, n))
         assert retained + tail == pytest.approx(total, rel=1e-9)
         assert total == pytest.approx(float(np.sum(x * x)), rel=1e-9)
 
@@ -277,9 +296,9 @@ def test_error_monotone_in_k():
     rng = np.random.default_rng(8)
     for n in (8, 15, 32):
         x = rng.normal(size=n)
-        hs = fft(x)
+        hs = fft(x)[:, None]
         errs = [
-            np.linalg.norm(x - reconstruct(truncate_low_freq(hs, k, n), n))
+            np.linalg.norm(x - reconstruct(truncate_columns(hs, k, n), n))
             for k in range(1, half_spectrum_length(n) + 1)
         ]
         for lo, hi in zip(errs[1:], errs[:-1]):
@@ -300,7 +319,7 @@ def test_phase_conventions():
 
 
 def test_negative_dc_gets_pi_phase():
-    sp = truncate_low_freq(fft(np.full(4, -2.0)), 1, 4)
+    sp = truncate_columns(fft(np.full(4, -2.0))[:, None], 1, 4)
     assert sp.shape == (1, 2)
     assert sp[0, 1] == np.pi
     assert sp[0, 0] == pytest.approx(8.0)

@@ -200,6 +200,7 @@ class TestArtifactRoundTrip:
             ("residual", "zero_points", 0, np.nan),
             ("residual", "codes", (0, 0), 16),
             ("smoothing", "lam", 2, np.nan),
+            ("plan", "rho", 1, np.nan),
         ],
     )
     def test_save_rejects_what_load_would_before_writing(self, tmp_path, owner, attr, index, value):
@@ -208,6 +209,31 @@ class TestArtifactRoundTrip:
         out = tmp_path / "art"
         with pytest.raises(DataError):
             tensor_io.save_compressed_layer(layer, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "owner, attr, match",
+        [
+            ("plan", "alpha", "plan alpha"),
+            ("smoothing", "migration_strength", "migration strength"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_scalar_rejected_at_save(self, tmp_path, owner, attr, match, value):
+        _, _, layer = _example_layer()
+        setattr(getattr(layer, owner), attr, value)
+        out = tmp_path / "art"
+        with pytest.raises(DataError, match=match):
+            tensor_io.save_compressed_layer(layer, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_budget_meta_writes_nothing(self, tmp_path, value):
+        """The manifest is strict JSON: no bare NaN or Infinity token."""
+        _, _, layer = _example_layer()
+        out = tmp_path / "art"
+        with pytest.raises(DataError, match="manifest"):
+            tensor_io.save_compressed_layer(layer, out, budget_meta={"temperature": value})
         assert not out.exists()
 
     def test_zero_delta_in_manifest_is_data_error(self, tmp_path):
@@ -297,12 +323,17 @@ class TestLoadHardening:
             (_set(["residual"], ["residual.bin"]), FormatError),
             (lambda m: m["plan"].pop("k"), FormatError),
             (lambda m: m["residual_params"].pop("delta"), FormatError),
+            (_set(["plan", "rho", 2], float("nan")), DataError),
+            (_set(["plan", "alpha"], float("nan")), DataError),
+            (_set(["migration_strength"], float("nan")), DataError),
+            (_set(["migration_strength"], float("inf")), DataError),
         ],
         ids=[
             "plan-list", "c_in-null", "c_in-str", "c_in-bool", "c_out-float", "bits-1",
             "strength-huge", "k-str", "k-nested", "rho-ragged", "k-zero", "k-short",
             "params-str", "fallback-int", "spectra-parent-dir", "residual-list",
-            "k-missing", "delta-missing",
+            "k-missing", "delta-missing", "rho-nan", "alpha-nan", "strength-nan",
+            "strength-inf",
         ],
     )
     def test_bad_manifest_field_is_named_error(self, tmp_path, edit, error):
