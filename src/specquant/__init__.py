@@ -31,8 +31,6 @@ from .spectral import (
     dft_naive,
     fft,
     half_spectrum_length,
-    parseval_check,
-    reconstruct,
 )
 from .tensor_io import (
     load_compressed_layer,
@@ -68,8 +66,6 @@ __all__ = [
     "dft_naive",
     "fft",
     "half_spectrum_length",
-    "parseval_check",
-    "reconstruct",
     "load_compressed_layer",
     "load_manifest",
     "load_matrix",

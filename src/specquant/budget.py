@@ -117,7 +117,10 @@ def allocate(scores, alpha, total_budget, c_in):
         z = float(alpha) * s
     if not np.isfinite(z).all():
         raise ValueError(f"alpha={alpha} times the importance scores is past the float64 range")
-    z = z - z.max()
+    # Scores spread past the float64 range give -inf here, whose exp is the
+    # correct limit 0.
+    with np.errstate(over="ignore"):
+        z = z - z.max()
     e = np.exp(z)
     rho = e / e.sum()
     k = np.floor(rho * total_budget).astype(np.int64)

@@ -16,18 +16,23 @@ Conventions, fixed once here and relied on everywhere else:
   (k, 2) array. A layer packs its channels' rows one after another into one
   (sum k, 2) array, split by the per-channel counts.
 - A weight matrix is handled as its columns, all at once: `fft_columns` and
-  `reconstruct_columns` run the radix-2 and Bluestein code along axis 0, and
+  `reconstruct_columns` run the transform along axis 0, and
   `truncate_columns`, `band_energies` and `lowband_fraction` take the
   (n // 2 + 1, c) half-spectra it produces; a single channel is a one-column
   matrix. `fft` is that path on one vector, so both agree bit for bit;
-  `dft_naive`, the direct cosine sum `reconstruct` and `parseval_check` are
-  the independent references.
+  `dft_naive` is the independent reference.
 - Real columns of even length n are transformed at half length: the forward
   transform packs the even and odd samples as one complex n/2-point signal
   and splits its transform into the half-spectrum, and the inverse packs the
   half-spectrum the same way and interleaves the real and imaginary parts of
   one n/2-point transform into W'. Odd n has no such packing and runs the
   full-length complex transform. `_rfft` and `_irfft` hold that choice.
+- A complex transform of length n = 2^a q, q odd, is decimation in time:
+  the 2^a interleaved length-q leaves run as one batched Bluestein
+  transform, which pads only the odd factor q to a power of two, and
+  radix-2 stages merge them up to n. A power of two needs no Bluestein and
+  an odd n is Bluestein alone. At n = 768 the packed 384 = 2^7 * 3 point
+  transform is 7 radix-2 stages over length-3 leaves.
 """
 
 from functools import lru_cache
@@ -62,8 +67,9 @@ def _bit_reverse(n):
 
 
 # Columns are transformed this many at a time: wide enough to amortize the
-# per-stage Python overhead, narrow enough that a Bluestein block's padded
-# work arrays stay in cache and peak memory does not grow with c_out.
+# per-stage Python overhead, narrow enough that a block's stage arrays and
+# the padded Bluestein buffers of its leaves stay small and peak memory does
+# not grow with c_out.
 BLOCK = 16
 
 
@@ -75,32 +81,41 @@ def _stage_twiddles(size):
     return tw
 
 
-def _radix2(a):
-    """Iterative radix-2 transform along axis 0 of a complex (n, c) array;
-    n must be a power of two."""
+def _dft_columns(a):
+    """Full N-bin transform of every column of a complex (n, c) array.
+
+    Decimation in time for n = 2^a q with q odd: the 2^a leaves a[r::2^a]
+    of length q are transformed in one batched Bluestein call (none when
+    q = 1), laid out in bit-reversed order of r, and merged by radix-2
+    stages of size 2q up to n. A power of two is plain radix-2 and an odd n
+    is one full-length Bluestein transform.
+    """
     n, c = a.shape
-    out = a[_bit_reverse(n)]
-    size = 2
+    p = n & -n
+    q = n // p
+    if q > 1:
+        a = _bluestein(a.reshape(q, p * c))
+    leaves = a.reshape(q, p, c).transpose(1, 0, 2)[_bit_reverse(p)]
+    # The stages write through reshaped views, so `out` must be contiguous.
+    out = np.ascontiguousarray(leaves).reshape(n, c)
+    size = 2 * q
     while size <= n:
         half = size // 2
         tw = _stage_twiddles(size)
         blocks = out.reshape(-1, size, c)
-        even = blocks[:, :half].copy()
+        even = blocks[:, :half]
         odd = blocks[:, half:] * tw
-        blocks[:, :half] = even + odd
-        blocks[:, half:] = even - odd
+        np.subtract(even, odd, out=blocks[:, half:])
+        even += odd
         size *= 2
     return out
-
-
-def _iradix2(a):
-    return np.conj(_radix2(np.conj(a))) / a.shape[0]
 
 
 @lru_cache(maxsize=64)
 def _chirp(n):
     """Bluestein chirp w (n, 1) and the transformed conjugate-chirp kernel
-    (m, 1) for length n, with m the power of two the convolution runs at."""
+    (m, 1) for odd length n, with m the power of two the convolution runs
+    at: the least one of at least 2n - 1."""
     k = np.arange(n)
     # Reduce k^2 mod 2n before forming the angle to keep the phase accurate.
     w = np.exp((-1j * np.pi / n) * ((k * k) % (2 * n)))
@@ -108,7 +123,7 @@ def _chirp(n):
     b = np.zeros(m, dtype=complex)
     b[:n] = np.conj(w)
     b[m - n + 1:] = np.conj(w[1:][::-1])
-    kernel = _radix2(b[:, None])
+    kernel = _dft_columns(b[:, None])
     w = w[:, None]
     w.setflags(write=False)
     kernel.setflags(write=False)
@@ -116,26 +131,20 @@ def _chirp(n):
 
 
 def _bluestein(x):
-    """Chirp-z transform along axis 0 for arbitrary n, built on radix-2.
+    """Chirp-z transform along axis 0 of a complex (n, c) array, as a
+    convolution run by power-of-two transforms.
 
     Zero-padding the input directly would move the bin frequencies and break
-    implicit indexing, so lengths that are not a power of two go through the
+    implicit indexing, so the odd factor of a length goes through the
     quadratic-phase convolution instead.
     """
     n, c = x.shape
     w, kernel = _chirp(n)
-    a = np.zeros((kernel.shape[0], c), dtype=complex)
+    m = kernel.shape[0]
+    a = np.zeros((m, c), dtype=complex)
     a[:n] = x * w
-    conv = _iradix2(_radix2(a) * kernel)
+    conv = np.conj(_dft_columns(np.conj(_dft_columns(a) * kernel))) / m
     return w * conv[:n]
-
-
-def _dft_columns(a):
-    """Full N-bin transform of every column of a complex (n, c) array."""
-    n = a.shape[0]
-    if n & (n - 1) == 0:
-        return _radix2(a)
-    return _bluestein(a)
 
 
 @lru_cache(maxsize=64)
@@ -218,8 +227,8 @@ def dft_naive(x):
 def fft(x):
     """Half-spectrum (bins 0 .. N // 2) of a real vector.
 
-    Even N runs at half length; the transform is radix-2 Cooley-Tukey when
-    its length is a power of two, Bluestein otherwise.
+    Even N runs at half length; the transform runs radix-2 Cooley-Tukey
+    stages over Bluestein transforms of its odd factor (see `_dft_columns`).
     """
     return fft_columns(as_vector(x, "x")[:, None])[:, 0]
 
@@ -291,30 +300,14 @@ def truncate_columns(half_spec, k, n):
     return pairs.transpose(1, 0, 2)[kept]
 
 
-def reconstruct(bins, n):
-    """Time-domain signal of one channel's (k, 2) truncated spectrum.
-
-    x_hat[n] = (1/N) * sum_m w_m * A_m * cos(2 pi m n / N + phi_m) with
-    w_m the conjugate-pair weights; this is the unique real reconstruction
-    consistent with conjugate symmetry.
-    """
-    bins = np.asarray(bins, dtype=np.float64)
-    if bins.ndim != 2 or bins.shape[1] != 2:
-        raise ValueError("expected a (k, 2) array of (amplitude, phase) rows")
-    k = bins.shape[0]
-    _check_counts(k, (), n)
-    coeff = _pair_weights(n)[:k] * bins[:, 0] / n
-    theta = (2.0 * np.pi / n) * np.outer(np.arange(k), np.arange(n))
-    theta += bins[:, 1:]
-    return coeff @ np.cos(theta)
-
-
 def reconstruct_columns(bins, k, n):
     """(n, len(k)) matrix whose column j is the signal of channel j of the
     packed (sum(k), 2) spectra `bins`.
 
-    Agrees with `reconstruct` to rounding, but runs one inverse real
-    transform per BLOCK columns of the zero-padded half-spectra
+    Column j is x[t] = (1/n) sum_m w_m A_m cos(2 pi m t / n + phi_m) over
+    the channel's (amplitude, phase) rows, w_m the conjugate-pair weights:
+    the unique real signal consistent with conjugate symmetry. It runs as one
+    inverse real transform per BLOCK columns of the zero-padded half-spectra
     A_m * exp(i phi_m). The result depends only on the stored (amplitude,
     phase) values, so a layer and its saved-and-loaded copy rebuild the same
     bits.
@@ -350,17 +343,6 @@ def band_energies(half_spec, k, n):
     kept = np.arange(hs.shape[0])[:, None] < ks
     return (terms.sum(axis=0), np.where(kept, terms, 0.0).sum(axis=0),
             np.where(kept, 0.0, terms).sum(axis=0))
-
-
-def parseval_check(x):
-    """(time energy, frequency energy): sum(x^2) vs (1/N) sum |X[k]|^2.
-
-    The frequency side is evaluated over the full N-bin spectrum; callers
-    assert the two agree to relative 1e-9.
-    """
-    x = as_vector(x, "x")
-    full = _dft_columns(x.astype(complex)[:, None])[:, 0]
-    return float(np.sum(x * x)), float(np.sum(np.abs(full) ** 2) / x.size)
 
 
 def lowband_fraction(half_spec, n, band=0.2):

@@ -1,13 +1,15 @@
 """Independent reference computations the tests check the library against.
 
 These deliberately avoid the library's own code paths: the DFT oracle sums
-the transform definition in 50-digit arithmetic, the SVD oracle is a
+the transform definition in 50-digit arithmetic, the reconstruction oracle
+is the direct cosine sum of one channel's bins, the SVD oracle is a
 one-sided Jacobi iteration, and the quantizer oracle enumerates every code
 assignment. The compensated-codes reference shares only the uniform
 quantizer's scales with the library and runs the update the long way. The
 allocator reference hands out leftover bins with the round-robin loops, and
 the budget-comparison reference rebuilds both approximations and measures
-their errors directly, from the library's transforms.
+their errors directly, from the library's transforms. The Parseval check
+compares the two energies of the library's full-length transform.
 """
 
 import itertools
@@ -33,6 +35,30 @@ def dft_extended_precision(x, dps=50):
                 acc += mpmath.mpf(float(v)) * (mpmath.cos(theta) + 1j * mpmath.sin(theta))
             out.append(complex(acc))
     return np.array(out)
+
+
+def reconstruct(bins, n):
+    """Time-domain signal of one channel's (k, 2) truncated spectrum, as the
+    direct cosine sum x[t] = (1/n) sum_m w_m A_m cos(2 pi m t / n + phi_m),
+    with w_m = 1 for DC and (even n) Nyquist and 2 for every other bin: the
+    unique real signal consistent with conjugate symmetry."""
+    bins = np.asarray(bins, dtype=np.float64)
+    k = bins.shape[0]
+    weights = np.full(k, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0 and k == n // 2 + 1:
+        weights[-1] = 1.0
+    theta = (2.0 * np.pi / n) * np.outer(np.arange(k), np.arange(n))
+    theta += bins[:, 1:]
+    return (weights * bins[:, 0] / n) @ np.cos(theta)
+
+
+def parseval_check(x):
+    """(time energy, frequency energy): sum(x^2) against (1/N) sum |X[k]|^2
+    over the library's full N-bin transform of the real vector x."""
+    x = np.asarray(x, dtype=np.float64)
+    full = spectral._dft_columns(x.astype(complex)[:, None])[:, 0]
+    return float(np.sum(x * x)), float(np.sum(np.abs(full) ** 2) / x.size)
 
 
 def jacobi_singular_values(a, sweeps=60, tol=1e-14):

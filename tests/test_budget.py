@@ -152,6 +152,14 @@ class TestAllocate:
             with pytest.raises(ValueError, match="alpha"):
                 allocate(np.array([0.5, 2.0, 3.0]), alpha, 12, 16)
 
+    def test_scores_spread_past_the_range_allocate_without_warning(self):
+        """A score gap past the float64 range gives the low channel rho 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = allocate(np.array([-1e308, 1e308]), 1.0, 4, 16)
+        np.testing.assert_array_equal(plan.rho, [0.0, 1.0])
+        np.testing.assert_array_equal(plan.k, [1, 3])
+
     def test_deterministic_tie_break_by_index(self):
         plan = allocate(np.array([1.0, 1.0, 1.0]), 1.0, 11, 64)
         # Remainder 2 goes to the lowest indices.

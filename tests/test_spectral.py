@@ -13,13 +13,11 @@ from specquant.spectral import (
     fft,
     fft_columns,
     half_spectrum_length,
-    parseval_check,
-    reconstruct,
     reconstruct_columns,
     truncate_columns,
 )
 
-from oracles import dft_extended_precision
+from oracles import dft_extended_precision, parseval_check, reconstruct
 
 
 def test_dft_constant_is_dc_only():
@@ -63,6 +61,58 @@ def test_fft_matches_naive_other_lengths(n):
     assert np.abs(half - full[: n // 2 + 1]).max() <= 1e-12 * scale
 
 
+ODD_FACTORS = (1, 3, 5, 7, 9, 15, 43)
+
+
+@pytest.mark.parametrize("q", ODD_FACTORS)
+@pytest.mark.parametrize("a", range(7))
+def test_mixed_lengths_match_naive(a, q):
+    """n = 2^a q: radix-2 stages over Bluestein leaves of length q, both as
+    the real half-spectrum and as the full complex transform."""
+    n = 2**a * q
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=(2, n))
+    ref = dft_naive(x) + 1j * dft_naive(y)
+    scale = np.abs(ref).max()
+    got = spectral._dft_columns((x + 1j * y)[:, None])[:, 0]
+    assert np.abs(got - ref).max() <= 1e-12 * scale
+    full = dft_naive(x)
+    assert np.abs(fft(x) - full[: n // 2 + 1]).max() <= 1e-12 * np.abs(full).max()
+
+
+@pytest.mark.parametrize(
+    "n, length", [(1024, None), (15, 15), (768, 3), (1000, 125), (14336, 7)]
+)
+def test_bluestein_pads_only_the_odd_factor(monkeypatch, n, length):
+    """The forward and inverse real transforms of even n run at n / 2, so
+    Bluestein sees only the odd factor of n / 2; odd n runs it at full length."""
+    seen = []
+    original = spectral._bluestein
+
+    def recording(x):
+        seen.append(x.shape[0])
+        return original(x)
+
+    monkeypatch.setattr(spectral, "_bluestein", recording)
+    w = np.random.default_rng(n).normal(size=(n, 3))
+    k = np.full(3, half_spectrum_length(n))
+    reconstruct_columns(truncate_columns(fft_columns(w), k, n), k, n)
+    assert seen == ([] if length is None else [length, length])
+
+
+@pytest.mark.parametrize("n", [3072, 11008, 14336])
+def test_model_widths_round_trip_and_energy(n):
+    """Widths of real layers (2^10 * 3, 2^8 * 43, 2^11 * 7), where the O(n^2)
+    oracle is too slow: the full-band round trip and Parseval's total."""
+    w = np.random.default_rng(n).normal(size=(n, 4))
+    spec = fft_columns(w)
+    k = np.full(4, half_spectrum_length(n))
+    back = reconstruct_columns(truncate_columns(spec, k, n), k, n)
+    assert np.abs(back - w).max() <= 1e-12 * np.abs(w).max()
+    total = band_energies(spec, k, n)[0]
+    np.testing.assert_allclose(total, (w * w).sum(axis=0), rtol=1e-12, atol=0)
+
+
 def test_fft_length_one_is_identity():
     out = fft([3.25])
     assert out.shape == (1,)
@@ -71,19 +121,19 @@ def test_fft_length_one_is_identity():
 
 @pytest.mark.parametrize("n", [2, 4, 6, 10, 16, 24, 30])
 def test_fft_even_lengths_match_extended_precision(n):
-    """The half-length real path: radix-2 halves (2, 4, 16) and Bluestein
-    halves (6, 10, 24, 30)."""
+    """The half-length real path: radix-2 halves (2, 4, 16) and halves
+    with Bluestein leaves (6, 10, 24, 30)."""
     x = np.random.default_rng(40 + n).normal(size=n)
     ref = dft_extended_precision(x)[: n // 2 + 1]
     assert np.abs(fft(x) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 15, 64, 100, 768])
-@pytest.mark.parametrize("c", [0, 1, spectral.BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 15, 24, 64, 100, 768, 1000])
+@pytest.mark.parametrize("c", [0, 1, spectral.BLOCK + 1, 2 * spectral.BLOCK + 3])
 def test_fft_columns_is_per_column_fft_bitwise(n, c):
-    """Radix-2 (64) and Bluestein (100, 768) halves, an even length whose
-    half runs Bluestein (6), odd lengths on the full-length path (3, 15) and
-    the degenerate lengths, with widths that leave a partial block."""
+    """Radix-2 (64) halves, halves with Bluestein leaves (6, 24, 100, 768,
+    1000), odd lengths on the full-length path (3, 15) and the degenerate
+    lengths, with widths that leave a partial block."""
     w = np.random.default_rng(n + c).normal(size=(n, c))
     batched = fft_columns(w)
     assert batched.shape == (half_spectrum_length(n), c)

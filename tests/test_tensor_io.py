@@ -185,7 +185,7 @@ class TestArtifactRoundTrip:
             tensor_io.save_compressed_layer(layer, tmp_path)
 
     def test_loaded_layer_rebuilds_the_same_w_low(self, tmp_path):
-        # c_in=100 takes the Bluestein path; c_out spans a partial block.
+        # c_in=100 runs Bluestein on length-25 leaves; c_out spans a partial block.
         _, x, layer = _example_layer(c_in=100, c_out=2 * sq.spectral.BLOCK + 1)
         tensor_io.save_compressed_layer(layer, tmp_path)
         back = tensor_io.load_compressed_layer(tmp_path)
