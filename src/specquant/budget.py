@@ -1,5 +1,6 @@
-"""Channel importance metrics and softmax frequency-budget allocation."""
+"""Channel importance metrics, bin budgets and softmax budget allocation."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,28 @@ def importance(w_smoothed, metric=DEFAULT_METRIC, *, spectrum=None):
             spectrum = spectral.fft_columns(w)
         scores = spectral_entropy(spectrum)
     return np.asarray(scores, dtype=np.float64)
+
+
+def bin_budget(c_in, c_out, *, ratio=None, groups=None):
+    """Global retained-bin budget of a c_in x c_out layer.
+
+    Exactly one of `ratio` and `groups` must be set. A ratio in (0, 1] gives
+    floor(ratio * c_out * (c_in // 2 + 1)) bins, which must cover one bin per
+    channel; an integral `groups` in [1, c_in // 2 + 1] gives groups * c_out.
+    """
+    if (ratio is None) == (groups is None):
+        raise ValueError("exactly one of ratio and groups must be set")
+    half = spectral.half_spectrum_length(c_in)
+    if groups is not None:
+        if not 1 <= groups <= half or groups != int(groups):
+            raise ValueError(f"groups must be an integer in [1, {half}], got {groups}")
+        return int(groups) * c_out
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+    total = math.floor(ratio * c_out * half)
+    if total < c_out:
+        raise ValueError(f"budget {total} below one retained bin per channel (c_out={c_out})")
+    return total
 
 
 def _deal(count, order, room):

@@ -120,13 +120,8 @@ def cmd_compress(args):
     ]
     # Serialized first: an unrepresentable value leaves no artifact behind.
     report = _json_text({"config": _run_config(args), "summary": summary, "channels": rows})
-    budget_meta = {
-        "metric": args.metric,
-        "temperature": args.alpha,
-        "compression_ratio": args.ratio,
-    }
     tensor_io.save_compressed_layer(
-        layer, args.out, layer_name=args.layer_name, budget_meta=budget_meta
+        layer, args.out, layer_name=args.layer_name, metric=args.metric, ratio=args.ratio
     )
     _write_text(os.path.join(args.out, "report.json"), report)
     _write_csv(

@@ -1,7 +1,8 @@
 """Exception types for tensor-file and artifact handling.
 
 Bad call arguments raise plain ``ValueError``; the classes below cover
-problems found in files on disk.
+problems found in files on disk, raised by `tensor_io` at load, and layers
+it refuses to save because load would reject them.
 """
 
 

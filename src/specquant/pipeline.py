@@ -14,16 +14,17 @@ compressed in two stages:
 The approximate forward keeps the W' branch in full precision and runs only
 the residual branch through integer quantization. A budget-matched truncated
 SVD of the same matrix acts as the baseline for error comparisons.
+
+This module only composes the stages: `budget.bin_budget` owns the bin
+budget, and `tensor_io` the rules of what an artifact can hold.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import quant, spectral
-from .budget import DEFAULT_METRIC, BudgetPlan, allocate, importance
-from .errors import DataError, ShapeError
+from .budget import DEFAULT_METRIC, BudgetPlan, allocate, bin_budget, importance
 from .validation import as_matrix, norm
 
 DEFAULT_SMOOTH_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -50,6 +51,7 @@ class CompressedLayer:
     `spectra.bin`. `energy` is the (3, c_out) array of each channel's total,
     retained and tail energy from the spectrum `compress_layer` truncated;
     it is None on a loaded layer, since the artifact keeps no dropped bins.
+    `tensor_io` refuses to save or load a layer its format cannot hold.
     """
 
     smoothing: SmoothingFactors
@@ -73,60 +75,6 @@ class CompressedLayer:
         if self._r_deq is None:
             self._r_deq = quant.dequantize(self.residual)
         return self._r_deq
-
-    def validate(self):
-        """Raise ShapeError or DataError for any state the artifact format
-        cannot hold; save runs it before writing and load after reading."""
-        k = self.plan.k
-        # A zero-length channel has no bins, so no k is valid for c_in = 0.
-        half = spectral.half_spectrum_length(self.c_in) if self.c_in else 0
-        if k.size != self.c_out:
-            raise ShapeError("budget plan length does not match c_out")
-        if ((k < 1) | (k > half)).any():
-            raise ShapeError(f"plan k outside [1, {half}] for c_in={self.c_in}")
-        shape = getattr(self.spectra, "shape", None)
-        if shape != (int(k.sum()), 2):
-            raise ShapeError(f"spectra are {shape}, expected a ({k.sum()}, 2) array for the plan")
-        for name, value in (
-            ("plan rho", self.plan.rho),
-            ("plan alpha", self.plan.alpha),
-            ("migration strength", self.smoothing.migration_strength),
-        ):
-            if not np.isfinite(value).all():
-                raise DataError(f"{name} must be finite")
-        if not np.isfinite(self.spectra).all():
-            raise DataError("spectra contain non-finite values")
-        amps, phases = self.spectra.T
-        if (amps < 0).any():
-            raise DataError("spectrum amplitudes must be non-negative")
-        if ((phases <= -np.pi) | (phases > np.pi)).any():
-            raise DataError("spectrum phases must lie in (-pi, pi]")
-        starts = np.cumsum(k) - k
-        for m in spectral._real_bin_indices(self.c_in):
-            if not np.isin(phases[(starts + m)[k > m]], (0.0, np.pi)).all():
-                raise DataError(f"bin {m} is real-valued; its phase must be 0 or pi")
-        r = self.residual
-        if (r.rows, r.cols) != (self.c_in, self.c_out):
-            raise ShapeError(
-                f"residual is {r.rows}x{r.cols}, expected {self.c_in}x{self.c_out}"
-            )
-        if r.granularity != "per_channel":
-            raise ShapeError("layer residual must be per_channel quantized")
-        if r.deltas.size != self.c_out or r.zero_points.size != self.c_out:
-            raise ShapeError("residual quantizer params do not match c_out")
-        if not (np.isfinite(r.deltas).all() and (r.deltas > 0).all()):
-            raise DataError("residual deltas must be positive and finite")
-        if not np.isfinite(r.zero_points).all():
-            raise DataError("residual zero points must be finite")
-        if not 2 <= r.bits <= 8:
-            raise DataError(f"residual bits {r.bits} outside [2, 8]")
-        if r.codes.size and int(r.codes.max()) > 2**r.bits - 1:
-            raise DataError(f"residual codes exceed {r.bits}-bit range")
-        if self.smoothing.lam.size != self.c_in:
-            raise ShapeError("smoothing factors length does not match c_in")
-        lam = self.smoothing.lam
-        if lam.size and (not np.isfinite(lam).all() or (lam <= 0).any()):
-            raise DataError("smoothing factors must be positive and finite")
 
 
 def compute_smoothing(x_calib, w, s):
@@ -165,21 +113,11 @@ def apply_smoothing(x, w, factors):
     return x / lam[None, :], lam[:, None] * w
 
 
-def select_migration_strength(
-    x_calib,
-    w,
-    grid,
-    ratio=None,
-    *,
-    groups=None,
-    metric=DEFAULT_METRIC,
-    alpha=1.0,
-    residual_bits=DEFAULT_RESIDUAL_BITS,
-    residual_quant="rtn",
-):
+def select_migration_strength(x_calib, w, grid, ratio=None, **options):
     """Compress at the strength in `grid` minimizing the post-compression
     output MSE and return that layer; its strength is
-    `layer.smoothing.migration_strength`.
+    `layer.smoothing.migration_strength`. `ratio` and `options` are the
+    other keyword arguments of `compress_layer`, with its defaults.
 
     Runs the full compression path per candidate and scores
     ||X W - X_hat (W' + dequant(R))||_F^2 on the calibration set, in units of
@@ -195,36 +133,13 @@ def select_migration_strength(
     exp = int(np.frexp(np.abs(reference).max(initial=0.0))[1])
     best = None
     for s in sorted(float(v) for v in grid):
-        layer = compress_layer(
-            x,
-            w,
-            ratio=ratio,
-            groups=groups,
-            metric=metric,
-            alpha=alpha,
-            residual_bits=residual_bits,
-            smooth=s,
-            residual_quant=residual_quant,
-        )
+        layer = compress_layer(x, w, ratio=ratio, smooth=s, **options)
         x_hat = x / layer.smoothing.lam[None, :]
         approx = x_hat @ (layer.low_freq_matrix() + layer.residual_matrix())
         loss = float((np.ldexp(reference - approx, -exp) ** 2).sum())
         if best is None or loss < best_loss:
             best, best_loss = layer, loss
     return best
-
-
-def _bin_budget(ratio, c_in, c_out):
-    """Global retained-bin budget floor(ratio * c_out * (c_in // 2 + 1)) for a
-    ratio in (0, 1], checked to cover one bin per channel."""
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    total = math.floor(ratio * c_out * spectral.half_spectrum_length(c_in))
-    if total < c_out:
-        raise ValueError(
-            f"budget {total} below one retained bin per channel (c_out={c_out})"
-        )
-    return total
 
 
 def compress_layer(
@@ -241,14 +156,12 @@ def compress_layer(
 ):
     """Compress one layer: smooth, truncate per channel, quantize the residual.
 
-    Exactly one of `ratio` and `groups` must be given. With `ratio`, the
-    global bin budget is floor(ratio * c_out * (c_in // 2 + 1)) and the
-    importance metric distributes it; ratio 1.0 therefore retains every
-    channel's full half-spectrum and the decomposition is exact. With
-    `groups`, the budget is groups * c_out bins split evenly by the same
-    allocator (all scores equal), so every channel keeps exactly that many.
-    smooth="auto" searches DEFAULT_SMOOTH_GRID (`select_migration_strength`
-    takes any grid).
+    Exactly one of `ratio` and `groups` sets the bin budget
+    (`budget.bin_budget`). The importance metric distributes a ratio's
+    budget, so ratio 1.0 retains every full half-spectrum and the
+    decomposition is exact; a groups budget is split evenly (all scores
+    equal), so every channel keeps exactly `groups` bins. smooth="auto"
+    searches DEFAULT_SMOOTH_GRID (`select_migration_strength` takes any grid).
     """
     w = as_matrix(w, "w")
     x = as_matrix(x_calib, "x_calib")
@@ -256,15 +169,10 @@ def compress_layer(
         raise ValueError(
             f"calibration activations have {x.shape[1]} channels, expected {w.shape[0]}"
         )
-    if (ratio is None) == (groups is None):
-        raise ValueError("exactly one of ratio and groups must be set")
+    c_in, c_out = w.shape
+    budget = bin_budget(c_in, c_out, ratio=ratio, groups=groups)
     if residual_quant not in ("rtn", "compensated"):
         raise ValueError(f"unknown residual quantizer {residual_quant!r}")
-    c_in, c_out = w.shape
-    half = spectral.half_spectrum_length(c_in)
-    if groups is not None and not 1 <= int(groups) <= half:
-        raise ValueError(f"groups must lie in [1, {half}], got {groups}")
-    budget = _bin_budget(ratio, c_in, c_out) if groups is None else int(groups) * c_out
 
     if smooth == "auto":
         return select_migration_strength(
@@ -358,7 +266,7 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
     """
     w = as_matrix(w_hat, "w_hat")
     c_in, c_out = w.shape
-    budgets = [_bin_budget(ratio, c_in, c_out) for ratio in ratios]
+    budgets = [bin_budget(c_in, c_out, ratio=ratio) for ratio in ratios]
     spec = spectral.fft_columns(w)
     scores = importance(w, metric, spectrum=spec)
     s = np.linalg.svd(w, compute_uv=False)

@@ -252,9 +252,7 @@ def fft_columns(w):
 def _pair_weights(n):
     """Per-bin multiplicity: 1 for DC and Nyquist, 2 for conjugate pairs."""
     w = np.full(half_spectrum_length(n), 2.0)
-    w[0] = 1.0
-    if n % 2 == 0 and n >= 2:
-        w[-1] = 1.0
+    w[list(_real_bin_indices(n))] = 1.0
     return w
 
 

@@ -18,15 +18,22 @@ def smooth_decay_layer(c_in, c_out, *, decay=2.0, seed=0, amp_range=(0.5, 2.0)):
     real_bins = set(spectral._real_bin_indices(c_in))
     bins = np.empty((c_out, half, 2))
     m = np.arange(half)
-    for j in range(c_out):
-        c = rng.uniform(*amp_range)
-        bins[j, :, 0] = c / np.maximum(m, 1).astype(np.float64) ** decay
-        phases = rng.uniform(-np.pi, np.pi, half)
-        phases = np.where(phases <= -np.pi, np.pi, phases)
-        for rb in real_bins:
-            phases[rb] = rng.choice((0.0, np.pi))
-        bins[j, :, 1] = phases
-    return spectral.reconstruct_columns(bins.reshape(-1, 2), np.full(c_out, half), c_in)
+    # An extreme decay overflows the power or divides by its underflow; a
+    # result that stays finite (so steep that only bins 0 and 1 are left) is
+    # valid.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j in range(c_out):
+            c = rng.uniform(*amp_range)
+            bins[j, :, 0] = c / np.maximum(m, 1).astype(np.float64) ** decay
+            phases = rng.uniform(-np.pi, np.pi, half)
+            phases = np.where(phases <= -np.pi, np.pi, phases)
+            for rb in real_bins:
+                phases[rb] = rng.choice((0.0, np.pi))
+            bins[j, :, 1] = phases
+        w = spectral.reconstruct_columns(bins.reshape(-1, 2), np.full(c_out, half), c_in)
+    if not np.isfinite(w).all():
+        raise ValueError(f"decay={decay} gives non-finite weights")
+    return w
 
 
 def outlier_activations(rows, c_in, *, magnitude=100.0, num_outliers=1, seed=0):

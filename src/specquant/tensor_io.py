@@ -14,12 +14,26 @@ directory holding `manifest.json` plus three raw little-endian blobs:
                     nibble first) when residual_bits <= 4, one byte per
                     code otherwise
 
-Everything else (plan, quantizer scales, migration strength) lives in the
-manifest, which JSON round-trips float64 exactly via shortest-repr; it is
-strict JSON, so save refuses a non-finite value instead of writing NaN. Load
-raises only SpecQuantError subclasses for a malformed artifact (OSError if a
-file cannot be read): FormatError for a missing or wrongly typed manifest
-field, ShapeError for sizes that disagree, DataError for invalid values.
+Everything else (plan, quantizer scales, migration strength, and the
+`budget_meta` record of metric, temperature and compression ratio) lives in
+the manifest, which JSON round-trips float64 exactly via shortest-repr; it is
+strict JSON, so save refuses a non-finite value instead of writing NaN. The
+temperature is the plan's alpha, so the two never disagree.
+
+Save and load make the same layer checks (`_check_layer`), so save never
+writes an artifact load would reject. ShapeError: a plan of c_out counts k
+in [1, c_in // 2 + 1]; (sum(k), 2) spectra; a c_in x c_out per_channel
+residual with c_out deltas and zero points; c_in smoothing factors.
+DataError: non-finite plan rho or alpha, migration strength or spectra; a
+negative amplitude, a phase outside (-pi, pi], or a real-valued bin (DC, and
+Nyquist for an even c_in) whose phase is not 0 or pi; a delta that is not
+positive and finite, a non-finite zero point; residual bits outside [2, 8]
+or a code above them; a smoothing factor that is not positive and finite.
+
+Load raises only SpecQuantError subclasses for a malformed artifact (OSError
+if a file cannot be read): FormatError for a missing or wrongly typed
+manifest field, ShapeError for sizes that disagree, DataError for invalid
+values.
 """
 
 import json
@@ -27,6 +41,7 @@ import os
 
 import numpy as np
 
+from . import spectral
 from .budget import BudgetPlan
 from .errors import DataError, FormatError, ShapeError
 from .pipeline import CompressedLayer, SmoothingFactors
@@ -123,21 +138,68 @@ def stored_bytes(layer):
     return blobs + 8 * 4 * layer.c_out
 
 
-def save_compressed_layer(layer, out_dir, *, layer_name="layer", budget_meta=None):
+def _check_layer(layer):
+    """Raise the error of the first rule above that `layer` breaks."""
+    k = layer.plan.k
+    # A zero-length channel has no bins, so no k is valid for c_in = 0.
+    half = spectral.half_spectrum_length(layer.c_in) if layer.c_in else 0
+    if k.size != layer.c_out:
+        raise ShapeError("budget plan length does not match c_out")
+    if ((k < 1) | (k > half)).any():
+        raise ShapeError(f"plan k outside [1, {half}] for c_in={layer.c_in}")
+    shape = getattr(layer.spectra, "shape", None)
+    if shape != (int(k.sum()), 2):
+        raise ShapeError(f"spectra are {shape}, expected a ({k.sum()}, 2) array for the plan")
+    for name, value in (
+        ("plan rho", layer.plan.rho),
+        ("plan alpha", layer.plan.alpha),
+        ("migration strength", layer.smoothing.migration_strength),
+    ):
+        if not np.isfinite(value).all():
+            raise DataError(f"{name} must be finite")
+    if not np.isfinite(layer.spectra).all():
+        raise DataError("spectra contain non-finite values")
+    amps, phases = layer.spectra.T
+    if (amps < 0).any():
+        raise DataError("spectrum amplitudes must be non-negative")
+    if ((phases <= -np.pi) | (phases > np.pi)).any():
+        raise DataError("spectrum phases must lie in (-pi, pi]")
+    starts = np.cumsum(k) - k
+    for m in spectral._real_bin_indices(layer.c_in):
+        if not np.isin(phases[(starts + m)[k > m]], (0.0, np.pi)).all():
+            raise DataError(f"bin {m} is real-valued; its phase must be 0 or pi")
+    r = layer.residual
+    if (r.rows, r.cols) != (layer.c_in, layer.c_out):
+        raise ShapeError(f"residual is {r.rows}x{r.cols}, expected {layer.c_in}x{layer.c_out}")
+    if r.granularity != "per_channel":
+        raise ShapeError("layer residual must be per_channel quantized")
+    if r.deltas.size != layer.c_out or r.zero_points.size != layer.c_out:
+        raise ShapeError("residual quantizer params do not match c_out")
+    if not (np.isfinite(r.deltas).all() and (r.deltas > 0).all()):
+        raise DataError("residual deltas must be positive and finite")
+    if not np.isfinite(r.zero_points).all():
+        raise DataError("residual zero points must be finite")
+    if not 2 <= r.bits <= 8:
+        raise DataError(f"residual bits {r.bits} outside [2, 8]")
+    if r.codes.size and int(r.codes.max()) > 2**r.bits - 1:
+        raise DataError(f"residual codes exceed {r.bits}-bit range")
+    lam = layer.smoothing.lam
+    if lam.size != layer.c_in:
+        raise ShapeError("smoothing factors length does not match c_in")
+    if lam.size and (not np.isfinite(lam).all() or (lam <= 0).any()):
+        raise DataError("smoothing factors must be positive and finite")
+
+
+def save_compressed_layer(layer, out_dir, *, layer_name="layer", metric=None, ratio=None):
     """Write manifest + blobs; returns the manifest dict.
 
-    A subsequent `load_compressed_layer` reproduces the layer bit-exactly. A
-    layer that load would reject raises the same error, and a non-finite
-    manifest value (`budget_meta` included) raises DataError, before any file
-    or directory is written.
+    `metric` and `ratio` are recorded in the manifest's `budget_meta` next to
+    the plan's alpha as the temperature. A subsequent `load_compressed_layer`
+    reproduces the layer bit-exactly. A layer that load would reject raises
+    the same error, and a non-finite manifest value (`ratio` included) raises
+    DataError, before any file or directory is written.
     """
-    layer.validate()
-    if budget_meta is None:
-        budget_meta = {
-            "metric": None,
-            "temperature": layer.plan.alpha,
-            "compression_ratio": None,
-        }
+    _check_layer(layer)
     r = layer.residual
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -147,7 +209,11 @@ def save_compressed_layer(layer, out_dir, *, layer_name="layer", budget_meta=Non
         "smoothing_factors": LAMBDA_FILE,
         "spectra": SPECTRA_FILE,
         "residual": RESIDUAL_FILE,
-        "budget_meta": budget_meta,
+        "budget_meta": {
+            "metric": metric,
+            "temperature": layer.plan.alpha,
+            "compression_ratio": ratio,
+        },
         "residual_bits": r.bits,
         "migration_strength": layer.smoothing.migration_strength,
         "plan": {
@@ -299,5 +365,5 @@ def load_compressed_layer(artifact_dir):
         c_in=c_in,
         c_out=c_out,
     )
-    layer.validate()
+    _check_layer(layer)
     return layer

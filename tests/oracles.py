@@ -18,8 +18,7 @@ import mpmath
 import numpy as np
 
 from specquant import spectral
-from specquant.budget import allocate, importance
-from specquant.pipeline import _bin_budget
+from specquant.budget import allocate, bin_budget, importance
 from specquant.quant import COMPENSATION_DAMPING, quantize
 
 
@@ -213,7 +212,7 @@ def compare_budgets_rebuilt(w, ratios, metric="spectral-entropy", alpha=1.0):
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     rows = []
     for ratio in ratios:
-        plan = allocate(scores, alpha, _bin_budget(ratio, c_in, c_out), c_in)
+        plan = allocate(scores, alpha, bin_budget(c_in, c_out, ratio=ratio), c_in)
         w_low = spectral.reconstruct_columns(
             spectral.truncate_columns(spec, plan.k, c_in), plan.k, c_in
         )

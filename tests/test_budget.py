@@ -1,4 +1,4 @@
-"""Importance metrics and softmax budget allocation."""
+"""Importance metrics, bin budgets and softmax budget allocation."""
 
 import warnings
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specquant.budget import METRICS, allocate, importance
+from specquant.budget import METRICS, allocate, bin_budget, importance
 from specquant.spectral import half_spectrum_length
 
 from oracles import allocate_round_robin
@@ -55,6 +55,41 @@ def test_entropy_bounded_by_log2_cin():
 def test_unknown_metric_rejected():
     with pytest.raises(ValueError):
         importance(np.ones((2, 2)), metric="magnitude")
+
+
+# c_in = 14 has 8 half-spectrum bins; at c_out = 4 the one-bin floor is
+# ratio 1/8 exactly, and the float just below it gives floor(3.99..) = 3 bins.
+_FLOOR = 0.125
+
+
+@pytest.mark.parametrize(
+    "kwargs, expected",
+    [
+        ({"ratio": 1.0}, 32),
+        ({"ratio": _FLOOR}, 4),
+        ({"ratio": 0.0}, "ratio must lie in"),
+        ({"ratio": np.nextafter(_FLOOR, 0.0)}, "below one retained bin"),
+        ({"ratio": float("nan")}, "ratio must lie in"),
+        ({"groups": 1}, 4),
+        ({"groups": 8}, 32),
+        ({"groups": 0}, "groups must be an integer"),
+        ({"groups": 9}, "groups must be an integer"),
+        ({"groups": 2.7}, "groups must be an integer"),
+        ({"ratio": 0.5, "groups": 2}, "exactly one"),
+        ({}, "exactly one"),
+    ],
+    ids=[
+        "ratio-1", "ratio-floor", "ratio-0", "ratio-below-floor", "ratio-nan",
+        "groups-1", "groups-half", "groups-0", "groups-half+1", "groups-2.7",
+        "both", "neither",
+    ],
+)
+def test_bin_budget_table(kwargs, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            bin_budget(14, 4, **kwargs)
+    else:
+        assert bin_budget(14, 4, **kwargs) == expected
 
 
 class TestAllocate:

@@ -299,6 +299,30 @@ def test_synth_zero_rows_exits_nonzero(tmp_path, capsys):
     assert "specquant: error: signal length must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("decay", ["-2000", "nan"])
+def test_synth_non_finite_decay_exits_nonzero(tmp_path, capsys, decay):
+    """Named error and exit 1, no RuntimeWarning (pytest runs with warnings
+    as errors) and no file."""
+    out = tmp_path / "w.npy"
+    rc = main([
+        "synth", "--kind", "smooth-decay", "--rows", "8", "--cols", "3",
+        "--decay", decay, "--out", str(out),
+    ])
+    assert rc == 1
+    assert f"specquant: error: decay={float(decay)} gives" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_steep_decay_writes_a_finite_matrix(tmp_path):
+    out = tmp_path / "w.npy"
+    rc = main([
+        "synth", "--kind", "smooth-decay", "--rows", "8", "--cols", "3",
+        "--decay", "2000", "--out", str(out),
+    ])
+    assert rc == 0
+    assert np.isfinite(tensor_io.load_matrix(out)).all()
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """Calls of the column transforms and of np.linalg.svd, inv and cholesky,

@@ -264,6 +264,12 @@ class TestCompressLayer:
         with pytest.raises(ValueError):
             compress_layer(x, w, smooth=0.5)
 
+    def test_fractional_groups_rejected(self):
+        """groups=2.7 is a named error, not a silent 2 bins per channel."""
+        x, w = np.ones((2, 8)), np.ones((8, 2))
+        with pytest.raises(ValueError, match="groups must be an integer"):
+            compress_layer(x, w, groups=2.7, smooth=0.5)
+
     def test_overflowing_alpha_is_named_error(self):
         """The softmax of alpha * score must not turn NaN into the plan."""
         w = synth.gaussian_matrix(64, 8, seed=1)

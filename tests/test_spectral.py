@@ -1,5 +1,6 @@
 """Transform, truncation, and energy-accounting contracts."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -194,6 +195,40 @@ def test_smooth_decay_layer_matches_per_channel_cosine_sum(c_in, c_out):
             phases[rb] = rng.choice((0.0, np.pi))
         ref[:, j] = reconstruct(np.stack([amps, phases], axis=1), c_in)
     assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("decay", [-2000.0, np.nan])
+def test_smooth_decay_layer_rejects_a_non_finite_decay_result(decay):
+    """A decay whose amplitudes overflow (c / 0 at -2000) or are NaN raises a
+    ValueError naming it, with no RuntimeWarning on the way."""
+    with pytest.raises(ValueError, match=f"decay={decay}"):
+        synth.smooth_decay_layer(8, 3, decay=decay)
+
+
+def test_smooth_decay_layer_steep_decay_keeps_the_lowest_bins():
+    """decay=2000 overflows m**decay to inf for m >= 2, so those bins get
+    amplitude 0 and only bins 0 and 1 (A_0 = A_1 = C_j) are left: a finite
+    matrix."""
+    w = synth.smooth_decay_layer(8, 3, decay=2000.0)
+    assert np.isfinite(w).all()
+    spec = np.abs(fft_columns(w))
+    assert (spec[2:] <= 1e-15 * spec[0]).all()
+    np.testing.assert_allclose(spec[1], spec[0], rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "c_in, digest",
+    [
+        (768, "f03543bc8a82bb71aa4c14b9ae8b85f8c626e8e5d25f68aaaa19383e29e3f0c9"),
+        (1024, "05cde225ca20e482f71b60261e735bbe045f6e1bdb8f63c848958dc875c17a0e"),
+    ],
+)
+def test_smooth_decay_layer_benchmark_weights_keep_their_bits(c_in, digest):
+    """The seed-1 weights of the two benchmark workloads (decay 1.5, 256
+    channels, the seed `benchmarks/bench.py` derives from --seed 1)."""
+    seed = int(np.random.SeedSequence(1).generate_state(2)[0])
+    w = synth.smooth_decay_layer(c_in, 256, decay=1.5, seed=seed)
+    assert hashlib.sha256(w.tobytes()).hexdigest() == digest
 
 
 def test_column_energies_match_single_channel():

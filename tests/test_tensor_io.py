@@ -233,8 +233,19 @@ class TestArtifactRoundTrip:
         _, _, layer = _example_layer()
         out = tmp_path / "art"
         with pytest.raises(DataError, match="manifest"):
-            tensor_io.save_compressed_layer(layer, out, budget_meta={"temperature": value})
+            tensor_io.save_compressed_layer(layer, out, ratio=value)
         assert not out.exists()
+
+    def test_budget_meta_temperature_is_the_plan_alpha(self, tmp_path):
+        _, _, layer = _example_layer()
+        manifest = tensor_io.save_compressed_layer(
+            layer, tmp_path, metric="l2-norm", ratio=0.4
+        )
+        assert manifest["budget_meta"] == {
+            "metric": "l2-norm", "temperature": layer.plan.alpha, "compression_ratio": 0.4,
+        }
+        on_disk = json.loads((tmp_path / tensor_io.MANIFEST_FILE).read_text())
+        assert on_disk["budget_meta"] == manifest["budget_meta"]
 
     def test_zero_delta_in_manifest_is_data_error(self, tmp_path):
         _, _, layer = _example_layer()
@@ -351,6 +362,175 @@ class TestLoadHardening:
         tensor_io.save_compressed_layer(layer, tmp_path)
         (tmp_path / tensor_io.MANIFEST_FILE).write_bytes(b'{"format_version": "\xff\xfe')
         with pytest.raises(FormatError):
+            tensor_io.load_compressed_layer(tmp_path)
+
+
+def _manifest(edit):
+    """Artifact edit: apply `edit` to the manifest dict."""
+    def apply(art):
+        mpath = art / tensor_io.MANIFEST_FILE
+        manifest = json.loads(mpath.read_text())
+        edit(manifest)
+        mpath.write_text(json.dumps(manifest))
+    return apply
+
+
+def _blob(name, edit):
+    """Artifact edit: apply `edit` to blob `name` read as a writable array
+    (float64, or the raw bytes of residual.bin); a returned array replaces it."""
+    def apply(art):
+        path = art / name
+        arr = np.frombuffer(path.read_bytes(), np.uint8 if "residual" in name else "<f8").copy()
+        out = edit(arr)
+        path.write_bytes((arr if out is None else out).tobytes())
+    return apply
+
+
+def _k_past_half(art):
+    """Give channel 0 the 10 bins c_in = 16 cannot hold, blob grown to match."""
+    k0 = json.loads((art / tensor_io.MANIFEST_FILE).read_text())["plan"]["k"][0]
+    _manifest(_set(["plan", "k", 0], 10))(art)
+    _blob(tensor_io.SPECTRA_FILE, lambda a: np.concatenate([a[:2]] * (10 - k0) + [a]))(art)
+
+
+def _drop_plan_row(layer):
+    p = layer.plan
+    layer.plan = sq.BudgetPlan(p.rho[:-1], p.k[:-1], p.alpha, p.total_budget)
+
+
+def _set_attr(get, attr, value):
+    return lambda layer: setattr(get(layer), attr, value)
+
+
+def _set_item(get, index, value):
+    return lambda layer: get(layer).__setitem__(index, value)
+
+
+# One row per layer check tensor_io makes: the error class, the message of
+# the rule, a change that breaks the rule in memory (save must raise and write
+# nothing) and a tampered artifact that breaks it on disk (load must raise
+# the same error). The example layer is 16 x 6; row 0 of its spectra is the
+# DC bin of channel 0. Where load reads a blob size or a manifest field
+# before a layer exists, it raises there, with the (class, message) in
+# _LOAD_FIRST: a blob size that disagrees with the manifest is a ShapeError,
+# and a granularity other than per_channel is a format field the manifest
+# cannot hold.
+_LOAD_FIRST = {
+    "spectra-rows": (ShapeError, "spectra blob holds"),
+    "residual-shape": (ShapeError, "residual blob holds"),
+    "lambda-length": (ShapeError, "lambda blob holds"),
+    "granularity": (FormatError, "unsupported residual granularity"),
+}
+_RULES = {
+    "plan-length": (
+        ShapeError, "plan length", _drop_plan_row,
+        _manifest(lambda m: [m["plan"][f].pop() for f in ("k", "rho")]),
+    ),
+    "k-past-half": (
+        ShapeError, "plan k outside", _set_item(lambda l: l.plan.k, 0, 10), _k_past_half,
+    ),
+    "spectra-rows": (
+        ShapeError, "spectra are", _set_attr(lambda l: l, "spectra", np.zeros((1, 2))),
+        _blob(tensor_io.SPECTRA_FILE, lambda a: a[:-2]),
+    ),
+    "rho-nan": (
+        DataError, "plan rho", _set_item(lambda l: l.plan.rho, 1, np.nan),
+        _manifest(_set(["plan", "rho", 1], float("nan"))),
+    ),
+    "alpha-inf": (
+        DataError, "plan alpha", _set_attr(lambda l: l.plan, "alpha", np.inf),
+        _manifest(_set(["plan", "alpha"], float("inf"))),
+    ),
+    "strength-nan": (
+        DataError, "migration strength",
+        _set_attr(lambda l: l.smoothing, "migration_strength", np.nan),
+        _manifest(_set(["migration_strength"], float("nan"))),
+    ),
+    "spectra-nan": (
+        DataError, "spectra contain", _set_item(lambda l: l.spectra, (2, 0), np.nan),
+        _blob(tensor_io.SPECTRA_FILE, lambda a: a.__setitem__(4, np.nan)),
+    ),
+    "amplitude-negative": (
+        DataError, "amplitudes", _set_item(lambda l: l.spectra, (2, 0), -1.0),
+        _blob(tensor_io.SPECTRA_FILE, lambda a: a.__setitem__(4, -1.0)),
+    ),
+    "phase-past-pi": (
+        DataError, "phases must lie", _set_item(lambda l: l.spectra, (2, 1), 3.5),
+        _blob(tensor_io.SPECTRA_FILE, lambda a: a.__setitem__(5, 3.5)),
+    ),
+    "dc-phase": (
+        DataError, "bin 0 is real-valued", _set_item(lambda l: l.spectra, (0, 1), 0.5),
+        _blob(tensor_io.SPECTRA_FILE, lambda a: a.__setitem__(1, 0.5)),
+    ),
+    "residual-shape": (
+        ShapeError, "residual is",
+        _set_attr(lambda l: l, "residual", sq.quantize(np.zeros((15, 6)), 4, "per_channel")),
+        _blob(tensor_io.RESIDUAL_FILE, lambda a: a[:-3]),
+    ),
+    "granularity": (
+        ShapeError, "per_channel",
+        _set_attr(lambda l: l.residual, "granularity", "per_token"),
+        _manifest(_set(["residual_params", "granularity"], "per_token")),
+    ),
+    "delta-short": (
+        ShapeError, "quantizer params",
+        _set_attr(lambda l: l.residual, "deltas", np.ones(5)),
+        _manifest(lambda m: m["residual_params"]["delta"].pop()),
+    ),
+    "zero-point-short": (
+        ShapeError, "quantizer params",
+        _set_attr(lambda l: l.residual, "zero_points", np.ones(5)),
+        _manifest(lambda m: m["residual_params"]["zero_point"].pop()),
+    ),
+    "delta-zero": (
+        DataError, "deltas", _set_item(lambda l: l.residual.deltas, 0, 0.0),
+        _manifest(_set(["residual_params", "delta", 0], 0.0)),
+    ),
+    "zero-point-nan": (
+        DataError, "zero points", _set_item(lambda l: l.residual.zero_points, 2, np.nan),
+        _manifest(_set(["residual_params", "zero_point", 2], float("nan"))),
+    ),
+    "bits-1": (
+        DataError, "outside", _set_attr(lambda l: l.residual, "bits", 1),
+        _manifest(_set(["residual_bits"], 1)),
+    ),
+    "codes-past-bits": (
+        DataError, "codes exceed", _set_item(lambda l: l.residual.codes, (0, 0), 16),
+        # 4-bit codes reread at 2 bits: the packing is the same, the range not.
+        _manifest(_set(["residual_bits"], 2)),
+    ),
+    "lambda-length": (
+        ShapeError, "smoothing factors length",
+        _set_attr(lambda l: l.smoothing, "lam", np.ones(15)),
+        _blob(tensor_io.LAMBDA_FILE, lambda a: a[:-1]),
+    ),
+    "lambda-non-positive": (
+        DataError, "smoothing factors must be positive",
+        _set_item(lambda l: l.smoothing.lam, 3, -1.0),
+        _blob(tensor_io.LAMBDA_FILE, lambda a: a.__setitem__(3, 0.0)),
+    ),
+}
+
+
+class TestLayerRules:
+    @pytest.mark.parametrize("rule", sorted(_RULES))
+    def test_rule_rejected_at_save_writes_nothing(self, tmp_path, rule):
+        error, match, mutate, _ = _RULES[rule]
+        _, _, layer = _example_layer()
+        mutate(layer)
+        out = tmp_path / "art"
+        with pytest.raises(error, match=match):
+            tensor_io.save_compressed_layer(layer, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rule", sorted(_RULES))
+    def test_rule_rejected_at_load(self, tmp_path, rule):
+        error, match, _, tamper = _RULES[rule]
+        error, match = _LOAD_FIRST.get(rule, (error, match))
+        _, _, layer = _example_layer()
+        tensor_io.save_compressed_layer(layer, tmp_path)
+        tamper(tmp_path)
+        with pytest.raises(error, match=match):
             tensor_io.load_compressed_layer(tmp_path)
 
 
