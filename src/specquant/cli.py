@@ -211,13 +211,14 @@ def cmd_eval_matmul(args):
     def err(y):
         return float(norm(y - reference))
 
-    naive = quant.dequantize(quant.quantize(x, args.act_bits, "per_token")) @ quant.dequantize(
-        quant.quantize(w, weight_bits, "per_channel")
-    )
-    x_hat, w_hat = pipeline.apply_smoothing(x, w, layer.smoothing)
-    smooth_only = quant.dequantize(
-        quant.quantize(x_hat, args.act_bits, "per_token")
-    ) @ quant.dequantize(quant.quantize(w_hat, weight_bits, "per_channel"))
+    def both_quantized(acts, weights):
+        return quant.matmul(
+            quant.quantize(acts, args.act_bits, "per_token"),
+            quant.quantize(weights, weight_bits, "per_channel"),
+        )
+
+    naive = both_quantized(x, w)
+    smooth_only = both_quantized(*pipeline.apply_smoothing(x, w, layer.smoothing))
     specq = pipeline.forward_approx(x, layer, activation_bits=args.act_bits)
     rows = [
         {"method": "fp-reference", "frobenius_error": 0.0},

@@ -12,8 +12,9 @@ compressed in two stages:
    replaces the dense weights.
 
 The approximate forward keeps the W' branch in full precision and runs only
-the residual branch through integer quantization. A budget-matched truncated
-SVD of the same matrix acts as the baseline for error comparisons.
+the residual branch through integer quantization, as one GEMM on the integer
+codes (`quant.matmul`). A budget-matched truncated SVD of the same matrix
+acts as the baseline for error comparisons.
 
 This module only composes the stages: `budget.bin_budget` owns the bin
 budget, and `tensor_io` the rules of what an artifact can hold.
@@ -71,7 +72,9 @@ class CompressedLayer:
         return self._w_low
 
     def residual_matrix(self):
-        """Dense dequant(R) from the stored codes (computed once)."""
+        """Dense dequant(R) from the stored codes (computed once). Only the
+        unquantized forward and the compression diagnostics use it; the
+        quantized forward runs on the codes."""
         if self._r_deq is None:
             self._r_deq = quant.dequantize(self.residual)
         return self._r_deq
@@ -220,18 +223,23 @@ def forward_approx(x, layer, activation_bits):
 
     Returns x_hat W' + dequant(quant(x_hat)) dequant(R) with x_hat = x / lambda,
     the residual-branch activations quantized per token at `activation_bits`
-    (2..8, checked by the quantizer). The W' branch runs in full precision
-    (standing in for a 16-bit kernel); `activation_bits=None` leaves the
-    residual-branch activations unquantized too.
+    (2..8, checked by the quantizer). The residual branch is `quant.matmul`
+    of the activation codes and the residual codes: an exact GEMM on the
+    codes, equal to the dequantized product up to rounding, whose code
+    operand `layer.residual` builds once from its stored codes, so a loaded
+    and an in-memory layer give the same bits. The W' branch runs in full
+    precision (standing in for a 16-bit kernel); `activation_bits=None`
+    leaves the residual-branch activations unquantized too and adds
+    x_hat dequant(R) in float64.
     """
     x = as_matrix(x, "x")
     if x.shape[1] != layer.c_in:
         raise ValueError(f"x has {x.shape[1]} columns, layer expects {layer.c_in}")
     x_hat = x / layer.smoothing.lam[None, :]
-    x_resid = x_hat
-    if activation_bits is not None:
-        x_resid = quant.dequantize(quant.quantize(x_hat, activation_bits, "per_token"))
-    return x_hat @ layer.low_freq_matrix() + x_resid @ layer.residual_matrix()
+    y = x_hat @ layer.low_freq_matrix()
+    if activation_bits is None:
+        return y + x_hat @ layer.residual_matrix()
+    return y + quant.matmul(quant.quantize(x_hat, activation_bits, "per_token"), layer.residual)
 
 
 @dataclass

@@ -12,6 +12,11 @@ Granularity picks the slicing axis: per_token quantizes each row (activation
 matrices carry one token per row), per_channel each column (weight matrices
 carry one output channel per column). A whole matrix quantized as one slice
 is a 1-row matrix quantized per_token.
+
+`matmul` multiplies a per_token by a per_channel tensor straight from their
+codes: one GEMM on the integer codes, exact in float32 while its partial sums
+stay below 2^24 and in float64 otherwise, with the zero points folded out of
+the product afterwards (Jacob et al., arXiv 1712.05877, eq. 7).
 """
 
 from dataclasses import dataclass, field, replace
@@ -46,6 +51,7 @@ class QuantizedTensor:
     rows: int
     cols: int
     rtn_fallback: bool = field(default=False)
+    _gemm: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.codes = np.ascontiguousarray(self.codes, dtype=np.uint8)
@@ -55,6 +61,19 @@ class QuantizedTensor:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         if self.codes.shape != (self.rows, self.cols):
             raise ValueError("codes shape does not match rows/cols")
+
+    def _gemm_operand(self, dtype):
+        """(codes as `dtype`, code sums along the slice) for `matmul`,
+        computed once per dtype; the codes must not change afterwards."""
+        if dtype not in self._gemm:
+            codes = self.codes.astype(dtype)
+            # A GEMV of integers is exact in the dtype `_gemm_dtype` picked.
+            if self.granularity == "per_token":
+                sums = codes @ np.ones(self.cols, dtype)
+            else:
+                sums = np.ones(self.rows, dtype) @ codes
+            self._gemm[dtype] = codes, sums.astype(np.float64)
+        return self._gemm[dtype]
 
 
 def _check_bits(bits):
@@ -111,10 +130,15 @@ def _broadcast(deltas, zps, granularity):
 
 def _encode(x, deltas, zps, bits, granularity):
     d, z = _broadcast(deltas, zps, granularity)
-    v = np.clip(x / d + z, 0.0, float(2**bits - 1))
+    # floor(clip(x / d + z, 0, qmax) + 0.5), step by step in one buffer.
     # Values are non-negative after the clamp, so floor(v + 0.5) is
     # half-away-from-zero rounding.
-    return np.floor(v + 0.5).astype(np.uint8)
+    v = x / d
+    v += z
+    np.clip(v, 0.0, float(2**bits - 1), out=v)
+    v += 0.5
+    np.floor(v, out=v)
+    return v.astype(np.uint8)
 
 
 def quantize(x, bits, granularity):
@@ -138,6 +162,65 @@ def dequantize(q):
     """Invert quantization: (code - z) * delta per slice."""
     d, z = _broadcast(q.deltas, q.zero_points, q.granularity)
     return (q.codes.astype(np.float64) - z) * d
+
+
+def _gemm_dtype(bits_a, bits_b, k):
+    """The dtype in which a k-term product of bits_a- by bits_b-bit codes is
+    exact: float32 while (2^bits_a - 1)(2^bits_b - 1) k < 2^24, so that every
+    partial sum, in any order, is an integer float32 holds; float64 beyond."""
+    if (2**bits_a - 1) * (2**bits_b - 1) * k < 2**24:
+        return np.float32
+    return np.float64
+
+
+def _split(z):
+    """Zero points as (nearest integer, fraction in [-1/2, 1/2]), both exact."""
+    i = np.round(z)
+    return i, z - i
+
+
+def matmul(a, b):
+    """dequantize(a) @ dequantize(b) from the codes of a per_token `a` and a
+    per_channel `b`.
+
+    P = Ca @ Cb is one GEMM on the codes in `_gemm_dtype`, which makes it an
+    exact integer; its bits do not depend on the dtype or on BLAS threading.
+    The zero points are folded out afterwards. With each split as z = i + f
+    (`_split`), A = Ca - ia and B = Cb - ib, over the K = a.cols terms,
+
+        sum_k (Ca - za)(Cb - zb) = I - F,
+        I = P - rowsum(Ca) ib - ia colsum(B)
+        F = rowsum(A) fb + fa colsum(Cb - zb)
+
+    scaled by da per row and db per column. I is an integer, exact in
+    float64 while its terms stay below 2^53, as they do for zero points
+    within the code range. Every product rounded in F is at most a few times
+    sum_k |Ca - za||Cb - zb|, so the result is within a few ulps of that sum
+    times da db. Folding the whole zero points instead, as P - rowsum(Ca) zb
+    - za (colsum(Cb) - K zb), rounds terms of the size of the codes, which
+    cancel to far less when codes sit on a zero point that is not an integer.
+    """
+    if a.granularity != "per_token" or b.granularity != "per_channel":
+        raise ValueError("matmul takes a per_token left and a per_channel right operand")
+    if a.cols != b.rows:
+        raise ValueError(f"inner sizes differ: {a.cols} and {b.rows}")
+    k = a.cols
+    dtype = _gemm_dtype(a.bits, b.bits, k)
+    ca, ra = a._gemm_operand(dtype)
+    cb, rb = b._gemm_operand(dtype)
+    ia, fa = _split(a.zero_points)
+    ib, fb = _split(b.zero_points)
+    sb = rb - k * ib
+    out = (ca @ cb).astype(np.float64, copy=False)
+    # I first, exactly (a GEMM of integers), then F, elementwise so that its
+    # rounding does not depend on the BLAS kernel.
+    out -= np.column_stack((ra, ia)) @ np.vstack((ib, sb))
+    f = (ra - k * ia)[:, None] * fb
+    f += fa[:, None] * (sb - k * fb)
+    out -= f
+    out *= a.deltas[:, None]
+    out *= b.deltas
+    return out
 
 
 def quantize_residual_compensated(r, bits, x_calib):

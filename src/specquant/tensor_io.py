@@ -28,7 +28,9 @@ DataError: non-finite plan rho or alpha, migration strength or spectra; a
 negative amplitude, a phase outside (-pi, pi], or a real-valued bin (DC, and
 Nyquist for an even c_in) whose phase is not 0 or pi; a delta that is not
 positive and finite, a non-finite zero point; residual bits outside [2, 8]
-or a code above them; a smoothing factor that is not positive and finite.
+or a code above them; a smoothing factor that is not positive and finite;
+a compression ratio, if one is recorded, whose `budget.bin_budget` is not
+the plan's total budget.
 
 Load raises only SpecQuantError subclasses for a malformed artifact (OSError
 if a file cannot be read): FormatError for a missing or wrongly typed
@@ -42,7 +44,7 @@ import os
 import numpy as np
 
 from . import spectral
-from .budget import BudgetPlan
+from .budget import BudgetPlan, bin_budget
 from .errors import DataError, FormatError, ShapeError
 from .pipeline import CompressedLayer, SmoothingFactors
 from .quant import QuantizedTensor
@@ -138,8 +140,9 @@ def stored_bytes(layer):
     return blobs + 8 * 4 * layer.c_out
 
 
-def _check_layer(layer):
-    """Raise the error of the first rule above that `layer` breaks."""
+def _check_layer(layer, ratio):
+    """Raise the error of the first rule above that `layer`, recorded with
+    compression ratio `ratio` (None: none recorded), breaks."""
     k = layer.plan.k
     # A zero-length channel has no bins, so no k is valid for c_in = 0.
     half = spectral.half_spectrum_length(layer.c_in) if layer.c_in else 0
@@ -188,6 +191,16 @@ def _check_layer(layer):
         raise ShapeError("smoothing factors length does not match c_in")
     if lam.size and (not np.isfinite(lam).all() or (lam <= 0).any()):
         raise DataError("smoothing factors must be positive and finite")
+    if ratio is not None:
+        try:
+            budget = bin_budget(layer.c_in, layer.c_out, ratio=ratio)
+        except ValueError as exc:
+            raise DataError(f"manifest compression ratio {ratio}: {exc}") from None
+        if budget != layer.plan.total_budget:
+            raise DataError(
+                f"manifest compression ratio {ratio} gives a {budget}-bin budget, "
+                f"the plan's is {layer.plan.total_budget}"
+            )
 
 
 def save_compressed_layer(layer, out_dir, *, layer_name="layer", metric=None, ratio=None):
@@ -196,10 +209,10 @@ def save_compressed_layer(layer, out_dir, *, layer_name="layer", metric=None, ra
     `metric` and `ratio` are recorded in the manifest's `budget_meta` next to
     the plan's alpha as the temperature. A subsequent `load_compressed_layer`
     reproduces the layer bit-exactly. A layer that load would reject raises
-    the same error, and a non-finite manifest value (`ratio` included) raises
-    DataError, before any file or directory is written.
+    the same error, and a non-finite manifest value raises DataError, before
+    any file or directory is written.
     """
-    _check_layer(layer)
+    _check_layer(layer, ratio)
     r = layer.residual
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -324,6 +337,9 @@ def load_compressed_layer(artifact_dir):
     rho = _array(plan_spec, "rho", np.float64, "plan.rho")
     if ks.size != c_out or rho.size != c_out:
         raise ShapeError(f"plan length {ks.size} does not match c_out={c_out}")
+    ratio = _field(manifest, "budget_meta", dict).get("compression_ratio")
+    if ratio is not None:
+        ratio = _typed(ratio, float, "budget_meta.compression_ratio")
     bits = _field(manifest, "residual_bits", int)
     rp = _field(manifest, "residual_params", dict)
     if _field(rp, "granularity", str, "residual_params.granularity") != "per_channel":
@@ -365,5 +381,5 @@ def load_compressed_layer(artifact_dir):
         c_in=c_in,
         c_out=c_out,
     )
-    _check_layer(layer)
+    _check_layer(layer, ratio)
     return layer

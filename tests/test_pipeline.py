@@ -299,6 +299,28 @@ class TestForwardApprox:
         ref = x @ w
         assert np.linalg.norm(out - ref) <= 1e-6 * np.linalg.norm(ref)
 
+    def test_unquantized_activations_keep_the_dense_residual_branch(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(12, 16)) * rng.uniform(0.1, 10, size=16)
+        layer = compress_layer(x, rng.normal(size=(16, 5)), ratio=0.4, smooth=0.5)
+        x_hat = x / layer.smoothing.lam
+        dense = x_hat @ layer.low_freq_matrix() + x_hat @ quant.dequantize(layer.residual)
+        np.testing.assert_array_equal(forward_approx(x, layer, None), dense)
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_quantized_residual_branch_is_the_dequantized_product(self, bits):
+        """The code GEMM moves the forward only at rounding level."""
+        rng = np.random.default_rng(24 + bits)
+        x = rng.normal(size=(12, 32)) * rng.uniform(0.1, 10, size=32)
+        layer = compress_layer(x, rng.normal(size=(32, 6)), ratio=0.3, smooth=0.5)
+        x_hat = x / layer.smoothing.lam
+        x_deq = quant.dequantize(quant.quantize(x_hat, bits, "per_token"))
+        r_deq = quant.dequantize(layer.residual)
+        w_low = layer.low_freq_matrix()
+        dense = x_hat @ w_low + x_deq @ r_deq
+        scale = np.abs(x_hat) @ np.abs(w_low) + np.abs(x_deq) @ np.abs(r_deq)
+        assert (np.abs(forward_approx(x, layer, bits) - dense) <= 1e-12 * scale).all()
+
     def test_beats_naive_w4a4_on_outlier_instance(self):
         w = synth.smooth_decay_layer(64, 64, decay=1.0, seed=21)
         x = synth.outlier_activations(32, 64, magnitude=100.0, seed=22)

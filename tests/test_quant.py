@@ -10,6 +10,7 @@ from specquant.pipeline import apply_smoothing, compress_layer
 from specquant.quant import (
     QuantizedTensor,
     dequantize,
+    matmul,
     quantize,
     quantize_residual_compensated,
 )
@@ -123,6 +124,25 @@ class TestQuantizeDequantize:
         assert (np.abs(back - x) <= tol).all()
         assert q.codes.max() <= 2**bits - 1
 
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+        st.sampled_from([2, 3, 4, 5, 6, 7, 8]),
+        st.sampled_from(["per_token", "per_channel"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example([-1.7976931348623157e308, 1.7976931348623157e308], 2, "per_token")
+    @example([0.0, 1.7976931348623157e308], 8, "per_channel")
+    @example([-1.7976931348623157e308, 0.0, 5e-324], 4, "per_channel")
+    def test_codes_are_the_literal_rounding(self, values, bits, granularity):
+        """The in-place encoder computes floor(clip(x / d + z, 0, qmax) + 0.5)."""
+        x = np.array([values, values[::-1]])
+        q = quantize(x, bits, granularity)
+        axis = 1 if granularity == "per_token" else 0
+        d = np.expand_dims(q.deltas, axis)
+        z = np.expand_dims(q.zero_points, axis)
+        literal = np.floor(np.clip(x / d + z, 0, 2**bits - 1) + 0.5)
+        np.testing.assert_array_equal(q.codes, literal)
+
     def test_ends_at_float64_limit_dequantize_finite(self):
         big = np.finfo(np.float64).max
         for values in ([-big, big], [0.0, big], [-big, 0.0], [-big, big / 2], [1e308, big]):
@@ -170,6 +190,99 @@ class TestQuantizeDequantize:
         q = quantize(np.zeros((4, 0)), 4, "per_channel")
         assert q.codes.shape == (4, 0)
         assert q.deltas.size == 0
+
+
+def _codes(codes, bits, granularity):
+    """A tensor of the given codes, unit steps and zero offsets."""
+    codes = np.asarray(codes, dtype=np.uint8)
+    n = codes.shape[0] if granularity == "per_token" else codes.shape[1]
+    return QuantizedTensor(codes, bits, granularity, np.ones(n), np.zeros(n), *codes.shape)
+
+
+@st.composite
+def _operand(draw, rows, cols, granularity):
+    """A quantized matrix: entries from a few decades, zeros among them, each
+    slice shifted by an offset that can make it one-sided."""
+    n = rows if granularity == "per_token" else cols
+    values = draw(st.lists(
+        st.just(0.0) | st.floats(-1e3, 1e3), min_size=rows * cols, max_size=rows * cols
+    ))
+    offsets = draw(st.lists(
+        st.sampled_from([0.0, 1e3, -1e3, 1e6, -1e6]), min_size=n, max_size=n
+    ))
+    x = np.array(values).reshape(rows, cols)
+    x += np.expand_dims(offsets, 1 if granularity == "per_token" else 0)
+    return quantize(x, draw(st.integers(2, 8)), granularity)
+
+
+@st.composite
+def _operands(draw):
+    t, k, n = draw(st.integers(0, 5)), draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    return draw(_operand(t, k, "per_token")), draw(_operand(k, n, "per_channel"))
+
+
+def _assert_near_dequantized_product(a, b):
+    """matmul within 1e-12 * |deq a| @ |deq b| of dequantize(a) @ dequantize(b)."""
+    ref = dequantize(a) @ dequantize(b)
+    scale = np.abs(dequantize(a)) @ np.abs(dequantize(b))
+    got = matmul(a, b)
+    assert got.shape == ref.shape
+    assert (np.abs(got - ref) <= 1e-12 * scale).all()
+
+
+class TestCodeMatmul:
+    @pytest.mark.parametrize("bits_a, bits_b", [(4, 4), (8, 4), (8, 8), (2, 8)])
+    def test_float32_and_float64_products_equal_the_int64_one(self, bits_a, bits_b, monkeypatch):
+        """The code GEMM is an exact integer in either dtype, so the result
+        does not depend on which one runs."""
+        rng = np.random.default_rng(bits_a + 10 * bits_b)
+        a = quantize(rng.normal(size=(64, 200)) + 0.3, bits_a, "per_token")
+        b = quantize(rng.normal(size=(200, 48)) - 0.2, bits_b, "per_channel")
+        exact = a.codes.astype(np.int64) @ b.codes.astype(np.int64)
+        for dtype in (np.float32, np.float64):
+            p = a._gemm_operand(dtype)[0] @ b._gemm_operand(dtype)[0]
+            assert p.dtype == dtype
+            np.testing.assert_array_equal(p, exact)
+        default = matmul(a, b)
+        monkeypatch.setattr(quant, "_gemm_dtype", lambda *args: np.float64)
+        np.testing.assert_array_equal(matmul(a, b), default)
+
+    @pytest.mark.parametrize("bits, k, dtype", [
+        (4, 74565, np.float32), (4, 74566, np.float64), (8, 258, np.float32), (8, 259, np.float64),
+    ])
+    def test_dtype_at_the_float32_bound(self, bits, k, dtype):
+        """float32 while (2^ba - 1)(2^bb - 1) K < 2^24; all-max codes stay exact."""
+        qmax = 2**bits - 1
+        assert quant._gemm_dtype(bits, bits, k) is dtype
+        out = matmul(
+            _codes(np.full((1, k), qmax), bits, "per_token"),
+            _codes(np.full((k, 1), qmax), bits, "per_channel"),
+        )
+        assert out[0, 0] == qmax * qmax * k
+
+    def test_codes_on_a_non_integer_zero_point_do_not_cancel(self):
+        """Row 0 of a sits on its zero point 5 except where b sits on its
+        zero point 10 + 2e-15: every term of the product is tiny, and
+        folding whole zero points would round terms of size K qmax^2."""
+        a = quantize(np.array([[0.0] * 20 + [-1.0, 2.0]]), 4, "per_token")
+        b = quantize(np.array([[-0.2, 0.1, *np.linspace(-0.2, 0.1, 18), 0.0, 0.0]]).T, 4, "per_channel")
+        assert a.zero_points[0] == 5.0 and 0 < abs(b.zero_points[0] - 10.0) < 1e-12
+        _assert_near_dequantized_product(a, b)
+
+    @given(_operands())
+    @settings(max_examples=300, deadline=None)
+    @example((quantize(np.zeros((3, 4)), 4, "per_token"), quantize(np.zeros((4, 2)), 4, "per_channel")))
+    @example((quantize(np.zeros((0, 5)), 4, "per_token"), quantize(np.ones((5, 3)), 8, "per_channel")))
+    @example((quantize(np.ones((2, 1)), 2, "per_token"), quantize(-np.ones((1, 3)), 8, "per_channel")))
+    def test_matches_the_dequantized_product(self, operands):
+        _assert_near_dequantized_product(*operands)
+
+    def test_operands_are_checked(self):
+        a = quantize(np.ones((2, 3)), 4, "per_token")
+        with pytest.raises(ValueError, match="per_token left"):
+            matmul(a, quantize(np.ones((3, 2)), 4, "per_token"))
+        with pytest.raises(ValueError, match="inner sizes differ"):
+            matmul(a, quantize(np.ones((4, 2)), 4, "per_channel"))
 
 
 SCALE_EXPONENTS = [(1000, 0), (-1000, 0), (0, 500), (0, -500), (1000, -500), (-1000, 500)]

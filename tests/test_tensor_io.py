@@ -409,8 +409,9 @@ def _set_item(get, index, value):
 # One row per layer check tensor_io makes: the error class, the message of
 # the rule, a change that breaks the rule in memory (save must raise and write
 # nothing) and a tampered artifact that breaks it on disk (load must raise
-# the same error). The example layer is 16 x 6; row 0 of its spectra is the
-# DC bin of channel 0. Where load reads a blob size or a manifest field
+# the same error). The example layer is 16 x 6, compressed and saved at ratio
+# 0.4 (a 21-bin budget; 0.9 gives 48); row 0 of its spectra is the DC bin of
+# channel 0. Where load reads a blob size or a manifest field
 # before a layer exists, it raises there, with the (class, message) in
 # _LOAD_FIRST: a blob size that disagrees with the manifest is a ShapeError,
 # and a granularity other than per_channel is a format field the manifest
@@ -509,6 +510,11 @@ _RULES = {
         _set_item(lambda l: l.smoothing.lam, 3, -1.0),
         _blob(tensor_io.LAMBDA_FILE, lambda a: a.__setitem__(3, 0.0)),
     ),
+    "ratio-not-the-plan": (
+        DataError, "-bin budget, the plan's is",
+        _set_attr(lambda l: l.plan, "total_budget", 48),
+        _manifest(_set(["budget_meta", "compression_ratio"], 0.9)),
+    ),
 }
 
 
@@ -520,7 +526,7 @@ class TestLayerRules:
         mutate(layer)
         out = tmp_path / "art"
         with pytest.raises(error, match=match):
-            tensor_io.save_compressed_layer(layer, out)
+            tensor_io.save_compressed_layer(layer, out, ratio=0.4)
         assert not out.exists()
 
     @pytest.mark.parametrize("rule", sorted(_RULES))
@@ -528,7 +534,7 @@ class TestLayerRules:
         error, match, _, tamper = _RULES[rule]
         error, match = _LOAD_FIRST.get(rule, (error, match))
         _, _, layer = _example_layer()
-        tensor_io.save_compressed_layer(layer, tmp_path)
+        tensor_io.save_compressed_layer(layer, tmp_path, ratio=0.4)
         tamper(tmp_path)
         with pytest.raises(error, match=match):
             tensor_io.load_compressed_layer(tmp_path)
