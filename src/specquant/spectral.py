@@ -28,11 +28,16 @@ Conventions, fixed once here and relied on everywhere else:
   one n/2-point transform into W'. Odd n has no such packing and runs the
   full-length complex transform. `_rfft` and `_irfft` hold that choice.
 - A complex transform of length n = 2^a q, q odd, is decimation in time:
-  the 2^a interleaved length-q leaves run as one batched Bluestein
-  transform, which pads only the odd factor q to a power of two, and
-  radix-2 stages merge them up to n. A power of two needs no Bluestein and
-  an odd n is Bluestein alone. At n = 768 the packed 384 = 2^7 * 3 point
-  transform is 7 radix-2 stages over length-3 leaves.
+  the 2^a interleaved length-q leaves are transformed in one batch and
+  radix-2 stages merge them up to n. Leaves up to DIRECT_MAX points, the
+  small odd factors of real model widths (3, 5, 7, 27, 43), run the direct
+  sum over a table of q-th roots; longer ones run one batched Bluestein
+  transform, which pads only q to a power of two. DIRECT_MAX is the
+  measured crossover of the two. A power of two is radix-2 alone and an odd
+  n is one full-length leaf. At n = 768 the packed 384 = 2^7 * 3 point
+  transform is 7 radix-2 stages over direct 3-point leaves; no Bluestein.
+  No step calls BLAS, so each column's bits depend neither on the block
+  width nor on BLAS threading.
 """
 
 from functools import lru_cache
@@ -81,20 +86,52 @@ def _stage_twiddles(size):
     return tw
 
 
+# Odd leaf lengths up to this one run the direct sum, longer ones Bluestein.
+# The direct sum costs q^2 multiply-adds per leaf column against Bluestein's
+# three power-of-two transforms of at least 2q - 1 points. Timed on the
+# leaves of 16-column blocks of 2^a q points (a = 3, 6, 9; 2-vCPU Xeon VM,
+# numpy 2.4), the direct sum is faster through q = 47 at every a, breaks
+# even at q = 49 and 51 for a = 3, and is slower from q = 53 for a <= 6.
+DIRECT_MAX = 47
+
+
+@lru_cache(maxsize=None)
+def _direct_twiddles(q):
+    """exp(-2 pi i j k / q) as a read-only (q, q, 1) array indexed [j, k]:
+    one (q, 1) column of q-th roots, taken mod q, per input sample j."""
+    j = np.arange(q)
+    roots = np.exp((-2j * np.pi / q) * j)
+    tw = roots[np.outer(j, j) % q][:, :, None]
+    tw.setflags(write=False)
+    return tw
+
+
+def _direct(x):
+    """Transform along axis 0 of a complex (q, c) array by the direct sum
+    X[k] = sum_j x[j] exp(-2 pi i j k / q): q elementwise multiply-adds, so
+    each column's bits depend on that column alone."""
+    tw = _direct_twiddles(x.shape[0])
+    out = np.repeat(x[:1], x.shape[0], axis=0)
+    for j in range(1, x.shape[0]):
+        out += tw[j] * x[j]
+    return out
+
+
 def _dft_columns(a):
     """Full N-bin transform of every column of a complex (n, c) array.
 
     Decimation in time for n = 2^a q with q odd: the 2^a leaves a[r::2^a]
-    of length q are transformed in one batched Bluestein call (none when
-    q = 1), laid out in bit-reversed order of r, and merged by radix-2
-    stages of size 2q up to n. A power of two is plain radix-2 and an odd n
-    is one full-length Bluestein transform.
+    of length q are transformed in one batch (none when q = 1), laid out in
+    bit-reversed order of r, and merged by radix-2 stages of size 2q up to
+    n. The leaves run the direct sum while q <= DIRECT_MAX and one batched
+    Bluestein transform, which pads only q to a power of two, beyond. A
+    power of two is plain radix-2 and an odd n is one full-length leaf.
     """
     n, c = a.shape
     p = n & -n
     q = n // p
     if q > 1:
-        a = _bluestein(a.reshape(q, p * c))
+        a = (_direct if q <= DIRECT_MAX else _bluestein)(a.reshape(q, p * c))
     leaves = a.reshape(q, p, c).transpose(1, 0, 2)[_bit_reverse(p)]
     # The stages write through reshaped views, so `out` must be contiguous.
     out = np.ascontiguousarray(leaves).reshape(n, c)
@@ -135,8 +172,8 @@ def _bluestein(x):
     convolution run by power-of-two transforms.
 
     Zero-padding the input directly would move the bin frequencies and break
-    implicit indexing, so the odd factor of a length goes through the
-    quadratic-phase convolution instead.
+    implicit indexing, so an odd factor longer than DIRECT_MAX goes through
+    the quadratic-phase convolution instead.
     """
     n, c = x.shape
     w, kernel = _chirp(n)
@@ -228,7 +265,7 @@ def fft(x):
     """Half-spectrum (bins 0 .. N // 2) of a real vector.
 
     Even N runs at half length; the transform runs radix-2 Cooley-Tukey
-    stages over Bluestein transforms of its odd factor (see `_dft_columns`).
+    stages over transforms of its odd factor (see `_dft_columns`).
     """
     return fft_columns(as_vector(x, "x")[:, None])[:, 0]
 
@@ -285,17 +322,21 @@ def truncate_columns(half_spec, k, n):
     half-spectrum length alone (even and odd n share lengths).
     """
     hs, ks = _check_columns(half_spec, k, n)
-    pairs = np.stack([np.abs(hs), np.angle(hs)], axis=-1)
-    phases = pairs[..., 1]
+    # Row-major order of the transposed mask is channel after channel.
+    kept = hs.T[np.arange(hs.shape[0]) < ks[:, None]]
+    pairs = np.stack([np.abs(kept), np.angle(kept)], axis=-1)
+    phases = pairs[:, 1]
     phases[phases <= -np.pi] = np.pi
     # Conjugate symmetry forces DC/Nyquist real; drop their rounding-level
-    # imaginary part and pin the phase.
+    # imaginary part and pin the phase. Bin m of channel j is packed row
+    # start_j + m, present when k_j > m.
+    starts = np.cumsum(ks) - ks
     for m in _real_bin_indices(n):
-        re = hs[m].real
-        pairs[m, :, 0] = np.abs(re)
-        pairs[m, :, 1] = np.where(re >= 0.0, 0.0, np.pi)
-    kept = np.arange(hs.shape[0]) < ks[:, None]
-    return pairs.transpose(1, 0, 2)[kept]
+        rows = (starts + m)[ks > m]
+        re = kept[rows].real
+        pairs[rows, 0] = np.abs(re)
+        pairs[rows, 1] = np.where(re >= 0.0, 0.0, np.pi)
+    return pairs
 
 
 def reconstruct_columns(bins, k, n):

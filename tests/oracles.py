@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: the DFT oracle sums
 the transform definition in 50-digit arithmetic, the reconstruction oracle
-is the direct cosine sum of one channel's bins, the SVD oracle is a
+is the direct cosine sum of one channel's bins, the truncation oracle converts
+every bin of the half-spectra before it masks them, the SVD oracle is a
 one-sided Jacobi iteration, and the quantizer oracle enumerates every code
 assignment. The compensated-codes reference shares only the uniform
 quantizer's scales with the library and runs the update the long way. The
@@ -50,6 +51,24 @@ def reconstruct(bins, n):
     theta = (2.0 * np.pi / n) * np.outer(np.arange(k), np.arange(n))
     theta += bins[:, 1:]
     return (weights * bins[:, 0] / n) @ np.cos(theta)
+
+
+def truncate_columns_full(half_spec, k, n):
+    """Packed (amplitude, phase) rows of the k[j] lowest bins of column j of
+    the (half, c) half-spectra, by the full-array formula: every bin is
+    converted, DC and (even n) Nyquist are pinned real by bin index, and only
+    then is the mask applied."""
+    hs = np.asarray(half_spec, dtype=complex)
+    ks = np.broadcast_to(np.asarray(k, dtype=np.int64), hs.shape[1:])
+    pairs = np.stack([np.abs(hs), np.angle(hs)], axis=-1)
+    phases = pairs[..., 1]
+    phases[phases <= -np.pi] = np.pi
+    for m in spectral._real_bin_indices(n):
+        re = hs[m].real
+        pairs[m, :, 0] = np.abs(re)
+        pairs[m, :, 1] = np.where(re >= 0.0, 0.0, np.pi)
+    kept = np.arange(hs.shape[0]) < ks[:, None]
+    return pairs.transpose(1, 0, 2)[kept]
 
 
 def parseval_check(x):

@@ -18,7 +18,7 @@ from specquant.spectral import (
     truncate_columns,
 )
 
-from oracles import dft_extended_precision, parseval_check, reconstruct
+from oracles import dft_extended_precision, parseval_check, reconstruct, truncate_columns_full
 
 
 def test_dft_constant_is_dc_only():
@@ -62,14 +62,17 @@ def test_fft_matches_naive_other_lengths(n):
     assert np.abs(half - full[: n // 2 + 1]).max() <= 1e-12 * scale
 
 
-ODD_FACTORS = (1, 3, 5, 7, 9, 15, 43)
+# The odd leaf lengths of real model widths, and DIRECT_MAX and the next odd
+# length, the last leaf on the direct sum and the first on Bluestein.
+ODD_FACTORS = (1, 3, 5, 7, 9, 15, 43, spectral.DIRECT_MAX, spectral.DIRECT_MAX + 2)
 
 
 @pytest.mark.parametrize("q", ODD_FACTORS)
 @pytest.mark.parametrize("a", range(7))
 def test_mixed_lengths_match_naive(a, q):
-    """n = 2^a q: radix-2 stages over Bluestein leaves of length q, both as
-    the real half-spectrum and as the full complex transform."""
+    """n = 2^a q: radix-2 stages over leaves of length q (direct sum up to
+    DIRECT_MAX, Bluestein beyond), both as the real half-spectrum and as the
+    full complex transform."""
     n = 2**a * q
     rng = np.random.default_rng(n)
     x, y = rng.normal(size=(2, n))
@@ -82,23 +85,45 @@ def test_mixed_lengths_match_naive(a, q):
 
 
 @pytest.mark.parametrize(
-    "n, length", [(1024, None), (15, 15), (768, 3), (1000, 125), (14336, 7)]
+    "n, length",
+    [(1024, None), (15, 15), (768, 3), (1000, 125), (14336, 7),
+     (4 * (spectral.DIRECT_MAX + 2), spectral.DIRECT_MAX + 2)],
 )
 def test_bluestein_pads_only_the_odd_factor(monkeypatch, n, length):
-    """The forward and inverse real transforms of even n run at n / 2, so
-    Bluestein sees only the odd factor of n / 2; odd n runs it at full length."""
-    seen = []
-    original = spectral._bluestein
+    """The forward and inverse real transforms of even n run at n / 2, so the
+    leaves have the odd factor of n / 2 as their length; odd n is one leaf of
+    length n. A leaf up to DIRECT_MAX runs the direct sum and never reaches
+    Bluestein; a longer one runs Bluestein at that odd length alone."""
+    seen = {"_direct": [], "_bluestein": []}
 
-    def recording(x):
-        seen.append(x.shape[0])
-        return original(x)
+    def record(name):
+        original = getattr(spectral, name)
 
-    monkeypatch.setattr(spectral, "_bluestein", recording)
+        def recording(x):
+            seen[name].append(x.shape[0])
+            return original(x)
+
+        monkeypatch.setattr(spectral, name, recording)
+
+    record("_direct")
+    record("_bluestein")
     w = np.random.default_rng(n).normal(size=(n, 3))
     k = np.full(3, half_spectrum_length(n))
     reconstruct_columns(truncate_columns(fft_columns(w), k, n), k, n)
-    assert seen == ([] if length is None else [length, length])
+    path = None if length is None else "_direct" if length <= spectral.DIRECT_MAX else "_bluestein"
+    for name, lengths in seen.items():
+        assert lengths == ([length, length] if name == path else [])
+
+
+@pytest.mark.parametrize("q", [3, spectral.DIRECT_MAX])
+@pytest.mark.parametrize("leaves", [1, 2])
+def test_direct_leaves_match_extended_precision(q, leaves):
+    """The direct sum at its shortest and longest leaf: one full-length leaf
+    of odd n = q, and the packed half-length leaf of n = 2q."""
+    n = leaves * q
+    x = np.random.default_rng(n).normal(size=n)
+    ref = dft_extended_precision(x)[: n // 2 + 1]
+    assert np.abs(fft(x) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n", [3072, 11008, 14336])
@@ -123,7 +148,7 @@ def test_fft_length_one_is_identity():
 @pytest.mark.parametrize("n", [2, 4, 6, 10, 16, 24, 30])
 def test_fft_even_lengths_match_extended_precision(n):
     """The half-length real path: radix-2 halves (2, 4, 16) and halves
-    with Bluestein leaves (6, 10, 24, 30)."""
+    with direct leaves (6, 10, 24, 30)."""
     x = np.random.default_rng(40 + n).normal(size=n)
     ref = dft_extended_precision(x)[: n // 2 + 1]
     assert np.abs(fft(x) - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -132,9 +157,9 @@ def test_fft_even_lengths_match_extended_precision(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 15, 24, 64, 100, 768, 1000])
 @pytest.mark.parametrize("c", [0, 1, spectral.BLOCK + 1, 2 * spectral.BLOCK + 3])
 def test_fft_columns_is_per_column_fft_bitwise(n, c):
-    """Radix-2 (64) halves, halves with Bluestein leaves (6, 24, 100, 768,
-    1000), odd lengths on the full-length path (3, 15) and the degenerate
-    lengths, with widths that leave a partial block."""
+    """Radix-2 (64) halves, halves with direct leaves (6, 24, 100, 768) and
+    Bluestein leaves (1000), odd lengths on the full-length path (3, 15) and
+    the degenerate lengths, with widths that leave a partial block."""
     w = np.random.default_rng(n + c).normal(size=(n, c))
     batched = fft_columns(w)
     assert batched.shape == (half_spectrum_length(n), c)
@@ -219,7 +244,7 @@ def test_smooth_decay_layer_steep_decay_keeps_the_lowest_bins():
 @pytest.mark.parametrize(
     "c_in, digest",
     [
-        (768, "f03543bc8a82bb71aa4c14b9ae8b85f8c626e8e5d25f68aaaa19383e29e3f0c9"),
+        (768, "580be9540af373e8cfcc70f684e9f2177aeb97dbb287118944248964c5471f72"),
         (1024, "05cde225ca20e482f71b60261e735bbe045f6e1bdb8f63c848958dc875c17a0e"),
     ],
 )
@@ -267,6 +292,27 @@ def test_conjugate_symmetry_of_full_spectrum():
         scale = np.abs(full).max()
         for k in range(1, n):
             assert abs(full[k] - np.conj(full[n - k])) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 768])
+def test_truncate_columns_matches_the_full_array_formula(n):
+    """Bit for bit, with negative real DC and Nyquist bins (some with a
+    small imaginary part that the pinning drops), bins on the negative real
+    axis whose angle is -pi, channels that keep every bin and a scalar k."""
+    rng = np.random.default_rng(n)
+    c = 2 * spectral.BLOCK + 3
+    half = half_spectrum_length(n)
+    spec = fft_columns(rng.normal(size=(n, c)))
+    spec[0, ::2] = -np.abs(spec[0, ::2])
+    spec[-1, 1::3] = -np.abs(spec[-1, 1::3]) + 1e-9j
+    spec[0, 4::8] += 1e-9j
+    spec[half // 2, ::4] = complex(-1.0, -0.0)
+    ks = rng.integers(1, half + 1, c)
+    ks[:4] = half
+    for k in (ks, half, 1):
+        got = truncate_columns(spec, k, n)
+        ref = truncate_columns_full(spec, k, n)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_truncate_full_band_round_trip():
