@@ -8,8 +8,8 @@ Commands:
 - ``eval-matmul``  Frobenius error of quantization variants on given activations
 - ``synth``        seeded synthetic weight/activation generators (NPY out)
 
-Every command is deterministic given its inputs and --seed; reports embed the
-resolved configuration.
+Every command is deterministic given its inputs (and `synth` its --seed);
+reports embed the resolved configuration.
 """
 
 import argparse
@@ -87,7 +87,9 @@ def cmd_compress(args):
     w_hat = layer.smoothing.lam[:, None] * w
     trunc = w_hat - layer.low_freq_matrix()
     achieved = norm(trunc, axis=0)
+    # The energy unit is an even power of two, so the bound's root rescales exactly.
     total, retained, tail = layer.energy
+    bound = np.ldexp(np.sqrt(tail), layer.energy_unit_log2 // 2)
     half = spectral.half_spectrum_length(layer.c_in)
     total_bins = int(layer.plan.k.sum())
     params = layer.c_in * layer.c_out
@@ -99,11 +101,12 @@ def cmd_compress(args):
         "achieved_bin_ratio": total_bins / (layer.c_out * half) if layer.c_out else 0.0,
         "bits_per_parameter": 8 * tensor_io.stored_bytes(layer) / params if params else 0.0,
         "truncation_error_frobenius": float(norm(trunc)),
-        "reconstruction_error_frobenius": float(norm(trunc - layer.residual_matrix())),
+        "reconstruction_error_frobenius": float(norm(trunc - quant.dequantize(layer.residual))),
         "forward_error_highprec": float(
             norm(x @ w - pipeline.forward_approx(x, layer, activation_bits=None))
         ),
         "residual_rtn_fallback": bool(layer.residual.rtn_fallback),
+        "energy_unit_log2": layer.energy_unit_log2,
     }
     rows = [
         {
@@ -113,7 +116,7 @@ def cmd_compress(args):
             "total_energy": float(total[j]),
             "retained_energy": float(retained[j]),
             "tail_energy": float(tail[j]),
-            "error_bound": float(np.sqrt(tail[j])),
+            "error_bound": float(bound[j]),
             "achieved_error": float(achieved[j]),
         }
         for j in range(layer.c_out)
@@ -278,14 +281,12 @@ def build_parser():
     p.add_argument("--smooth", default="auto", help="migration strength in [0,1] or 'auto'")
     p.add_argument("--residual-quant", choices=("rtn", "compensated"), default="rtn")
     p.add_argument("--layer-name", default="layer")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("analyze", help="per-channel spectral energy report")
     p.add_argument("--weights", required=True)
     p.add_argument("--band", type=float, default=0.2, help="low-frequency bin share")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 
@@ -294,7 +295,6 @@ def build_parser():
     p.add_argument("--ratios", default="0.1,0.2,0.3,0.4,0.5")
     p.add_argument("--metric", choices=METRICS, default=DEFAULT_METRIC)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare_svd)
 
@@ -303,7 +303,6 @@ def build_parser():
     p.add_argument("--calib", required=True, help="activations NPY to evaluate on")
     p.add_argument("--artifact", required=True, help="compressed-layer directory")
     p.add_argument("--act-bits", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval_matmul)
 

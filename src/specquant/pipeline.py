@@ -11,10 +11,13 @@ compressed in two stages:
    reconstruction W' plus a low-bit quantized residual R = W_hat - W'
    replaces the dense weights.
 
-The approximate forward keeps the W' branch in full precision and runs only
+`forward_approx` is the only code that applies a compressed layer to
+activations: served, it keeps the W' branch in full precision and runs only
 the residual branch through integer quantization, as one GEMM on the integer
-codes (`quant.matmul`). A budget-matched truncated SVD of the same matrix
-acts as the baseline for error comparisons.
+codes (`quant.matmul`); unquantized, it is the single GEMM
+x_hat (W' + dequant(R)) that the `auto` strength search scores. A
+budget-matched truncated SVD of the same matrix acts as the baseline for
+error comparisons.
 
 This module only composes the stages: `budget.bin_budget` owns the bin
 budget, and `tensor_io` the rules of what an artifact can hold.
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import quant, spectral
 from .budget import DEFAULT_METRIC, BudgetPlan, allocate, bin_budget, importance
-from .validation import as_matrix, norm
+from .validation import as_matrix, norm, pow2_units
 
 DEFAULT_SMOOTH_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_RESIDUAL_BITS = 4
@@ -50,9 +53,11 @@ class CompressedLayer:
     `spectra` is the (sum(plan.k), 2) float64 array of (amplitude, phase)
     rows, channel after channel, split by `plan.k`: exactly the bytes of
     `spectra.bin`. `energy` is the (3, c_out) array of each channel's total,
-    retained and tail energy from the spectrum `compress_layer` truncated;
-    it is None on a loaded layer, since the artifact keeps no dropped bins.
-    `tensor_io` refuses to save or load a layer its format cannot hold.
+    retained and tail energy from the spectrum `compress_layer` truncated,
+    in units of 2^energy_unit_log2 (0 unless an energy passes the float64
+    range); it is None on a loaded layer, since the artifact keeps no
+    dropped bins. W' is built once, on first use; the residual stays in its
+    codes. `tensor_io` refuses to save or load a layer its format cannot hold.
     """
 
     smoothing: SmoothingFactors
@@ -62,22 +67,14 @@ class CompressedLayer:
     c_in: int
     c_out: int
     energy: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    energy_unit_log2: int = field(default=0, init=False, repr=False, compare=False)
     _w_low: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _r_deq: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def low_freq_matrix(self):
         """Dense W' materialized from the stored spectra (computed once)."""
         if self._w_low is None:
             self._w_low = spectral.reconstruct_columns(self.spectra, self.plan.k, self.c_in)
         return self._w_low
-
-    def residual_matrix(self):
-        """Dense dequant(R) from the stored codes (computed once). Only the
-        unquantized forward and the compression diagnostics use it; the
-        quantized forward runs on the codes."""
-        if self._r_deq is None:
-            self._r_deq = quant.dequantize(self.residual)
-        return self._r_deq
 
 
 def compute_smoothing(x_calib, w, s):
@@ -123,10 +120,10 @@ def select_migration_strength(x_calib, w, grid, ratio=None, **options):
     other keyword arguments of `compress_layer`, with its defaults.
 
     Runs the full compression path per candidate and scores
-    ||X W - X_hat (W' + dequant(R))||_F^2 on the calibration set, in units of
-    the power of two at max|X W| so the loss neither overflows nor underflows
-    (an exact rescaling, so the ranking is unchanged). Ties go to the smaller
-    strength.
+    ||X W - forward_approx(X, layer, None)||_F^2 on the calibration set, in
+    units of the power of two at max|X W| so the loss neither overflows nor
+    underflows (an exact rescaling, so the ranking is unchanged). Ties go to
+    the smaller strength.
     """
     if grid is None or len(grid) == 0:
         raise ValueError("migration strength grid must be non-empty")
@@ -137,8 +134,7 @@ def select_migration_strength(x_calib, w, grid, ratio=None, **options):
     best = None
     for s in sorted(float(v) for v in grid):
         layer = compress_layer(x, w, ratio=ratio, smooth=s, **options)
-        x_hat = x / layer.smoothing.lam[None, :]
-        approx = x_hat @ (layer.low_freq_matrix() + layer.residual_matrix())
+        approx = forward_approx(x, layer, None)
         loss = float((np.ldexp(reference - approx, -exp) ** 2).sum())
         if best is None or loss < best_loss:
             best, best_loss = layer, loss
@@ -197,10 +193,14 @@ def compress_layer(
     plan = allocate(scores, alpha, budget, c_in)
 
     spectra = spectral.truncate_columns(spec, plan.k, c_in)
-    # Energies are report diagnostics: past the float64 range they read inf
-    # rather than failing the compression.
+    # Energies are report diagnostics: past the float64 range they are taken
+    # again in units of the power of two at max|spec|, an exact rescaling.
     with np.errstate(over="ignore"):
         energy = np.stack(spectral.band_energies(spec, plan.k, c_in))
+    unit = 0
+    if not np.isfinite(energy).all():
+        amp, exp = pow2_units(np.abs(spec))
+        energy, unit = np.stack(spectral.band_energies(amp, plan.k, c_in)), 2 * int(exp.item())
     del spec  # the complex spectrum need not stay alive through quantization
     # W' is rebuilt from the stored (amplitude, phase) values, so the layer
     # cached here and one loaded from its artifact hold the same bits.
@@ -213,32 +213,32 @@ def compress_layer(
     layer = CompressedLayer(
         smoothing=factors, spectra=spectra, residual=q, plan=plan, c_in=c_in, c_out=c_out
     )
-    layer.energy = energy
+    layer.energy, layer.energy_unit_log2 = energy, unit
     layer._w_low = w_low
     return layer
 
 
 def forward_approx(x, layer, activation_bits):
-    """Two-branch approximate forward pass.
+    """The approximate forward pass; the one place a layer meets activations.
 
-    Returns x_hat W' + dequant(quant(x_hat)) dequant(R) with x_hat = x / lambda,
-    the residual-branch activations quantized per token at `activation_bits`
-    (2..8, checked by the quantizer). The residual branch is `quant.matmul`
-    of the activation codes and the residual codes: an exact GEMM on the
-    codes, equal to the dequantized product up to rounding, whose code
-    operand `layer.residual` builds once from its stored codes, so a loaded
-    and an in-memory layer give the same bits. The W' branch runs in full
-    precision (standing in for a 16-bit kernel); `activation_bits=None`
-    leaves the residual-branch activations unquantized too and adds
-    x_hat dequant(R) in float64.
+    With x_hat = x / lambda, `activation_bits` (2..8, checked by the
+    quantizer) returns x_hat W' + dequant(quant(x_hat)) dequant(R): the
+    residual-branch activations quantized per token and the branch run as
+    `quant.matmul` of the activation codes and the residual codes, an exact
+    GEMM on the codes, equal to the dequantized product up to rounding,
+    whose code operand `layer.residual` builds once from its stored codes.
+    The W' branch runs in full precision (standing in for a 16-bit kernel).
+    `activation_bits=None` is the unquantized forward, the single float64
+    GEMM x_hat (W' + dequant(R)) that `select_migration_strength` scores.
+    Either way a loaded and an in-memory layer give the same bits.
     """
     x = as_matrix(x, "x")
     if x.shape[1] != layer.c_in:
         raise ValueError(f"x has {x.shape[1]} columns, layer expects {layer.c_in}")
     x_hat = x / layer.smoothing.lam[None, :]
-    y = x_hat @ layer.low_freq_matrix()
     if activation_bits is None:
-        return y + x_hat @ layer.residual_matrix()
+        return x_hat @ (layer.low_freq_matrix() + quant.dequantize(layer.residual))
+    y = x_hat @ layer.low_freq_matrix()
     return y + quant.matmul(quant.quantize(x_hat, activation_bits, "per_token"), layer.residual)
 
 

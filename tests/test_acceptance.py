@@ -249,7 +249,7 @@ def test_criterion_10_deterministic_artifacts(tmp_path):
     tensor_io.save_matrix(x, xpath)
     args = [
         "compress", "--weights", wpath, "--calib", xpath,
-        "--ratio", "0.25", "--smooth", "auto", "--seed", "11",
+        "--ratio", "0.25", "--smooth", "auto",
     ]
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert main(args + ["--out", str(out1)]) == 0

@@ -11,6 +11,7 @@ import pytest
 import specquant as sq
 from specquant import spectral, synth, tensor_io
 from specquant.cli import main
+from specquant.validation import pow2_units
 
 
 def _npy(path, arr):
@@ -83,7 +84,7 @@ def test_compress_deterministic_artifacts(tmp_path, decay_instance):
     wpath, xpath = decay_instance
     args = [
         "compress", "--weights", wpath, "--calib", xpath,
-        "--ratio", "0.25", "--smooth", "auto", "--seed", "7",
+        "--ratio", "0.25", "--smooth", "auto",
     ]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out1)]) == 0
@@ -422,7 +423,9 @@ def test_report_energies_match_a_fresh_transform(tmp_path, decay_instance, smoot
     total, retained, tail = spectral.band_energies(
         spectral.fft_columns(w_hat), layer.plan.k, layer.c_in
     )
-    rows = json.loads((out / "report.json").read_text())["channels"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["summary"]["energy_unit_log2"] == 0
+    rows = report["channels"]
     assert [r["total_energy"] for r in rows] == total.tolist()
     assert [r["retained_energy"] for r in rows] == retained.tolist()
     assert [r["tail_energy"] for r in rows] == tail.tolist()
@@ -454,6 +457,52 @@ def test_report_norms_survive_large_scale(tmp_path):
     expected = scale * np.linalg.norm(y / scale)
     assert summary["forward_error_highprec"] == pytest.approx(expected, rel=1e-12)
     assert 1e190 < summary["forward_error_highprec"] < 1e300
+
+
+def test_report_energies_past_the_float64_range_take_a_power_of_two_unit(tmp_path):
+    """Channel energies whose squares pass the float64 range are reported in
+    units of 2^energy_unit_log2; the error columns stay absolute."""
+    w = synth.smooth_decay_layer(16, 8, decay=2.0, seed=0) * 1e200
+    x = synth.outlier_activations(32, 16, seed=1)
+    wpath, xpath = _npy(tmp_path / "w.npy", w), _npy(tmp_path / "x.npy", x)
+    out = tmp_path / "art"
+    assert main([
+        "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.5",
+        "--smooth", "1.0", "--out", str(out),
+    ]) == 0
+    report = _strict_json(out / "report.json")
+    unit = report["summary"]["energy_unit_log2"]
+    assert unit > 0 and unit % 2 == 0
+    layer = tensor_io.load_compressed_layer(out)
+    w_hat = layer.smoothing.lam[:, None] * w
+    amp, exp = pow2_units(np.abs(spectral.fft_columns(w_hat)))
+    assert unit == 2 * exp.item()
+    total, retained, tail = spectral.band_energies(amp, layer.plan.k, layer.c_in)
+    rows = report["channels"]
+    assert [r["total_energy"] for r in rows] == total.tolist()
+    assert [r["retained_energy"] for r in rows] == retained.tolist()
+    assert [r["tail_energy"] for r in rows] == tail.tolist()
+    assert [r["error_bound"] for r in rows] == np.ldexp(np.sqrt(tail), unit // 2).tolist()
+    for r in rows:
+        assert r["achieved_error"] <= r["error_bound"] * (1 + 1e-9)
+        assert 1e190 < r["error_bound"] < 1e300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compress", "--weights", "w", "--calib", "x", "--ratio", "0.5", "--out", "o"],
+        ["analyze", "--weights", "w", "--out", "o"],
+        ["compare-svd", "--weights", "w", "--out", "o"],
+        ["eval-matmul", "--weights", "w", "--calib", "x", "--artifact", "a", "--out", "o"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_taken_only_by_synth(argv, capsys):
+    """Only `synth` draws random numbers, so only it takes --seed."""
+    with pytest.raises(SystemExit):
+        main(argv + ["--seed", "1"])
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_unrepresentable_report_writes_nothing(tmp_path, capsys):

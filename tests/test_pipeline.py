@@ -300,11 +300,12 @@ class TestForwardApprox:
         assert np.linalg.norm(out - ref) <= 1e-6 * np.linalg.norm(ref)
 
     def test_unquantized_activations_keep_the_dense_residual_branch(self):
+        """Unquantized, the forward is one float64 GEMM against W' + dequant(R)."""
         rng = np.random.default_rng(23)
         x = rng.normal(size=(12, 16)) * rng.uniform(0.1, 10, size=16)
         layer = compress_layer(x, rng.normal(size=(16, 5)), ratio=0.4, smooth=0.5)
         x_hat = x / layer.smoothing.lam
-        dense = x_hat @ layer.low_freq_matrix() + x_hat @ quant.dequantize(layer.residual)
+        dense = x_hat @ (layer.low_freq_matrix() + quant.dequantize(layer.residual))
         np.testing.assert_array_equal(forward_approx(x, layer, None), dense)
 
     @pytest.mark.parametrize("bits", [2, 4, 8])

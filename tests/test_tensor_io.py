@@ -192,6 +192,14 @@ class TestArtifactRoundTrip:
         assert np.array_equal(back.low_freq_matrix(), layer.low_freq_matrix())
         assert np.array_equal(sq.forward_approx(x, back, 4), sq.forward_approx(x, layer, 4))
 
+    def test_loaded_layer_serves_the_same_unquantized_forward(self, tmp_path):
+        """The unquantized forward, which the auto search scores, is the same
+        single GEMM on a loaded layer as on the layer compress returned."""
+        _, x, layer = _example_layer(c_in=100, c_out=2 * sq.spectral.BLOCK + 1)
+        tensor_io.save_compressed_layer(layer, tmp_path)
+        back = tensor_io.load_compressed_layer(tmp_path)
+        assert np.array_equal(sq.forward_approx(x, back, None), sq.forward_approx(x, layer, None))
+
     @pytest.mark.parametrize(
         "owner, attr, index, value",
         [
