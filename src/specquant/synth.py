@@ -1,5 +1,7 @@
 """Seeded synthetic instances for experiments and acceptance checks."""
 
+import math
+
 import numpy as np
 
 from . import spectral
@@ -17,14 +19,16 @@ def smooth_decay_layer(c_in, c_out, *, decay=2.0, seed=0, amp_range=(0.5, 2.0)):
     half = spectral.half_spectrum_length(c_in)
     real_bins = set(spectral._real_bin_indices(c_in))
     bins = np.empty((c_out, half, 2))
-    m = np.arange(half)
+    # max(m, 1)^decay by libm's pow: numpy's vector pow takes different
+    # rounding paths on different SIMD targets, so the weights would too.
+    profile = np.array([_pow(max(m, 1), decay) for m in range(half)])
     # An extreme decay overflows the power or divides by its underflow; a
     # result that stays finite (so steep that only bins 0 and 1 are left) is
     # valid.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for j in range(c_out):
             c = rng.uniform(*amp_range)
-            bins[j, :, 0] = c / np.maximum(m, 1).astype(np.float64) ** decay
+            bins[j, :, 0] = c / profile
             phases = rng.uniform(-np.pi, np.pi, half)
             phases = np.where(phases <= -np.pi, np.pi, phases)
             for rb in real_bins:
@@ -34,6 +38,14 @@ def smooth_decay_layer(c_in, c_out, *, decay=2.0, seed=0, amp_range=(0.5, 2.0)):
     if not np.isfinite(w).all():
         raise ValueError(f"decay={decay} gives non-finite weights")
     return w
+
+
+def _pow(base, exp):
+    """base ** exp by libm, inf where it overflows."""
+    try:
+        return math.pow(base, exp)
+    except OverflowError:
+        return math.inf
 
 
 def outlier_activations(rows, c_in, *, magnitude=100.0, num_outliers=1, seed=0):

@@ -81,9 +81,8 @@ def load_matrix(path):
     if arr.dtype not in (np.float32, np.float64):
         raise ShapeError(f"{path}: expected float32/float64 data, got {arr.dtype}")
     data = np.ascontiguousarray(arr, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        i, j = bad[0]
+    if not np.isfinite(data).all():
+        i, j = np.argwhere(~np.isfinite(data))[0]
         raise DataError(f"{path}: non-finite value at index ({i}, {j})")
     return data
 
@@ -167,9 +166,8 @@ def _check_layer(layer, ratio):
         raise DataError("spectrum amplitudes must be non-negative")
     if ((phases <= -np.pi) | (phases > np.pi)).any():
         raise DataError("spectrum phases must lie in (-pi, pi]")
-    starts = np.cumsum(k) - k
-    for m in spectral._real_bin_indices(layer.c_in):
-        if not np.isin(phases[(starts + m)[k > m]], (0.0, np.pi)).all():
+    for m, rows in spectral._real_rows(k, layer.c_in):
+        if not np.isin(phases[rows], (0.0, np.pi)).all():
             raise DataError(f"bin {m} is real-valued; its phase must be 0 or pi")
     r = layer.residual
     if (r.rows, r.cols) != (layer.c_in, layer.c_out):

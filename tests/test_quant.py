@@ -222,12 +222,25 @@ def _operands(draw):
 
 
 def _assert_near_dequantized_product(a, b):
-    """matmul within 1e-12 * |deq a| @ |deq b| of dequantize(a) @ dequantize(b)."""
-    ref = dequantize(a) @ dequantize(b)
-    scale = np.abs(dequantize(a)) @ np.abs(dequantize(b))
+    """matmul within 1e-12 * |deq a| @ |deq b| of dequantize(a) @ dequantize(b),
+    plus a floor for the subnormal range. There a product rounds to the
+    absolute spacing 2^-1074, not relative to its size, and a sum is exact.
+    Counting one spacing per such product:
+    - the reference: dequantize's (code - z) * d for each entry of a and of b,
+      carried into the GEMM by the other operand, and each GEMM product:
+      sum_k |deq a_ik| + sum_k |deq b_kj| + K;
+    - matmul: three products in the fold F, in code units, so scaled by
+      da db; then out * da, scaled by db; then out * db: 3 da db + db + 1.
+    """
+    deq_a, deq_b = dequantize(a), dequantize(b)
+    ref = deq_a @ deq_b
+    scale = np.abs(deq_a) @ np.abs(deq_b)
+    da, db = a.deltas[:, None], b.deltas[None, :]
+    spacings = (np.abs(deq_a).sum(axis=1)[:, None] + np.abs(deq_b).sum(axis=0) + a.cols
+                + 3 * da * db + db + 1)
     got = matmul(a, b)
     assert got.shape == ref.shape
-    assert (np.abs(got - ref) <= 1e-12 * scale).all()
+    assert (np.abs(got - ref) <= 1e-12 * scale + 2.0**-1074 * spacings).all()
 
 
 class TestCodeMatmul:
@@ -274,6 +287,12 @@ class TestCodeMatmul:
     @example((quantize(np.zeros((3, 4)), 4, "per_token"), quantize(np.zeros((4, 2)), 4, "per_channel")))
     @example((quantize(np.zeros((0, 5)), 4, "per_token"), quantize(np.ones((5, 3)), 8, "per_channel")))
     @example((quantize(np.ones((2, 1)), 2, "per_token"), quantize(-np.ones((1, 3)), 8, "per_channel")))
+    # b's column 0 has the subnormal zero point 1.06e-312: the reference
+    # itself rounds at 2^-1074 there, below 1e-12 * scale.
+    @example((
+        quantize(np.array([[1e-3, 0, 0, 1e-3], [0, 1e-3, 3, 1e-3]]), 2, "per_token"),
+        quantize(np.array([[-2.226e-311, 1], [63, 2], [0, 3], [5, 0.5]]), 2, "per_channel"),
+    ))
     def test_matches_the_dequantized_product(self, operands):
         _assert_near_dequantized_product(*operands)
 
