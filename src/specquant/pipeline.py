@@ -53,11 +53,14 @@ class CompressedLayer:
     `spectra` is the (sum(plan.k), 2) float64 array of (amplitude, phase)
     rows, channel after channel, split by `plan.k`: exactly the bytes of
     `spectra.bin`. `energy` is the (3, c_out) array of each channel's total,
-    retained and tail energy from the spectrum `compress_layer` truncated,
+    retained and tail energy from the spectrum the layer was truncated from,
     in units of 2^energy_unit_log2 (0 unless an energy passes the float64
-    range); it is None on a loaded layer, since the artifact keeps no
-    dropped bins. W' is built once, on first use; the residual stays in its
-    codes. `tensor_io` refuses to save or load a layer its format cannot hold.
+    range). `compress_layer` sets it on the layer it returns; an auto
+    search takes it once, for its winner, so it equals that of a
+    fixed-strength compress at the picked strength. It is None on a loaded
+    layer, since the artifact keeps no dropped bins. W' is built once, on
+    first use; the residual stays in its codes. `tensor_io` refuses to save
+    or load a layer its format cannot hold.
     """
 
     smoothing: SmoothingFactors
@@ -91,10 +94,20 @@ def compute_smoothing(x_calib, w, s):
         )
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"migration strength must lie in [0, 1], got {s}")
+    return _smoothing_factors(*_channel_ranges(x, w), s)
+
+
+def _channel_ranges(x, w):
+    """max|X[:,j]| and max|W[j,:]| per input channel j (0 for an empty side)."""
     c_in = w.shape[0]
     act = np.abs(x).max(axis=0) if x.shape[0] else np.zeros(c_in)
     wgt = np.abs(w).max(axis=1) if w.shape[1] else np.zeros(c_in)
-    lam = np.ones(c_in)
+    return act, wgt
+
+
+def _smoothing_factors(act, wgt, s):
+    """`compute_smoothing` from the channel ranges it takes of x and w."""
+    lam = np.ones(act.size)
     ok = (act > 0) & (wgt > 0)
     lam[ok] = act[ok] ** s / wgt[ok] ** (1.0 - s)
     return SmoothingFactors(lam=lam, migration_strength=float(s))
@@ -113,32 +126,117 @@ def apply_smoothing(x, w, factors):
     return x / lam[None, :], lam[:, None] * w
 
 
+def _check_strengths(grid):
+    """The distinct strengths of `grid` in ascending order, each finite and
+    in [0, 1]; checked before anything is compressed."""
+    strengths = sorted({float(v) for v in (() if grid is None else grid)})
+    if not strengths:
+        raise ValueError("migration strength grid must be non-empty")
+    for s in strengths:
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"migration strength must lie in [0, 1], got {s}")
+    return strengths
+
+
+def _compressor(
+    x_calib,
+    w,
+    ratio=None,
+    groups=None,
+    metric=DEFAULT_METRIC,
+    alpha=1.0,
+    residual_bits=DEFAULT_RESIDUAL_BITS,
+    residual_quant="rtn",
+):
+    """Everything a compress does whatever the strength, done once: the
+    validated (x, w) and compress_at(s) -> (layer, half-spectra of its
+    smoothed weights), which does only the work that depends on s."""
+    w = as_matrix(w, "w")
+    x = as_matrix(x_calib, "x_calib")
+    if x.shape[1] != w.shape[0]:
+        raise ValueError(
+            f"calibration activations have {x.shape[1]} channels, expected {w.shape[0]}"
+        )
+    c_in, c_out = w.shape
+    budget = bin_budget(c_in, c_out, ratio=ratio, groups=groups)
+    if residual_quant not in ("rtn", "compensated"):
+        raise ValueError(f"unknown residual quantizer {residual_quant!r}")
+    act, wgt = _channel_ranges(x, w)
+
+    def compress_at(s):
+        factors = _smoothing_factors(act, wgt, s)
+        w_hat = factors.lam[:, None] * w  # the w_hat of `apply_smoothing`
+        spec = spectral.fft_columns(w_hat)
+        scores = np.zeros(c_out) if groups is not None else importance(w_hat, metric, spectrum=spec)
+        plan = allocate(scores, alpha, budget, c_in)
+        spectra = spectral.truncate_columns(spec, plan.k, c_in)
+        # W' is rebuilt from the stored (amplitude, phase) values, so the
+        # layer cached here and one loaded from its artifact hold the same bits.
+        w_low = spectral.reconstruct_columns(spectra, plan.k, c_in)
+        residual = np.subtract(w_hat, w_low, out=w_hat)  # w_hat is not read again
+        if residual_quant == "compensated":
+            x_hat = x / factors.lam[None, :]  # the x_hat of `apply_smoothing`
+            q = quant.quantize_residual_compensated(residual, residual_bits, x_hat)
+        else:
+            q = quant.quantize(residual, residual_bits, "per_channel")
+        layer = CompressedLayer(
+            smoothing=factors, spectra=spectra, residual=q, plan=plan, c_in=c_in, c_out=c_out
+        )
+        layer._w_low = w_low
+        return layer, spec
+
+    return x, w, compress_at
+
+
+def _with_energies(layer, spec):
+    """`layer` with its report energies set from `spec`, the half-spectra it
+    was truncated from."""
+    # Past the float64 range the energies are taken again in units of the
+    # power of two at max|spec|, an exact rescaling.
+    with np.errstate(over="ignore"):
+        energy = np.stack(spectral.band_energies(spec, layer.plan.k, layer.c_in))
+    unit = 0
+    if not np.isfinite(energy).all():
+        amp, exp = pow2_units(np.abs(spec))
+        energy = np.stack(spectral.band_energies(amp, layer.plan.k, layer.c_in))
+        unit = 2 * int(exp.item())
+    layer.energy, layer.energy_unit_log2 = energy, unit
+    return layer
+
+
 def select_migration_strength(x_calib, w, grid, ratio=None, **options):
     """Compress at the strength in `grid` minimizing the post-compression
     output MSE and return that layer; its strength is
     `layer.smoothing.migration_strength`. `ratio` and `options` are the
     other keyword arguments of `compress_layer`, with its defaults.
 
-    Runs the full compression path per candidate and scores
-    ||X W - forward_approx(X, layer, None)||_F^2 on the calibration set, in
-    units of the power of two at max|X W| so the loss neither overflows nor
-    underflows (an exact rescaling, so the ranking is unchanged). Ties go to
-    the smaller strength.
+    The grid (non-empty, every value finite and in [0, 1]; duplicates count
+    once), the inputs and the options are checked before anything is
+    compressed. The input checks, the bin budget, the channel ranges and
+    the reference X W are taken once for the search; each candidate then
+    runs only the work that depends on its strength: lambda, the transform,
+    the plan, the truncation, the W' rebuild and the residual quantization.
+    It is scored as ||X W - forward_approx(X, layer, None)||_F^2 on the
+    calibration set, in units of the power of two at max|X W| so the loss
+    neither overflows nor underflows (an exact rescaling, so the ranking is
+    unchanged). Ties go to the smaller strength. Only the winner gets its
+    report energies, so it equals `compress_layer` at its strength, energies
+    included.
     """
-    if grid is None or len(grid) == 0:
-        raise ValueError("migration strength grid must be non-empty")
-    x = as_matrix(x_calib, "x_calib")
-    w = as_matrix(w, "w")
+    strengths = _check_strengths(grid)
+    x, w, compress_at = _compressor(x_calib, w, ratio, **options)
     reference = x @ w
     exp = int(np.frexp(np.abs(reference).max(initial=0.0))[1])
     best = None
-    for s in sorted(float(v) for v in grid):
-        layer = compress_layer(x, w, ratio=ratio, smooth=s, **options)
-        approx = forward_approx(x, layer, None)
-        loss = float((np.ldexp(reference - approx, -exp) ** 2).sum())
+    for s in strengths:
+        layer, spec = compress_at(s)
+        err = reference - forward_approx(x, layer, None)
+        np.ldexp(err, -exp, out=err)
+        loss = float(np.square(err, out=err).sum())
         if best is None or loss < best_loss:
-            best, best_loss = layer, loss
-    return best
+            best, best_loss = (layer, spec), loss
+        del layer, spec  # a losing candidate is freed before the next one runs
+    return _with_energies(*best)
 
 
 def compress_layer(
@@ -160,62 +258,22 @@ def compress_layer(
     budget, so ratio 1.0 retains every full half-spectrum and the
     decomposition is exact; a groups budget is split evenly (all scores
     equal), so every channel keeps exactly `groups` bins. smooth="auto"
-    searches DEFAULT_SMOOTH_GRID (`select_migration_strength` takes any grid).
+    returns `select_migration_strength` over DEFAULT_SMOOTH_GRID (which
+    takes any grid): one search, with one setup, and no further
+    `compress_layer` call.
     """
-    w = as_matrix(w, "w")
-    x = as_matrix(x_calib, "x_calib")
-    if x.shape[1] != w.shape[0]:
-        raise ValueError(
-            f"calibration activations have {x.shape[1]} channels, expected {w.shape[0]}"
-        )
-    c_in, c_out = w.shape
-    budget = bin_budget(c_in, c_out, ratio=ratio, groups=groups)
-    if residual_quant not in ("rtn", "compensated"):
-        raise ValueError(f"unknown residual quantizer {residual_quant!r}")
-
-    if smooth == "auto":
-        return select_migration_strength(
-            x,
-            w,
-            DEFAULT_SMOOTH_GRID,
-            ratio,
-            groups=groups,
-            metric=metric,
-            alpha=alpha,
-            residual_bits=residual_bits,
-            residual_quant=residual_quant,
-        )
-    factors = compute_smoothing(x, w, float(smooth))
-    x_hat, w_hat = apply_smoothing(x, w, factors)
-
-    spec = spectral.fft_columns(w_hat)
-    scores = np.zeros(c_out) if groups is not None else importance(w_hat, metric, spectrum=spec)
-    plan = allocate(scores, alpha, budget, c_in)
-
-    spectra = spectral.truncate_columns(spec, plan.k, c_in)
-    # Energies are report diagnostics: past the float64 range they are taken
-    # again in units of the power of two at max|spec|, an exact rescaling.
-    with np.errstate(over="ignore"):
-        energy = np.stack(spectral.band_energies(spec, plan.k, c_in))
-    unit = 0
-    if not np.isfinite(energy).all():
-        amp, exp = pow2_units(np.abs(spec))
-        energy, unit = np.stack(spectral.band_energies(amp, plan.k, c_in)), 2 * int(exp.item())
-    del spec  # the complex spectrum need not stay alive through quantization
-    # W' is rebuilt from the stored (amplitude, phase) values, so the layer
-    # cached here and one loaded from its artifact hold the same bits.
-    w_low = spectral.reconstruct_columns(spectra, plan.k, c_in)
-    residual = w_hat - w_low
-    if residual_quant == "compensated":
-        q = quant.quantize_residual_compensated(residual, residual_bits, x_hat)
-    else:
-        q = quant.quantize(residual, residual_bits, "per_channel")
-    layer = CompressedLayer(
-        smoothing=factors, spectra=spectra, residual=q, plan=plan, c_in=c_in, c_out=c_out
+    options = dict(
+        groups=groups,
+        metric=metric,
+        alpha=alpha,
+        residual_bits=residual_bits,
+        residual_quant=residual_quant,
     )
-    layer.energy, layer.energy_unit_log2 = energy, unit
-    layer._w_low = w_low
-    return layer
+    if smooth == "auto":
+        return select_migration_strength(x_calib, w, DEFAULT_SMOOTH_GRID, ratio, **options)
+    _, _, compress_at = _compressor(x_calib, w, ratio, **options)
+    (s,) = _check_strengths([smooth])
+    return _with_energies(*compress_at(s))
 
 
 def forward_approx(x, layer, activation_bits):
@@ -237,7 +295,10 @@ def forward_approx(x, layer, activation_bits):
         raise ValueError(f"x has {x.shape[1]} columns, layer expects {layer.c_in}")
     x_hat = x / layer.smoothing.lam[None, :]
     if activation_bits is None:
-        return x_hat @ (layer.low_freq_matrix() + quant.dequantize(layer.residual))
+        # W' + dequant(R), summed in place in dequant(R)'s buffer (the same bits).
+        w_full = quant.dequantize(layer.residual)
+        w_full += layer.low_freq_matrix()
+        return x_hat @ w_full
     y = x_hat @ layer.low_freq_matrix()
     return y + quant.matmul(quant.quantize(x_hat, activation_bits, "per_token"), layer.residual)
 

@@ -161,7 +161,10 @@ def quantize(x, bits, granularity):
 def dequantize(q):
     """Invert quantization: (code - z) * delta per slice."""
     d, z = _broadcast(q.deltas, q.zero_points, q.granularity)
-    return (q.codes.astype(np.float64) - z) * d
+    out = q.codes.astype(np.float64)
+    out -= z
+    out *= d
+    return out
 
 
 def _gemm_dtype(bits_a, bits_b, k):

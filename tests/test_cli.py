@@ -97,6 +97,24 @@ def test_compress_deterministic_artifacts(tmp_path, decay_instance):
     assert {p.name: p.read_bytes() for p in out1.iterdir()} == first
 
 
+def test_auto_writes_the_bytes_of_its_picked_strength(tmp_path, decay_instance):
+    """`--smooth auto` writes what `--smooth <picked>` writes: the search
+    returns its winner as compressed, report energies included."""
+    wpath, xpath = decay_instance
+    args = ["compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.25"]
+    auto, fixed = tmp_path / "auto", tmp_path / "fixed"
+    assert main(args + ["--smooth", "auto", "--out", str(auto)]) == 0
+    picked = json.loads((auto / "report.json").read_text())["summary"]["migration_strength"]
+    assert main(args + ["--smooth", repr(picked), "--out", str(fixed)]) == 0
+    for name in ("lambda.bin", "spectra.bin", "residual.bin", "manifest.json", "report.csv"):
+        assert (auto / name).read_bytes() == (fixed / name).read_bytes(), name
+    # report.json also records the command line, which differs.
+    reports = [json.loads((d / "report.json").read_text()) for d in (auto, fixed)]
+    configs = [r.pop("config") for r in reports]
+    assert reports[0] == reports[1]
+    assert {k for k in configs[0] if configs[0][k] != configs[1][k]} == {"out", "smooth"}
+
+
 def test_compare_svd_rows(tmp_path, decay_instance):
     wpath, _ = decay_instance
     out = tmp_path / "cmp"

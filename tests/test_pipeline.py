@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import specquant as sq
-from specquant import quant, synth
+from specquant import pipeline, quant, spectral, synth
 from specquant.pipeline import (
     DEFAULT_SMOOTH_GRID,
     apply_smoothing,
@@ -155,6 +155,81 @@ class TestMigrationStrength:
         w = np.zeros((4, 2))
         layer = select_migration_strength(x, w, [0.9, 0.5, 0.2], ratio=0.5)
         assert layer.smoothing.migration_strength == 0.2
+
+    @pytest.mark.parametrize(
+        "grid", [[0.2, 1.5], [0.5, float("nan")], [-0.1, 0.5], [0.3, float("inf")]]
+    )
+    def test_bad_grid_rejected_before_any_compress(self, monkeypatch, grid):
+        x = synth.outlier_activations(8, 16, seed=1)
+        w = synth.smooth_decay_layer(16, 4, decay=1.5, seed=0)
+        calls = _count(monkeypatch, (spectral, "fft_columns"))
+        with pytest.raises(ValueError, match="migration strength"):
+            select_migration_strength(x, w, grid, ratio=0.5)
+        assert calls == {"fft_columns": 0}
+
+    def test_duplicate_strengths_compress_once(self, monkeypatch):
+        x = synth.outlier_activations(8, 16, seed=1)
+        w = synth.smooth_decay_layer(16, 4, decay=1.5, seed=0)
+        calls = _count(monkeypatch, (spectral, "fft_columns"))
+        layer = select_migration_strength(x, w, [0.5, 0.2, 0.5, 0.2], ratio=0.5)
+        assert calls == {"fft_columns": 2}
+        assert layer.smoothing.migration_strength in (0.2, 0.5)
+
+    @pytest.mark.parametrize("smooth, candidates", [(0.5, 1), ("auto", len(DEFAULT_SMOOTH_GRID))])
+    def test_search_repeats_only_per_strength_work(self, monkeypatch, smooth, candidates):
+        """Each candidate transforms, truncates and rebuilds W' once; the
+        report energies are taken once, for the returned layer, and the
+        search makes no `compress_layer` call of its own."""
+        x = synth.outlier_activations(32, 16, seed=1)
+        w = synth.smooth_decay_layer(16, 8, decay=1.5, seed=0)
+        calls = _count(
+            monkeypatch,
+            (spectral, "fft_columns"),
+            (spectral, "truncate_columns"),
+            (spectral, "reconstruct_columns"),
+            (spectral, "band_energies"),
+            (pipeline, "compress_layer"),
+            (pipeline, "select_migration_strength"),
+        )
+        pipeline.compress_layer(x, w, ratio=0.5, smooth=smooth)
+        assert calls == {
+            "fft_columns": candidates,
+            "truncate_columns": candidates,
+            "reconstruct_columns": candidates,
+            "band_energies": 1,
+            "compress_layer": 1,
+            "select_migration_strength": int(smooth == "auto"),
+        }
+
+    @pytest.mark.parametrize(
+        "scale, grid, units",
+        [(1.0, DEFAULT_SMOOTH_GRID, (0,)), (1e200, (0.8, 0.9), (1072, 1206))],
+    )
+    def test_winner_energies_equal_a_fixed_strength_compress(self, scale, grid, units):
+        """The energies the search returns, overflow unit included, are bit
+        for bit those `compress_layer` gives at the picked strength."""
+        x = synth.outlier_activations(32, 16, seed=1)
+        w = synth.smooth_decay_layer(16, 8, decay=2.0, seed=0) * scale
+        auto = select_migration_strength(x, w, grid, ratio=0.5)
+        fixed = compress_layer(x, w, ratio=0.5, smooth=auto.smoothing.migration_strength)
+        assert auto.energy_unit_log2 in units
+        assert auto.energy_unit_log2 == fixed.energy_unit_log2
+        assert auto.energy.shape == (3, 8)
+        assert auto.energy.tobytes() == fixed.energy.tobytes()
+
+
+def _count(monkeypatch, *functions):
+    """Calls of each (module, name) function, counted by name as the test runs."""
+    calls = {name: 0 for _, name in functions}
+    for owner, name in functions:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestCompressLayer:
