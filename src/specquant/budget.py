@@ -45,6 +45,16 @@ def spectral_entropy(spectrum):
     return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1)
 
 
+def _check_metric(metric):
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
+
+
+def _check_alpha(alpha):
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+
+
 def importance(w_smoothed, metric=DEFAULT_METRIC, *, spectrum=None):
     """Score the output channels of a (smoothed) weight matrix; returns one
     float64 score per column.
@@ -53,8 +63,7 @@ def importance(w_smoothed, metric=DEFAULT_METRIC, *, spectrum=None):
     one; `spectral-entropy` then reuses it instead of transforming again.
     """
     w = as_matrix(w_smoothed, "w_smoothed")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
+    _check_metric(metric)
     if metric == "abs-mean":
         scores = np.abs(w).mean(axis=0)
     elif metric == "abs-max":
@@ -123,8 +132,7 @@ def allocate(scores, alpha, total_budget, c_in):
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
         raise ValueError("scores must be 1-D")
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    _check_alpha(alpha)
     total_budget = int(total_budget)
     c_out = s.size
     if total_budget < c_out:

@@ -41,12 +41,6 @@ def _write_text(path, text):
 
 
 def _write_csv(path, fieldnames, rows):
-    """CSV of the rows; a value past the float64 range raises DataError
-    before the file is opened."""
-    for row in rows:
-        for name, value in row.items():
-            if isinstance(value, float) and not np.isfinite(value):
-                raise DataError(f"report value past the float64 range: {name} is {value}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
@@ -57,17 +51,6 @@ def _run_config(args):
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     cfg["version"] = __version__
     return cfg
-
-
-def _parse_smooth(value):
-    if value == "auto":
-        return "auto"
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(
-            f"--smooth must be 'auto' or a number in [0, 1], got {value!r}"
-        ) from None
 
 
 def cmd_compress(args):
@@ -81,7 +64,7 @@ def cmd_compress(args):
         metric=args.metric,
         alpha=args.alpha,
         residual_bits=args.residual_bits,
-        smooth=_parse_smooth(args.smooth),
+        smooth=args.smooth,
         residual_quant=args.residual_quant,
     )
     w_hat = layer.smoothing.lam[:, None] * w
@@ -145,6 +128,10 @@ def cmd_analyze(args):
     c_in, c_out = w.shape
     spec = spectral.fft_columns(w)
     total, _, _ = spectral.band_energies(spec, 1, c_in)
+    # The JSON report holds no rows, so this column is checked here.
+    past = total[~np.isfinite(total)]
+    if past.size:
+        raise DataError(f"report value past the float64 range: total_energy is {past[0]}")
     fractions = spectral.lowband_fraction(spec, c_in, args.band)
     entropy = spectral_entropy(spec)
     rows = [
@@ -197,6 +184,7 @@ def cmd_compare_svd(args):
 
 
 def cmd_eval_matmul(args):
+    quant._check_bits(args.act_bits)
     w = tensor_io.load_matrix(args.weights)
     x = tensor_io.load_matrix(args.calib)
     layer = tensor_io.load_compressed_layer(args.artifact)
@@ -279,7 +267,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=1.0, help="softmax temperature")
     p.add_argument("--residual-bits", type=int, default=pipeline.DEFAULT_RESIDUAL_BITS)
     p.add_argument("--smooth", default="auto", help="migration strength in [0,1] or 'auto'")
-    p.add_argument("--residual-quant", choices=("rtn", "compensated"), default="rtn")
+    p.add_argument("--residual-quant", choices=pipeline.RESIDUAL_QUANTIZERS, default="rtn")
     p.add_argument("--layer-name", default="layer")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compress)

@@ -29,10 +29,12 @@ import numpy as np
 
 from . import quant, spectral
 from .budget import DEFAULT_METRIC, BudgetPlan, allocate, bin_budget, importance
+from .budget import _check_alpha, _check_metric
 from .validation import as_matrix, norm, pow2_units
 
 DEFAULT_SMOOTH_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_RESIDUAL_BITS = 4
+RESIDUAL_QUANTIZERS = ("rtn", "compensated")
 
 
 @dataclass
@@ -84,17 +86,21 @@ def compute_smoothing(x_calib, w, s):
     """Per-channel factors lambda_j = max|X[:,j]|^s / max|W[j,:]|^(1-s).
 
     A channel whose activation or weight range is zero keeps lambda_j = 1 so
-    it passes through untouched.
+    it passes through untouched. The strength is checked before the inputs.
     """
-    x = as_matrix(x_calib, "x_calib")
+    (s,) = _check_strengths([s])
+    return _smoothing_factors(*_channel_ranges(*_check_pair(x_calib, w)), s)
+
+
+def _check_pair(x_calib, w):
+    """The (x, w) pair as finite matrices whose channel counts agree."""
     w = as_matrix(w, "w")
+    x = as_matrix(x_calib, "x_calib")
     if x.shape[1] != w.shape[0]:
         raise ValueError(
-            f"activations have {x.shape[1]} channels, weights expect {w.shape[0]}"
+            f"calibration activations have {x.shape[1]} channels, expected {w.shape[0]}"
         )
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"migration strength must lie in [0, 1], got {s}")
-    return _smoothing_factors(*_channel_ranges(x, w), s)
+    return x, w
 
 
 def _channel_ranges(x, w):
@@ -127,20 +133,26 @@ def apply_smoothing(x, w, factors):
 
 
 def _check_strengths(grid):
-    """The distinct strengths of `grid` in ascending order, each finite and
+    """The distinct strengths of `grid` in ascending order, each a number
     in [0, 1]; checked before anything is compressed."""
-    strengths = sorted({float(v) for v in (() if grid is None else grid)})
+    strengths = set()
+    for v in () if grid is None else grid:
+        try:
+            s = float(v)
+        except (TypeError, ValueError):
+            s = None
+        if s is None or not 0.0 <= s <= 1.0:
+            raise ValueError(f"smoothing migration strength must be a number in [0, 1], got {v!r}")
+        strengths.add(s)
     if not strengths:
         raise ValueError("migration strength grid must be non-empty")
-    for s in strengths:
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"migration strength must lie in [0, 1], got {s}")
-    return strengths
+    return sorted(strengths)
 
 
 def _compressor(
     x_calib,
     w,
+    *,
     ratio=None,
     groups=None,
     metric=DEFAULT_METRIC,
@@ -148,18 +160,17 @@ def _compressor(
     residual_bits=DEFAULT_RESIDUAL_BITS,
     residual_quant="rtn",
 ):
-    """Everything a compress does whatever the strength, done once: the
-    validated (x, w) and compress_at(s) -> (layer, half-spectra of its
-    smoothed weights), which does only the work that depends on s."""
-    w = as_matrix(w, "w")
-    x = as_matrix(x_calib, "x_calib")
-    if x.shape[1] != w.shape[0]:
-        raise ValueError(
-            f"calibration activations have {x.shape[1]} channels, expected {w.shape[0]}"
-        )
+    """The compress options, with their only defaults: every one is checked
+    here, before any transform. Returns the validated (x, w) and
+    compress_at(s) -> (layer, half-spectra of its smoothed weights), which
+    does only the work that depends on s; the rest is done once."""
+    x, w = _check_pair(x_calib, w)
     c_in, c_out = w.shape
     budget = bin_budget(c_in, c_out, ratio=ratio, groups=groups)
-    if residual_quant not in ("rtn", "compensated"):
+    _check_metric(metric)
+    _check_alpha(alpha)
+    quant._check_bits(residual_bits)
+    if residual_quant not in RESIDUAL_QUANTIZERS:
         raise ValueError(f"unknown residual quantizer {residual_quant!r}")
     act, wgt = _channel_ranges(x, w)
 
@@ -204,13 +215,13 @@ def _with_energies(layer, spec):
     return layer
 
 
-def select_migration_strength(x_calib, w, grid, ratio=None, **options):
+def select_migration_strength(x_calib, w, grid, **options):
     """Compress at the strength in `grid` minimizing the post-compression
     output MSE and return that layer; its strength is
-    `layer.smoothing.migration_strength`. `ratio` and `options` are the
-    other keyword arguments of `compress_layer`, with its defaults.
+    `layer.smoothing.migration_strength`. `options` are the keyword options
+    of `compress_layer` other than `smooth`, with the same defaults.
 
-    The grid (non-empty, every value finite and in [0, 1]; duplicates count
+    The grid (non-empty, every value a number in [0, 1]; duplicates count
     once), the inputs and the options are checked before anything is
     compressed. The input checks, the bin budget, the channel ranges and
     the reference X W are taken once for the search; each candidate then
@@ -224,7 +235,7 @@ def select_migration_strength(x_calib, w, grid, ratio=None, **options):
     included.
     """
     strengths = _check_strengths(grid)
-    x, w, compress_at = _compressor(x_calib, w, ratio, **options)
+    x, w, compress_at = _compressor(x_calib, w, **options)
     reference = x @ w
     exp = int(np.frexp(np.abs(reference).max(initial=0.0))[1])
     best = None
@@ -239,40 +250,30 @@ def select_migration_strength(x_calib, w, grid, ratio=None, **options):
     return _with_energies(*best)
 
 
-def compress_layer(
-    x_calib,
-    w,
-    *,
-    ratio=None,
-    groups=None,
-    metric=DEFAULT_METRIC,
-    alpha=1.0,
-    residual_bits=DEFAULT_RESIDUAL_BITS,
-    smooth="auto",
-    residual_quant="rtn",
-):
+def compress_layer(x_calib, w, *, smooth="auto", **options):
     """Compress one layer: smooth, truncate per channel, quantize the residual.
 
-    Exactly one of `ratio` and `groups` sets the bin budget
-    (`budget.bin_budget`). The importance metric distributes a ratio's
-    budget, so ratio 1.0 retains every full half-spectrum and the
-    decomposition is exact; a groups budget is split evenly (all scores
-    equal), so every channel keeps exactly `groups` bins. smooth="auto"
-    returns `select_migration_strength` over DEFAULT_SMOOTH_GRID (which
-    takes any grid): one search, with one setup, and no further
-    `compress_layer` call.
+    The keyword options, checked before any transform (a misspelled one
+    raises TypeError):
+
+    - `ratio` or `groups`: exactly one sets the bin budget
+      (`budget.bin_budget`). The importance metric distributes a ratio's
+      budget, so ratio 1.0 retains every full half-spectrum and the
+      decomposition is exact; a groups budget is split evenly (all scores
+      equal), so every channel keeps exactly `groups` bins.
+    - `metric` (one of `budget.METRICS`, default spectral-entropy) and
+      `alpha` (finite softmax temperature, default 1.0): the allocation.
+    - `residual_bits` (2..8, default 4) and `residual_quant` (one of
+      RESIDUAL_QUANTIZERS, default rtn): the residual quantizer.
+    - `smooth`: a migration strength in [0, 1], or "auto" (the default),
+      which returns `select_migration_strength` over DEFAULT_SMOOTH_GRID
+      (which takes any grid): one search, with one setup, and no further
+      `compress_layer` call. A fixed strength is checked before the inputs.
     """
-    options = dict(
-        groups=groups,
-        metric=metric,
-        alpha=alpha,
-        residual_bits=residual_bits,
-        residual_quant=residual_quant,
-    )
     if smooth == "auto":
-        return select_migration_strength(x_calib, w, DEFAULT_SMOOTH_GRID, ratio, **options)
-    _, _, compress_at = _compressor(x_calib, w, ratio, **options)
+        return select_migration_strength(x_calib, w, DEFAULT_SMOOTH_GRID, **options)
     (s,) = _check_strengths([smooth])
+    _, _, compress_at = _compressor(x_calib, w, **options)
     return _with_energies(*compress_at(s))
 
 
@@ -336,6 +337,8 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
     w = as_matrix(w_hat, "w_hat")
     c_in, c_out = w.shape
     budgets = [bin_budget(c_in, c_out, ratio=ratio) for ratio in ratios]
+    _check_metric(metric)
+    _check_alpha(alpha)
     spec = spectral.fft_columns(w)
     scores = importance(w, metric, spectrum=spec)
     s = np.linalg.svd(w, compute_uv=False)

@@ -238,6 +238,50 @@ def test_bad_smooth_value_exits_nonzero(tmp_path, decay_instance, capsys):
     assert "smooth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("smooth", ["1.5", "nan", "lots"])
+def test_bad_smooth_value_exits_before_any_transform(
+    tmp_path, decay_instance, counted, capsys, smooth
+):
+    wpath, xpath = decay_instance
+    out = tmp_path / "o"
+    rc = main([
+        "compress", "--weights", wpath, "--calib", xpath,
+        "--ratio", "0.5", "--smooth", smooth, "--residual-quant", "compensated",
+        "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"smoothing migration strength must be a number in [0, 1], got '{smooth}'" in err
+    assert counted["fft_columns"] == 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("act_bits", ["1", "9"])
+def test_eval_matmul_checks_act_bits_before_loading(
+    tmp_path, decay_instance, monkeypatch, capsys, act_bits
+):
+    wpath, xpath = decay_instance
+    art = tmp_path / "art"
+    assert main([
+        "compress", "--weights", wpath, "--calib", xpath,
+        "--groups", "4", "--smooth", "0.5", "--out", str(art),
+    ]) == 0
+    loads = []
+    for name in ("load_matrix", "load_compressed_layer"):
+        monkeypatch.setattr(tensor_io, name, lambda *a, _name=name, **k: loads.append(_name))
+    monkeypatch.setattr(spectral, "fft_columns", lambda *a, **k: loads.append("fft_columns"))
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    rc = main([
+        "eval-matmul", "--weights", wpath, "--calib", xpath,
+        "--artifact", str(art), "--act-bits", act_bits, "--out", str(out),
+    ])
+    assert rc == 1
+    assert f"specquant: error: bits must lie in [2, 8], got {act_bits}" in capsys.readouterr().err
+    assert loads == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ratios", ["1.5", "0", "0.2,-0.1"])
 def test_compare_svd_ratio_outside_unit_interval_exits_nonzero(
     tmp_path, decay_instance, capsys, ratios

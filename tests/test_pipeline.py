@@ -80,6 +80,9 @@ class TestSmoothing:
             compute_smoothing(np.ones((3, 4)), np.ones((5, 2)), 0.5)
         with pytest.raises(ValueError):
             compute_smoothing(np.ones((3, 4)), np.ones((4, 2)), 1.5)
+        # The strength is checked first, as a fixed-strength compress does.
+        with pytest.raises(ValueError, match="smoothing migration strength"):
+            compute_smoothing(np.ones((3, 4)), np.ones((5, 2)), None)
 
 
 class TestMigrationStrength:
@@ -167,6 +170,57 @@ class TestMigrationStrength:
             select_migration_strength(x, w, grid, ratio=0.5)
         assert calls == {"fft_columns": 0}
 
+    @pytest.mark.parametrize("entry", ["fixed", "auto", "search"])
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (dict(ratio=0.5, residual_bits=1), "bits must lie in"),
+            (dict(ratio=0.5, residual_bits=9), "bits must lie in"),
+            (dict(ratio=0.5, metric="bogus"), "unknown metric"),
+            (dict(groups=2, metric="bogus"), "unknown metric"),
+            (dict(ratio=0.5, alpha=float("nan")), "alpha must be finite"),
+            (dict(ratio=0.5, alpha=float("inf")), "alpha must be finite"),
+            (dict(groups=2, alpha=float("nan")), "alpha must be finite"),
+            (dict(ratio=0.5, residual_quant="gptq"), "unknown residual quantizer"),
+            (dict(ratio=1.5), "ratio must lie in"),
+            (dict(ratio=0.5, groups=2), "exactly one of ratio and groups"),
+        ],
+        ids=[
+            "bits-1", "bits-9", "metric", "metric-groups", "alpha-nan", "alpha-inf",
+            "alpha-nan-groups", "quantizer", "ratio", "ratio-and-groups",
+        ],
+    )
+    def test_bad_option_rejected_before_any_compress(self, monkeypatch, entry, options, message):
+        """Every compress option is checked before the first transform,
+        whichever entry point takes it."""
+        x = synth.outlier_activations(8, 16, seed=1)
+        w = synth.smooth_decay_layer(16, 4, decay=1.5, seed=0)
+        calls = _count(monkeypatch, (spectral, "fft_columns"))
+        with pytest.raises(ValueError, match=message):
+            _compress_via(entry, x, w, **options)
+        assert calls == {"fft_columns": 0}
+
+    @pytest.mark.parametrize("entry", ["fixed", "search"])
+    @pytest.mark.parametrize("strength", [1.5, "lots", None])
+    def test_bad_strength_rejected_before_any_compress(self, monkeypatch, entry, strength):
+        """A fixed strength is checked like a grid, before the inputs."""
+        calls = _count(monkeypatch, (spectral, "fft_columns"))
+        with pytest.raises(ValueError, match="smoothing migration strength must be a number"):
+            if entry == "fixed":
+                compress_layer(np.ones((2, 3)), np.ones((4, 2)), ratio=0.5, smooth=strength)
+            else:
+                select_migration_strength(np.ones((2, 3)), np.ones((4, 2)), [strength], ratio=0.5)
+        assert calls == {"fft_columns": 0}
+
+    @pytest.mark.parametrize("entry", ["fixed", "auto", "search"])
+    def test_misspelled_option_is_a_type_error(self, monkeypatch, entry):
+        x = synth.outlier_activations(8, 16, seed=1)
+        w = synth.smooth_decay_layer(16, 4, decay=1.5, seed=0)
+        calls = _count(monkeypatch, (spectral, "fft_columns"))
+        with pytest.raises(TypeError, match="ration"):
+            _compress_via(entry, x, w, ration=0.5)
+        assert calls == {"fft_columns": 0}
+
     def test_duplicate_strengths_compress_once(self, monkeypatch):
         x = synth.outlier_activations(8, 16, seed=1)
         w = synth.smooth_decay_layer(16, 4, decay=1.5, seed=0)
@@ -216,6 +270,16 @@ class TestMigrationStrength:
         assert auto.energy_unit_log2 == fixed.energy_unit_log2
         assert auto.energy.shape == (3, 8)
         assert auto.energy.tobytes() == fixed.energy.tobytes()
+
+
+def _compress_via(entry, x, w, **options):
+    """Compress at a fixed strength, with smooth="auto", or by a direct
+    strength search."""
+    if entry == "fixed":
+        return compress_layer(x, w, smooth=0.5, **options)
+    if entry == "auto":
+        return compress_layer(x, w, **options)
+    return select_migration_strength(x, w, [0.2, 0.5], **options)
 
 
 def _count(monkeypatch, *functions):
@@ -525,3 +589,19 @@ class TestCompareBudgets:
         assert rec.budget_bins == layer.plan.total_budget == 8 * 33
         with pytest.raises(ValueError, match="one retained bin per channel"):
             compare_budgets(w, [0.01])
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (dict(metric="bogus"), "unknown metric"),
+            (dict(alpha=float("nan")), "alpha must be finite"),
+            (dict(alpha=float("inf")), "alpha must be finite"),
+        ],
+        ids=["metric", "alpha-nan", "alpha-inf"],
+    )
+    def test_bad_option_rejected_before_transform_and_svd(self, monkeypatch, options, message):
+        w = synth.smooth_decay_layer(16, 4, decay=1.5, seed=0)
+        calls = _count(monkeypatch, (spectral, "fft_columns"), (np.linalg, "svd"))
+        with pytest.raises(ValueError, match=message):
+            compare_budgets(w, [0.5], **options)
+        assert calls == {"fft_columns": 0, "svd": 0}
