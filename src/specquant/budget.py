@@ -1,6 +1,7 @@
 """Channel importance metrics, bin budgets and softmax budget allocation."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ def _check_metric(metric):
 
 
 def _check_alpha(alpha):
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    if not (isinstance(alpha, numbers.Real) and np.isfinite(alpha)):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
 
 
 def importance(w_smoothed, metric=DEFAULT_METRIC, *, spectrum=None):
@@ -88,11 +89,11 @@ def bin_budget(c_in, c_out, *, ratio=None, groups=None):
         raise ValueError("exactly one of ratio and groups must be set")
     half = spectral.half_spectrum_length(c_in)
     if groups is not None:
-        if not 1 <= groups <= half or groups != int(groups):
-            raise ValueError(f"groups must be an integer in [1, {half}], got {groups}")
+        if not (isinstance(groups, numbers.Real) and 1 <= groups <= half) or groups != int(groups):
+            raise ValueError(f"groups must be an integer in [1, {half}], got {groups!r}")
         return int(groups) * c_out
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+    if not (isinstance(ratio, numbers.Real) and 0.0 < ratio <= 1.0):
+        raise ValueError(f"ratio must lie in (0, 1], got {ratio!r}")
     total = math.floor(ratio * c_out * half)
     if total < c_out:
         raise ValueError(f"budget {total} below one retained bin per channel (c_out={c_out})")

@@ -85,9 +85,7 @@ def cmd_compress(args):
         "bits_per_parameter": 8 * tensor_io.stored_bytes(layer) / params if params else 0.0,
         "truncation_error_frobenius": float(norm(trunc)),
         "reconstruction_error_frobenius": float(norm(trunc - quant.dequantize(layer.residual))),
-        "forward_error_highprec": float(
-            norm(x @ w - pipeline.forward_approx(x, layer, activation_bits=None))
-        ),
+        "forward_error_highprec": layer.forward_error,
         "residual_rtn_fallback": bool(layer.residual.rtn_fallback),
         "energy_unit_log2": layer.energy_unit_log2,
     }

@@ -15,7 +15,7 @@ compressed in two stages:
 activations: served, it keeps the W' branch in full precision and runs only
 the residual branch through integer quantization, as one GEMM on the integer
 codes (`quant.matmul`); unquantized, it is the single GEMM
-x_hat (W' + dequant(R)) that the `auto` strength search scores. A
+x_hat (W' + dequant(R)) that the strength search scores. A
 budget-matched truncated SVD of the same matrix acts as the baseline for
 error comparisons.
 
@@ -57,12 +57,12 @@ class CompressedLayer:
     `spectra.bin`. `energy` is the (3, c_out) array of each channel's total,
     retained and tail energy from the spectrum the layer was truncated from,
     in units of 2^energy_unit_log2 (0 unless an energy passes the float64
-    range). `compress_layer` sets it on the layer it returns; an auto
-    search takes it once, for its winner, so it equals that of a
-    fixed-strength compress at the picked strength. It is None on a loaded
-    layer, since the artifact keeps no dropped bins. W' is built once, on
-    first use; the residual stays in its codes. `tensor_io` refuses to save
-    or load a layer its format cannot hold.
+    range). `forward_error` is ||X W - forward_approx(X, layer, None)||_F,
+    the score the strength search gave the layer on its calibration set X.
+    The search sets both, the energies for its winner only; both are None
+    on a loaded layer, which keeps neither the dropped bins nor X. W' is
+    built once, on first use; the residual stays in its codes. `tensor_io`
+    refuses to save or load a layer its format cannot hold.
     """
 
     smoothing: SmoothingFactors
@@ -73,6 +73,7 @@ class CompressedLayer:
     c_out: int
     energy: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     energy_unit_log2: int = field(default=0, init=False, repr=False, compare=False)
+    forward_error: float | None = field(default=None, init=False, repr=False, compare=False)
     _w_low: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def low_freq_matrix(self):
@@ -86,7 +87,8 @@ def compute_smoothing(x_calib, w, s):
     """Per-channel factors lambda_j = max|X[:,j]|^s / max|W[j,:]|^(1-s).
 
     A channel whose activation or weight range is zero keeps lambda_j = 1 so
-    it passes through untouched. The strength is checked before the inputs.
+    it passes through untouched. The strength is checked before the inputs,
+    and a lambda_j that is not positive and finite raises ValueError.
     """
     (s,) = _check_strengths([s])
     return _smoothing_factors(*_channel_ranges(*_check_pair(x_calib, w)), s)
@@ -115,7 +117,15 @@ def _smoothing_factors(act, wgt, s):
     """`compute_smoothing` from the channel ranges it takes of x and w."""
     lam = np.ones(act.size)
     ok = (act > 0) & (wgt > 0)
-    lam[ok] = act[ok] ** s / wgt[ok] ** (1.0 - s)
+    with np.errstate(over="ignore", under="ignore"):
+        lam[ok] = act[ok] ** s / wgt[ok] ** (1.0 - s)
+    bad = np.flatnonzero(~(np.isfinite(lam) & (lam > 0)))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(
+            f"smoothing factor of channel {j} at migration strength {s} is {lam[j]}, "
+            "not positive and finite"
+        )
     return SmoothingFactors(lam=lam, migration_strength=float(s))
 
 
@@ -169,7 +179,7 @@ def _compressor(
     budget = bin_budget(c_in, c_out, ratio=ratio, groups=groups)
     _check_metric(metric)
     _check_alpha(alpha)
-    quant._check_bits(residual_bits)
+    quant._check_bits(residual_bits, "residual_bits")
     if residual_quant not in RESIDUAL_QUANTIZERS:
         raise ValueError(f"unknown residual quantizer {residual_quant!r}")
     act, wgt = _channel_ranges(x, w)
@@ -217,7 +227,7 @@ def _with_energies(layer, spec):
 
 def select_migration_strength(x_calib, w, grid, **options):
     """Compress at the strength in `grid` minimizing the post-compression
-    output MSE and return that layer; its strength is
+    output error and return that layer; its strength is
     `layer.smoothing.migration_strength`. `options` are the keyword options
     of `compress_layer` other than `smooth`, with the same defaults.
 
@@ -227,25 +237,21 @@ def select_migration_strength(x_calib, w, grid, **options):
     the reference X W are taken once for the search; each candidate then
     runs only the work that depends on its strength: lambda, the transform,
     the plan, the truncation, the W' rebuild and the residual quantization.
-    It is scored as ||X W - forward_approx(X, layer, None)||_F^2 on the
-    calibration set, in units of the power of two at max|X W| so the loss
-    neither overflows nor underflows (an exact rescaling, so the ranking is
-    unchanged). Ties go to the smaller strength. Only the winner gets its
-    report energies, so it equals `compress_layer` at its strength, energies
-    included.
+    It is scored as `layer.forward_error`, ||X W - forward_approx(X, layer,
+    None)||_F on the calibration set, which `validation.norm` takes in
+    power-of-two units of the error itself, so the score stays finite
+    wherever the norm is. Ties go to the smaller strength. Only the winner
+    gets its report energies.
     """
     strengths = _check_strengths(grid)
     x, w, compress_at = _compressor(x_calib, w, **options)
     reference = x @ w
-    exp = int(np.frexp(np.abs(reference).max(initial=0.0))[1])
     best = None
     for s in strengths:
         layer, spec = compress_at(s)
-        err = reference - forward_approx(x, layer, None)
-        np.ldexp(err, -exp, out=err)
-        loss = float(np.square(err, out=err).sum())
-        if best is None or loss < best_loss:
-            best, best_loss = (layer, spec), loss
+        layer.forward_error = float(norm(reference - forward_approx(x, layer, None)))
+        if best is None or layer.forward_error < best[0].forward_error:
+            best = layer, spec
         del layer, spec  # a losing candidate is freed before the next one runs
     return _with_energies(*best)
 
@@ -263,18 +269,16 @@ def compress_layer(x_calib, w, *, smooth="auto", **options):
       equal), so every channel keeps exactly `groups` bins.
     - `metric` (one of `budget.METRICS`, default spectral-entropy) and
       `alpha` (finite softmax temperature, default 1.0): the allocation.
-    - `residual_bits` (2..8, default 4) and `residual_quant` (one of
-      RESIDUAL_QUANTIZERS, default rtn): the residual quantizer.
+    - `residual_bits` (an integer in 2..8, default 4) and `residual_quant`
+      (one of RESIDUAL_QUANTIZERS, default rtn): the residual quantizer.
     - `smooth`: a migration strength in [0, 1], or "auto" (the default),
-      which returns `select_migration_strength` over DEFAULT_SMOOTH_GRID
-      (which takes any grid): one search, with one setup, and no further
-      `compress_layer` call. A fixed strength is checked before the inputs.
+      for DEFAULT_SMOOTH_GRID. Either way this is one
+      `select_migration_strength` call, a fixed strength being the
+      one-point grid, so every layer comes back with its `forward_error`.
+      A fixed strength is checked before the inputs.
     """
-    if smooth == "auto":
-        return select_migration_strength(x_calib, w, DEFAULT_SMOOTH_GRID, **options)
-    (s,) = _check_strengths([smooth])
-    _, _, compress_at = _compressor(x_calib, w, **options)
-    return _with_energies(*compress_at(s))
+    grid = DEFAULT_SMOOTH_GRID if smooth == "auto" else [smooth]
+    return select_migration_strength(x_calib, w, grid, **options)
 
 
 def forward_approx(x, layer, activation_bits):

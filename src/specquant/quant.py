@@ -19,6 +19,7 @@ stay below 2^24 and in float64 otherwise, with the zero points folded out of
 the product afterwards (Jacob et al., arXiv 1712.05877, eq. 7).
 """
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,11 +77,13 @@ class QuantizedTensor:
         return self._gemm[dtype]
 
 
-def _check_bits(bits):
-    bits = int(bits)
-    if not 2 <= bits <= 8:
-        raise ValueError(f"bits must lie in [2, 8], got {bits}")
-    return bits
+def _check_bits(bits, name="bits"):
+    """`bits` as an int: a number of integral value in [2, 8]."""
+    if not (isinstance(bits, numbers.Real) and 2 <= bits <= 8):
+        raise ValueError(f"{name} must lie in [2, 8], got {bits!r}")
+    if bits != int(bits):
+        raise ValueError(f"{name} must be an integer, got {bits!r}")
+    return int(bits)
 
 
 def _slice_params(x, bits, granularity):

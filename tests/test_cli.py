@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import specquant as sq
-from specquant import spectral, synth, tensor_io
+from specquant import pipeline, spectral, synth, tensor_io
 from specquant.cli import main
 from specquant.validation import pow2_units
 
@@ -432,6 +432,37 @@ def test_compress_transforms_once_per_candidate(
         "inv": 0,
         "cholesky": 0,
     }
+
+
+@pytest.mark.parametrize("smooth, candidates", [("0.5", 1), ("auto", 9)])
+def test_report_forward_error_is_the_search_score(
+    tmp_path, decay_instance, monkeypatch, smooth, candidates
+):
+    """The report's forward error is the score the strength search gave the
+    saved layer: one unquantized forward per candidate, none of the
+    command's own."""
+    wpath, xpath = decay_instance
+    saved, forwards = [], []
+    save, forward = tensor_io.save_compressed_layer, pipeline.forward_approx
+
+    def saving(layer, *args, **kwargs):
+        saved.append(layer)
+        return save(layer, *args, **kwargs)
+
+    def forwarding(x, layer, activation_bits):
+        forwards.append(activation_bits)
+        return forward(x, layer, activation_bits)
+
+    monkeypatch.setattr(tensor_io, "save_compressed_layer", saving)
+    monkeypatch.setattr(pipeline, "forward_approx", forwarding)
+    out = tmp_path / "art"
+    assert main([
+        "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.25",
+        "--smooth", smooth, "--out", str(out),
+    ]) == 0
+    assert forwards == [None] * candidates
+    report = json.loads((out / "report.json").read_text())
+    assert report["summary"]["forward_error_highprec"] == saved[0].forward_error
 
 
 @pytest.mark.parametrize("smooth, candidates", [("0.5", 1), ("auto", 9)])

@@ -16,6 +16,7 @@ from specquant.pipeline import (
     forward_approx,
     select_migration_strength,
 )
+from specquant.validation import norm
 
 from oracles import compare_budgets_rebuilt, jacobi_singular_values
 
@@ -83,6 +84,25 @@ class TestSmoothing:
         # The strength is checked first, as a fixed-strength compress does.
         with pytest.raises(ValueError, match="smoothing migration strength"):
             compute_smoothing(np.ones((3, 4)), np.ones((5, 2)), None)
+
+    def test_lambda_past_the_float64_range_is_named(self, monkeypatch):
+        """1 / 3.5e-319 overflows: the factor is refused by channel and
+        strength before any transform, and every finite factor keeps the
+        bits of its formula."""
+        w = np.ones((3, 8))
+        w[2] = 3.5e-319
+        x = np.random.default_rng(0).normal(size=(8, 3))
+        calls = _count(monkeypatch, (spectral, "fft_columns"))
+        message = r"smoothing factor of channel 2 at migration strength 0\.0 is inf"
+        with pytest.raises(ValueError, match=message):
+            compress_layer(x, w, ratio=1.0, smooth=0.0)
+        with pytest.raises(ValueError, match=message):
+            compute_smoothing(x, w, 0.0)
+        assert calls == {"fft_columns": 0}
+        act, wgt = np.abs(x).max(axis=0), np.abs(w).max(axis=1)
+        for s in (0.5, 1.0):
+            lam = compute_smoothing(x, w, s).lam
+            assert lam.tobytes() == (act**s / wgt ** (1.0 - s)).tobytes()
 
 
 class TestMigrationStrength:
@@ -152,6 +172,41 @@ class TestMigrationStrength:
                 unscaled = compress_layer(x, w, ratio=0.5, metric=metric)
                 assert picked == unscaled.smoothing.migration_strength, seed
 
+    def test_search_survives_a_loss_past_the_float64_range(self):
+        """Two dead activation channels carry weights at 1e200 and the rest
+        at 1e-100, so every candidate's error, relative to max|XW|, is past
+        2^512 and its square past the float64 range. The search scores
+        the error's norm instead, warns of nothing, and picks the strength
+        with the smallest one."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(16, 8))
+        w = rng.normal(size=(8, 4))
+        x[:, :2] = 0
+        w[:2] *= 1e200
+        w[2:] *= 1e-100
+        picked = compress_layer(x, w, ratio=0.25)
+        errors = {
+            s: compress_layer(x, w, ratio=0.25, smooth=s).forward_error
+            for s in DEFAULT_SMOOTH_GRID
+        }
+        top = np.abs(x @ w).max()
+        assert all(np.log2(e) - np.log2(top) > 512 for e in errors.values())
+        strength = picked.smoothing.migration_strength
+        assert strength == min(DEFAULT_SMOOTH_GRID, key=lambda s: (errors[s], s))
+        assert picked.forward_error == errors[strength]
+
+    @pytest.mark.parametrize("entry", ["fixed", "auto", "search"])
+    def test_forward_error_is_the_calibration_forward_error(self, tmp_path, entry):
+        """Every compress returns the score its search gave it, bit for bit;
+        a loaded layer has none."""
+        x = synth.outlier_activations(32, 16, seed=1)
+        w = synth.smooth_decay_layer(16, 8, decay=1.5, seed=0)
+        layer = _compress_via(entry, x, w, ratio=0.5)
+        assert type(layer.forward_error) is float
+        assert layer.forward_error == float(norm(x @ w - forward_approx(x, layer, None)))
+        sq.save_compressed_layer(layer, tmp_path / "art")
+        assert sq.load_compressed_layer(tmp_path / "art").forward_error is None
+
     def test_tie_breaks_to_smallest(self):
         # Zero weights make every strength equivalent (loss identically 0).
         x = np.ones((4, 4))
@@ -184,10 +239,18 @@ class TestMigrationStrength:
             (dict(ratio=0.5, residual_quant="gptq"), "unknown residual quantizer"),
             (dict(ratio=1.5), "ratio must lie in"),
             (dict(ratio=0.5, groups=2), "exactly one of ratio and groups"),
+            (dict(ratio=0.5, residual_bits=4.9), "residual_bits must be an integer"),
+            (dict(ratio=0.5, residual_bits="4"), "residual_bits must lie in"),
+            (dict(ratio=0.5, residual_bits=None), "residual_bits must lie in"),
+            (dict(ratio=0.5, alpha="1"), "alpha must be finite"),
+            (dict(groups=2, alpha="1"), "alpha must be finite"),
+            (dict(ratio="0.5"), "ratio must lie in"),
+            (dict(groups="2"), "groups must be an integer"),
         ],
         ids=[
             "bits-1", "bits-9", "metric", "metric-groups", "alpha-nan", "alpha-inf",
-            "alpha-nan-groups", "quantizer", "ratio", "ratio-and-groups",
+            "alpha-nan-groups", "quantizer", "ratio", "ratio-and-groups", "bits-4.9",
+            "bits-str", "bits-none", "alpha-str", "alpha-str-groups", "ratio-str", "groups-str",
         ],
     )
     def test_bad_option_rejected_before_any_compress(self, monkeypatch, entry, options, message):
@@ -232,8 +295,9 @@ class TestMigrationStrength:
     @pytest.mark.parametrize("smooth, candidates", [(0.5, 1), ("auto", len(DEFAULT_SMOOTH_GRID))])
     def test_search_repeats_only_per_strength_work(self, monkeypatch, smooth, candidates):
         """Each candidate transforms, truncates and rebuilds W' once; the
-        report energies are taken once, for the returned layer, and the
-        search makes no `compress_layer` call of its own."""
+        report energies are taken once, for the returned layer. A fixed
+        strength is a one-point search, and the search makes no
+        `compress_layer` call of its own."""
         x = synth.outlier_activations(32, 16, seed=1)
         w = synth.smooth_decay_layer(16, 8, decay=1.5, seed=0)
         calls = _count(
@@ -252,7 +316,7 @@ class TestMigrationStrength:
             "reconstruct_columns": candidates,
             "band_energies": 1,
             "compress_layer": 1,
-            "select_migration_strength": int(smooth == "auto"),
+            "select_migration_strength": 1,
         }
 
     @pytest.mark.parametrize(
