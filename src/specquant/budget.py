@@ -52,7 +52,13 @@ def _check_metric(metric):
 
 
 def _check_alpha(alpha):
-    if not (isinstance(alpha, numbers.Real) and np.isfinite(alpha)):
+    """`alpha` must be a real number finite as a float64 (an int past the
+    float64 range is not)."""
+    try:
+        finite = isinstance(alpha, numbers.Real) and math.isfinite(alpha)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"alpha must be finite, got {alpha!r}")
 
 

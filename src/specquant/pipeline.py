@@ -12,9 +12,10 @@ compressed in two stages:
    replaces the dense weights.
 
 `forward_approx` is the only code that applies a compressed layer to
-activations: served, it keeps the W' branch in full precision and runs only
-the residual branch through integer quantization, as one GEMM on the integer
-codes (`quant.matmul`); unquantized, it is the single GEMM
+activations: served, it runs the W' branch as one float32 GEMM in
+power-of-two units, on unquantized activations, and only the residual branch
+through integer quantization, as one GEMM on the integer codes
+(`quant.matmul`); unquantized, it is the single float64 GEMM
 x_hat (W' + dequant(R)) that the strength search scores. A
 budget-matched truncated SVD of the same matrix acts as the baseline for
 error comparisons.
@@ -75,6 +76,7 @@ class CompressedLayer:
     energy_unit_log2: int = field(default=0, init=False, repr=False, compare=False)
     forward_error: float | None = field(default=None, init=False, repr=False, compare=False)
     _w_low: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _w_low_f32: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def low_freq_matrix(self):
         """Dense W' materialized from the stored spectra (computed once)."""
@@ -82,13 +84,31 @@ class CompressedLayer:
             self._w_low = spectral.reconstruct_columns(self.spectra, self.plan.k, self.c_in)
         return self._w_low
 
+    def _served_low_freq(self):
+        """(W' / 2^e as float32, e), e the (1, c_out) frexp exponents of each
+        column's max|W'|: the operand of the served W' branch, computed once
+        from the float64 W'. A layer that held no float64 W' does not keep
+        the one built here, so a served loaded layer holds W' only in float32."""
+        if self._w_low_f32 is None:
+            kept = self._w_low
+            scaled, exp = pow2_units(self.low_freq_matrix(), axis=0)
+            self._w_low_f32 = scaled.astype(np.float32), exp
+            self._w_low = kept
+        return self._w_low_f32
+
 
 def compute_smoothing(x_calib, w, s):
     """Per-channel factors lambda_j = max|X[:,j]|^s / max|W[j,:]|^(1-s).
 
-    A channel whose activation or weight range is zero keeps lambda_j = 1 so
-    it passes through untouched. The strength is checked before the inputs,
-    and a lambda_j that is not positive and finite raises ValueError.
+    A channel whose activation range is zero (a dead channel) but whose
+    weight range is not gets lambda_j = m / max|W[j,:]|, m the median of
+    lambda max|W| over the live channels (both ranges nonzero), so its
+    smoothed weight row spans what a live one does; a zero weight row with
+    live activations gets the mirror rule, lambda_j = max|X[:,j]| / m', m'
+    the median of max|X| / lambda over the live channels. A channel zero on
+    both sides, or any channel of a layer with no live one, keeps
+    lambda_j = 1. The strength is checked before the inputs, and a lambda_j
+    that is not positive and finite raises ValueError.
     """
     (s,) = _check_strengths([s])
     return _smoothing_factors(*_channel_ranges(*_check_pair(x_calib, w)), s)
@@ -117,8 +137,14 @@ def _smoothing_factors(act, wgt, s):
     """`compute_smoothing` from the channel ranges it takes of x and w."""
     lam = np.ones(act.size)
     ok = (act > 0) & (wgt > 0)
-    with np.errstate(over="ignore", under="ignore"):
+    # A factor past the float64 range is refused below, by channel.
+    with np.errstate(all="ignore"):
         lam[ok] = act[ok] ** s / wgt[ok] ** (1.0 - s)
+        if ok.any():
+            dead = (act == 0) & (wgt > 0)
+            lam[dead] = _lower_median(lam[ok] * wgt[ok]) / wgt[dead]
+            dead = (wgt == 0) & (act > 0)
+            lam[dead] = act[dead] / _lower_median(act[ok] / lam[ok])
     bad = np.flatnonzero(~(np.isfinite(lam) & (lam > 0)))
     if bad.size:
         j = bad[0]
@@ -127,6 +153,13 @@ def _smoothing_factors(act, wgt, s):
             "not positive and finite"
         )
     return SmoothingFactors(lam=lam, migration_strength=float(s))
+
+
+def _lower_median(v):
+    """The lower median of a non-empty vector: an element of it, so unlike
+    the mean of the middle two it cannot overflow."""
+    mid = (v.size - 1) // 2
+    return np.partition(v, mid)[mid]
 
 
 def apply_smoothing(x, w, factors):
@@ -284,13 +317,22 @@ def compress_layer(x_calib, w, *, smooth="auto", **options):
 def forward_approx(x, layer, activation_bits):
     """The approximate forward pass; the one place a layer meets activations.
 
-    With x_hat = x / lambda, `activation_bits` (2..8, checked by the
-    quantizer) returns x_hat W' + dequant(quant(x_hat)) dequant(R): the
-    residual-branch activations quantized per token and the branch run as
-    `quant.matmul` of the activation codes and the residual codes, an exact
-    GEMM on the codes, equal to the dequantized product up to rounding,
-    whose code operand `layer.residual` builds once from its stored codes.
-    The W' branch runs in full precision (standing in for a 16-bit kernel).
+    With x_hat = x / lambda, `activation_bits` (2..8, checked before any
+    GEMM) returns x_hat W' + dequant(quant(x_hat)) dequant(R), the served
+    forward. The residual-branch activations are quantized per token and
+    that branch runs as `quant.matmul` of the activation codes and the
+    residual codes, an exact GEMM on the codes, equal to the dequantized
+    product up to rounding, whose code operand `layer.residual` builds once
+    from its stored codes. The W' branch is one float32 GEMM in power-of-two
+    units (standing in for a 16-bit kernel): each row of x_hat and each
+    column of W' is divided by 2^e, e the frexp exponent of its max|.|, and
+    cast to float32; the product goes back to float64 and is scaled by
+    2^(e_row + e_col). So it rounds only at float32 level relative to
+    |x_hat| |W'|, at any float64 scale, and scaling x by a power of two
+    scales the output by it exactly. One min/max pass over x_hat per token
+    gives both the quantizer's ranges and the row exponents, and refuses a
+    non-finite x_hat.
+
     `activation_bits=None` is the unquantized forward, the single float64
     GEMM x_hat (W' + dequant(R)) that `select_migration_strength` scores.
     Either way a loaded and an in-memory layer give the same bits.
@@ -298,14 +340,27 @@ def forward_approx(x, layer, activation_bits):
     x = as_matrix(x, "x")
     if x.shape[1] != layer.c_in:
         raise ValueError(f"x has {x.shape[1]} columns, layer expects {layer.c_in}")
-    x_hat = x / layer.smoothing.lam[None, :]
     if activation_bits is None:
+        x_hat = x / layer.smoothing.lam[None, :]
         # W' + dequant(R), summed in place in dequant(R)'s buffer (the same bits).
         w_full = quant.dequantize(layer.residual)
         w_full += layer.low_freq_matrix()
         return x_hat @ w_full
-    y = x_hat @ layer.low_freq_matrix()
-    return y + quant.matmul(quant.quantize(x_hat, activation_bits, "per_token"), layer.residual)
+    bits = quant._check_bits(activation_bits, "activation_bits")
+    with np.errstate(over="ignore"):  # an overflow is refused, named, below
+        x_hat = x / layer.smoothing.lam[None, :]
+    lo, hi = quant._slice_ranges(x_hat, "per_token")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("x / lambda contains non-finite values")
+    w32, col_exp = layer._served_low_freq()
+    row_exp = np.frexp(np.maximum(-lo, hi))[1][:, None]
+    # Scaled straight into the float32 operand, with no float64 copy of x_hat.
+    x32 = np.ldexp(x_hat, -row_exp, out=np.empty(x_hat.shape, np.float32))
+    y = (x32 @ w32).astype(np.float64)
+    del x32  # freed before the quantizer allocates
+    np.ldexp(y, row_exp + col_exp, out=y)
+    y += quant.matmul(quant._quantize(x_hat, bits, "per_token", lo, hi), layer.residual)
+    return y
 
 
 @dataclass

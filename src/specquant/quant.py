@@ -86,18 +86,24 @@ def _check_bits(bits, name="bits"):
     return int(bits)
 
 
-def _slice_params(x, bits, granularity):
-    """Vectorized per-slice (deltas, zero_points) for a matrix."""
+def _slice_ranges(x, granularity):
+    """Per-slice (min, max) of a matrix at the given granularity (0 for an
+    empty side)."""
     if granularity == "per_token":
         if x.shape[1] == 0 and x.shape[0] > 0:
             raise ValueError("per_token slices must be non-empty")
-        lo = x.min(axis=1) if x.size else np.zeros(x.shape[0])
-        hi = x.max(axis=1) if x.size else np.zeros(x.shape[0])
+        axis = 1
     elif granularity == "per_channel":
-        lo = x.min(axis=0) if x.size else np.zeros(x.shape[1])
-        hi = x.max(axis=0) if x.size else np.zeros(x.shape[1])
+        axis = 0
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
+    if not x.size:
+        return np.zeros(x.shape[1 - axis]), np.zeros(x.shape[1 - axis])
+    return x.min(axis=axis), x.max(axis=axis)
+
+
+def _slice_params(lo, hi, bits):
+    """Vectorized per-slice (deltas, zero_points) of slices spanning [lo, hi]."""
     qmax = 2**bits - 1
     deltas, zps = _range_params(lo, hi, qmax)
     # With an end within a few ulps of the float64 limit, (code - z) * delta
@@ -148,10 +154,15 @@ def quantize(x, bits, granularity):
     """Quantize a matrix slice-wise at the given granularity."""
     x = as_matrix(x, "x")
     bits = _check_bits(bits)
-    deltas, zps = _slice_params(x, bits, granularity)
-    codes = _encode(x, deltas, zps, bits, granularity)
+    return _quantize(x, bits, granularity, *_slice_ranges(x, granularity))
+
+
+def _quantize(x, bits, granularity, lo, hi):
+    """`quantize` of a finite matrix, with checked `bits`, whose slices span
+    [lo, hi] (`_slice_ranges`), for a caller that already has the ranges."""
+    deltas, zps = _slice_params(lo, hi, bits)
     return QuantizedTensor(
-        codes=codes,
+        codes=_encode(x, deltas, zps, bits, granularity),
         bits=bits,
         granularity=granularity,
         deltas=deltas,

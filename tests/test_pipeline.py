@@ -40,13 +40,42 @@ class TestSmoothing:
         f = compute_smoothing(x, w, 1.0)
         np.testing.assert_allclose(f.lam, np.abs(x).max(axis=0), rtol=1e-15)
 
-    def test_zero_activation_channel_untouched(self):
-        x = np.random.default_rng(4).normal(size=(10, 4))
+    def test_dead_channel_takes_the_median_live_range(self):
+        """A zero activation channel gets the median smoothed weight range of
+        the live channels, a zero weight row the median smoothed activation
+        range; a channel zero on both sides keeps 1, and every live channel
+        the bits of its formula."""
+        x = np.random.default_rng(4).normal(size=(10, 6))
+        w = np.random.default_rng(5).normal(size=(6, 3))
         x[:, 2] = 0.0
-        w = np.random.default_rng(5).normal(size=(4, 3))
-        f = compute_smoothing(x, w, 0.5)
-        assert f.lam[2] == 1.0
-        assert (f.lam > 0).all() and np.isfinite(f.lam).all()
+        w[4] = 0.0
+        x[:, 5] = 0.0
+        w[5] = 0.0
+        s = 0.5
+        lam = compute_smoothing(x, w, s).lam
+        act, wgt = np.abs(x).max(axis=0), np.abs(w).max(axis=1)
+        live = [0, 1, 3]
+        assert lam[live].tobytes() == (act[live] ** s / wgt[live] ** (1.0 - s)).tobytes()
+        assert lam[2] == np.median(lam[live] * wgt[live]) / wgt[2]
+        assert lam[4] == act[4] / np.median(act[live] / lam[live])
+        assert lam[5] == 1.0
+
+    def test_dead_channel_keeps_the_forward_finite(self, tmp_path):
+        """Live factors near 4e-246 bring weights at 1e296 down to the
+        activations' scale; a dead channel's weight row, left at lambda = 1,
+        made the forward overflow. Saved and loaded, the layer's forward is
+        now finite and close at both precisions, and warns of nothing."""
+        rng = np.random.default_rng(0)
+        w = rng.normal(size=(16, 4)) * 1e296
+        x = rng.normal(size=(8, 16)) * 1e-195
+        x[:, 3] = 0.0
+        sq.save_compressed_layer(compress_layer(x, w, ratio=1.0, smooth=0.5), tmp_path)
+        layer = sq.load_compressed_layer(tmp_path)
+        ref = x @ w
+        for bits in (4, None):
+            y = forward_approx(x, layer, bits)
+            assert np.isfinite(y).all()
+            assert norm(y - ref) <= 1e-6 * norm(ref)
 
     def test_unit_factors_change_nothing(self):
         x = np.random.default_rng(6).normal(size=(5, 4))
@@ -173,17 +202,21 @@ class TestMigrationStrength:
                 assert picked == unscaled.smoothing.migration_strength, seed
 
     def test_search_survives_a_loss_past_the_float64_range(self):
-        """Two dead activation channels carry weights at 1e200 and the rest
-        at 1e-100, so every candidate's error, relative to max|XW|, is past
-        2^512 and its square past the float64 range. The search scores
-        the error's norm instead, warns of nothing, and picks the strength
-        with the smallest one."""
+        """Channels 0 and 1 carry equal activations against negated weights,
+        small integers times 2^500, active on the first 8 tokens only: each
+        product is exact, so the pair cancels exactly in X W, which the rest,
+        at weights near 2^-300, makes tiny. The compressed layer does not
+        cancel, so every candidate's error, relative to max|XW|, is past
+        2^512 and its square past the float64 range. The search scores the
+        error's norm instead, warns of nothing, and picks the strength with
+        the smallest one."""
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(16, 8))
-        w = rng.normal(size=(8, 4))
-        x[:, :2] = 0
-        w[:2] *= 1e200
-        w[2:] *= 1e-100
+        x = np.zeros((16, 8))
+        w = rng.normal(size=(8, 4)) * 2.0**-300
+        x[:8, 0] = x[:8, 1] = np.ldexp(rng.integers(1, 8, size=8).astype(float), 500)
+        w[0] = np.ldexp(rng.integers(1, 8, size=4).astype(float), 500)
+        w[1] = -w[0]
+        x[8:, 2:] = rng.normal(size=(8, 6))
         picked = compress_layer(x, w, ratio=0.25)
         errors = {
             s: compress_layer(x, w, ratio=0.25, smooth=s).forward_error
@@ -236,6 +269,7 @@ class TestMigrationStrength:
             (dict(ratio=0.5, alpha=float("nan")), "alpha must be finite"),
             (dict(ratio=0.5, alpha=float("inf")), "alpha must be finite"),
             (dict(groups=2, alpha=float("nan")), "alpha must be finite"),
+            (dict(ratio=0.5, alpha=10**400), "alpha must be finite"),
             (dict(ratio=0.5, residual_quant="gptq"), "unknown residual quantizer"),
             (dict(ratio=1.5), "ratio must lie in"),
             (dict(ratio=0.5, groups=2), "exactly one of ratio and groups"),
@@ -249,7 +283,8 @@ class TestMigrationStrength:
         ],
         ids=[
             "bits-1", "bits-9", "metric", "metric-groups", "alpha-nan", "alpha-inf",
-            "alpha-nan-groups", "quantizer", "ratio", "ratio-and-groups", "bits-4.9",
+            "alpha-nan-groups", "alpha-past-float64", "quantizer", "ratio", "ratio-and-groups",
+            "bits-4.9",
             "bits-str", "bits-none", "alpha-str", "alpha-str-groups", "ratio-str", "groups-str",
         ],
     )
@@ -513,17 +548,98 @@ class TestForwardApprox:
 
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_quantized_residual_branch_is_the_dequantized_product(self, bits):
-        """The code GEMM moves the forward only at rounding level."""
-        rng = np.random.default_rng(24 + bits)
-        x = rng.normal(size=(12, 32)) * rng.uniform(0.1, 10, size=32)
-        layer = compress_layer(x, rng.normal(size=(32, 6)), ratio=0.3, smooth=0.5)
+        """The code GEMM moves the forward only at rounding level: less the
+        W' branch computed as documented, the forward is the dequantized
+        residual-branch product."""
+        x, layer = self._residual_fixture(bits)
+        x_hat = x / layer.smoothing.lam
+        x_deq = quant.dequantize(quant.quantize(x_hat, bits, "per_token"))
+        r_deq = quant.dequantize(layer.residual)
+        w_low = layer.low_freq_matrix()
+        code_branch = forward_approx(x, layer, bits) - _float32_w_low_branch(x_hat, w_low)
+        scale = np.abs(x_hat) @ np.abs(w_low) + np.abs(x_deq) @ np.abs(r_deq)
+        assert (np.abs(code_branch - x_deq @ r_deq) <= 1e-12 * scale).all()
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_w_low_branch_rounds_at_float32_level(self, bits):
+        """Against the float64 x_hat W', the served W' branch is off by at
+        most gamma_(c_in + 2) |x_hat| |W'| in float32's unit roundoff
+        u = 2^-24: each operand entry rounds once to float32 and each dot
+        product of c_in terms accumulates in float32; the power-of-two
+        scalings are exact. The float64 terms get the 1e-12 bound above."""
+        x, layer = self._residual_fixture(bits)
         x_hat = x / layer.smoothing.lam
         x_deq = quant.dequantize(quant.quantize(x_hat, bits, "per_token"))
         r_deq = quant.dequantize(layer.residual)
         w_low = layer.low_freq_matrix()
         dense = x_hat @ w_low + x_deq @ r_deq
-        scale = np.abs(x_hat) @ np.abs(w_low) + np.abs(x_deq) @ np.abs(r_deq)
-        assert (np.abs(forward_approx(x, layer, bits) - dense) <= 1e-12 * scale).all()
+        n_u = (layer.c_in + 2) * 2.0**-24
+        w_low_scale = np.abs(x_hat) @ np.abs(w_low)
+        f64_scale = w_low_scale + np.abs(x_deq) @ np.abs(r_deq)
+        bound = n_u / (1 - n_u) * w_low_scale + 1e-12 * f64_scale
+        err = np.abs(forward_approx(x, layer, bits) - dense)
+        assert (err <= bound).all()
+        assert err.max() > 1e-12 * w_low_scale.max()  # the branch is float32, not float64
+
+    @staticmethod
+    def _residual_fixture(bits):
+        rng = np.random.default_rng(24 + bits)
+        x = rng.normal(size=(12, 32)) * rng.uniform(0.1, 10, size=32)
+        return x, compress_layer(x, rng.normal(size=(32, 6)), ratio=0.3, smooth=0.5)
+
+    @staticmethod
+    def _decay_fixture():
+        """32 outlier activation rows and a 16x8 smooth-decay layer."""
+        x = synth.outlier_activations(32, 16, seed=1)
+        return x, synth.smooth_decay_layer(16, 8, decay=2.0, seed=0)
+
+    @pytest.mark.parametrize("a", [600, -600])
+    def test_power_of_two_scale_passes_through_exactly(self, a):
+        """The served forward is scale-equivariant by powers of two, bit for
+        bit: the float32 branch runs in power-of-two units and the per-token
+        quantizer's codes do not depend on the scale."""
+        x, w = self._decay_fixture()
+        layer = compress_layer(x, w, ratio=0.5, smooth=0.5)
+        y = forward_approx(x, layer, 4)
+        assert forward_approx(np.ldexp(x, a), layer, 4).tobytes() == np.ldexp(y, a).tobytes()
+
+    @pytest.mark.parametrize("scale", ["w1e200", "x1e200", "x1e-200"])
+    def test_served_forward_at_extreme_scales(self, scale):
+        """Far from 1 the served forward stays finite, warns of nothing and
+        keeps the unscaled layer's relative error; a bare float32 cast of
+        x_hat and W' overflows at 1e200 and flushes x_hat to zero at
+        1e-200."""
+        x, w = self._decay_fixture()
+
+        def rel_err(x, w):
+            layer = compress_layer(x, w, ratio=0.5, smooth=0.5)
+            ref = x @ w
+            return float(norm(forward_approx(x, layer, 4) - ref) / norm(ref))
+
+        factor = 1e200 if scale.endswith("e200") else 1e-200
+        xs, ws = (x * factor, w) if scale[0] == "x" else (x, w * factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = rel_err(xs, ws)
+        assert np.isfinite(err)
+        assert err == pytest.approx(rel_err(x, w), rel=1e-6)
+        assert err == pytest.approx(0.0117, abs=5e-5)
+
+    def test_served_loaded_layer_holds_w_low_once_in_float32(self, tmp_path):
+        """A loaded layer that served only quantized forwards keeps no
+        float64 W'; the layer compress returned keeps the one it scored."""
+        x, w = self._decay_fixture()
+        layer = compress_layer(x, w, ratio=0.5, smooth=0.5)
+        sq.save_compressed_layer(layer, tmp_path)
+        back = sq.load_compressed_layer(tmp_path)
+        y = forward_approx(x, back, 4)
+        assert back._w_low is None
+        w32, exp = back._w_low_f32
+        assert w32.dtype == np.float32 and w32.shape == (16, 8) and exp.shape == (1, 8)
+        assert y.tobytes() == forward_approx(x, layer, 4).tobytes()
+        assert layer._w_low is not None
+        # Built again on demand, the float64 W' has the bits it had.
+        assert back.low_freq_matrix().tobytes() == layer.low_freq_matrix().tobytes()
 
     def test_beats_naive_w4a4_on_outlier_instance(self):
         w = synth.smooth_decay_layer(64, 64, decay=1.0, seed=21)
@@ -551,6 +667,38 @@ class TestForwardApprox:
         for bits in (1, 9, 17):
             with pytest.raises(ValueError, match="bits must lie in"):
                 forward_approx(np.ones((2, 4)), layer, bits)
+
+    def test_activations_past_the_float64_range_after_smoothing_are_named(self):
+        """lambda near 1e-300 takes x = 1e10 past the float64 range: the
+        served forward refuses it by name, without a warning."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(8, 16)) * 1e-300
+        layer = compress_layer(x, rng.normal(size=(16, 4)) * 1e300, ratio=0.5, smooth=0.5)
+        assert layer.smoothing.lam.max() < 1e-290
+        with pytest.raises(ValueError, match=r"x / lambda contains non-finite values"):
+            forward_approx(np.full((2, 16), 1e10), layer, 4)
+
+    @pytest.mark.parametrize("bits", [1, 9, 4.5, "4"])
+    def test_bits_checked_before_any_gemm(self, monkeypatch, tmp_path, bits):
+        x, w = self._decay_fixture()
+        sq.save_compressed_layer(compress_layer(x, w, ratio=0.5, smooth=0.5), tmp_path)
+        back = sq.load_compressed_layer(tmp_path)
+        layer_cls = pipeline.CompressedLayer
+        calls = _count(monkeypatch, (layer_cls, "low_freq_matrix"), (quant, "matmul"))
+        with pytest.raises(ValueError, match="activation_bits must"):
+            forward_approx(x, back, bits)
+        assert calls == {"low_freq_matrix": 0, "matmul": 0}
+        assert back._w_low is None and back._w_low_f32 is None
+
+
+def _float32_w_low_branch(x_hat, w_low):
+    """x_hat W' as `forward_approx` documents its served W' branch: rows of
+    x_hat and columns of W' in power-of-two units, one float32 GEMM, the
+    product scaled back in float64."""
+    row = np.frexp(np.abs(x_hat).max(axis=1, keepdims=True))[1]
+    col = np.frexp(np.abs(w_low).max(axis=0, keepdims=True))[1]
+    product = np.ldexp(x_hat, -row).astype(np.float32) @ np.ldexp(w_low, -col).astype(np.float32)
+    return np.ldexp(product.astype(np.float64), row + col)
 
 
 class TestSvdBaseline:
