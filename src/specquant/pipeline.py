@@ -11,17 +11,22 @@ compressed in two stages:
    reconstruction W' plus a low-bit quantized residual R = W_hat - W'
    replaces the dense weights.
 
-`forward_approx` is the only code that applies a compressed layer to
-activations: served, it runs the W' branch as one float32 GEMM in
-power-of-two units, on unquantized activations, and only the residual branch
-through integer quantization, as one GEMM on the integer codes
-(`quant.matmul`); unquantized, it is the single float64 GEMM
-x_hat (W' + dequant(R)) that the strength search scores. A
-budget-matched truncated SVD of the same matrix acts as the baseline for
-error comparisons.
+`select_migration_strength` is the one compress path: its signature
+declares every compress option with its only default, and `compress_layer`
+forwards them. `forward_approx` is the only code that applies a compressed
+layer to activations; both of its modes form x_hat = x / lambda once and
+refuse a non-finite one by name. Served, it runs the W' branch as one
+float32 GEMM in power-of-two units, on unquantized activations, and only
+the residual branch through integer quantization, as one GEMM on the
+integer codes (`quant.matmul`); unquantized, it is the single float64 GEMM
+x_hat (W' + dequant(R)) that the strength search scores. A budget-matched
+truncated SVD of the same matrix acts as the baseline for error
+comparisons.
 
 This module only composes the stages: `budget.bin_budget` owns the bin
-budget, and `tensor_io` the rules of what an artifact can hold.
+budget, and `tensor_io` the rules of what an artifact can hold. A layer's
+sizes are those of its arrays: c_in is the count of smoothing factors and
+c_out the length of the plan.
 """
 
 from dataclasses import dataclass, field
@@ -70,13 +75,19 @@ class CompressedLayer:
     spectra: np.ndarray
     residual: quant.QuantizedTensor
     plan: BudgetPlan
-    c_in: int
-    c_out: int
     energy: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     energy_unit_log2: int = field(default=0, init=False, repr=False, compare=False)
     forward_error: float | None = field(default=None, init=False, repr=False, compare=False)
     _w_low: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _w_low_f32: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def c_in(self):
+        return self.smoothing.lam.size
+
+    @property
+    def c_out(self):
+        return self.plan.k.size
 
     def low_freq_matrix(self):
         """Dense W' materialized from the stored spectra (computed once)."""
@@ -105,10 +116,11 @@ def compute_smoothing(x_calib, w, s):
     lambda max|W| over the live channels (both ranges nonzero), so its
     smoothed weight row spans what a live one does; a zero weight row with
     live activations gets the mirror rule, lambda_j = max|X[:,j]| / m', m'
-    the median of max|X| / lambda over the live channels. A channel zero on
-    both sides, or any channel of a layer with no live one, keeps
-    lambda_j = 1. The strength is checked before the inputs, and a lambda_j
-    that is not positive and finite raises ValueError.
+    the median of max|X| / lambda over the live channels. With no live
+    channel X W = 0, and both rules take m = m' = 1, unit ranges. A channel
+    zero on both sides keeps lambda_j = 1. The strength is checked before
+    the inputs, and a lambda_j that is not positive and finite raises
+    ValueError.
     """
     (s,) = _check_strengths([s])
     return _smoothing_factors(*_channel_ranges(*_check_pair(x_calib, w)), s)
@@ -140,11 +152,10 @@ def _smoothing_factors(act, wgt, s):
     # A factor past the float64 range is refused below, by channel.
     with np.errstate(all="ignore"):
         lam[ok] = act[ok] ** s / wgt[ok] ** (1.0 - s)
-        if ok.any():
-            dead = (act == 0) & (wgt > 0)
-            lam[dead] = _lower_median(lam[ok] * wgt[ok]) / wgt[dead]
-            dead = (wgt == 0) & (act > 0)
-            lam[dead] = act[dead] / _lower_median(act[ok] / lam[ok])
+        dead = (act == 0) & (wgt > 0)
+        lam[dead] = (_lower_median(lam[ok] * wgt[ok]) if ok.any() else 1.0) / wgt[dead]
+        dead = (wgt == 0) & (act > 0)
+        lam[dead] = act[dead] / (_lower_median(act[ok] / lam[ok]) if ok.any() else 1.0)
     bad = np.flatnonzero(~(np.isfinite(lam) & (lam > 0)))
     if bad.size:
         j = bad[0]
@@ -192,56 +203,6 @@ def _check_strengths(grid):
     return sorted(strengths)
 
 
-def _compressor(
-    x_calib,
-    w,
-    *,
-    ratio=None,
-    groups=None,
-    metric=DEFAULT_METRIC,
-    alpha=1.0,
-    residual_bits=DEFAULT_RESIDUAL_BITS,
-    residual_quant="rtn",
-):
-    """The compress options, with their only defaults: every one is checked
-    here, before any transform. Returns the validated (x, w) and
-    compress_at(s) -> (layer, half-spectra of its smoothed weights), which
-    does only the work that depends on s; the rest is done once."""
-    x, w = _check_pair(x_calib, w)
-    c_in, c_out = w.shape
-    budget = bin_budget(c_in, c_out, ratio=ratio, groups=groups)
-    _check_metric(metric)
-    _check_alpha(alpha)
-    quant._check_bits(residual_bits, "residual_bits")
-    if residual_quant not in RESIDUAL_QUANTIZERS:
-        raise ValueError(f"unknown residual quantizer {residual_quant!r}")
-    act, wgt = _channel_ranges(x, w)
-
-    def compress_at(s):
-        factors = _smoothing_factors(act, wgt, s)
-        w_hat = factors.lam[:, None] * w  # the w_hat of `apply_smoothing`
-        spec = spectral.fft_columns(w_hat)
-        scores = np.zeros(c_out) if groups is not None else importance(w_hat, metric, spectrum=spec)
-        plan = allocate(scores, alpha, budget, c_in)
-        spectra = spectral.truncate_columns(spec, plan.k, c_in)
-        # W' is rebuilt from the stored (amplitude, phase) values, so the
-        # layer cached here and one loaded from its artifact hold the same bits.
-        w_low = spectral.reconstruct_columns(spectra, plan.k, c_in)
-        residual = np.subtract(w_hat, w_low, out=w_hat)  # w_hat is not read again
-        if residual_quant == "compensated":
-            x_hat = x / factors.lam[None, :]  # the x_hat of `apply_smoothing`
-            q = quant.quantize_residual_compensated(residual, residual_bits, x_hat)
-        else:
-            q = quant.quantize(residual, residual_bits, "per_channel")
-        layer = CompressedLayer(
-            smoothing=factors, spectra=spectra, residual=q, plan=plan, c_in=c_in, c_out=c_out
-        )
-        layer._w_low = w_low
-        return layer, spec
-
-    return x, w, compress_at
-
-
 def _with_energies(layer, spec):
     """`layer` with its report energies set from `spec`, the half-spectra it
     was truncated from."""
@@ -258,18 +219,30 @@ def _with_energies(layer, spec):
     return layer
 
 
-def select_migration_strength(x_calib, w, grid, **options):
+def select_migration_strength(
+    x_calib,
+    w,
+    grid,
+    *,
+    ratio=None,
+    groups=None,
+    metric=DEFAULT_METRIC,
+    alpha=1.0,
+    residual_bits=DEFAULT_RESIDUAL_BITS,
+    residual_quant="rtn",
+):
     """Compress at the strength in `grid` minimizing the post-compression
     output error and return that layer; its strength is
-    `layer.smoothing.migration_strength`. `options` are the keyword options
-    of `compress_layer` other than `smooth`, with the same defaults.
+    `layer.smoothing.migration_strength`. The keyword options, with their
+    only defaults, are those `compress_layer` documents.
 
     The grid (non-empty, every value a number in [0, 1]; duplicates count
-    once), the inputs and the options are checked before anything is
-    compressed. The input checks, the bin budget, the channel ranges and
-    the reference X W are taken once for the search; each candidate then
-    runs only the work that depends on its strength: lambda, the transform,
-    the plan, the truncation, the W' rebuild and the residual quantization.
+    once), the inputs, the options, the reference X W (ValueError past the
+    float64 range) and every candidate's lambda are checked before any
+    transform, and taken once for the search, with the bin budget and the
+    channel ranges. Each candidate then runs only the work that depends on
+    its strength (`compress_at`): the transform, the plan, the truncation,
+    the W' rebuild and the residual quantization.
     It is scored as `layer.forward_error`, ||X W - forward_approx(X, layer,
     None)||_F on the calibration set, which `validation.norm` takes in
     power-of-two units of the error itself, so the score stays finite
@@ -277,11 +250,44 @@ def select_migration_strength(x_calib, w, grid, **options):
     gets its report energies.
     """
     strengths = _check_strengths(grid)
-    x, w, compress_at = _compressor(x_calib, w, **options)
-    reference = x @ w
+    x, w = _check_pair(x_calib, w)
+    c_in, c_out = w.shape
+    budget = bin_budget(c_in, c_out, ratio=ratio, groups=groups)
+    _check_metric(metric)
+    _check_alpha(alpha)
+    quant._check_bits(residual_bits, "residual_bits")
+    if residual_quant not in RESIDUAL_QUANTIZERS:
+        raise ValueError(f"unknown residual quantizer {residual_quant!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused, named, below
+        reference = x @ w
+    if not np.isfinite(reference).all():
+        raise ValueError("x @ w is past the float64 range")
+    act, wgt = _channel_ranges(x, w)
+    # Every candidate's lambda is checked before the first transform.
+    candidates = [_smoothing_factors(act, wgt, s) for s in strengths]
+
+    def compress_at(factors):
+        w_hat = factors.lam[:, None] * w  # the w_hat of `apply_smoothing`
+        spec = spectral.fft_columns(w_hat)
+        scores = np.zeros(c_out) if groups is not None else importance(w_hat, metric, spectrum=spec)
+        plan = allocate(scores, alpha, budget, c_in)
+        spectra = spectral.truncate_columns(spec, plan.k, c_in)
+        # W' is rebuilt from the stored (amplitude, phase) values, so the
+        # layer cached here and one loaded from its artifact hold the same bits.
+        w_low = spectral.reconstruct_columns(spectra, plan.k, c_in)
+        residual = np.subtract(w_hat, w_low, out=w_hat)  # w_hat is not read again
+        if residual_quant == "compensated":
+            x_hat = x / factors.lam[None, :]  # the x_hat of `apply_smoothing`
+            q = quant.quantize_residual_compensated(residual, residual_bits, x_hat)
+        else:
+            q = quant.quantize(residual, residual_bits, "per_channel")
+        layer = CompressedLayer(smoothing=factors, spectra=spectra, residual=q, plan=plan)
+        layer._w_low = w_low
+        return layer, spec
+
     best = None
-    for s in strengths:
-        layer, spec = compress_at(s)
+    for factors in candidates:
+        layer, spec = compress_at(factors)
         layer.forward_error = float(norm(reference - forward_approx(x, layer, None)))
         if best is None or layer.forward_error < best[0].forward_error:
             best = layer, spec
@@ -329,9 +335,9 @@ def forward_approx(x, layer, activation_bits):
     cast to float32; the product goes back to float64 and is scaled by
     2^(e_row + e_col). So it rounds only at float32 level relative to
     |x_hat| |W'|, at any float64 scale, and scaling x by a power of two
-    scales the output by it exactly. One min/max pass over x_hat per token
-    gives both the quantizer's ranges and the row exponents, and refuses a
-    non-finite x_hat.
+    scales the output by it exactly. Both modes share one prologue: the bits
+    check, x_hat, and one min/max pass over x_hat per token that refuses a
+    non-finite x_hat and gives the quantizer's ranges and the row exponents.
 
     `activation_bits=None` is the unquantized forward, the single float64
     GEMM x_hat (W' + dequant(R)) that `select_migration_strength` scores.
@@ -340,18 +346,17 @@ def forward_approx(x, layer, activation_bits):
     x = as_matrix(x, "x")
     if x.shape[1] != layer.c_in:
         raise ValueError(f"x has {x.shape[1]} columns, layer expects {layer.c_in}")
-    if activation_bits is None:
-        x_hat = x / layer.smoothing.lam[None, :]
-        # W' + dequant(R), summed in place in dequant(R)'s buffer (the same bits).
-        w_full = quant.dequantize(layer.residual)
-        w_full += layer.low_freq_matrix()
-        return x_hat @ w_full
-    bits = quant._check_bits(activation_bits, "activation_bits")
+    bits = None if activation_bits is None else quant._check_bits(activation_bits, "activation_bits")
     with np.errstate(over="ignore"):  # an overflow is refused, named, below
         x_hat = x / layer.smoothing.lam[None, :]
     lo, hi = quant._slice_ranges(x_hat, "per_token")
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("x / lambda contains non-finite values")
+    if bits is None:
+        # W' + dequant(R), summed in place in dequant(R)'s buffer (the same bits).
+        w_full = quant.dequantize(layer.residual)
+        w_full += layer.low_freq_matrix()
+        return x_hat @ w_full
     w32, col_exp = layer._served_low_freq()
     row_exp = np.frexp(np.maximum(-lo, hi))[1][:, None]
     # Scaled straight into the float32 operand, with no float64 copy of x_hat.

@@ -38,7 +38,8 @@ BLOCK = 128
 
 @dataclass
 class QuantizedTensor:
-    """Integer codes plus the per-slice scale/offset needed to invert them.
+    """Integer codes plus the per-slice scale/offset needed to invert them;
+    `rows` and `cols` are the shape of the codes.
 
     `rtn_fallback` is set when error compensation was requested but the
     calibration Gram was unusable and plain round-to-nearest was used instead.
@@ -49,8 +50,6 @@ class QuantizedTensor:
     granularity: str
     deltas: np.ndarray
     zero_points: np.ndarray
-    rows: int
-    cols: int
     rtn_fallback: bool = field(default=False)
     _gemm: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -60,8 +59,16 @@ class QuantizedTensor:
         self.zero_points = np.asarray(self.zero_points, dtype=np.float64)
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
-        if self.codes.shape != (self.rows, self.cols):
-            raise ValueError("codes shape does not match rows/cols")
+        if self.codes.ndim != 2:
+            raise ValueError(f"codes must be 2-D, got {self.codes.ndim}-D")
+
+    @property
+    def rows(self):
+        return self.codes.shape[0]
+
+    @property
+    def cols(self):
+        return self.codes.shape[1]
 
     def _gemm_operand(self, dtype):
         """(codes as `dtype`, code sums along the slice) for `matmul`,
@@ -167,8 +174,6 @@ def _quantize(x, bits, granularity, lo, hi):
         granularity=granularity,
         deltas=deltas,
         zero_points=zps,
-        rows=x.shape[0],
-        cols=x.shape[1],
     )
 
 

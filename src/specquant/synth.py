@@ -1,6 +1,11 @@
-"""Seeded synthetic instances for experiments and acceptance checks."""
+"""Seeded synthetic instances for experiments and acceptance checks.
+
+Every size is checked first: a negative one, or more outlier columns than
+columns, raises ValueError naming the argument.
+"""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -15,6 +20,8 @@ def smooth_decay_layer(c_in, c_out, *, decay=2.0, seed=0, amp_range=(0.5, 2.0)):
     `amp_range`. By construction |fft(column)[m]| reproduces those
     amplitudes exactly, so C_j is recoverable as |fft(column)[1]|.
     """
+    _check_size(c_in, "c_in")
+    _check_size(c_out, "c_out")
     rng = np.random.default_rng(seed)
     half = spectral.half_spectrum_length(c_in)
     real_bins = set(spectral._real_bin_indices(c_in))
@@ -48,8 +55,19 @@ def _pow(base, exp):
         return math.inf
 
 
+def _check_size(n, name):
+    """`n` if it is a non-negative integer, else ValueError naming `name`."""
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
+    return n
+
+
 def outlier_activations(rows, c_in, *, magnitude=100.0, num_outliers=1, seed=0):
     """Standard-normal activations with a few columns blown up by `magnitude`."""
+    _check_size(rows, "rows")
+    _check_size(c_in, "c_in")
+    if _check_size(num_outliers, "num_outliers") > c_in:
+        raise ValueError(f"num_outliers must be at most c_in = {c_in}, got {num_outliers}")
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, (rows, c_in))
     cols = rng.choice(c_in, size=num_outliers, replace=False)
@@ -58,5 +76,7 @@ def outlier_activations(rows, c_in, *, magnitude=100.0, num_outliers=1, seed=0):
 
 
 def gaussian_matrix(rows, cols, *, scale=1.0, seed=0):
+    _check_size(rows, "rows")
+    _check_size(cols, "cols")
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, scale, (rows, cols))

@@ -21,9 +21,10 @@ strict JSON, so save refuses a non-finite value instead of writing NaN. The
 temperature is the plan's alpha, so the two never disagree.
 
 Save and load make the same layer checks (`_check_layer`), so save never
-writes an artifact load would reject. ShapeError: a plan of c_out counts k
-in [1, c_in // 2 + 1]; (sum(k), 2) spectra; a c_in x c_out per_channel
-residual with c_out deltas and zero points; c_in smoothing factors.
+writes an artifact load would reject. A layer's c_in is its count of
+smoothing factors and its c_out the length of its plan. ShapeError: plan
+counts k in [1, c_in // 2 + 1]; (sum(k), 2) spectra; a c_in x c_out
+per_channel residual with c_out deltas and zero points.
 DataError: non-finite plan rho or alpha, migration strength or spectra; a
 negative amplitude, a phase outside (-pi, pi], or a real-valued bin (DC, and
 Nyquist for an even c_in) whose phase is not 0 or pi; a delta that is not
@@ -145,8 +146,6 @@ def _check_layer(layer, ratio):
     k = layer.plan.k
     # A zero-length channel has no bins, so no k is valid for c_in = 0.
     half = spectral.half_spectrum_length(layer.c_in) if layer.c_in else 0
-    if k.size != layer.c_out:
-        raise ShapeError("budget plan length does not match c_out")
     if ((k < 1) | (k > half)).any():
         raise ShapeError(f"plan k outside [1, {half}] for c_in={layer.c_in}")
     shape = getattr(layer.spectra, "shape", None)
@@ -185,8 +184,6 @@ def _check_layer(layer, ratio):
     if r.codes.size and int(r.codes.max()) > 2**r.bits - 1:
         raise DataError(f"residual codes exceed {r.bits}-bit range")
     lam = layer.smoothing.lam
-    if lam.size != layer.c_in:
-        raise ShapeError("smoothing factors length does not match c_in")
     if lam.size and (not np.isfinite(lam).all() or (lam <= 0).any()):
         raise DataError("smoothing factors must be positive and finite")
     if ratio is not None:
@@ -359,8 +356,6 @@ def load_compressed_layer(artifact_dir):
         granularity="per_channel",
         deltas=_array(rp, "delta", np.float64, "residual_params.delta"),
         zero_points=_array(rp, "zero_point", np.float64, "residual_params.zero_point"),
-        rows=c_in,
-        cols=c_out,
         rtn_fallback=_typed(rp.get("rtn_fallback", False), bool, "residual_params.rtn_fallback"),
     )
     layer = CompressedLayer(
@@ -376,8 +371,6 @@ def load_compressed_layer(artifact_dir):
             alpha=_field(plan_spec, "alpha", float, "plan.alpha"),
             total_budget=_field(plan_spec, "total_budget", int, "plan.total_budget"),
         ),
-        c_in=c_in,
-        c_out=c_out,
     )
     _check_layer(layer, ratio)
     return layer

@@ -362,6 +362,30 @@ def test_synth_zero_rows_exits_nonzero(tmp_path, capsys):
     assert "specquant: error: signal length must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, rows, cols, extra, message",
+    [
+        ("outlier-activations", "8", "16", ["--num-outliers", "20"],
+         "num_outliers must be at most c_in = 16, got 20"),
+        ("outlier-activations", "8", "16", ["--num-outliers", "-1"],
+         "num_outliers must be a non-negative integer, got -1"),
+        ("outlier-activations", "-3", "16", [], "rows must be a non-negative integer, got -3"),
+        ("gaussian", "-3", "4", [], "rows must be a non-negative integer, got -3"),
+        ("gaussian", "4", "-3", [], "cols must be a non-negative integer, got -3"),
+        ("smooth-decay", "-3", "4", [], "c_in must be a non-negative integer, got -3"),
+        ("smooth-decay", "4", "-3", [], "c_out must be a non-negative integer, got -3"),
+    ],
+)
+def test_synth_bad_sizes_are_named(tmp_path, capsys, kind, rows, cols, extra, message):
+    """A size numpy would reject, or an IndexError would meet, is refused
+    first, by the name of its argument, and writes no file."""
+    out = tmp_path / "m.npy"
+    rc = main(["synth", "--kind", kind, "--rows", rows, "--cols", cols, *extra, "--out", str(out)])
+    assert rc == 1
+    assert f"specquant: error: {message} [synth.py:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("decay", ["-2000", "nan"])
 def test_synth_non_finite_decay_exits_nonzero(tmp_path, capsys, decay):
     """Named error and exit 1, no RuntimeWarning (pytest runs with warnings
@@ -599,17 +623,36 @@ def test_seed_is_taken_only_by_synth(argv, capsys):
 
 
 def test_unrepresentable_report_writes_nothing(tmp_path, capsys):
-    """A forward error past the float64 range fails the command with a named
-    error before any file is written."""
+    """Weights near the float64 limit put X W past the float64 range: the
+    command fails with a named error before any transform, and writes no
+    file."""
     w = synth.smooth_decay_layer(16, 8, decay=2.0, seed=0)
     w = w / np.abs(w).max() * 1e308
     x = synth.outlier_activations(32, 16, seed=1)
     wpath, xpath = _npy(tmp_path / "w.npy", w), _npy(tmp_path / "x.npy", x)
     out = tmp_path / "art"
-    with np.errstate(over="ignore", invalid="ignore"):
+    rc = main([
+        "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.5",
+        "--smooth", "0.5", "--out", str(out),
+    ])
+    assert rc == 1
+    assert "specquant: error: x @ w is past the float64 range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_value_past_the_float64_range_writes_nothing(tmp_path, capsys):
+    """Unit activations at strength 1 leave lambda = 1. With 4 x 64 weights
+    of +-4e307, X W and every spectrum bin stay within 4 * 4e307, inside the
+    float64 range, and the layer compresses; but its truncation error, of
+    the order of 4e307 sqrt(128), is past it. The report refuses that by
+    name before any file is written."""
+    w = np.random.default_rng(0).choice([-1.0, 1.0], size=(4, 64)) * 4e307
+    wpath, xpath = _npy(tmp_path / "w.npy", w), _npy(tmp_path / "x.npy", np.ones((8, 4)))
+    out = tmp_path / "art"
+    with np.errstate(over="ignore"):  # the report's own norm overflows
         rc = main([
             "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.5",
-            "--smooth", "0.5", "--out", str(out),
+            "--smooth", "1.0", "--out", str(out),
         ])
     assert rc == 1
     assert "specquant: error: report value past the float64 range" in capsys.readouterr().err

@@ -1,9 +1,13 @@
 """Smoothing, layer compression, the two-branch forward, and baselines."""
 
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import specquant as sq
 from specquant import pipeline, quant, spectral, synth
@@ -16,7 +20,7 @@ from specquant.pipeline import (
     forward_approx,
     select_migration_strength,
 )
-from specquant.validation import norm
+from specquant.validation import norm, pow2_units
 
 from oracles import compare_budgets_rebuilt, jacobi_singular_values
 
@@ -360,7 +364,10 @@ class TestMigrationStrength:
     )
     def test_winner_energies_equal_a_fixed_strength_compress(self, scale, grid, units):
         """The energies the search returns, overflow unit included, are bit
-        for bit those `compress_layer` gives at the picked strength."""
+        for bit those `compress_layer` gives at the picked strength, and
+        those `spectral.band_energies` takes of the winner's smoothed weights
+        (in units of the power of two at max|spectrum| past the float64
+        range)."""
         x = synth.outlier_activations(32, 16, seed=1)
         w = synth.smooth_decay_layer(16, 8, decay=2.0, seed=0) * scale
         auto = select_migration_strength(x, w, grid, ratio=0.5)
@@ -369,6 +376,14 @@ class TestMigrationStrength:
         assert auto.energy_unit_log2 == fixed.energy_unit_log2
         assert auto.energy.shape == (3, 8)
         assert auto.energy.tobytes() == fixed.energy.tobytes()
+        spec = spectral.fft_columns(auto.smoothing.lam[:, None] * w)
+        unit = 0
+        if scale != 1.0:
+            spec, exp = pow2_units(np.abs(spec))
+            unit = 2 * int(exp.item())
+        reference = np.stack(spectral.band_energies(spec, auto.plan.k, 16))
+        assert auto.energy_unit_log2 == unit
+        assert auto.energy.tobytes() == reference.tobytes()
 
 
 def _compress_via(entry, x, w, **options):
@@ -527,7 +542,117 @@ class TestCompressLayer:
         assert not layer.residual.rtn_fallback
 
 
+@st.composite
+def _contract_cases(draw):
+    """(x, w, compress options, forward input) over the finite-input grid:
+    c_in from 1 to 53, power-of-two scales 2^-1070 to 2^1020, zeroed
+    activation columns and weight rows, both quantizers, fixed and auto
+    strengths. The forward input is the calibration set."""
+    c_in = draw(st.sampled_from([1, 2, 3, 5, 16, 53]))
+    c_out = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.ldexp(rng.normal(size=(draw(st.integers(1, 8)), c_in)), draw(st.integers(-1070, 1020)))
+    w = np.ldexp(rng.normal(size=(c_in, c_out)), draw(st.integers(-1070, 1020)))
+    x[:, draw(st.lists(st.booleans(), min_size=c_in, max_size=c_in))] = 0.0
+    w[draw(st.lists(st.booleans(), min_size=c_in, max_size=c_in))] = 0.0
+    options = dict(
+        ratio=draw(st.sampled_from([0.5, 1.0])),
+        smooth=draw(st.sampled_from(["auto", 0.0, 0.5, 1.0])),
+        residual_bits=draw(st.integers(2, 8)),
+        residual_quant=draw(st.sampled_from(pipeline.RESIDUAL_QUANTIZERS)),
+    )
+    return x, w, options, x
+
+
+def _dead_channel_case():
+    """A zero activation channel among live factors near 4e-246."""
+    rng = np.random.default_rng(0)
+    w = rng.normal(size=(16, 4)) * 1e296
+    x = rng.normal(size=(8, 16)) * 1e-195
+    x[:, 3] = 0.0
+    return x, w, dict(ratio=1.0, smooth=0.5), x
+
+
+def _overflowing_x_hat_case():
+    """lambda near 1e-300 takes a forward input of 1e10 past the float64 range."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(8, 16)) * 1e-300
+    w = rng.normal(size=(16, 4)) * 1e300
+    return x, w, dict(ratio=0.5, smooth=0.5), np.full((2, 16), 1e10)
+
+
+def _overflowing_product_case():
+    """X W past the float64 range, every input finite."""
+    x = np.full((2, 4), 1e200)
+    return x, np.full((4, 2), 1e200), dict(ratio=1.0, smooth=0.5), x
+
+
 class TestForwardApprox:
+    @settings(max_examples=60, deadline=None)
+    @given(_contract_cases())
+    @example(_dead_channel_case())
+    @example(_overflowing_x_hat_case())
+    @example(_overflowing_product_case())
+    def test_finite_in_finite_out_or_named(self, case):
+        """Finite inputs either compress to a layer whose stored arrays are
+        finite and that save and load accept, or raise ValueError; the loaded
+        layer's forward equals the in-memory one bit for bit, or both refuse
+        the input with the same ValueError.
+
+        Within a margin of the float64 range this is strict: where
+        16 c_in^2 max(|x| @ |w|) is finite, compress warns of nothing and
+        raises only before any transform, its layer's forward error is
+        finite, and the forward is finite and warns of nothing. The margin
+        bounds the forward of any compressed layer: smoothing puts every
+        cross term max|x_hat_i| max|w_hat_j| at or below
+        max_j max|X_j| max|W_j| <= max(|x| @ |w|), the transform spreads a
+        column over at most c_in rows, and W' + dequant(R) and the
+        quantized x_hat stay within a few times their sources. Past it, a
+        layer can be finite while its output is not."""
+        x, w, options, x_fwd = case
+        c_in = w.shape[0]
+
+        def in_margin(a):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.isfinite(16 * c_in**2 * (np.abs(a) @ np.abs(w))).all()
+
+        strict = in_margin(x)
+        with warnings.catch_warnings(), mock.patch.object(
+            spectral, "fft_columns", wraps=spectral.fft_columns
+        ) as fft:
+            if not strict:
+                warnings.simplefilter("ignore")
+            try:
+                layer = compress_layer(x, w, **options)
+            except ValueError:
+                assert fft.call_count == 0 or not strict
+                return
+        arrays = [
+            layer.smoothing.lam, layer.spectra, layer.plan.rho, layer.residual.deltas,
+            layer.residual.zero_points, layer.energy, layer.low_freq_matrix(),
+        ]
+        assert all(np.isfinite(a).all() for a in arrays)
+        assert np.isfinite(layer.forward_error) or not strict
+        with tempfile.TemporaryDirectory() as d:
+            sq.save_compressed_layer(layer, d)
+            back = sq.load_compressed_layer(d)
+        bounded = in_margin(x_fwd)
+        for bits in (None, 4):
+            outs = []
+            for lay in (layer, back):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        outs.append(forward_approx(x_fwd, lay, bits).tobytes())
+                    except ValueError as exc:
+                        outs.append(str(exc))
+                if bounded:
+                    assert not caught, (bits, [str(c.message) for c in caught])
+            assert outs[0] == outs[1], bits
+            if bounded:
+                assert isinstance(outs[0], bytes), outs[0]
+                assert np.isfinite(np.frombuffer(outs[0])).all(), bits
+
     def test_full_ratio_high_precision_is_near_exact(self):
         rng = np.random.default_rng(20)
         x = rng.normal(size=(20, 16))
@@ -670,13 +795,15 @@ class TestForwardApprox:
 
     def test_activations_past_the_float64_range_after_smoothing_are_named(self):
         """lambda near 1e-300 takes x = 1e10 past the float64 range: the
-        served forward refuses it by name, without a warning."""
+        served and the unquantized forward refuse it by name, without a
+        warning."""
         rng = np.random.default_rng(3)
         x = rng.normal(size=(8, 16)) * 1e-300
         layer = compress_layer(x, rng.normal(size=(16, 4)) * 1e300, ratio=0.5, smooth=0.5)
         assert layer.smoothing.lam.max() < 1e-290
-        with pytest.raises(ValueError, match=r"x / lambda contains non-finite values"):
-            forward_approx(np.full((2, 16), 1e10), layer, 4)
+        for bits in (4, None):
+            with pytest.raises(ValueError, match=r"x / lambda contains non-finite values"):
+                forward_approx(np.full((2, 16), 1e10), layer, bits)
 
     @pytest.mark.parametrize("bits", [1, 9, 4.5, "4"])
     def test_bits_checked_before_any_gemm(self, monkeypatch, tmp_path, bits):

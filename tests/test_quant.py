@@ -72,10 +72,14 @@ class TestQuantizeDequantize:
             granularity="per_token",
             deltas=np.array([2.0 / 3.0]),
             zero_points=np.array([1.5]),
-            rows=1,
-            cols=3,
         )
         np.testing.assert_allclose(dequantize(q), [[-1.0, 1.0 / 3.0, 1.0]], rtol=1e-15)
+
+    def test_sizes_are_the_shape_of_the_codes(self):
+        q = _codes(np.zeros((2, 5)), 4, "per_channel")
+        assert (q.rows, q.cols) == (2, 5)
+        with pytest.raises(ValueError, match="codes must be 2-D, got 1-D"):
+            QuantizedTensor(np.zeros(3), 4, "per_token", np.ones(1), np.zeros(1))
 
     def test_zeros_stay_exactly_zero(self):
         q = quantize(np.zeros((3, 4)), 4, "per_token")
@@ -150,7 +154,7 @@ class TestQuantizeDequantize:
             for bits in range(2, 9):
                 q = quantize(x, bits, "per_token")
                 ends = dequantize(QuantizedTensor(
-                    np.array([[0, 2**bits - 1]]), bits, "per_token", q.deltas, q.zero_points, 1, 2
+                    np.array([[0, 2**bits - 1]]), bits, "per_token", q.deltas, q.zero_points
                 ))
                 assert np.isfinite(ends).all(), (values, bits)
                 assert (np.abs(dequantize(q) - x) <= q.deltas[0] / 2).all()
@@ -196,7 +200,7 @@ def _codes(codes, bits, granularity):
     """A tensor of the given codes, unit steps and zero offsets."""
     codes = np.asarray(codes, dtype=np.uint8)
     n = codes.shape[0] if granularity == "per_token" else codes.shape[1]
-    return QuantizedTensor(codes, bits, granularity, np.ones(n), np.zeros(n), *codes.shape)
+    return QuantizedTensor(codes, bits, granularity, np.ones(n), np.zeros(n))
 
 
 @st.composite

@@ -170,8 +170,6 @@ class TestArtifactRoundTrip:
             plan=BudgetPlan(
                 rho=np.zeros(0), k=np.zeros(0, dtype=np.int64), alpha=1.0, total_budget=0
             ),
-            c_in=4,
-            c_out=0,
         )
         tensor_io.save_compressed_layer(layer, tmp_path)
         assert (tmp_path / tensor_io.SPECTRA_FILE).stat().st_size == 0
@@ -419,20 +417,23 @@ def _set_item(get, index, value):
 # nothing) and a tampered artifact that breaks it on disk (load must raise
 # the same error). The example layer is 16 x 6, compressed and saved at ratio
 # 0.4 (a 21-bin budget; 0.9 gives 48); row 0 of its spectra is the DC bin of
-# channel 0. Where load reads a blob size or a manifest field
+# channel 0. A layer's c_in is its count of smoothing factors and its c_out
+# its plan length, so in memory a wrong count of either breaks the spectra or
+# the residual shape rule. Where load reads a blob size or a manifest field
 # before a layer exists, it raises there, with the (class, message) in
-# _LOAD_FIRST: a blob size that disagrees with the manifest is a ShapeError,
-# and a granularity other than per_channel is a format field the manifest
-# cannot hold.
+# _LOAD_FIRST: a blob size or plan length that disagrees with the manifest
+# is a ShapeError, and a granularity other than per_channel is a format
+# field the manifest cannot hold.
 _LOAD_FIRST = {
     "spectra-rows": (ShapeError, "spectra blob holds"),
     "residual-shape": (ShapeError, "residual blob holds"),
     "lambda-length": (ShapeError, "lambda blob holds"),
+    "plan-length": (ShapeError, "plan length"),
     "granularity": (FormatError, "unsupported residual granularity"),
 }
 _RULES = {
     "plan-length": (
-        ShapeError, "plan length", _drop_plan_row,
+        ShapeError, "spectra are", _drop_plan_row,
         _manifest(lambda m: [m["plan"][f].pop() for f in ("k", "rho")]),
     ),
     "k-past-half": (
@@ -509,7 +510,7 @@ _RULES = {
         _manifest(_set(["residual_bits"], 2)),
     ),
     "lambda-length": (
-        ShapeError, "smoothing factors length",
+        ShapeError, "residual is 16x6, expected 15x6",
         _set_attr(lambda l: l.smoothing, "lam", np.ones(15)),
         _blob(tensor_io.LAMBDA_FILE, lambda a: a[:-1]),
     ),
