@@ -15,12 +15,15 @@ DEFAULT_METRIC = "spectral-entropy"
 
 @dataclass
 class BudgetPlan:
-    """Per-channel retained-bin counts and the softmax weights behind them."""
+    """Per-channel retained-bin counts and the softmax weights behind them,
+    with the metric and ratio (None for a groups budget) they were made by."""
 
     rho: np.ndarray
     k: np.ndarray
     alpha: float
     total_budget: int
+    metric: str | None = None
+    ratio: float | None = None
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=np.float64)

@@ -9,7 +9,8 @@ Commands:
 - ``synth``        seeded synthetic weight/activation generators (NPY out)
 
 Every command is deterministic given its inputs (and `synth` its --seed);
-reports embed the resolved configuration.
+reports embed the resolved configuration. A report is serialized before
+--out is created, so a command that fails with a named error writes nothing.
 """
 
 import argparse
@@ -35,14 +36,15 @@ def _json_text(payload):
         raise DataError(f"report value past the float64 range: {exc}") from None
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_report(out, stem, text, fields, rows):
+    """Write `text`, a command's `_json_text`, to <out>/<stem>.json and
+    `rows` to <out>/<stem>.csv; the one place a command creates `out`, so a
+    command that fails before its report is serialized writes nothing."""
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, f"{stem}.json"), "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _write_csv(path, fieldnames, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+    with open(os.path.join(out, f"{stem}.csv"), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -103,26 +105,19 @@ def cmd_compress(args):
         for j in range(layer.c_out)
     ]
     # Serialized first: an unrepresentable value leaves no artifact behind.
-    report = _json_text({"config": _run_config(args), "summary": summary, "channels": rows})
-    tensor_io.save_compressed_layer(
-        layer, args.out, layer_name=args.layer_name, metric=args.metric, ratio=args.ratio
-    )
-    _write_text(os.path.join(args.out, "report.json"), report)
-    _write_csv(
-        os.path.join(args.out, "report.csv"),
-        [
-            "channel", "k", "rho", "total_energy", "retained_energy",
-            "tail_energy", "error_bound", "achieved_error",
-        ],
-        rows,
-    )
+    text = _json_text({"config": _run_config(args), "summary": summary, "channels": rows})
+    tensor_io.save_compressed_layer(layer, args.out, layer_name=args.layer_name)
+    fields = [
+        "channel", "k", "rho", "total_energy", "retained_energy",
+        "tail_energy", "error_bound", "achieved_error",
+    ]
+    _write_report(args.out, "report", text, fields, rows)
     print(f"wrote artifact and report to {args.out}")
     return 0
 
 
 def cmd_analyze(args):
     w = tensor_io.load_matrix(args.weights)
-    os.makedirs(args.out, exist_ok=True)
     c_in, c_out = w.shape
     spec = spectral.fft_columns(w)
     total, _, _ = spectral.band_energies(spec, 1, c_in)
@@ -150,12 +145,8 @@ def cmd_analyze(args):
         "mean_spectral_entropy": float(entropy.mean()) if c_out else 0.0,
     }
     text = _json_text({"config": _run_config(args), "summary": summary})
-    _write_csv(
-        os.path.join(args.out, "analyze.csv"),
-        ["channel", "total_energy", "lowband_fraction", "spectral_entropy"],
-        rows,
-    )
-    _write_text(os.path.join(args.out, "analyze.json"), text)
+    fields = ["channel", "total_energy", "lowband_fraction", "spectral_entropy"]
+    _write_report(args.out, "analyze", text, fields, rows)
     print(
         f"analyzed {c_out} channels: mean low-band fraction "
         f"{summary['mean_lowband_fraction']:.4f} at band {args.band}"
@@ -169,14 +160,10 @@ def cmd_compare_svd(args):
     if not ratios:
         raise ValueError("--ratios must name at least one ratio")
     recs = pipeline.compare_budgets(w, ratios, metric=args.metric, alpha=args.alpha)
-    os.makedirs(args.out, exist_ok=True)
     fields = ["ratio", "b_spectral", "b_svd", "k_svd", "budget_slack", "err_spectral", "err_svd"]
     rows = [{f: getattr(rec, f) for f in fields} for rec in recs]
-    _write_text(
-        os.path.join(args.out, "compare_svd.json"),
-        _json_text({"config": _run_config(args), "rows": rows}),
-    )
-    _write_csv(os.path.join(args.out, "compare_svd.csv"), fields, rows)
+    text = _json_text({"config": _run_config(args), "rows": rows})
+    _write_report(args.out, "compare_svd", text, fields, rows)
     print(f"wrote {len(rows)} comparison rows to {args.out}")
     return 0
 
@@ -218,12 +205,8 @@ def cmd_eval_matmul(args):
         },
         {"method": "specquant", "frobenius_error": err(specq)},
     ]
-    os.makedirs(args.out, exist_ok=True)
-    _write_text(
-        os.path.join(args.out, "eval_matmul.json"),
-        _json_text({"config": _run_config(args), "rows": rows}),
-    )
-    _write_csv(os.path.join(args.out, "eval_matmul.csv"), ["method", "frobenius_error"], rows)
+    text = _json_text({"config": _run_config(args), "rows": rows})
+    _write_report(args.out, "eval_matmul", text, ["method", "frobenius_error"], rows)
     print(f"wrote {len(rows)} method rows to {args.out}")
     return 0
 

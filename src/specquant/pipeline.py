@@ -247,7 +247,7 @@ def select_migration_strength(
     None)||_F on the calibration set, which `validation.norm` takes in
     power-of-two units of the error itself, so the score stays finite
     wherever the norm is. Ties go to the smaller strength. Only the winner
-    gets its report energies.
+    gets its report energies; its plan records `metric` and `float(ratio)`.
     """
     strengths = _check_strengths(grid)
     x, w = _check_pair(x_calib, w)
@@ -271,6 +271,7 @@ def select_migration_strength(
         spec = spectral.fft_columns(w_hat)
         scores = np.zeros(c_out) if groups is not None else importance(w_hat, metric, spectrum=spec)
         plan = allocate(scores, alpha, budget, c_in)
+        plan.metric, plan.ratio = metric, None if ratio is None else float(ratio)
         spectra = spectral.truncate_columns(spec, plan.k, c_in)
         # W' is rebuilt from the stored (amplitude, phase) values, so the
         # layer cached here and one loaded from its artifact hold the same bits.
@@ -391,10 +392,11 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
     The spectral side spends 2 reals per retained bin (B_spectral = 2 sum k_j);
     the SVD side gets the same budget rounded down to whole singular triplets
     of c_in + c_out + 1 reals, so 0 <= B_spectral - B_svd < c_in + c_out + 1
-    (the slack is reported). Neither approximation is rebuilt: by Parseval
-    the spectral error is the root of the summed tail energies, and by
-    Eckart-Young-Mirsky the rank-k SVD error is the norm of the trailing
-    singular values. The transform, the importance scores and the singular
+    (the slack is reported); a budget below one triplet is refused before
+    the transform, like a bad ratio, metric or alpha. Neither approximation
+    is rebuilt: by Parseval the spectral error is the root of the summed
+    tail energies, and by Eckart-Young-Mirsky the rank-k SVD error is the
+    norm of the trailing singular values. The transform, the importance scores and the singular
     values are computed once for the whole sweep. Smoothing, if wanted,
     happens upstream; the comparison is decomposition only.
     """
@@ -403,19 +405,21 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
     budgets = [bin_budget(c_in, c_out, ratio=ratio) for ratio in ratios]
     _check_metric(metric)
     _check_alpha(alpha)
+    per_rank = c_in + c_out + 1
+    for ratio, budget_bins in zip(ratios, budgets):
+        # `allocate` spends exactly a ratio's budget, so B_spectral is known here.
+        if 2 * budget_bins < per_rank:
+            raise ValueError(
+                f"ratio {ratio}: budget {2 * budget_bins} below one singular triplet ({per_rank})"
+            )
     spec = spectral.fft_columns(w)
     scores = importance(w, metric, spectrum=spec)
     s = np.linalg.svd(w, compute_uv=False)
-    per_rank = c_in + c_out + 1
     rows = []
     for ratio, budget_bins in zip(ratios, budgets):
         plan = allocate(scores, alpha, budget_bins, c_in)
         tail = spectral.band_energies(spec, plan.k, c_in)[2]
-        b_spectral = 2 * int(plan.k.sum())
-        if b_spectral < per_rank:
-            raise ValueError(
-                f"ratio {ratio}: budget {b_spectral} below one singular triplet ({per_rank})"
-            )
+        b_spectral = 2 * budget_bins
         k_svd = b_spectral // per_rank
         b_svd = k_svd * per_rank
         rows.append(

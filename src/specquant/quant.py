@@ -240,9 +240,14 @@ def matmul(a, b):
     f = (ra - k * ia)[:, None] * fb
     f += fa[:, None] * (sb - k * fb)
     out -= f
-    out *= a.deltas[:, None]
-    out *= b.deltas
-    return out
+    # Scaled by both steps' frexp mantissas, then once by their summed
+    # exponents: the same bits as da * db wherever no partial product
+    # leaves the float64 range, and finite wherever the result fits.
+    ma, ea = np.frexp(a.deltas)
+    mb, eb = np.frexp(b.deltas)
+    out *= ma[:, None]
+    out *= mb
+    return np.ldexp(out, ea[:, None] + eb, out=out)
 
 
 def quantize_residual_compensated(r, bits, x_calib):

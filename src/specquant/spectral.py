@@ -190,15 +190,25 @@ def _bluestein(x):
 
     Zero-padding the input directly would move the bin frequencies and break
     implicit indexing, so an odd factor longer than DIRECT_MAX goes through
-    the quadratic-phase convolution instead.
+    the quadratic-phase convolution instead. The kernel spectrum has entries
+    up to 2n - 1 and the inverse is divided by m only at the end, so each
+    column runs in units of the power of two at its largest |re|, |im|, an
+    exact rescaling (`np.ldexp` on both parts) that keeps the intermediates
+    of any spectrum that fits in float64 from overflowing.
     """
     n, c = x.shape
     w, kernel = _chirp(n)
     m = kernel.shape[0]
+    exp = np.frexp(np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=0))[1]
     a = np.zeros((m, c), dtype=complex)
-    a[:n] = x * w
+    a.real[:n] = np.ldexp(x.real, -exp)
+    a.imag[:n] = np.ldexp(x.imag, -exp)
+    a[:n] *= w
     conv = np.conj(_dft_columns(np.conj(_dft_columns(a) * kernel))) / m
-    return w * conv[:n]
+    out = w * conv[:n]
+    np.ldexp(out.real, exp, out=out.real)
+    np.ldexp(out.imag, exp, out=out.imag)
+    return out
 
 
 @lru_cache(maxsize=64)

@@ -17,8 +17,9 @@ directory holding `manifest.json` plus three raw little-endian blobs:
 Everything else (plan, quantizer scales, migration strength, and the
 `budget_meta` record of metric, temperature and compression ratio) lives in
 the manifest, which JSON round-trips float64 exactly via shortest-repr; it is
-strict JSON, so save refuses a non-finite value instead of writing NaN. The
-temperature is the plan's alpha, so the two never disagree.
+strict JSON, so save refuses a non-finite value instead of writing NaN.
+`budget_meta` is the plan's own record (its `metric`, `alpha` as the
+temperature, and `ratio`), and load fills it back into the plan.
 
 Save and load make the same layer checks (`_check_layer`), so save never
 writes an artifact load would reject. A layer's c_in is its count of
@@ -30,8 +31,8 @@ negative amplitude, a phase outside (-pi, pi], or a real-valued bin (DC, and
 Nyquist for an even c_in) whose phase is not 0 or pi; a delta that is not
 positive and finite, a non-finite zero point; residual bits outside [2, 8]
 or a code above them; a smoothing factor that is not positive and finite;
-a compression ratio, if one is recorded, whose `budget.bin_budget` is not
-the plan's total budget.
+a recorded metric outside `budget.METRICS`, or a recorded compression
+ratio whose `budget.bin_budget` is not the plan's total budget.
 
 Load raises only SpecQuantError subclasses for a malformed artifact (OSError
 if a file cannot be read): FormatError for a missing or wrongly typed
@@ -45,7 +46,7 @@ import os
 import numpy as np
 
 from . import spectral
-from .budget import BudgetPlan, bin_budget
+from .budget import METRICS, BudgetPlan, bin_budget
 from .errors import DataError, FormatError, ShapeError
 from .pipeline import CompressedLayer, SmoothingFactors
 from .quant import QuantizedTensor
@@ -140,9 +141,8 @@ def stored_bytes(layer):
     return blobs + 8 * 4 * layer.c_out
 
 
-def _check_layer(layer, ratio):
-    """Raise the error of the first rule above that `layer`, recorded with
-    compression ratio `ratio` (None: none recorded), breaks."""
+def _check_layer(layer):
+    """Raise the error of the first rule above that `layer` breaks."""
     k = layer.plan.k
     # A zero-length channel has no bins, so no k is valid for c_in = 0.
     half = spectral.half_spectrum_length(layer.c_in) if layer.c_in else 0
@@ -186,28 +186,30 @@ def _check_layer(layer, ratio):
     lam = layer.smoothing.lam
     if lam.size and (not np.isfinite(lam).all() or (lam <= 0).any()):
         raise DataError("smoothing factors must be positive and finite")
-    if ratio is not None:
+    plan = layer.plan
+    if plan.metric not in (None, *METRICS):
+        raise DataError(f"budget metric {plan.metric!r} is not one of {METRICS}")
+    if plan.ratio is not None:
         try:
-            budget = bin_budget(layer.c_in, layer.c_out, ratio=ratio)
+            budget = bin_budget(layer.c_in, layer.c_out, ratio=plan.ratio)
         except ValueError as exc:
-            raise DataError(f"manifest compression ratio {ratio}: {exc}") from None
-        if budget != layer.plan.total_budget:
+            raise DataError(f"compression ratio {plan.ratio}: {exc}") from None
+        if budget != plan.total_budget:
             raise DataError(
-                f"manifest compression ratio {ratio} gives a {budget}-bin budget, "
-                f"the plan's is {layer.plan.total_budget}"
+                f"compression ratio {plan.ratio} gives a {budget}-bin budget, "
+                f"the plan's is {plan.total_budget}"
             )
 
 
-def save_compressed_layer(layer, out_dir, *, layer_name="layer", metric=None, ratio=None):
+def save_compressed_layer(layer, out_dir, *, layer_name="layer"):
     """Write manifest + blobs; returns the manifest dict.
 
-    `metric` and `ratio` are recorded in the manifest's `budget_meta` next to
-    the plan's alpha as the temperature. A subsequent `load_compressed_layer`
-    reproduces the layer bit-exactly. A layer that load would reject raises
-    the same error, and a non-finite manifest value raises DataError, before
-    any file or directory is written.
+    A subsequent `load_compressed_layer` reproduces the layer bit-exactly,
+    budget record included, so saving it again writes the same bytes. A
+    layer that load would reject raises the same error, and a non-finite
+    manifest value raises DataError, before any file or directory is written.
     """
-    _check_layer(layer, ratio)
+    _check_layer(layer)
     r = layer.residual
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -218,9 +220,9 @@ def save_compressed_layer(layer, out_dir, *, layer_name="layer", metric=None, ra
         "spectra": SPECTRA_FILE,
         "residual": RESIDUAL_FILE,
         "budget_meta": {
-            "metric": metric,
+            "metric": layer.plan.metric,
             "temperature": layer.plan.alpha,
-            "compression_ratio": ratio,
+            "compression_ratio": layer.plan.ratio,
         },
         "residual_bits": r.bits,
         "migration_strength": layer.smoothing.migration_strength,
@@ -279,9 +281,12 @@ def load_manifest(artifact_dir):
     return manifest
 
 
-def _typed(value, kind, name):
-    """`value` if it has JSON type `kind`, else FormatError; `float` takes
-    any number a float64 holds, and a bool is never a number."""
+def _typed(value, kind, name, null=False):
+    """`value` if it has JSON type `kind` (or is null, where `null` allows
+    it), else FormatError; `float` takes any number a float64 holds, and a
+    bool is never a number."""
+    if value is None and null:
+        return None
     allowed = (int, float) if kind is float else kind
     if isinstance(value, allowed) and not (kind in (int, float) and isinstance(value, bool)):
         try:
@@ -332,9 +337,7 @@ def load_compressed_layer(artifact_dir):
     rho = _array(plan_spec, "rho", np.float64, "plan.rho")
     if ks.size != c_out or rho.size != c_out:
         raise ShapeError(f"plan length {ks.size} does not match c_out={c_out}")
-    ratio = _field(manifest, "budget_meta", dict).get("compression_ratio")
-    if ratio is not None:
-        ratio = _typed(ratio, float, "budget_meta.compression_ratio")
+    meta = _field(manifest, "budget_meta", dict)
     bits = _field(manifest, "residual_bits", int)
     rp = _field(manifest, "residual_params", dict)
     if _field(rp, "granularity", str, "residual_params.granularity") != "per_channel":
@@ -370,7 +373,11 @@ def load_compressed_layer(artifact_dir):
             k=ks,
             alpha=_field(plan_spec, "alpha", float, "plan.alpha"),
             total_budget=_field(plan_spec, "total_budget", int, "plan.total_budget"),
+            metric=_typed(meta.get("metric"), str, "budget_meta.metric", null=True),
+            ratio=_typed(
+                meta.get("compression_ratio"), float, "budget_meta.compression_ratio", null=True
+            ),
         ),
     )
-    _check_layer(layer, ratio)
+    _check_layer(layer)
     return layer

@@ -196,6 +196,28 @@ def test_analyze_reports_lowband_fraction(tmp_path, decay_instance):
     assert summary["mean_lowband_fraction"] > 0.8
 
 
+def test_analyze_bad_band_writes_nothing(tmp_path, decay_instance, capsys):
+    wpath, _ = decay_instance
+    out = tmp_path / "an"
+    assert main(["analyze", "--weights", wpath, "--band", "1.5", "--out", str(out)]) == 1
+    assert "specquant: error: band must lie in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_svd_unrepresentable_report_writes_nothing(tmp_path, capsys):
+    """Weights at 1e200 decompose, but their spectral error, the root of
+    tail energies past the float64 range, is inf: the report is refused by
+    name before --out is created."""
+    w = synth.smooth_decay_layer(16, 8, decay=1.5, seed=3) * 1e200
+    wpath = _npy(tmp_path / "w.npy", w)
+    out = tmp_path / "cmp"
+    with np.errstate(over="ignore"):  # the tail energies overflow
+        rc = main(["compare-svd", "--weights", wpath, "--ratios", "0.5", "--out", str(out)])
+    assert rc == 1
+    assert "specquant: error: report value past the float64 range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_writes_loadable_npy(tmp_path):
     out = tmp_path / "w.npy"
     assert main([
@@ -671,4 +693,4 @@ def test_analyze_unrepresentable_energy_writes_nothing(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "specquant: error: report value past the float64 range: total_energy is inf" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()

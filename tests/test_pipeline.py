@@ -750,6 +750,18 @@ class TestForwardApprox:
         assert err == pytest.approx(rel_err(x, w), rel=1e-6)
         assert err == pytest.approx(0.0117, abs=5e-5)
 
+    def test_served_forward_near_the_float64_limit_is_finite(self):
+        """X W = 3.54e306 fits. The residual branch scales its code product
+        by both quantizers' steps at once, so the served forward is finite
+        and within 2% of X W; scaling by the activation steps first
+        overflowed to inf."""
+        x = np.array([[0.126, -0.132, 0.640]])
+        w = np.array([[1.18e306], [-6.02e306], [4.06e306]])
+        layer = compress_layer(x, w, ratio=0.5, smooth=0.0, residual_bits=7)
+        y = forward_approx(x, layer, 4)
+        assert np.isfinite(y).all()
+        assert y[0, 0] == pytest.approx((x @ w)[0, 0], rel=0.02)
+
     def test_served_loaded_layer_holds_w_low_once_in_float32(self, tmp_path):
         """A loaded layer that served only quantized forwards keeps no
         float64 W'; the layer compress returned keeps the one it scored."""
@@ -852,10 +864,13 @@ class TestSvdBaseline:
         sv = jacobi_singular_values(w)
         assert rec.err_svd**2 == pytest.approx(float((sv[3:] ** 2).sum()), rel=1e-9)
 
-    def test_budget_too_small_rejected(self):
-        # 2 * 6 spectral reals buy no triplet of 64 + 2 + 1.
-        with pytest.raises(ValueError, match="singular triplet"):
-            compare_budgets(np.ones((64, 2)), [0.1])
+    def test_budget_too_small_rejected(self, monkeypatch):
+        # 2 * 6 spectral reals buy no triplet of 64 + 2 + 1, which is known
+        # from the budget alone, before the transform and the SVD.
+        calls = _count(monkeypatch, (spectral, "fft_columns"), (np.linalg, "svd"))
+        with pytest.raises(ValueError, match="ratio 0.1: budget 12 below one singular triplet"):
+            compare_budgets(np.ones((64, 2)), [1.0, 0.1])
+        assert calls == {"fft_columns": 0, "svd": 0}
 
 
 class TestCompareBudgets:

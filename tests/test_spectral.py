@@ -115,6 +115,25 @@ def test_bluestein_pads_only_the_odd_factor(monkeypatch, n, length):
         assert lengths == ([length, length] if name == path else [])
 
 
+def test_bluestein_near_the_float64_limit_stays_finite():
+    """A 53-point column, one Bluestein leaf, of standard normals times
+    2e305 has its largest bin at 2.6e306. Each leaf runs in power-of-two
+    units, so its half-spectrum is finite, raises no warning (tier-1 makes
+    warnings errors) and matches `dft_naive` relative to that bin; the
+    odd-length rebuild, which runs the same transform, is finite too."""
+    x = np.random.default_rng(0).standard_normal((53, 1)) * 2e305
+    spec = fft_columns(x)
+    ref = dft_naive(x[:, 0])[:27]
+    assert np.isfinite(spec).all()
+    scale = np.abs(ref).max()
+    assert 2e306 < scale < 3e306
+    assert np.abs(spec[:, 0] - ref).max() <= 1e-12 * scale
+    k = np.array([27])
+    back = reconstruct_columns(truncate_columns(spec, k, 53), k, 53)
+    assert np.isfinite(back).all()
+    assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
+
+
 @pytest.mark.parametrize("q", [3, spectral.DIRECT_MAX])
 @pytest.mark.parametrize("leaves", [1, 2])
 def test_direct_leaves_match_extended_precision(q, leaves):

@@ -237,21 +237,50 @@ class TestArtifactRoundTrip:
     def test_non_finite_budget_meta_writes_nothing(self, tmp_path, value):
         """The manifest is strict JSON: no bare NaN or Infinity token."""
         _, _, layer = _example_layer()
+        layer.plan.ratio = value
         out = tmp_path / "art"
-        with pytest.raises(DataError, match="manifest"):
-            tensor_io.save_compressed_layer(layer, out, ratio=value)
+        with pytest.raises(DataError, match="compression ratio"):
+            tensor_io.save_compressed_layer(layer, out)
         assert not out.exists()
 
     def test_budget_meta_temperature_is_the_plan_alpha(self, tmp_path):
-        _, _, layer = _example_layer()
-        manifest = tensor_io.save_compressed_layer(
-            layer, tmp_path, metric="l2-norm", ratio=0.4
-        )
+        w, x, _ = _example_layer()
+        layer = sq.compress_layer(x, w, ratio=0.4, smooth=0.5, metric="l2-norm", alpha=2.0)
+        manifest = tensor_io.save_compressed_layer(layer, tmp_path)
         assert manifest["budget_meta"] == {
-            "metric": "l2-norm", "temperature": layer.plan.alpha, "compression_ratio": 0.4,
+            "metric": "l2-norm", "temperature": 2.0, "compression_ratio": 0.4,
         }
         on_disk = json.loads((tmp_path / tensor_io.MANIFEST_FILE).read_text())
         assert on_disk["budget_meta"] == manifest["budget_meta"]
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"ratio": 0.4},
+            {"ratio": 1, "metric": "abs-max"},
+            {"groups": 3, "metric": "l2-norm"},
+            {"ratio": 0.3, "residual_quant": "compensated"},
+            {"groups": 2, "residual_quant": "compensated", "residual_bits": 6},
+        ],
+        ids=["rtn-ratio", "rtn-int-ratio", "rtn-groups", "compensated-ratio", "compensated-groups"],
+    )
+    def test_saving_a_loaded_layer_writes_the_same_bytes(self, tmp_path, options):
+        """The manifest's budget_meta comes from the plan, and load fills the
+        plan back, so save(load(a)) is a byte for byte; an int ratio is
+        recorded as the float it is re-saved as."""
+        w, x, _ = _example_layer()
+        layer = sq.compress_layer(x, w, smooth=0.5, **options)
+        tensor_io.save_compressed_layer(layer, tmp_path / "a")
+        tensor_io.save_compressed_layer(tensor_io.load_compressed_layer(tmp_path / "a"), tmp_path / "b")
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert len(files) == 4
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        meta = json.loads((tmp_path / "a" / tensor_io.MANIFEST_FILE).read_text())["budget_meta"]
+        assert meta["metric"] == options.get("metric", "spectral-entropy")
+        ratio = options.get("ratio")
+        assert meta["compression_ratio"] == ratio
+        assert type(meta["compression_ratio"]) is (type(None) if ratio is None else float)
 
     def test_zero_delta_in_manifest_is_data_error(self, tmp_path):
         _, _, layer = _example_layer()
@@ -344,13 +373,15 @@ class TestLoadHardening:
             (_set(["plan", "alpha"], float("nan")), DataError),
             (_set(["migration_strength"], float("nan")), DataError),
             (_set(["migration_strength"], float("inf")), DataError),
+            (_set(["budget_meta", "metric"], 3), FormatError),
+            (_set(["budget_meta", "compression_ratio"], "0.4"), FormatError),
         ],
         ids=[
             "plan-list", "c_in-null", "c_in-str", "c_in-bool", "c_out-float", "bits-1",
             "strength-huge", "k-str", "k-nested", "rho-ragged", "k-zero", "k-short",
             "params-str", "fallback-int", "spectra-parent-dir", "residual-list",
             "k-missing", "delta-missing", "rho-nan", "alpha-nan", "strength-nan",
-            "strength-inf",
+            "strength-inf", "metric-int", "ratio-str",
         ],
     )
     def test_bad_manifest_field_is_named_error(self, tmp_path, edit, error):
@@ -415,9 +446,9 @@ def _set_item(get, index, value):
 # One row per layer check tensor_io makes: the error class, the message of
 # the rule, a change that breaks the rule in memory (save must raise and write
 # nothing) and a tampered artifact that breaks it on disk (load must raise
-# the same error). The example layer is 16 x 6, compressed and saved at ratio
-# 0.4 (a 21-bin budget; 0.9 gives 48); row 0 of its spectra is the DC bin of
-# channel 0. A layer's c_in is its count of smoothing factors and its c_out
+# the same error). The example layer is 16 x 6, compressed at ratio 0.4,
+# which its plan records (a 21-bin budget; 0.9 gives 48); row 0 of its
+# spectra is the DC bin of channel 0. A layer's c_in is its count of smoothing factors and its c_out
 # its plan length, so in memory a wrong count of either breaks the spectra or
 # the residual shape rule. Where load reads a blob size or a manifest field
 # before a layer exists, it raises there, with the (class, message) in
@@ -524,6 +555,11 @@ _RULES = {
         _set_attr(lambda l: l.plan, "total_budget", 48),
         _manifest(_set(["budget_meta", "compression_ratio"], 0.9)),
     ),
+    "metric-unknown": (
+        DataError, "budget metric 'entropy' is not one of",
+        _set_attr(lambda l: l.plan, "metric", "entropy"),
+        _manifest(_set(["budget_meta", "metric"], "entropy")),
+    ),
 }
 
 
@@ -535,7 +571,7 @@ class TestLayerRules:
         mutate(layer)
         out = tmp_path / "art"
         with pytest.raises(error, match=match):
-            tensor_io.save_compressed_layer(layer, out, ratio=0.4)
+            tensor_io.save_compressed_layer(layer, out)
         assert not out.exists()
 
     @pytest.mark.parametrize("rule", sorted(_RULES))
@@ -543,7 +579,7 @@ class TestLayerRules:
         error, match, _, tamper = _RULES[rule]
         error, match = _LOAD_FIRST.get(rule, (error, match))
         _, _, layer = _example_layer()
-        tensor_io.save_compressed_layer(layer, tmp_path, ratio=0.4)
+        tensor_io.save_compressed_layer(layer, tmp_path)
         tamper(tmp_path)
         with pytest.raises(error, match=match):
             tensor_io.load_compressed_layer(tmp_path)
