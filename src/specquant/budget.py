@@ -93,20 +93,25 @@ def bin_budget(c_in, c_out, *, ratio=None, groups=None):
     Exactly one of `ratio` and `groups` must be set. A ratio in (0, 1] gives
     floor(ratio * c_out * (c_in // 2 + 1)) bins, which must cover one bin per
     channel; an integral `groups` in [1, c_in // 2 + 1] gives groups * c_out.
+    A bool is neither.
     """
     if (ratio is None) == (groups is None):
         raise ValueError("exactly one of ratio and groups must be set")
     half = spectral.half_spectrum_length(c_in)
     if groups is not None:
-        if not (isinstance(groups, numbers.Real) and 1 <= groups <= half) or groups != int(groups):
+        if not (_is_number(groups) and 1 <= groups <= half) or groups != int(groups):
             raise ValueError(f"groups must be an integer in [1, {half}], got {groups!r}")
         return int(groups) * c_out
-    if not (isinstance(ratio, numbers.Real) and 0.0 < ratio <= 1.0):
+    if not (_is_number(ratio) and 0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must lie in (0, 1], got {ratio!r}")
     total = math.floor(ratio * c_out * half)
     if total < c_out:
         raise ValueError(f"budget {total} below one retained bin per channel (c_out={c_out})")
     return total
+
+
+def _is_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _deal(count, order, room):

@@ -69,6 +69,7 @@ def cmd_compress(args):
         smooth=args.smooth,
         residual_quant=args.residual_quant,
     )
+    layer.name = args.layer_name
     w_hat = layer.smoothing.lam[:, None] * w
     trunc = w_hat - layer.low_freq_matrix()
     achieved = norm(trunc, axis=0)
@@ -106,7 +107,7 @@ def cmd_compress(args):
     ]
     # Serialized first: an unrepresentable value leaves no artifact behind.
     text = _json_text({"config": _run_config(args), "summary": summary, "channels": rows})
-    tensor_io.save_compressed_layer(layer, args.out, layer_name=args.layer_name)
+    tensor_io.save_compressed_layer(layer, args.out)
     fields = [
         "channel", "k", "rho", "total_energy", "retained_energy",
         "tail_energy", "error_bound", "achieved_error",
@@ -120,11 +121,7 @@ def cmd_analyze(args):
     w = tensor_io.load_matrix(args.weights)
     c_in, c_out = w.shape
     spec = spectral.fft_columns(w)
-    total, _, _ = spectral.band_energies(spec, 1, c_in)
-    # The JSON report holds no rows, so this column is checked here.
-    past = total[~np.isfinite(total)]
-    if past.size:
-        raise DataError(f"report value past the float64 range: total_energy is {past[0]}")
+    (total, _, _), unit = spectral.band_energies(spec, 1, c_in)
     fractions = spectral.lowband_fraction(spec, c_in, args.band)
     entropy = spectral_entropy(spec)
     rows = [
@@ -143,6 +140,7 @@ def cmd_analyze(args):
         "mean_lowband_fraction": float(fractions.mean()) if c_out else 0.0,
         "std_lowband_fraction": float(fractions.std()) if c_out else 0.0,
         "mean_spectral_entropy": float(entropy.mean()) if c_out else 0.0,
+        "energy_unit_log2": unit,
     }
     text = _json_text({"config": _run_config(args), "summary": summary})
     fields = ["channel", "total_energy", "lowband_fraction", "spectral_entropy"]

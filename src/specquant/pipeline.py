@@ -62,19 +62,21 @@ class CompressedLayer:
     rows, channel after channel, split by `plan.k`: exactly the bytes of
     `spectra.bin`. `energy` is the (3, c_out) array of each channel's total,
     retained and tail energy from the spectrum the layer was truncated from,
-    in units of 2^energy_unit_log2 (0 unless an energy passes the float64
-    range). `forward_error` is ||X W - forward_approx(X, layer, None)||_F,
+    in units of 2^energy_unit_log2 (`spectral.band_energies` picks the
+    unit). `forward_error` is ||X W - forward_approx(X, layer, None)||_F,
     the score the strength search gave the layer on its calibration set X.
     The search sets both, the energies for its winner only; both are None
     on a loaded layer, which keeps neither the dropped bins nor X. W' is
     built once, on first use; the residual stays in its codes. `tensor_io`
-    refuses to save or load a layer its format cannot hold.
+    refuses to save or load a layer its format cannot hold. `name` is the
+    artifact's `layer_name`.
     """
 
     smoothing: SmoothingFactors
     spectra: np.ndarray
     residual: quant.QuantizedTensor
     plan: BudgetPlan
+    name: str = "layer"
     energy: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     energy_unit_log2: int = field(default=0, init=False, repr=False, compare=False)
     forward_error: float | None = field(default=None, init=False, repr=False, compare=False)
@@ -203,22 +205,6 @@ def _check_strengths(grid):
     return sorted(strengths)
 
 
-def _with_energies(layer, spec):
-    """`layer` with its report energies set from `spec`, the half-spectra it
-    was truncated from."""
-    # Past the float64 range the energies are taken again in units of the
-    # power of two at max|spec|, an exact rescaling.
-    with np.errstate(over="ignore"):
-        energy = np.stack(spectral.band_energies(spec, layer.plan.k, layer.c_in))
-    unit = 0
-    if not np.isfinite(energy).all():
-        amp, exp = pow2_units(np.abs(spec))
-        energy = np.stack(spectral.band_energies(amp, layer.plan.k, layer.c_in))
-        unit = 2 * int(exp.item())
-    layer.energy, layer.energy_unit_log2 = energy, unit
-    return layer
-
-
 def select_migration_strength(
     x_calib,
     w,
@@ -293,7 +279,9 @@ def select_migration_strength(
         if best is None or layer.forward_error < best[0].forward_error:
             best = layer, spec
         del layer, spec  # a losing candidate is freed before the next one runs
-    return _with_energies(*best)
+    layer, spec = best
+    layer.energy, layer.energy_unit_log2 = spectral.band_energies(spec, layer.plan.k, c_in)
+    return layer
 
 
 def compress_layer(x_calib, w, *, smooth="auto", **options):
@@ -382,7 +370,6 @@ class BudgetComparison:
     err_spectral: float
     err_svd: float
     k_per_channel: np.ndarray
-    channel_tail_energy: np.ndarray
 
 
 def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
@@ -395,10 +382,11 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
     (the slack is reported); a budget below one triplet is refused before
     the transform, like a bad ratio, metric or alpha. Neither approximation
     is rebuilt: by Parseval the spectral error is the root of the summed
-    tail energies, and by Eckart-Young-Mirsky the rank-k SVD error is the
-    norm of the trailing singular values. The transform, the importance scores and the singular
-    values are computed once for the whole sweep. Smoothing, if wanted,
-    happens upstream; the comparison is decomposition only.
+    tail energies, scaled back from their unit, and by Eckart-Young-Mirsky
+    the rank-k SVD error is the norm of the trailing singular values. The
+    transform, the importance scores and the singular values are computed
+    once for the whole sweep. Smoothing, if wanted, happens upstream; the
+    comparison is decomposition only.
     """
     w = as_matrix(w_hat, "w_hat")
     c_in, c_out = w.shape
@@ -418,7 +406,7 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
     rows = []
     for ratio, budget_bins in zip(ratios, budgets):
         plan = allocate(scores, alpha, budget_bins, c_in)
-        tail = spectral.band_energies(spec, plan.k, c_in)[2]
+        (_, _, tail), unit = spectral.band_energies(spec, plan.k, c_in)
         b_spectral = 2 * budget_bins
         k_svd = b_spectral // per_rank
         b_svd = k_svd * per_rank
@@ -430,10 +418,9 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
                 b_svd=b_svd,
                 k_svd=k_svd,
                 budget_slack=b_spectral - b_svd,
-                err_spectral=float(np.sqrt(tail.sum())),
+                err_spectral=float(np.ldexp(np.sqrt(tail.sum()), unit // 2)),
                 err_svd=float(norm(s[k_svd:])),
                 k_per_channel=plan.k,
-                channel_tail_energy=tail,
             )
         )
     return rows

@@ -418,18 +418,33 @@ def reconstruct_columns(bins, k, n):
 
 
 def band_energies(half_spec, k, n):
-    """(total, retained, tail) energy of each column of a (half, c) array of
-    half-spectra, split at that column's k: three arrays over the columns.
+    """(energy, unit): the total, retained and tail energy of each column of
+    a (half, c) array of half-spectra, split at that column's k, as a (3, c)
+    array in units of 2^unit. The one place an energy unit is chosen.
 
     Energy of bin m is w_m * |X[m]|^2 / N, so `total` equals the time-domain
     energy sum(x^2) and `tail` is exactly the squared reconstruction error of
-    a k-bin truncation; its square root is the error bound.
+    a k-bin truncation; its square root times 2^(unit / 2) is the error bound.
+    `unit` is 0 unless the energy of all columns together reaches 2^1023,
+    half the float64 range (so any sum of the energies fits), or max|X| is
+    below 2^-458, where squares of bins 2^-53 times the largest would be
+    subnormal; then the amplitudes are taken in units of 2^e, e the frexp
+    exponent of max|X|, an exact rescaling, and unit = 2e. A non-finite
+    half-spectrum raises ValueError.
     """
     hs, ks = _check_columns(half_spec, k, n)
-    terms = _pair_weights(n)[:, None] * np.abs(hs) ** 2 / n
+    amp, unit = np.abs(hs), 0
+    with np.errstate(over="ignore"):  # taken again in a power-of-two unit below
+        terms = _pair_weights(n)[:, None] * amp**2 / n
+        rescale = not terms.sum() < 2.0**1023 or 0.0 < amp.max(initial=0.0) < 2.0**-458
+    if rescale:
+        amp, exp = pow2_units(amp)
+        terms, unit = _pair_weights(n)[:, None] * amp**2 / n, 2 * int(exp.item())
+        if not np.isfinite(terms.sum()):
+            raise ValueError("half-spectra contain non-finite values")
     kept = np.arange(hs.shape[0])[:, None] < ks
-    return (terms.sum(axis=0), np.where(kept, terms, 0.0).sum(axis=0),
-            np.where(kept, 0.0, terms).sum(axis=0))
+    return np.stack((terms.sum(axis=0), np.where(kept, terms, 0.0).sum(axis=0),
+                     np.where(kept, 0.0, terms).sum(axis=0))), unit
 
 
 def lowband_fraction(half_spec, n, band=0.2):
@@ -446,5 +461,5 @@ def lowband_fraction(half_spec, n, band=0.2):
     half = half_spectrum_length(n)
     k = max(1, int(band * half))
     amp = pow2_units(np.abs(half_spec), axis=0)[0]
-    total, retained, _ = band_energies(amp, k, n)
+    (total, retained, _), _ = band_energies(amp, k, n)
     return np.divide(retained, total, out=np.ones_like(total), where=total != 0.0)

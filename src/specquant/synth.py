@@ -12,12 +12,12 @@ import numpy as np
 from . import spectral
 
 
-def smooth_decay_layer(c_in, c_out, *, decay=2.0, seed=0, amp_range=(0.5, 2.0)):
+def smooth_decay_layer(c_in, c_out, *, decay=2.0, seed=0):
     """Weight matrix whose channels have power-law spectral decay.
 
     Channel j is synthesized from a half-spectrum with amplitudes
-    A_0 = C_j and A_m = C_j / m^decay, random phases, and C_j drawn from
-    `amp_range`. By construction |fft(column)[m]| reproduces those
+    A_0 = C_j and A_m = C_j / m^decay, random phases, and C_j drawn
+    uniformly from [0.5, 2). By construction |fft(column)[m]| reproduces those
     amplitudes exactly, so C_j is recoverable as |fft(column)[1]|.
     """
     _check_size(c_in, "c_in")
@@ -34,7 +34,7 @@ def smooth_decay_layer(c_in, c_out, *, decay=2.0, seed=0, amp_range=(0.5, 2.0)):
     # valid.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for j in range(c_out):
-            c = rng.uniform(*amp_range)
+            c = rng.uniform(0.5, 2.0)
             bins[j, :, 0] = c / profile
             phases = rng.uniform(-np.pi, np.pi, half)
             phases = np.where(phases <= -np.pi, np.pi, phases)

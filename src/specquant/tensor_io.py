@@ -19,7 +19,9 @@ Everything else (plan, quantizer scales, migration strength, and the
 the manifest, which JSON round-trips float64 exactly via shortest-repr; it is
 strict JSON, so save refuses a non-finite value instead of writing NaN.
 `budget_meta` is the plan's own record (its `metric`, `alpha` as the
-temperature, and `ratio`), and load fills it back into the plan.
+temperature, and `ratio`), and load fills it back into the plan, as it
+fills `layer_name` into the layer's `name`. So whatever load accepts saves
+again to the same bytes.
 
 Save and load make the same layer checks (`_check_layer`), so save never
 writes an artifact load would reject. A layer's c_in is its count of
@@ -31,13 +33,18 @@ negative amplitude, a phase outside (-pi, pi], or a real-valued bin (DC, and
 Nyquist for an even c_in) whose phase is not 0 or pi; a delta that is not
 positive and finite, a non-finite zero point; residual bits outside [2, 8]
 or a code above them; a smoothing factor that is not positive and finite;
-a recorded metric outside `budget.METRICS`, or a recorded compression
-ratio whose `budget.bin_budget` is not the plan's total budget.
+a layer name that is not a string; a recorded metric outside
+`budget.METRICS`, a recorded compression ratio whose `budget.bin_budget` is
+not the plan's total budget, or plan counts k that do not sum to it.
+Load alone also refuses, with DataError, a `budget_meta.temperature` other
+than the plan's alpha and a nonzero pad nibble after an odd count of 4-bit
+codes.
 
 Load raises only SpecQuantError subclasses for a malformed artifact (OSError
 if a file cannot be read): FormatError for a missing or wrongly typed
-manifest field, ShapeError for sizes that disagree, DataError for invalid
-values.
+manifest field (a float field takes an integer only if float64 holds it
+exactly, and no field takes a bool for a number), ShapeError for sizes that
+disagree, DataError for invalid values.
 """
 
 import json
@@ -118,6 +125,8 @@ def unpack_codes(data, bits, rows, cols):
             raise ShapeError(
                 f"residual blob holds {raw.size} bytes, expected {_packed_size(count, bits)}"
             )
+        if count % 2 and raw[-1] >> 4:
+            raise DataError("residual blob's pad nibble after the last code must be 0")
         flat = np.empty(raw.size * 2, dtype=np.uint8)
         flat[0::2] = raw & 0x0F
         flat[1::2] = raw >> 4
@@ -186,6 +195,8 @@ def _check_layer(layer):
     lam = layer.smoothing.lam
     if lam.size and (not np.isfinite(lam).all() or (lam <= 0).any()):
         raise DataError("smoothing factors must be positive and finite")
+    if not isinstance(layer.name, str):
+        raise DataError(f"layer name {layer.name!r} is not a string")
     plan = layer.plan
     if plan.metric not in (None, *METRICS):
         raise DataError(f"budget metric {plan.metric!r} is not one of {METRICS}")
@@ -199,21 +210,24 @@ def _check_layer(layer):
                 f"compression ratio {plan.ratio} gives a {budget}-bin budget, "
                 f"the plan's is {plan.total_budget}"
             )
+    if int(k.sum()) != plan.total_budget:
+        raise DataError(f"plan keeps {k.sum()} bins, its total budget is {plan.total_budget}")
 
 
-def save_compressed_layer(layer, out_dir, *, layer_name="layer"):
+def save_compressed_layer(layer, out_dir):
     """Write manifest + blobs; returns the manifest dict.
 
     A subsequent `load_compressed_layer` reproduces the layer bit-exactly,
-    budget record included, so saving it again writes the same bytes. A
-    layer that load would reject raises the same error, and a non-finite
-    manifest value raises DataError, before any file or directory is written.
+    name and budget record included, so saving it again writes the same
+    bytes. A layer that load would reject raises the same error, and a
+    non-finite manifest value raises DataError, before any file or directory
+    is written.
     """
     _check_layer(layer)
     r = layer.residual
     manifest = {
         "format_version": FORMAT_VERSION,
-        "layer_name": layer_name,
+        "layer_name": layer.name,
         "c_in": layer.c_in,
         "c_out": layer.c_out,
         "smoothing_factors": LAMBDA_FILE,
@@ -283,14 +297,17 @@ def load_manifest(artifact_dir):
 
 def _typed(value, kind, name, null=False):
     """`value` if it has JSON type `kind` (or is null, where `null` allows
-    it), else FormatError; `float` takes any number a float64 holds, and a
-    bool is never a number."""
+    it), else FormatError; `float` takes any number a float64 holds, an
+    integer only if it holds it exactly, and a bool is never a number."""
     if value is None and null:
         return None
     allowed = (int, float) if kind is float else kind
     if isinstance(value, allowed) and not (kind in (int, float) and isinstance(value, bool)):
+        if kind is not float or isinstance(value, float):
+            return value
         try:
-            return float(value) if kind is float else value
+            if float(value) == value:
+                return float(value)
         except OverflowError:
             pass
     raise FormatError(f"manifest field {name} must be {kind.__name__}, got {value!r}")
@@ -304,17 +321,16 @@ def _field(obj, key, kind, name=None):
 
 
 def _array(obj, key, dtype, name):
-    """A manifest list of numbers as a 1-D array of `dtype`; int64 takes
-    only integers."""
+    """A manifest list of numbers as a 1-D array of `dtype`, each element
+    typed by `_typed`: int64 takes only integers, and only those it holds."""
+    kind = int if dtype is np.int64 else float
     values = _field(obj, key, list, name)
+    if not all(type(v) is kind for v in values):  # what save writes needs no typing
+        values = [_typed(v, kind, name) for v in values]
     try:
-        arr = np.asarray(values) if values else np.zeros(0, dtype)
-    except ValueError:  # ragged nested lists
-        arr = None
-    kinds = "i" if dtype is np.int64 else "iuf"
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in kinds:
-        raise FormatError(f"manifest field {name} must be a list of {dtype.__name__}")
-    return arr.astype(dtype)
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        raise FormatError(f"manifest field {name} holds an integer past int64") from None
 
 
 def _read_blob(artifact_dir, manifest, key, expected):
@@ -368,6 +384,7 @@ def load_compressed_layer(artifact_dir):
         ),
         spectra=np.frombuffer(spectra_raw, dtype="<f8").astype(np.float64).reshape(-1, 2),
         residual=residual,
+        name=_field(manifest, "layer_name", str),
         plan=BudgetPlan(
             rho=rho,
             k=ks,
@@ -380,4 +397,9 @@ def load_compressed_layer(artifact_dir):
         ),
     )
     _check_layer(layer)
+    # Save writes the plan's alpha as the temperature.
+    alpha = layer.plan.alpha
+    temperature = _typed(meta.get("temperature", alpha), float, "budget_meta.temperature")
+    if temperature != alpha:
+        raise DataError(f"budget_meta.temperature {temperature} is not plan.alpha {alpha}")
     return layer

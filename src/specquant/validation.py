@@ -18,13 +18,13 @@ def as_matrix(a, name="matrix"):
     return np.ascontiguousarray(arr)
 
 
-def as_vector(a, name="vector", min_len=1):
+def as_vector(a, name="vector"):
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got {arr.ndim}-D")
-    if arr.size < min_len:
-        raise ValueError(f"{name} must have at least {min_len} element(s)")
-    if arr.size and not np.isfinite(arr).all():
+    if arr.size == 0:
+        raise ValueError(f"{name} must have at least 1 element")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 

@@ -67,7 +67,7 @@ def test_criterion_3_error_bound_exhaustive():
         for x in signals:
             hs = sq.fft(x)[:, None]
             for k in range(1, half_spectrum_length(n) + 1):
-                bound = float(np.sqrt(band_energies(hs, k, n)[2][0]))
+                bound = float(np.sqrt(band_energies(hs, k, n)[0][2, 0]))
                 achieved = float(
                     np.linalg.norm(x - reconstruct(truncate_columns(hs, k, n), n))
                 )

@@ -70,17 +70,19 @@ _FLOOR = 0.125
         ({"ratio": 0.0}, "ratio must lie in"),
         ({"ratio": np.nextafter(_FLOOR, 0.0)}, "below one retained bin"),
         ({"ratio": float("nan")}, "ratio must lie in"),
+        ({"ratio": True}, "ratio must lie in"),
         ({"groups": 1}, 4),
         ({"groups": 8}, 32),
         ({"groups": 0}, "groups must be an integer"),
         ({"groups": 9}, "groups must be an integer"),
         ({"groups": 2.7}, "groups must be an integer"),
+        ({"groups": True}, "groups must be an integer"),
         ({"ratio": 0.5, "groups": 2}, "exactly one"),
         ({}, "exactly one"),
     ],
     ids=[
-        "ratio-1", "ratio-floor", "ratio-0", "ratio-below-floor", "ratio-nan",
-        "groups-1", "groups-half", "groups-0", "groups-half+1", "groups-2.7",
+        "ratio-1", "ratio-floor", "ratio-0", "ratio-below-floor", "ratio-nan", "ratio-bool",
+        "groups-1", "groups-half", "groups-0", "groups-half+1", "groups-2.7", "groups-bool",
         "both", "neither",
     ],
 )

@@ -204,18 +204,33 @@ def test_analyze_bad_band_writes_nothing(tmp_path, decay_instance, capsys):
     assert not out.exists()
 
 
-def test_compare_svd_unrepresentable_report_writes_nothing(tmp_path, capsys):
-    """Weights at 1e200 decompose, but their spectral error, the root of
-    tail energies past the float64 range, is inf: the report is refused by
-    name before --out is created."""
-    w = synth.smooth_decay_layer(16, 8, decay=1.5, seed=3) * 1e200
-    wpath = _npy(tmp_path / "w.npy", w)
-    out = tmp_path / "cmp"
-    with np.errstate(over="ignore"):  # the tail energies overflow
-        rc = main(["compare-svd", "--weights", wpath, "--ratios", "0.5", "--out", str(out)])
-    assert rc == 1
-    assert "specquant: error: report value past the float64 range" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("k", [-1070, -600, 0, 600, 1018])
+def test_analyze_and_compare_svd_report_at_any_weight_scale(tmp_path, k):
+    """Weights w 2^k, from subnormal to near the float64 limit: `analyze` and
+    `compare-svd` exit 0 with finite strict-JSON reports, and warn nowhere
+    (tier-1 runs with warnings as errors). analyze's total_energy column is
+    `band_energies` of the same spectrum in the reported unit, and
+    err_spectral scales by exactly 2^k wherever w 2^k holds w exactly."""
+    w = synth.smooth_decay_layer(64, 16, seed=1)
+    wk = np.ldexp(w, k)
+    reports = {}
+    for name, weights in (("w", w), ("wk", wk)):
+        wpath = _npy(tmp_path / f"{name}.npy", weights)
+        for command, stem in (("analyze", "analyze"), ("compare-svd", "compare_svd")):
+            out = tmp_path / f"{name}-{stem}"
+            assert main([command, "--weights", wpath, "--out", str(out)]) == 0
+            reports[name, stem] = _strict_json(out / f"{stem}.json"), _read_csv(out / f"{stem}.csv")
+    (totals, _, _), unit = spectral.band_energies(spectral.fft_columns(wk), 1, 64)
+    summary, rows = reports["wk", "analyze"][0]["summary"], reports["wk", "analyze"][1]
+    assert summary["energy_unit_log2"] == unit
+    assert [float(r["total_energy"]) for r in rows] == totals.tolist()
+    for name in ("w", "wk"):
+        for row in reports[name, "compare_svd"][0]["rows"]:
+            assert np.isfinite([row["err_spectral"], row["err_svd"]]).all()
+    scaled = [row["err_spectral"] for row in reports["wk", "compare_svd"][0]["rows"]]
+    plain = [row["err_spectral"] for row in reports["w", "compare_svd"][0]["rows"]]
+    if np.array_equal(np.ldexp(wk, -k), w):
+        assert scaled == np.ldexp(plain, k).tolist()
 
 
 def test_synth_writes_loadable_npy(tmp_path):
@@ -559,9 +574,10 @@ def test_report_energies_match_a_fresh_transform(tmp_path, decay_instance, smoot
     w = tensor_io.load_matrix(wpath)
     layer = tensor_io.load_compressed_layer(out)
     w_hat = layer.smoothing.lam[:, None] * w
-    total, retained, tail = spectral.band_energies(
+    (total, retained, tail), unit = spectral.band_energies(
         spectral.fft_columns(w_hat), layer.plan.k, layer.c_in
     )
+    assert unit == 0
     report = json.loads((out / "report.json").read_text())
     assert report["summary"]["energy_unit_log2"] == 0
     rows = report["channels"]
@@ -614,9 +630,10 @@ def test_report_energies_past_the_float64_range_take_a_power_of_two_unit(tmp_pat
     assert unit > 0 and unit % 2 == 0
     layer = tensor_io.load_compressed_layer(out)
     w_hat = layer.smoothing.lam[:, None] * w
-    amp, exp = pow2_units(np.abs(spectral.fft_columns(w_hat)))
-    assert unit == 2 * exp.item()
-    total, retained, tail = spectral.band_energies(amp, layer.plan.k, layer.c_in)
+    spec = spectral.fft_columns(w_hat)
+    amp, exp = pow2_units(np.abs(spec))
+    assert unit == 2 * exp.item() == spectral.band_energies(spec, layer.plan.k, layer.c_in)[1]
+    (total, retained, tail), _ = spectral.band_energies(amp, layer.plan.k, layer.c_in)
     rows = report["channels"]
     assert [r["total_energy"] for r in rows] == total.tolist()
     assert [r["retained_energy"] for r in rows] == retained.tolist()
@@ -678,19 +695,4 @@ def test_report_value_past_the_float64_range_writes_nothing(tmp_path, capsys):
         ])
     assert rc == 1
     assert "specquant: error: report value past the float64 range" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_analyze_unrepresentable_energy_writes_nothing(tmp_path, capsys):
-    """Channel energies past the float64 range fail `analyze` with a named
-    error before any report is written; the low-band fractions alone would
-    be finite."""
-    w = synth.smooth_decay_layer(16, 8, decay=1.5, seed=3) * 1e200
-    wpath = _npy(tmp_path / "w.npy", w)
-    out = tmp_path / "reports"
-    with np.errstate(over="ignore"):
-        rc = main(["analyze", "--weights", wpath, "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "specquant: error: report value past the float64 range: total_energy is inf" in err
     assert not out.exists()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import specquant as sq
@@ -461,6 +461,8 @@ _LOAD_FIRST = {
     "lambda-length": (ShapeError, "lambda blob holds"),
     "plan-length": (ShapeError, "plan length"),
     "granularity": (FormatError, "unsupported residual granularity"),
+    "ratio-bool": (FormatError, "budget_meta.compression_ratio must be float"),
+    "layer-name": (FormatError, "layer_name must be str"),
 }
 _RULES = {
     "plan-length": (
@@ -560,6 +562,22 @@ _RULES = {
         _set_attr(lambda l: l.plan, "metric", "entropy"),
         _manifest(_set(["budget_meta", "metric"], "entropy")),
     ),
+    "ratio-bool": (
+        DataError, "compression ratio True: ratio must lie in",
+        _set_attr(lambda l: l.plan, "ratio", True),
+        _manifest(_set(["budget_meta", "compression_ratio"], True)),
+    ),
+    "plan-not-its-budget": (
+        DataError, "plan keeps 21 bins, its total budget is 3",
+        lambda l: (setattr(l.plan, "ratio", None), setattr(l.plan, "total_budget", 3)),
+        _manifest(lambda m: (m["budget_meta"].update(compression_ratio=None),
+                             m["plan"].update(total_budget=3))),
+    ),
+    "layer-name": (
+        DataError, "layer name 7 is not a string",
+        _set_attr(lambda l: l, "name", 7),
+        _manifest(_set(["layer_name"], 7)),
+    ),
 }
 
 
@@ -587,7 +605,10 @@ class TestLayerRules:
 
 @lru_cache(maxsize=None)
 def _artifact_files():
+    """A 9 x 3 layer's artifact: 27 4-bit codes, so residual.bin ends in a
+    pad nibble."""
     _, _, layer = _example_layer(c_in=9, c_out=3)
+    layer.name = "mlp.0"
     with tempfile.TemporaryDirectory() as d:
         tensor_io.save_compressed_layer(layer, d)
         return {p.name: p.read_bytes() for p in Path(d).iterdir()}
@@ -645,9 +666,46 @@ def _fuzzed_artifact(draw):
     return files
 
 
+def _leaves(obj):
+    """{path: value} for every value of a JSON value that is neither an
+    object nor an array, paths as `_manifest_paths` gives them."""
+    leaves = {}
+    for path in _manifest_paths(obj):
+        value = obj
+        for key in path:
+            value = value[key]
+        if not isinstance(value, (dict, list)):
+            leaves[path] = value
+    return leaves
+
+
+def _edited(edit):
+    """The example artifact's files after `edit(manifest, files)`."""
+    files = dict(_artifact_files())
+    manifest = json.loads(files[tensor_io.MANIFEST_FILE])
+    edit(manifest, files)
+    files[tensor_io.MANIFEST_FILE] = json.dumps(manifest).encode()
+    return files
+
+
+def _set_pad_nibble(files):
+    codes = files[tensor_io.RESIDUAL_FILE]
+    files[tensor_io.RESIDUAL_FILE] = codes[:-1] + bytes([codes[-1] | 0x10])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_fuzzed_artifact())
+# Each of these once loaded and re-saved to other bytes: the layer name,
+# a temperature that is not the plan's alpha, a nonzero pad nibble, and an
+# integer float64 does not hold.
+@example(_edited(lambda m, f: None))
+@example(_edited(lambda m, f: m["budget_meta"].update(temperature=7.0)))
+@example(_edited(lambda m, f: _set_pad_nibble(f)))
+@example(_edited(lambda m, f: m.update(migration_strength=2**70 + 1)))
 def test_fuzzed_artifact_raises_only_named_errors(files):
+    """What loads is a valid layer, and it saves back to the same bytes: the
+    same three blobs, and the same value on every manifest leaf that save
+    writes and the input holds (a bool is not the number 1)."""
     with tempfile.TemporaryDirectory() as d:
         for name, data in files.items():
             Path(d, name).write_bytes(data)
@@ -655,8 +713,13 @@ def test_fuzzed_artifact_raises_only_named_errors(files):
             layer = tensor_io.load_compressed_layer(d)
         except SpecQuantError:
             return
-        # What loads is a valid layer: it saves back without complaint.
-        tensor_io.save_compressed_layer(layer, Path(d, "again"))
+        written = tensor_io.save_compressed_layer(layer, Path(d, "again"))
+        for name in (tensor_io.LAMBDA_FILE, tensor_io.SPECTRA_FILE, tensor_io.RESIDUAL_FILE):
+            assert Path(d, "again", name).read_bytes() == files[name], name
+    given = _leaves(json.loads(files[tensor_io.MANIFEST_FILE]))
+    for path, leaf in _leaves(written).items():
+        if path in given:
+            assert (type(given[path]) is bool, given[path]) == (type(leaf) is bool, leaf), path
 
 
 class TestStorageAccounting:
