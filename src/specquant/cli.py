@@ -167,7 +167,7 @@ def cmd_compare_svd(args):
 
 
 def cmd_eval_matmul(args):
-    quant._check_bits(args.act_bits)
+    bits = quant._check_bits(args.act_bits)
     w = tensor_io.load_matrix(args.weights)
     x = tensor_io.load_matrix(args.calib)
     layer = tensor_io.load_compressed_layer(args.artifact)
@@ -180,28 +180,26 @@ def cmd_eval_matmul(args):
             f"activations have {x.shape[1]} columns, the artifact expects c_in={layer.c_in}"
         )
     weight_bits = layer.residual.bits
-    reference = x @ w
-
-    def err(y):
-        return float(norm(y - reference))
-
-    def both_quantized(acts, weights):
-        return quant.matmul(
-            quant.quantize(acts, args.act_bits, "per_token"),
-            quant.quantize(weights, weight_bits, "per_channel"),
-        )
-
-    naive = both_quantized(x, w)
-    smooth_only = both_quantized(*pipeline.apply_smoothing(x, w, layer.smoothing))
-    specq = pipeline.forward_approx(x, layer, activation_bits=args.act_bits)
+    # The weights are quantized once; the tokens are walked TILE rows at a
+    # time, so no full-size copy of them is made.
+    q_w = quant.quantize(w, weight_bits, "per_channel")
+    q_lw = quant.quantize(layer.smoothing.lam[:, None] * w, weight_bits, "per_channel")
+    tile_errors = []
+    for t in range(0, x.shape[0], pipeline.TILE):
+        x_t = x[t : t + pipeline.TILE]
+        reference = pipeline._product(x_t, w)
+        naive = quant._activation_product(x_t, bits, q_w, *quant._slice_ranges(x_t, "per_token"))
+        # The x_hat of `apply_smoothing`, rounded in its own buffer.
+        x_hat, lo, hi = pipeline._smoothed(x_t, layer)
+        smooth_only = quant._activation_product(x_hat, bits, q_lw, lo, hi, out=x_hat)
+        specq = pipeline.forward_approx(x_t, layer, bits)
+        tile_errors.append([norm(y - reference) for y in (naive, smooth_only, specq)])
+    naive, smooth_only, specq = (float(norm(e)) for e in np.reshape(tile_errors, (-1, 3)).T)
     rows = [
         {"method": "fp-reference", "frobenius_error": 0.0},
-        {"method": f"naive-W{weight_bits}A{args.act_bits}", "frobenius_error": err(naive)},
-        {
-            "method": f"smooth-only-W{weight_bits}A{args.act_bits}",
-            "frobenius_error": err(smooth_only),
-        },
-        {"method": "specquant", "frobenius_error": err(specq)},
+        {"method": f"naive-W{weight_bits}A{bits}", "frobenius_error": naive},
+        {"method": f"smooth-only-W{weight_bits}A{bits}", "frobenius_error": smooth_only},
+        {"method": "specquant", "frobenius_error": specq},
     ]
     text = _json_text({"config": _run_config(args), "rows": rows})
     _write_report(args.out, "eval_matmul", text, ["method", "frobenius_error"], rows)

@@ -17,8 +17,11 @@ forwards them. `forward_approx` is the only code that applies a compressed
 layer to activations; both of its modes form x_hat = x / lambda once and
 refuse a non-finite one by name. Served, it runs the W' branch as one
 float32 GEMM in power-of-two units, on unquantized activations, and only
-the residual branch through integer quantization, as one GEMM on the
-integer codes (`quant.matmul`); unquantized, it is the single float64 GEMM
+the residual branch through integer quantization, as one fused product
+(`quant._activation_product`): x_hat is rounded to its per-token codes in
+its own buffer and multiplied by the residual codes in one GEMM on the
+integers. It serves TILE rows at a time, so a long batch holds only one
+tile's temporaries. Unquantized, it is the single float64 GEMM
 x_hat (W' + dequant(R)) that the strength search scores. A budget-matched
 truncated SVD of the same matrix acts as the baseline for error
 comparisons.
@@ -39,6 +42,10 @@ from .budget import _check_alpha, _check_metric
 from .validation import as_matrix, norm, pow2_units
 
 DEFAULT_SMOOTH_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# Rows per tile of the served forward and of `eval-matmul`: the served batch
+# size, at which a (TILE, c_in) float64 tile (786 KB at c_in = 768) stays in
+# L2, so a long batch never holds a full-size copy of its activations.
+TILE = 128
 DEFAULT_RESIDUAL_BITS = 4
 RESIDUAL_QUANTIZERS = ("rtn", "compensated")
 
@@ -244,10 +251,7 @@ def select_migration_strength(
     quant._check_bits(residual_bits, "residual_bits")
     if residual_quant not in RESIDUAL_QUANTIZERS:
         raise ValueError(f"unknown residual quantizer {residual_quant!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused, named, below
-        reference = x @ w
-    if not np.isfinite(reference).all():
-        raise ValueError("x @ w is past the float64 range")
+    reference = _product(x, w)
     act, wgt = _channel_ranges(x, w)
     # Every candidate's lambda is checked before the first transform.
     candidates = [_smoothing_factors(act, wgt, s) for s in strengths]
@@ -284,6 +288,15 @@ def select_migration_strength(
     return layer
 
 
+def _product(x, w):
+    """x @ w, the reference output; ValueError past the float64 range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused, named, below
+        y = x @ w
+    if not np.isfinite(y).all():
+        raise ValueError("x @ w is past the float64 range")
+    return y
+
+
 def compress_layer(x_calib, w, *, smooth="auto", **options):
     """Compress one layer: smooth, truncate per channel, quantize the residual.
 
@@ -314,19 +327,21 @@ def forward_approx(x, layer, activation_bits):
 
     With x_hat = x / lambda, `activation_bits` (2..8, checked before any
     GEMM) returns x_hat W' + dequant(quant(x_hat)) dequant(R), the served
-    forward. The residual-branch activations are quantized per token and
-    that branch runs as `quant.matmul` of the activation codes and the
-    residual codes, an exact GEMM on the codes, equal to the dequantized
-    product up to rounding, whose code operand `layer.residual` builds once
-    from its stored codes. The W' branch is one float32 GEMM in power-of-two
-    units (standing in for a 16-bit kernel): each row of x_hat and each
-    column of W' is divided by 2^e, e the frexp exponent of its max|.|, and
-    cast to float32; the product goes back to float64 and is scaled by
-    2^(e_row + e_col). So it rounds only at float32 level relative to
-    |x_hat| |W'|, at any float64 scale, and scaling x by a power of two
-    scales the output by it exactly. Both modes share one prologue: the bits
-    check, x_hat, and one min/max pass over x_hat per token that refuses a
-    non-finite x_hat and gives the quantizer's ranges and the row exponents.
+    forward. The residual branch is `quant._activation_product` of x_hat and
+    the residual codes: x_hat's per-token codes are rounded in x_hat's own
+    buffer and multiplied by the residual codes in one exact GEMM, equal to
+    the dequantized product up to rounding; `layer.residual` builds its code
+    operand once from its stored codes. The W' branch is one float32 GEMM in
+    power-of-two units (standing in for a 16-bit kernel): each row of x_hat
+    and each column of W' is divided by 2^e, e the frexp exponent of its
+    max|.|, and cast to float32; the product goes back to float64 and is
+    scaled by 2^(e_row + e_col). So it rounds only at float32 level relative
+    to |x_hat| |W'|, at any float64 scale, and scaling x by a power of two
+    scales the output by it exactly. A batch of more than TILE rows is
+    served tile by tile into one output, with the bits of its tiles served
+    one at a time. Both modes share one prologue: the bits check, x_hat, and
+    one min/max pass over x_hat per token that refuses a non-finite x_hat
+    and gives the quantizer's ranges and the row exponents.
 
     `activation_bits=None` is the unquantized forward, the single float64
     GEMM x_hat (W' + dequant(R)) that `select_migration_strength` scores.
@@ -336,25 +351,41 @@ def forward_approx(x, layer, activation_bits):
     if x.shape[1] != layer.c_in:
         raise ValueError(f"x has {x.shape[1]} columns, layer expects {layer.c_in}")
     bits = None if activation_bits is None else quant._check_bits(activation_bits, "activation_bits")
+    if bits is None:
+        x_hat, _, _ = _smoothed(x, layer)
+        # W' + dequant(R), summed in place in dequant(R)'s buffer (the same bits).
+        w_full = quant.dequantize(layer.residual)
+        w_full += layer.low_freq_matrix()
+        return x_hat @ w_full
+    y = np.empty((x.shape[0], layer.c_out))
+    for t in range(0, x.shape[0], TILE):
+        _served(x[t : t + TILE], layer, bits, y[t : t + TILE])
+    return y
+
+
+def _smoothed(x, layer):
+    """(x_hat, lo, hi): x / lambda and its per-token ranges, the prologue of
+    both forward modes; a non-finite x_hat is refused by name."""
     with np.errstate(over="ignore"):  # an overflow is refused, named, below
         x_hat = x / layer.smoothing.lam[None, :]
     lo, hi = quant._slice_ranges(x_hat, "per_token")
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("x / lambda contains non-finite values")
-    if bits is None:
-        # W' + dequant(R), summed in place in dequant(R)'s buffer (the same bits).
-        w_full = quant.dequantize(layer.residual)
-        w_full += layer.low_freq_matrix()
-        return x_hat @ w_full
+    return x_hat, lo, hi
+
+
+def _served(x, layer, bits, y):
+    """The served forward of at most TILE rows of x, written into y."""
+    x_hat, lo, hi = _smoothed(x, layer)
     w32, col_exp = layer._served_low_freq()
     row_exp = np.frexp(np.maximum(-lo, hi))[1][:, None]
     # Scaled straight into the float32 operand, with no float64 copy of x_hat.
     x32 = np.ldexp(x_hat, -row_exp, out=np.empty(x_hat.shape, np.float32))
-    y = (x32 @ w32).astype(np.float64)
+    y[...] = x32 @ w32
     del x32  # freed before the quantizer allocates
     np.ldexp(y, row_exp + col_exp, out=y)
-    y += quant.matmul(quant._quantize(x_hat, bits, "per_token", lo, hi), layer.residual)
-    return y
+    # x_hat is not read again, so the quantizer rounds in its buffer.
+    y += quant._activation_product(x_hat, bits, layer.residual, lo, hi, out=x_hat)
 
 
 @dataclass
@@ -407,6 +438,8 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
     for ratio, budget_bins in zip(ratios, budgets):
         plan = allocate(scores, alpha, budget_bins, c_in)
         (_, _, tail), unit = spectral.band_energies(spec, plan.k, c_in)
+        with np.errstate(over="ignore"):  # inf past the float64 range, refused by the report
+            err_spectral = float(np.ldexp(np.sqrt(tail.sum()), unit // 2))
         b_spectral = 2 * budget_bins
         k_svd = b_spectral // per_rank
         b_svd = k_svd * per_rank
@@ -418,7 +451,7 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
                 b_svd=b_svd,
                 k_svd=k_svd,
                 budget_slack=b_spectral - b_svd,
-                err_spectral=float(np.ldexp(np.sqrt(tail.sum()), unit // 2)),
+                err_spectral=err_spectral,
                 err_svd=float(norm(s[k_svd:])),
                 k_per_channel=plan.k,
             )

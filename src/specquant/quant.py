@@ -16,11 +16,17 @@ is a 1-row matrix quantized per_token.
 `matmul` multiplies a per_token by a per_channel tensor straight from their
 codes: one GEMM on the integer codes, exact in float32 while its partial sums
 stay below 2^24 and in float64 otherwise, with the zero points folded out of
-the product afterwards (Jacob et al., arXiv 1712.05877, eq. 7).
+the product afterwards (Jacob et al., arXiv 1712.05877, eq. 7). The fold is
+per row and per column, so activations never need to exist as codes:
+`_activation_product` rounds a float matrix to its per-token codes in one
+float64 buffer, casts that once to the GEMM dtype and folds, with the same
+bits as `matmul` of the quantized matrix. A per_channel operand keeps its
+codes in the GEMM dtype and its fold constants after the first product.
 """
 
 import numbers
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,17 +77,32 @@ class QuantizedTensor:
         return self.codes.shape[1]
 
     def _gemm_operand(self, dtype):
-        """(codes as `dtype`, code sums along the slice) for `matmul`,
-        computed once per dtype; the codes must not change afterwards."""
+        """(codes as `dtype`, `_ColumnFold`) of a per_channel tensor, the
+        right operand of the code GEMM, computed once per dtype; the codes
+        must not change afterwards."""
         if dtype not in self._gemm:
             codes = self.codes.astype(dtype)
             # A GEMV of integers is exact in the dtype `_gemm_dtype` picked.
-            if self.granularity == "per_token":
-                sums = codes @ np.ones(self.cols, dtype)
-            else:
-                sums = np.ones(self.rows, dtype) @ codes
-            self._gemm[dtype] = codes, sums.astype(np.float64)
+            sums = (np.ones(self.rows, dtype) @ codes).astype(np.float64)
+            ib, fb = _split(self.zero_points)
+            sb = sums - self.rows * ib
+            self._gemm[dtype] = codes, _ColumnFold(
+                np.vstack((ib, sb)), fb, sb - self.rows * fb, *np.frexp(self.deltas)
+            )
         return self._gemm[dtype]
+
+
+class _ColumnFold(NamedTuple):
+    """The per-column constants `_fold` needs of a right operand with codes
+    Cb, zero points zb = ib + fb (`_split`) and steps db over K rows: ib_sb
+    stacks ib over colsum(Cb - ib), tb is colsum(Cb - zb) taken as
+    colsum(Cb - ib) - K fb, and (mant, exp) = frexp(db)."""
+
+    ib_sb: np.ndarray
+    fb: np.ndarray
+    tb: np.ndarray
+    mant: np.ndarray
+    exp: np.ndarray
 
 
 def _check_bits(bits, name="bits"):
@@ -144,30 +165,28 @@ def _broadcast(deltas, zps, granularity):
     return deltas[None, :], zps[None, :]
 
 
-def _encode(x, deltas, zps, bits, granularity):
-    d, z = _broadcast(deltas, zps, granularity)
-    # floor(clip(x / d + z, 0, qmax) + 0.5), step by step in one buffer.
-    # Values are non-negative after the clamp, so floor(v + 0.5) is
-    # half-away-from-zero rounding.
-    v = x / d
+def _round(x, d, z, bits, out=None):
+    """The codes floor(clip(x / d + z, 0, qmax) + 0.5) as float64, step by
+    step in one buffer: `out` if given (it may be x itself), else a new one.
+    Values are non-negative after the clamp, so floor(v + 0.5) is
+    half-away-from-zero rounding."""
+    v = np.divide(x, d, out=out)
     v += z
     np.clip(v, 0.0, float(2**bits - 1), out=v)
     v += 0.5
     np.floor(v, out=v)
-    return v.astype(np.uint8)
+    return v
+
+
+def _encode(x, deltas, zps, bits, granularity):
+    return _round(x, *_broadcast(deltas, zps, granularity), bits).astype(np.uint8)
 
 
 def quantize(x, bits, granularity):
     """Quantize a matrix slice-wise at the given granularity."""
     x = as_matrix(x, "x")
     bits = _check_bits(bits)
-    return _quantize(x, bits, granularity, *_slice_ranges(x, granularity))
-
-
-def _quantize(x, bits, granularity, lo, hi):
-    """`quantize` of a finite matrix, with checked `bits`, whose slices span
-    [lo, hi] (`_slice_ranges`), for a caller that already has the ranges."""
-    deltas, zps = _slice_params(lo, hi, bits)
+    deltas, zps = _slice_params(*_slice_ranges(x, granularity), bits)
     return QuantizedTensor(
         codes=_encode(x, deltas, zps, bits, granularity),
         bits=bits,
@@ -207,8 +226,36 @@ def matmul(a, b):
 
     P = Ca @ Cb is one GEMM on the codes in `_gemm_dtype`, which makes it an
     exact integer; its bits do not depend on the dtype or on BLAS threading.
-    The zero points are folded out afterwards. With each split as z = i + f
-    (`_split`), A = Ca - ia and B = Cb - ib, over the K = a.cols terms,
+    The zero points are folded out afterwards (`_fold`).
+    """
+    if a.granularity != "per_token" or b.granularity != "per_channel":
+        raise ValueError("matmul takes a per_token left and a per_channel right operand")
+    if a.cols != b.rows:
+        raise ValueError(f"inner sizes differ: {a.cols} and {b.rows}")
+    ca = a.codes.astype(_gemm_dtype(a.bits, b.bits, a.cols))
+    return _fold(ca, a.codes.sum(axis=1, dtype=np.float64), a.zero_points, a.deltas, b)
+
+
+def _activation_product(x, bits, b, lo, hi, out=None):
+    """matmul(quantize(x, bits, "per_token"), b), bit for bit, of a finite
+    x whose rows span [lo, hi] (`_slice_ranges`) and a checked `bits`, with
+    no codes, QuantizedTensor or cache entry for x: its per-token codes are
+    rounded in one float64 buffer (`out` if given, which may be x itself;
+    x is then overwritten) and cast once to the GEMM dtype."""
+    deltas, zps = _slice_params(lo, hi, bits)
+    v = _round(x, deltas[:, None], zps[:, None], bits, out=out)
+    # Row sums of integers below 2^53 are exact in any order.
+    ca = v.astype(_gemm_dtype(bits, b.bits, x.shape[1]), copy=False)
+    return _fold(ca, v.sum(axis=1), zps, deltas, b)
+
+
+def _fold(ca, ra, za, da, b):
+    """(Ca - za) da @ dequantize(b) from the left codes `ca`, already in
+    the GEMM dtype, their row sums `ra`, and the per-row zero points `za`
+    and steps `da`.
+
+    With each zero point split as z = i + f (`_split`), A = Ca - ia and
+    B = Cb - ib, over the K = b.rows terms,
 
         sum_k (Ca - za)(Cb - zb) = I - F,
         I = P - rowsum(Ca) ib - ia colsum(B)
@@ -222,32 +269,23 @@ def matmul(a, b):
     - za (colsum(Cb) - K zb), rounds terms of the size of the codes, which
     cancel to far less when codes sit on a zero point that is not an integer.
     """
-    if a.granularity != "per_token" or b.granularity != "per_channel":
-        raise ValueError("matmul takes a per_token left and a per_channel right operand")
-    if a.cols != b.rows:
-        raise ValueError(f"inner sizes differ: {a.cols} and {b.rows}")
-    k = a.cols
-    dtype = _gemm_dtype(a.bits, b.bits, k)
-    ca, ra = a._gemm_operand(dtype)
-    cb, rb = b._gemm_operand(dtype)
-    ia, fa = _split(a.zero_points)
-    ib, fb = _split(b.zero_points)
-    sb = rb - k * ib
+    k = b.rows
+    cb, col = b._gemm_operand(ca.dtype)
+    ia, fa = _split(za)
     out = (ca @ cb).astype(np.float64, copy=False)
     # I first, exactly (a GEMM of integers), then F, elementwise so that its
     # rounding does not depend on the BLAS kernel.
-    out -= np.column_stack((ra, ia)) @ np.vstack((ib, sb))
-    f = (ra - k * ia)[:, None] * fb
-    f += fa[:, None] * (sb - k * fb)
+    out -= np.column_stack((ra, ia)) @ col.ib_sb
+    f = (ra - k * ia)[:, None] * col.fb
+    f += fa[:, None] * col.tb
     out -= f
     # Scaled by both steps' frexp mantissas, then once by their summed
     # exponents: the same bits as da * db wherever no partial product
     # leaves the float64 range, and finite wherever the result fits.
-    ma, ea = np.frexp(a.deltas)
-    mb, eb = np.frexp(b.deltas)
+    ma, ea = np.frexp(da)
     out *= ma[:, None]
-    out *= mb
-    return np.ldexp(out, ea[:, None] + eb, out=out)
+    out *= col.mant
+    return np.ldexp(out, ea[:, None] + col.exp, out=out)
 
 
 def quantize_residual_compensated(r, bits, x_calib):

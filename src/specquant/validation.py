@@ -3,7 +3,8 @@
 Matrices are 2-D row-major float64 arrays; vectors are 1-D float64 arrays.
 Everything is validated to be finite on the way in so the math never has to
 re-check. `norm` squares in power-of-two units, an exact rescaling that
-keeps the sum inside the float64 range for any finite input.
+keeps the sum inside the float64 range for any finite input; only a norm
+that is itself past the range comes out inf.
 """
 
 import numpy as np
@@ -37,6 +38,8 @@ def pow2_units(a, axis=None):
 
 def norm(a, axis=None):
     """2-norm along `axis` (Frobenius for None), squared in power-of-two units
-    so it neither overflows nor underflows."""
+    so it neither overflows nor underflows; a norm past the float64 range is
+    inf, without a warning, for the caller to refuse by name."""
     scaled, exp = pow2_units(a, axis)
-    return np.ldexp(np.linalg.norm(scaled, axis=axis), np.squeeze(exp, axis=axis))
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.norm(scaled, axis=axis), np.squeeze(exp, axis=axis))

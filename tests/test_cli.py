@@ -3,13 +3,14 @@
 import csv
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import specquant as sq
-from specquant import pipeline, spectral, synth, tensor_io
+from specquant import pipeline, quant, spectral, synth, tensor_io
 from specquant.cli import main
 from specquant.validation import pow2_units
 
@@ -167,14 +168,15 @@ def test_eval_matmul_ordering_on_outliers(tmp_path, decay_instance):
     assert rows["specquant"] < rows["smooth-only-W4A4"] < rows["naive-W4A4"]
 
 
-def test_eval_matmul_zero_activations(tmp_path, decay_instance):
+@pytest.mark.parametrize("rows", [0, 8])
+def test_eval_matmul_zero_activations(tmp_path, decay_instance, rows):
     wpath, xpath = decay_instance
     art = tmp_path / "art"
     assert main([
         "compress", "--weights", wpath, "--calib", xpath,
         "--ratio", "0.3", "--smooth", "0.5", "--out", str(art),
     ]) == 0
-    zpath = _npy(tmp_path / "z.npy", np.zeros((8, 64)))
+    zpath = _npy(tmp_path / "z.npy", np.zeros((rows, 64)))
     out = tmp_path / "eval0"
     assert main([
         "eval-matmul", "--weights", wpath, "--calib", zpath,
@@ -182,6 +184,73 @@ def test_eval_matmul_zero_activations(tmp_path, decay_instance):
     ]) == 0
     for row in _read_csv(out / "eval_matmul.csv"):
         assert float(row["frobenius_error"]) == 0.0
+
+
+@pytest.mark.parametrize("rows", [1, 127, 128, 129, 300])
+def test_eval_matmul_tiles_equal_the_untiled_errors(tmp_path, decay_instance, rows):
+    """eval-matmul walks the tokens TILE rows at a time; each reported error
+    is within 1e-12 relative of the norm of the whole product less x @ w."""
+    wpath, xpath = decay_instance
+    art = tmp_path / "art"
+    assert main([
+        "compress", "--weights", wpath, "--calib", xpath,
+        "--ratio", "0.3", "--smooth", "0.5", "--out", str(art),
+    ]) == 0
+    x = synth.outlier_activations(rows, 64, magnitude=100.0, seed=rows)
+    out = tmp_path / "eval"
+    assert main([
+        "eval-matmul", "--weights", wpath, "--calib", _npy(tmp_path / "h.npy", x),
+        "--artifact", str(art), "--act-bits", "4", "--out", str(out),
+    ]) == 0
+    w = tensor_io.load_matrix(wpath)
+    layer = tensor_io.load_compressed_layer(art)
+    bits = layer.residual.bits
+
+    def both_quantized(acts, weights):
+        return quant.matmul(
+            quant.quantize(acts, 4, "per_token"), quant.quantize(weights, bits, "per_channel")
+        )
+
+    reference = x @ w
+    untiled = {
+        f"naive-W{bits}A4": both_quantized(x, w),
+        f"smooth-only-W{bits}A4": both_quantized(*pipeline.apply_smoothing(x, w, layer.smoothing)),
+        "specquant": pipeline.forward_approx(x, layer, 4),
+    }
+    rows_out = json.loads((out / "eval_matmul.json").read_text())["rows"]
+    got = {r["method"]: r["frobenius_error"] for r in rows_out}
+    assert got.pop("fp-reference") == 0.0
+    assert got.keys() == untiled.keys()
+    for method, y in untiled.items():
+        expected = np.linalg.norm(y - reference)
+        assert abs(got[method] - expected) <= 1e-12 * expected, method
+
+
+def test_eval_matmul_holds_one_tile_of_its_tokens(tmp_path):
+    """Past the 8.4 MB of 16384 x 64 float64 tokens it reads, eval-matmul
+    allocates at most half as much again at any time (tracemalloc counts
+    numpy's buffers): the products run one tile at a time."""
+    w = synth.smooth_decay_layer(64, 64, decay=1.5, seed=1)
+    x = synth.outlier_activations(16384, 64, magnitude=100.0, seed=2)
+    wpath, xpath = _npy(tmp_path / "w.npy", w), _npy(tmp_path / "x.npy", x)
+    calib = _npy(tmp_path / "c.npy", x[:256])
+    art = tmp_path / "art"
+    assert main([
+        "compress", "--weights", wpath, "--calib", calib, "--ratio", "0.25",
+        "--smooth", "0.5", "--out", str(art),
+    ]) == 0
+    del x
+    tracemalloc.start()
+    try:
+        rc = main([
+            "eval-matmul", "--weights", wpath, "--calib", xpath,
+            "--artifact", str(art), "--out", str(tmp_path / "eval"),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 1.5 * 16384 * 64 * 8
 
 
 def test_analyze_reports_lowband_fraction(tmp_path, decay_instance):
@@ -368,9 +437,10 @@ def test_overflowing_alpha_exits_nonzero_and_writes_nothing(tmp_path, capsys):
     ids=["weights", "activations"],
 )
 def test_eval_matmul_rejects_shapes_other_than_the_artifact(
-    tmp_path, capsys, weights, calib, message
+    tmp_path, capsys, monkeypatch, weights, calib, message
 ):
-    """(32, 8) - (32, 1) would broadcast into a meaningless error table."""
+    """(32, 8) - (32, 1) would broadcast into a meaningless error table; the
+    shapes are refused before any quantization or product."""
     wpath = _synth(tmp_path, "w.npy", "smooth-decay", 16, 8, 1)
     xpath = _synth(tmp_path, "x.npy", "gaussian", 32, 16, 3)
     art = tmp_path / "art"
@@ -380,6 +450,10 @@ def test_eval_matmul_rejects_shapes_other_than_the_artifact(
     ]) == 0
     w_eval = _synth(tmp_path, "w_eval.npy", "smooth-decay", *weights, 1)
     x_eval = _synth(tmp_path, "x_eval.npy", "gaussian", *calib, 3)
+    products = []
+    for owner, name in ((quant, "quantize"), (quant, "_activation_product"),
+                        (pipeline, "forward_approx"), (pipeline, "_product")):
+        monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: products.append(_name))
     capsys.readouterr()
     out = tmp_path / "eval"
     assert main([
@@ -387,6 +461,7 @@ def test_eval_matmul_rejects_shapes_other_than_the_artifact(
         "--artifact", str(art), "--act-bits", "4", "--out", str(out),
     ]) == 1
     assert f"specquant: error: {message}" in capsys.readouterr().err
+    assert products == []
     assert not out.exists()
 
 
@@ -679,20 +754,44 @@ def test_unrepresentable_report_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_report_value_past_the_float64_range_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["compress", "compare-svd"])
+def test_report_value_past_the_float64_range_writes_nothing(tmp_path, capsys, command):
     """Unit activations at strength 1 leave lambda = 1. With 4 x 64 weights
     of +-4e307, X W and every spectrum bin stay within 4 * 4e307, inside the
     float64 range, and the layer compresses; but its truncation error, of
-    the order of 4e307 sqrt(128), is past it. The report refuses that by
-    name before any file is written."""
+    the order of 4e307 sqrt(128), is past it, and so is compare-svd's
+    spectral error. The report refuses that by name before any file is
+    written, with no overflow warning on the way (warnings are errors)."""
     w = np.random.default_rng(0).choice([-1.0, 1.0], size=(4, 64)) * 4e307
     wpath, xpath = _npy(tmp_path / "w.npy", w), _npy(tmp_path / "x.npy", np.ones((8, 4)))
+    options = {
+        "compress": ["--calib", xpath, "--ratio", "0.5", "--smooth", "1.0"],
+        "compare-svd": ["--ratios", "0.5"],
+    }
     out = tmp_path / "art"
-    with np.errstate(over="ignore"):  # the report's own norm overflows
-        rc = main([
-            "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.5",
-            "--smooth", "1.0", "--out", str(out),
-        ])
+    rc = main([command, "--weights", wpath, *options[command], "--out", str(out)])
     assert rc == 1
     assert "specquant: error: report value past the float64 range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_matmul_product_past_the_float64_range_writes_nothing(tmp_path, capsys):
+    """A layer of weights near 1e200 compresses on activations near 1e2;
+    the same activations times 1e200 put X W past the float64 range, which
+    eval-matmul refuses by the search's name, without an overflow warning."""
+    w = synth.smooth_decay_layer(16, 8, decay=1.5, seed=1) * 1e200
+    x = synth.outlier_activations(64, 16, seed=2)
+    wpath, xpath = _npy(tmp_path / "w.npy", w), _npy(tmp_path / "x.npy", x)
+    art = tmp_path / "art"
+    assert main([
+        "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.5",
+        "--smooth", "0.5", "--out", str(art),
+    ]) == 0
+    big = _npy(tmp_path / "x_big.npy", x * 1e200)
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main([
+        "eval-matmul", "--weights", wpath, "--calib", big, "--artifact", str(art), "--out", str(out),
+    ]) == 1
+    assert "specquant: error: x @ w is past the float64 range" in capsys.readouterr().err
     assert not out.exists()

@@ -826,12 +826,28 @@ class TestForwardApprox:
         sq.save_compressed_layer(compress_layer(x, w, ratio=0.5, smooth=0.5), tmp_path)
         back = sq.load_compressed_layer(tmp_path)
         layer_cls = pipeline.CompressedLayer
-        calls = _count(monkeypatch, (layer_cls, "low_freq_matrix"), (quant, "matmul"))
+        calls = _count(
+            monkeypatch, (layer_cls, "low_freq_matrix"), (quant, "_activation_product")
+        )
         with pytest.raises(ValueError, match="activation_bits must"):
             forward_approx(x, back, bits)
-        assert calls == {"low_freq_matrix": 0, "matmul": 0}
+        assert calls == {"low_freq_matrix": 0, "_activation_product": 0}
         assert back._w_low is None and back._w_low_f32 is None
 
+
+    def test_long_batch_is_served_tile_by_tile(self, monkeypatch):
+        """389 rows, three full tiles and a partial one, give the bits of
+        their TILE-row tiles served one at a time, each in one fused
+        residual-branch product."""
+        assert pipeline.TILE == 128
+        x = synth.outlier_activations(389, 64, magnitude=100.0, seed=5)
+        layer = compress_layer(
+            x[:96], synth.smooth_decay_layer(64, 24, decay=1.5, seed=6), ratio=0.3, smooth=0.5
+        )
+        tiles = [forward_approx(x[t : t + 128], layer, 4) for t in range(0, 389, 128)]
+        calls = _count(monkeypatch, (quant, "_activation_product"))
+        assert forward_approx(x, layer, 4).tobytes() == np.vstack(tiles).tobytes()
+        assert calls == {"_activation_product": 4}
 
 def _float32_w_low_branch(x_hat, w_low):
     """x_hat W' as `forward_approx` documents its served W' branch: rows of

@@ -257,7 +257,7 @@ class TestCodeMatmul:
         b = quantize(rng.normal(size=(200, 48)) - 0.2, bits_b, "per_channel")
         exact = a.codes.astype(np.int64) @ b.codes.astype(np.int64)
         for dtype in (np.float32, np.float64):
-            p = a._gemm_operand(dtype)[0] @ b._gemm_operand(dtype)[0]
+            p = a.codes.astype(dtype) @ b._gemm_operand(dtype)[0]
             assert p.dtype == dtype
             np.testing.assert_array_equal(p, exact)
         default = matmul(a, b)
@@ -306,6 +306,51 @@ class TestCodeMatmul:
             matmul(a, quantize(np.ones((3, 2)), 4, "per_token"))
         with pytest.raises(ValueError, match="inner sizes differ"):
             matmul(a, quantize(np.ones((4, 2)), 4, "per_channel"))
+
+
+class TestActivationProduct:
+    """`quant._activation_product` is `matmul` of the per-token quantized
+    activations, bit for bit, with no codes or tensor made for them."""
+
+    @staticmethod
+    def _assert_equals_matmul(x, bits, b, monkeypatch):
+        expected = matmul(quantize(x, bits, "per_token"), b)
+        lo, hi = quant._slice_ranges(x, "per_token")
+        kept = x.copy()
+        with monkeypatch.context() as m:
+            for name in ("_encode", "QuantizedTensor"):
+                m.setattr(quant, name, None)  # the fused path must not call them
+            got = quant._activation_product(x, bits, b, lo, hi)
+            np.testing.assert_array_equal(x, kept)  # read, not overwritten, without `out`
+            buffer = x.copy()
+            in_place = quant._activation_product(buffer, bits, b, lo, hi, out=buffer)
+        for y in (got, in_place):
+            assert y.dtype == np.float64 and y.shape == expected.shape
+            assert y.tobytes() == expected.tobytes()
+        assert list(b._gemm) == [quant._gemm_dtype(bits, b.bits, x.shape[1])]
+
+    @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 389])
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_equals_matmul_of_the_quantized_activations(self, bits, rows, monkeypatch):
+        """Rows of a few decades, one-sided rows, a flat row and a zero row."""
+        rng = np.random.default_rng(10 * bits + rows)
+        x = rng.normal(size=(rows, 40)) * rng.uniform(0.01, 100, size=40)
+        x[: rows // 3] += 50.0
+        if rows > 2:
+            x[1] = 2.5
+            x[2] = 0.0
+        b = quantize(rng.normal(size=(40, 24)) - 0.1, 4, "per_channel")
+        self._assert_equals_matmul(x, bits, b, monkeypatch)
+
+    @pytest.mark.parametrize("rows", [0, 1, 129])
+    def test_float64_gemm_dtype(self, rows, monkeypatch):
+        """8-bit codes on both sides with c_in = 300 >= 259 run the code
+        GEMM in float64."""
+        rng = np.random.default_rng(rows)
+        assert quant._gemm_dtype(8, 8, 300) is np.float64
+        x = rng.normal(size=(rows, 300)) + 0.2
+        b = quantize(rng.normal(size=(300, 16)), 8, "per_channel")
+        self._assert_equals_matmul(x, 8, b, monkeypatch)
 
 
 SCALE_EXPONENTS = [(1000, 0), (-1000, 0), (0, 500), (0, -500), (1000, -500), (-1000, 500)]
