@@ -834,7 +834,6 @@ class TestForwardApprox:
         assert calls == {"low_freq_matrix": 0, "_activation_product": 0}
         assert back._w_low is None and back._w_low_f32 is None
 
-
     def test_long_batch_is_served_tile_by_tile(self, monkeypatch):
         """389 rows, three full tiles and a partial one, give the bits of
         their TILE-row tiles served one at a time, each in one fused
@@ -848,6 +847,7 @@ class TestForwardApprox:
         calls = _count(monkeypatch, (quant, "_activation_product"))
         assert forward_approx(x, layer, 4).tobytes() == np.vstack(tiles).tobytes()
         assert calls == {"_activation_product": 4}
+
 
 def _float32_w_low_branch(x_hat, w_low):
     """x_hat W' as `forward_approx` documents its served W' branch: rows of
