@@ -187,12 +187,15 @@ def cmd_eval_matmul(args):
     tile_errors = []
     for t in range(0, x.shape[0], pipeline.TILE):
         x_t = x[t : t + pipeline.TILE]
+        # First, so a non-finite x / lambda is refused by that name; an output
+        # past the float64 range is refused, named, by `_product` or the report.
+        with np.errstate(over="ignore", invalid="ignore"):
+            specq = pipeline.forward_approx(x_t, layer, bits)
         reference = pipeline._product(x_t, w)
-        naive = quant._activation_product(x_t, bits, q_w, *quant._slice_ranges(x_t, "per_token"))
+        naive = quant.matmul(x_t, bits, q_w)
         # The x_hat of `apply_smoothing`, rounded in its own buffer.
-        x_hat, lo, hi = pipeline._smoothed(x_t, layer)
-        smooth_only = quant._activation_product(x_hat, bits, q_lw, lo, hi, out=x_hat)
-        specq = pipeline.forward_approx(x_t, layer, bits)
+        x_hat = x_t / layer.smoothing.lam
+        smooth_only = quant.matmul(x_hat, bits, q_lw, out=x_hat)
         tile_errors.append([norm(y - reference) for y in (naive, smooth_only, specq)])
     naive, smooth_only, specq = (float(norm(e)) for e in np.reshape(tile_errors, (-1, 3)).T)
     rows = [

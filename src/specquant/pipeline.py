@@ -17,14 +17,13 @@ forwards them. `forward_approx` is the only code that applies a compressed
 layer to activations; both of its modes form x_hat = x / lambda once and
 refuse a non-finite one by name. Served, it runs the W' branch as one
 float32 GEMM in power-of-two units, on unquantized activations, and only
-the residual branch through integer quantization, as one fused product
-(`quant._activation_product`): x_hat is rounded to its per-token codes in
-its own buffer and multiplied by the residual codes in one GEMM on the
-integers. It serves TILE rows at a time, so a long batch holds only one
-tile's temporaries. Unquantized, it is the single float64 GEMM
-x_hat (W' + dequant(R)) that the strength search scores. A budget-matched
-truncated SVD of the same matrix acts as the baseline for error
-comparisons.
+the residual branch through integer quantization, as `quant.matmul`, the
+one quantized product: x_hat is rounded to its per-token codes in its own
+buffer and multiplied by the residual codes in one GEMM on the integers.
+It serves TILE rows at a time, so a long batch holds only one tile's
+temporaries. Unquantized, it is the single float64 GEMM x_hat (W' +
+dequant(R)) that the strength search scores. A budget-matched truncated
+SVD of the same matrix acts as the baseline for error comparisons.
 
 This module only composes the stages: `budget.bin_budget` owns the bin
 budget, and `tensor_io` the rules of what an artifact can hold. A layer's
@@ -327,8 +326,8 @@ def forward_approx(x, layer, activation_bits):
 
     With x_hat = x / lambda, `activation_bits` (2..8, checked before any
     GEMM) returns x_hat W' + dequant(quant(x_hat)) dequant(R), the served
-    forward. The residual branch is `quant._activation_product` of x_hat and
-    the residual codes: x_hat's per-token codes are rounded in x_hat's own
+    forward. The residual branch is `quant.matmul(x_hat, bits,
+    layer.residual)`: x_hat's per-token codes are rounded in x_hat's own
     buffer and multiplied by the residual codes in one exact GEMM, equal to
     the dequantized product up to rounding; `layer.residual` builds its code
     operand once from its stored codes. The W' branch is one float32 GEMM in
@@ -341,7 +340,8 @@ def forward_approx(x, layer, activation_bits):
     served tile by tile into one output, with the bits of its tiles served
     one at a time. Both modes share one prologue: the bits check, x_hat, and
     one min/max pass over x_hat per token that refuses a non-finite x_hat
-    and gives the quantizer's ranges and the row exponents.
+    and gives the row exponents and the ranges `quant.matmul` quantizes
+    with, so the product takes no second pass.
 
     `activation_bits=None` is the unquantized forward, the single float64
     GEMM x_hat (W' + dequant(R)) that `select_migration_strength` scores.
@@ -368,7 +368,7 @@ def _smoothed(x, layer):
     both forward modes; a non-finite x_hat is refused by name."""
     with np.errstate(over="ignore"):  # an overflow is refused, named, below
         x_hat = x / layer.smoothing.lam[None, :]
-    lo, hi = quant._slice_ranges(x_hat, "per_token")
+    lo, hi = x_hat.min(axis=1), x_hat.max(axis=1)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("x / lambda contains non-finite values")
     return x_hat, lo, hi
@@ -385,7 +385,7 @@ def _served(x, layer, bits, y):
     del x32  # freed before the quantizer allocates
     np.ldexp(y, row_exp + col_exp, out=y)
     # x_hat is not read again, so the quantizer rounds in its buffer.
-    y += quant._activation_product(x_hat, bits, layer.residual, lo, hi, out=x_hat)
+    y += quant.matmul(x_hat, bits, layer.residual, out=x_hat, ranges=(lo, hi))
 
 
 @dataclass

@@ -13,15 +13,15 @@ matrices carry one token per row), per_channel each column (weight matrices
 carry one output channel per column). A whole matrix quantized as one slice
 is a 1-row matrix quantized per_token.
 
-`matmul` multiplies a per_token by a per_channel tensor straight from their
-codes: one GEMM on the integer codes, exact in float32 while its partial sums
-stay below 2^24 and in float64 otherwise, with the zero points folded out of
-the product afterwards (Jacob et al., arXiv 1712.05877, eq. 7). The fold is
-per row and per column, so activations never need to exist as codes:
-`_activation_product` rounds a float matrix to its per-token codes in one
-float64 buffer, casts that once to the GEMM dtype and folds, with the same
-bits as `matmul` of the quantized matrix. A per_channel operand keeps its
-codes in the GEMM dtype and its fold constants after the first product.
+`matmul` is the one quantized product: finite float activations, quantized
+per token inside it, times a per_channel tensor, as one GEMM on the integer
+codes, exact in float32 while its partial sums stay below 2^24 and in
+float64 otherwise, with the zero points folded out of the product afterwards
+(Jacob et al., arXiv 1712.05877, eq. 7). The fold is per row and per column,
+so the activations never exist as codes or as a QuantizedTensor: they are
+rounded to their codes in one float64 buffer and cast once to the GEMM
+dtype. A per_channel operand keeps its codes in the GEMM dtype and its fold
+constants after the first product.
 """
 
 import numbers
@@ -93,9 +93,9 @@ class QuantizedTensor:
 
 
 class _ColumnFold(NamedTuple):
-    """The per-column constants `_fold` needs of a right operand with codes
-    Cb, zero points zb = ib + fb (`_split`) and steps db over K rows: ib_sb
-    stacks ib over colsum(Cb - ib), tb is colsum(Cb - zb) taken as
+    """The per-column constants `matmul` folds with, of a right operand with
+    codes Cb, zero points zb = ib + fb (`_split`) and steps db over K rows:
+    ib_sb stacks ib over colsum(Cb - ib), tb is colsum(Cb - zb) taken as
     colsum(Cb - ib) - K fb, and (mant, exp) = frexp(db)."""
 
     ib_sb: np.ndarray
@@ -220,42 +220,20 @@ def _split(z):
     return i, z - i
 
 
-def matmul(a, b):
-    """dequantize(a) @ dequantize(b) from the codes of a per_token `a` and a
-    per_channel `b`.
+def matmul(x, bits, b, *, out=None, ranges=None):
+    """dequantize(quantize(x, bits, "per_token")) @ dequantize(b), up to
+    rounding, of finite float activations `x` and a per_channel `b`, from
+    their integer codes; x never becomes codes or a QuantizedTensor.
 
-    P = Ca @ Cb is one GEMM on the codes in `_gemm_dtype`, which makes it an
-    exact integer; its bits do not depend on the dtype or on BLAS threading.
-    The zero points are folded out afterwards (`_fold`).
-    """
-    if a.granularity != "per_token" or b.granularity != "per_channel":
-        raise ValueError("matmul takes a per_token left and a per_channel right operand")
-    if a.cols != b.rows:
-        raise ValueError(f"inner sizes differ: {a.cols} and {b.rows}")
-    ca = a.codes.astype(_gemm_dtype(a.bits, b.bits, a.cols))
-    return _fold(ca, a.codes.sum(axis=1, dtype=np.float64), a.zero_points, a.deltas, b)
+    x's codes are rounded in one float64 buffer (`out` if given, which may
+    be x itself, then overwritten) and cast once to `_gemm_dtype`, where
+    P = Ca @ Cb, one GEMM, is an exact integer whatever the dtype or BLAS
+    threading. `ranges`, x's per-token (min, max), spares a caller that has
+    them the pass taken here; a non-finite x is refused by name from them.
 
-
-def _activation_product(x, bits, b, lo, hi, out=None):
-    """matmul(quantize(x, bits, "per_token"), b), bit for bit, of a finite
-    x whose rows span [lo, hi] (`_slice_ranges`) and a checked `bits`, with
-    no codes, QuantizedTensor or cache entry for x: its per-token codes are
-    rounded in one float64 buffer (`out` if given, which may be x itself;
-    x is then overwritten) and cast once to the GEMM dtype."""
-    deltas, zps = _slice_params(lo, hi, bits)
-    v = _round(x, deltas[:, None], zps[:, None], bits, out=out)
-    # Row sums of integers below 2^53 are exact in any order.
-    ca = v.astype(_gemm_dtype(bits, b.bits, x.shape[1]), copy=False)
-    return _fold(ca, v.sum(axis=1), zps, deltas, b)
-
-
-def _fold(ca, ra, za, da, b):
-    """(Ca - za) da @ dequantize(b) from the left codes `ca`, already in
-    the GEMM dtype, their row sums `ra`, and the per-row zero points `za`
-    and steps `da`.
-
-    With each zero point split as z = i + f (`_split`), A = Ca - ia and
-    B = Cb - ib, over the K = b.rows terms,
+    The zero points are folded out of P afterwards (Jacob et al., arXiv
+    1712.05877, eq. 7). With each zero point split as z = i + f (`_split`),
+    A = Ca - ia and B = Cb - ib, over the K = b.rows terms,
 
         sum_k (Ca - za)(Cb - zb) = I - F,
         I = P - rowsum(Ca) ib - ia colsum(B)
@@ -269,23 +247,38 @@ def _fold(ca, ra, za, da, b):
     - za (colsum(Cb) - K zb), rounds terms of the size of the codes, which
     cancel to far less when codes sit on a zero point that is not an integer.
     """
+    bits = _check_bits(bits)
+    if b.granularity != "per_channel":
+        raise ValueError("matmul takes a per_channel right operand")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"x must be 2-D, got {x.ndim}-D")
     k = b.rows
-    cb, col = b._gemm_operand(ca.dtype)
+    if x.shape[1] != k:
+        raise ValueError(f"inner sizes differ: {x.shape[1]} and {k}")
+    lo, hi = _slice_ranges(x, "per_token") if ranges is None else ranges
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("x contains non-finite values")
+    da, za = _slice_params(lo, hi, bits)
+    v = _round(x, da[:, None], za[:, None], bits, out=out)
+    # Row sums of integers below 2^53 are exact in any order.
+    ra = v.sum(axis=1)
+    cb, col = b._gemm_operand(_gemm_dtype(bits, b.bits, k))
     ia, fa = _split(za)
-    out = (ca @ cb).astype(np.float64, copy=False)
+    y = (v.astype(cb.dtype, copy=False) @ cb).astype(np.float64, copy=False)
     # I first, exactly (a GEMM of integers), then F, elementwise so that its
     # rounding does not depend on the BLAS kernel.
-    out -= np.column_stack((ra, ia)) @ col.ib_sb
+    y -= np.column_stack((ra, ia)) @ col.ib_sb
     f = (ra - k * ia)[:, None] * col.fb
     f += fa[:, None] * col.tb
-    out -= f
+    y -= f
     # Scaled by both steps' frexp mantissas, then once by their summed
     # exponents: the same bits as da * db wherever no partial product
     # leaves the float64 range, and finite wherever the result fits.
     ma, ea = np.frexp(da)
-    out *= ma[:, None]
-    out *= col.mant
-    return np.ldexp(out, ea[:, None] + col.exp, out=out)
+    y *= ma[:, None]
+    y *= col.mant
+    return np.ldexp(y, ea[:, None] + col.exp, out=y)
 
 
 def quantize_residual_compensated(r, bits, x_calib):

@@ -207,9 +207,7 @@ def test_eval_matmul_tiles_equal_the_untiled_errors(tmp_path, decay_instance, ro
     bits = layer.residual.bits
 
     def both_quantized(acts, weights):
-        return quant.matmul(
-            quant.quantize(acts, 4, "per_token"), quant.quantize(weights, bits, "per_channel")
-        )
+        return quant.matmul(acts, 4, quant.quantize(weights, bits, "per_channel"))
 
     reference = x @ w
     untiled = {
@@ -451,7 +449,7 @@ def test_eval_matmul_rejects_shapes_other_than_the_artifact(
     w_eval = _synth(tmp_path, "w_eval.npy", "smooth-decay", *weights, 1)
     x_eval = _synth(tmp_path, "x_eval.npy", "gaussian", *calib, 3)
     products = []
-    for owner, name in ((quant, "quantize"), (quant, "_activation_product"),
+    for owner, name in ((quant, "quantize"), (quant, "matmul"),
                         (pipeline, "forward_approx"), (pipeline, "_product")):
         monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: products.append(_name))
     capsys.readouterr()
@@ -794,4 +792,30 @@ def test_eval_matmul_product_past_the_float64_range_writes_nothing(tmp_path, cap
         "eval-matmul", "--weights", wpath, "--calib", big, "--artifact", str(art), "--out", str(out),
     ]) == 1
     assert "specquant: error: x @ w is past the float64 range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_matmul_activations_past_the_float64_range_after_smoothing_write_nothing(
+    tmp_path, capsys
+):
+    """lambda near 1e-300 takes activations of 1e10 past the float64 range,
+    where x @ w overflows too: eval-matmul serves each tile before anything
+    else, so it refuses by the forward's name."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(8, 16)) * 1e-300
+    w = rng.normal(size=(16, 4)) * 1e300
+    wpath, xpath = _npy(tmp_path / "w.npy", w), _npy(tmp_path / "x.npy", x)
+    art = tmp_path / "art"
+    assert main([
+        "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.5",
+        "--smooth", "0.5", "--out", str(art),
+    ]) == 0
+    assert tensor_io.load_compressed_layer(art).smoothing.lam.max() < 1e-290
+    big = _npy(tmp_path / "x_big.npy", np.full((2, 16), 1e10))
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main([
+        "eval-matmul", "--weights", wpath, "--calib", big, "--artifact", str(art), "--out", str(out),
+    ]) == 1
+    assert "specquant: error: x / lambda contains non-finite values" in capsys.readouterr().err
     assert not out.exists()

@@ -204,8 +204,8 @@ def _codes(codes, bits, granularity):
 
 
 @st.composite
-def _operand(draw, rows, cols, granularity):
-    """A quantized matrix: entries from a few decades, zeros among them, each
+def _values(draw, rows, cols, granularity):
+    """A float matrix: entries from a few decades, zeros among them, each
     slice shifted by an offset that can make it one-sided."""
     n = rows if granularity == "per_token" else cols
     values = draw(st.lists(
@@ -216,131 +216,151 @@ def _operand(draw, rows, cols, granularity):
     ))
     x = np.array(values).reshape(rows, cols)
     x += np.expand_dims(offsets, 1 if granularity == "per_token" else 0)
-    return quantize(x, draw(st.integers(2, 8)), granularity)
+    return x
 
 
 @st.composite
 def _operands(draw):
+    """(x, bits, b): float activations, their bits and a per_channel b."""
     t, k, n = draw(st.integers(0, 5)), draw(st.integers(1, 12)), draw(st.integers(1, 5))
-    return draw(_operand(t, k, "per_token")), draw(_operand(k, n, "per_channel"))
+    x = draw(_values(t, k, "per_token"))
+    b = quantize(draw(_values(k, n, "per_channel")), draw(st.integers(2, 8)), "per_channel")
+    return x, draw(st.integers(2, 8)), b
 
 
-def _assert_near_dequantized_product(a, b):
-    """matmul within 1e-12 * |deq a| @ |deq b| of dequantize(a) @ dequantize(b),
-    plus a floor for the subnormal range. There a product rounds to the
-    absolute spacing 2^-1074, not relative to its size, and a sum is exact.
-    Counting one spacing per such product:
+def _assert_near_dequantized_product(x, bits, b):
+    """matmul(x, bits, b) within 1e-12 * |deq a| @ |deq b| of
+    dequantize(a) @ dequantize(b), a = quantize(x, bits, "per_token"), plus
+    a floor for the subnormal range. There a product rounds to the absolute
+    spacing 2^-1074, not relative to its size, and a sum is exact. Counting
+    one spacing per such product:
     - the reference: dequantize's (code - z) * d for each entry of a and of b,
       carried into the GEMM by the other operand, and each GEMM product:
       sum_k |deq a_ik| + sum_k |deq b_kj| + K;
     - matmul: three products in the fold F, in code units, so scaled by
       da db; then out * da, scaled by db; then out * db: 3 da db + db + 1.
     """
+    a = quantize(x, bits, "per_token")
     deq_a, deq_b = dequantize(a), dequantize(b)
     ref = deq_a @ deq_b
     scale = np.abs(deq_a) @ np.abs(deq_b)
     da, db = a.deltas[:, None], b.deltas[None, :]
     spacings = (np.abs(deq_a).sum(axis=1)[:, None] + np.abs(deq_b).sum(axis=0) + a.cols
                 + 3 * da * db + db + 1)
-    got = matmul(a, b)
+    got = matmul(x, bits, b)
     assert got.shape == ref.shape
     assert (np.abs(got - ref) <= 1e-12 * scale + 2.0**-1074 * spacings).all()
 
 
-class TestCodeMatmul:
+def _assert_fused(x, bits, b, monkeypatch):
+    """matmul(x, bits, b) makes no codes or tensor for x, reads x without
+    overwriting it, and gives the same bits rounding in x's own buffer
+    (`out`) and from given ranges; b keeps one code operand; the result is
+    near the dequantized product."""
+    kept = x.copy()
+    with monkeypatch.context() as m:
+        for name in ("_encode", "QuantizedTensor"):
+            m.setattr(quant, name, None)  # matmul must not call them
+        got = matmul(x, bits, b)
+        np.testing.assert_array_equal(x, kept)
+        buffer = x.copy()
+        in_place = matmul(buffer, bits, b, out=buffer)
+        ranged = matmul(x, bits, b, ranges=(x.min(axis=1), x.max(axis=1)))
+    assert got.dtype == np.float64 and got.shape == (x.shape[0], b.cols)
+    assert in_place.tobytes() == got.tobytes() == ranged.tobytes()
+    assert list(b._gemm) == [quant._gemm_dtype(bits, b.bits, x.shape[1])]
+    _assert_near_dequantized_product(x, bits, b)
+
+
+def _served_like(rows, cols, seed):
+    """Rows of a few decades, one-sided rows, a flat row and a zero row."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, cols)) * rng.uniform(0.01, 100, size=cols)
+    x[: rows // 3] += 50.0
+    if rows > 2:
+        x[1] = 2.5
+        x[2] = 0.0
+    return x
+
+
+class TestMatmul:
+    """`matmul(x, bits, b)`: float activations, quantized per token inside
+    it, times a per_channel b, from the integer codes."""
+
     @pytest.mark.parametrize("bits_a, bits_b", [(4, 4), (8, 4), (8, 8), (2, 8)])
     def test_float32_and_float64_products_equal_the_int64_one(self, bits_a, bits_b, monkeypatch):
         """The code GEMM is an exact integer in either dtype, so the result
         does not depend on which one runs."""
         rng = np.random.default_rng(bits_a + 10 * bits_b)
-        a = quantize(rng.normal(size=(64, 200)) + 0.3, bits_a, "per_token")
+        x = rng.normal(size=(64, 200)) + 0.3
+        a = quantize(x, bits_a, "per_token")
         b = quantize(rng.normal(size=(200, 48)) - 0.2, bits_b, "per_channel")
         exact = a.codes.astype(np.int64) @ b.codes.astype(np.int64)
         for dtype in (np.float32, np.float64):
             p = a.codes.astype(dtype) @ b._gemm_operand(dtype)[0]
             assert p.dtype == dtype
             np.testing.assert_array_equal(p, exact)
-        default = matmul(a, b)
+        default = matmul(x, bits_a, b)
         monkeypatch.setattr(quant, "_gemm_dtype", lambda *args: np.float64)
-        np.testing.assert_array_equal(matmul(a, b), default)
+        np.testing.assert_array_equal(matmul(x, bits_a, b), default)
 
     @pytest.mark.parametrize("bits, k, dtype", [
-        (4, 74565, np.float32), (4, 74566, np.float64), (8, 258, np.float32), (8, 259, np.float64),
+        (4, 74565, np.float32), (4, 74566, np.float64),
+        (8, 258, np.float32), (8, 259, np.float64), (8, 260, np.float64),
     ])
     def test_dtype_at_the_float32_bound(self, bits, k, dtype):
-        """float32 while (2^ba - 1)(2^bb - 1) K < 2^24; all-max codes stay exact."""
+        """float32 while (2^ba - 1)(2^bb - 1) K < 2^24; max codes stay exact.
+        A row's minimum takes code 0, so the row [0, qmax, ..., qmax] (unit
+        step, zero point 0) has the most max codes a row can have; at 8 bits
+        and K = 260 their sum, 259 * 255^2, is an odd integer past 2^24."""
         qmax = 2**bits - 1
         assert quant._gemm_dtype(bits, bits, k) is dtype
-        out = matmul(
-            _codes(np.full((1, k), qmax), bits, "per_token"),
-            _codes(np.full((k, 1), qmax), bits, "per_channel"),
-        )
-        assert out[0, 0] == qmax * qmax * k
+        x = np.full((1, k), float(qmax))
+        x[0, 0] = 0.0
+        out = matmul(x, bits, _codes(np.full((k, 1), qmax), bits, "per_channel"))
+        assert out[0, 0] == qmax * qmax * (k - 1)
 
     def test_codes_on_a_non_integer_zero_point_do_not_cancel(self):
-        """Row 0 of a sits on its zero point 5 except where b sits on its
+        """Row 0 of x sits on its zero point 5 except where b sits on its
         zero point 10 + 2e-15: every term of the product is tiny, and
         folding whole zero points would round terms of size K qmax^2."""
-        a = quantize(np.array([[0.0] * 20 + [-1.0, 2.0]]), 4, "per_token")
+        x = np.array([[0.0] * 20 + [-1.0, 2.0]])
         b = quantize(np.array([[-0.2, 0.1, *np.linspace(-0.2, 0.1, 18), 0.0, 0.0]]).T, 4, "per_channel")
-        assert a.zero_points[0] == 5.0 and 0 < abs(b.zero_points[0] - 10.0) < 1e-12
-        _assert_near_dequantized_product(a, b)
+        assert quantize(x, 4, "per_token").zero_points[0] == 5.0
+        assert 0 < abs(b.zero_points[0] - 10.0) < 1e-12
+        _assert_near_dequantized_product(x, 4, b)
 
     @given(_operands())
     @settings(max_examples=300, deadline=None)
-    @example((quantize(np.zeros((3, 4)), 4, "per_token"), quantize(np.zeros((4, 2)), 4, "per_channel")))
-    @example((quantize(np.zeros((0, 5)), 4, "per_token"), quantize(np.ones((5, 3)), 8, "per_channel")))
-    @example((quantize(np.ones((2, 1)), 2, "per_token"), quantize(-np.ones((1, 3)), 8, "per_channel")))
+    @example((np.zeros((3, 4)), 4, quantize(np.zeros((4, 2)), 4, "per_channel")))
+    @example((np.zeros((0, 5)), 4, quantize(np.ones((5, 3)), 8, "per_channel")))
+    @example((np.ones((2, 1)), 2, quantize(-np.ones((1, 3)), 8, "per_channel")))
     # b's column 0 has the subnormal zero point 1.06e-312: the reference
     # itself rounds at 2^-1074 there, below 1e-12 * scale.
     @example((
-        quantize(np.array([[1e-3, 0, 0, 1e-3], [0, 1e-3, 3, 1e-3]]), 2, "per_token"),
+        np.array([[1e-3, 0, 0, 1e-3], [0, 1e-3, 3, 1e-3]]), 2,
         quantize(np.array([[-2.226e-311, 1], [63, 2], [0, 3], [5, 0.5]]), 2, "per_channel"),
     ))
     def test_matches_the_dequantized_product(self, operands):
         _assert_near_dequantized_product(*operands)
 
-    def test_operands_are_checked(self):
-        a = quantize(np.ones((2, 3)), 4, "per_token")
-        with pytest.raises(ValueError, match="per_token left"):
-            matmul(a, quantize(np.ones((3, 2)), 4, "per_token"))
-        with pytest.raises(ValueError, match="inner sizes differ"):
-            matmul(a, quantize(np.ones((4, 2)), 4, "per_channel"))
-
-
-class TestActivationProduct:
-    """`quant._activation_product` is `matmul` of the per-token quantized
-    activations, bit for bit, with no codes or tensor made for them."""
-
-    @staticmethod
-    def _assert_equals_matmul(x, bits, b, monkeypatch):
-        expected = matmul(quantize(x, bits, "per_token"), b)
-        lo, hi = quant._slice_ranges(x, "per_token")
-        kept = x.copy()
-        with monkeypatch.context() as m:
-            for name in ("_encode", "QuantizedTensor"):
-                m.setattr(quant, name, None)  # the fused path must not call them
-            got = quant._activation_product(x, bits, b, lo, hi)
-            np.testing.assert_array_equal(x, kept)  # read, not overwritten, without `out`
-            buffer = x.copy()
-            in_place = quant._activation_product(buffer, bits, b, lo, hi, out=buffer)
-        for y in (got, in_place):
-            assert y.dtype == np.float64 and y.shape == expected.shape
-            assert y.tobytes() == expected.tobytes()
-        assert list(b._gemm) == [quant._gemm_dtype(bits, b.bits, x.shape[1])]
+    @pytest.mark.parametrize("rows", [0, 1, 129])
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_activation_codes_are_those_of_quantize(self, bits, rows):
+        """Against identity codes of unit step and zero point 0, the product
+        is (Ca - za) da of the activations' codes, with the one rounding of
+        dequantize's (code - z) * d: so the codes, steps and zero points are
+        those of quantize(x, bits, "per_token"), bit for bit."""
+        x = _served_like(rows, 40, 10 * bits + rows)
+        got = matmul(x, bits, _codes(np.eye(40), 4, "per_channel"))
+        assert got.tobytes() == dequantize(quantize(x, bits, "per_token")).tobytes()
 
     @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 389])
     @pytest.mark.parametrize("bits", range(2, 9))
-    def test_equals_matmul_of_the_quantized_activations(self, bits, rows, monkeypatch):
-        """Rows of a few decades, one-sided rows, a flat row and a zero row."""
-        rng = np.random.default_rng(10 * bits + rows)
-        x = rng.normal(size=(rows, 40)) * rng.uniform(0.01, 100, size=40)
-        x[: rows // 3] += 50.0
-        if rows > 2:
-            x[1] = 2.5
-            x[2] = 0.0
+    def test_fused_in_one_buffer(self, bits, rows, monkeypatch):
+        rng = np.random.default_rng(bits + 10 * rows)
         b = quantize(rng.normal(size=(40, 24)) - 0.1, 4, "per_channel")
-        self._assert_equals_matmul(x, bits, b, monkeypatch)
+        _assert_fused(_served_like(rows, 40, 10 * bits + rows), bits, b, monkeypatch)
 
     @pytest.mark.parametrize("rows", [0, 1, 129])
     def test_float64_gemm_dtype(self, rows, monkeypatch):
@@ -350,7 +370,27 @@ class TestActivationProduct:
         assert quant._gemm_dtype(8, 8, 300) is np.float64
         x = rng.normal(size=(rows, 300)) + 0.2
         b = quantize(rng.normal(size=(300, 16)), 8, "per_channel")
-        self._assert_equals_matmul(x, 8, b, monkeypatch)
+        _assert_fused(x, 8, b, monkeypatch)
+
+    def test_operands_are_checked(self):
+        x = np.ones((2, 3))
+        b = quantize(np.ones((3, 2)), 4, "per_channel")
+        with pytest.raises(ValueError, match="per_channel right operand"):
+            matmul(x, 4, quantize(np.ones((3, 2)), 4, "per_token"))
+        with pytest.raises(ValueError, match="inner sizes differ: 3 and 4"):
+            matmul(x, 4, quantize(np.ones((4, 2)), 4, "per_channel"))
+        with pytest.raises(ValueError, match="x must be 2-D"):
+            matmul(np.ones(3), 4, b)
+        for bits, message in ((9, "must lie in"), (4.5, "must be an integer"), ("4", "must lie in")):
+            with pytest.raises(ValueError, match=f"bits {message}"):
+                matmul(x, bits, b)
+        for bad in (np.nan, np.inf, -np.inf):
+            y = x.copy()
+            y[1, 2] = bad
+            with pytest.raises(ValueError, match="x contains non-finite values"):
+                matmul(y, 4, b)
+            with pytest.raises(ValueError, match="x contains non-finite values"):
+                matmul(y, 4, b, ranges=(y.min(axis=1), y.max(axis=1)))
 
 
 SCALE_EXPONENTS = [(1000, 0), (-1000, 0), (0, 500), (0, -500), (1000, -500), (-1000, 500)]
