@@ -22,6 +22,12 @@ so the activations never exist as codes or as a QuantizedTensor: they are
 rounded to their codes in one float64 buffer and cast once to the GEMM
 dtype. A per_channel operand keeps its codes in the GEMM dtype and its fold
 constants after the first product.
+
+`quantize_residual_compensated` is the error-compensated (GPTQ) residual
+quantizer. It factors its damped calibration Gram H = V V^T (V upper
+triangular) in place, in blocks of BLOCK, so it holds one c_in x c_in
+float64 buffer, plus one power-of-two scaled T x c_in copy of the
+calibration tokens at a time.
 """
 
 import numbers
@@ -30,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .validation import as_matrix
+from .validation import as_matrix, pow2_units
 
 GRANULARITIES = ("per_token", "per_channel")
 
@@ -38,7 +44,9 @@ GRANULARITIES = ("per_token", "per_channel")
 # mean Gram diagonal.
 COMPENSATION_DAMPING = 0.01
 
-# Rows per batch of the compensated quantizer's left-looking loop.
+# Rows per batch of the compensated quantizer's left-looking loop, and the
+# block size of the in-place factor of its Gram: the diagonal blocks it
+# factors, the panels it solves and the row chunks of its update.
 BLOCK = 128
 
 
@@ -281,6 +289,33 @@ def matmul(x, bits, b, *, out=None, ranges=None):
     return np.ldexp(y, ea[:, None] + col.exp, out=y)
 
 
+def _factor_upper(h):
+    """Overwrite the upper triangle of the symmetric positive definite `h`
+    with the upper triangular V of h = V V^T, in place; raise LinAlgError
+    if h is not positive definite. Only h's upper triangle is read, and
+    its lower triangle is left holding whatever the steps wrote there.
+
+    V is the lower Cholesky factor of h in reversed index order, flipped
+    back, taken block by block from the bottom-right in blocks of BLOCK.
+    With h = [[A, B], [B^T, C]] and C the last block, V = [[V11, V12],
+    [0, V22]] has C = V22 V22^T (a BLOCK-sized `np.linalg.cholesky`),
+    B = V12 V22^T (one solve against V22, which is triangular, so the
+    solve's LU is V22 itself and it runs as a back-substitution), and V11
+    is the factor of A - V12 V12^T, whose upper triangle is updated one
+    BLOCK of rows at a time. No temporary holds more than BLOCK rows or
+    columns of h.
+    """
+    n = h.shape[0]
+    for e in range(n, 0, -BLOCK):
+        s = max(e - BLOCK, 0)
+        h[s:e, s:e] = np.linalg.cholesky(h[s:e, s:e][::-1, ::-1])[::-1, ::-1]
+        if s:
+            h[:s, s:e] = np.linalg.solve(h[s:e, s:e], h[:s, s:e].T).T
+        for ce in range(s, 0, -BLOCK):
+            cs = max(ce - BLOCK, 0)
+            h[cs:ce, cs:s] -= h[cs:ce, s:e] @ h[cs:s, s:e].T
+
+
 def quantize_residual_compensated(r, bits, x_calib):
     """Error-compensated quantization of a weight-like matrix.
 
@@ -289,13 +324,20 @@ def quantize_residual_compensated(r, bits, x_calib):
     is propagated to the not-yet-quantized indices of the same channel by
     the least-squares update against the damped calibration Gram
     H = X^T X + damp * I, with damp = 1% of the mean Gram diagonal (GPTQ).
-    With the upper factor V of H = V V^T, taken as the lower Cholesky factor
-    of H in reversed index order and flipped back, that update leaves row i
-    at r_i + (sum_{i' < i} V[i', i] * d_i') / V[i, i], where d_i' = r_i' -
-    dequant_i' for the rows already quantized. So H is factored once and
-    never inverted, and the rows run left-looking in batches of BLOCK: one
-    GEMM brings in every earlier batch, and rank-one updates touch only the
-    rows of the current batch.
+    With the upper factor V of H = V V^T, the lower Cholesky factor of H in
+    reversed index order flipped back, that update leaves row i at
+    r_i + (sum_{i' < i} V[i', i] * d_i') / V[i, i], where d_i' = r_i' -
+    dequant_i' for the rows already quantized. So H is factored once, in
+    its own buffer (`_factor_upper`), and never inverted, and the rows run
+    left-looking in batches of BLOCK: one GEMM brings in every earlier
+    batch, and rank-one updates touch only the rows of the current batch.
+    Each row is rounded and its d taken in place in d's own row.
+
+    Memory: one c_in x c_in float64 buffer (the Gram, then V) and at most
+    one power-of-two scaled T x c_in copy of X at a time, besides arrays of
+    c_in x c_out and of BLOCK rows or columns. The scaled X is taken for the
+    Gram and dropped; V is dropped before X is scaled again for the scoring
+    below.
 
     The update and the selection run in power-of-two units: X is scaled so
     max|X| lies in [0.5, 1), and each channel's r and delta so that delta
@@ -326,34 +368,42 @@ def quantize_residual_compensated(r, bits, x_calib):
         return q
 
     # From here on x, r and the deltas are in power-of-two units.
-    x = np.ldexp(x, -np.frexp(np.abs(x).max(initial=0.0))[1])
-    unit_deltas, exps = np.frexp(q.deltas)
-    r = np.ldexp(r, -exps)
-    gram = x.T @ x
-    damp = COMPENSATION_DAMPING * float(np.mean(np.diag(gram)))
+    xs = pow2_units(x)[0]
+    h = xs.T @ xs
+    del xs
+    damp = COMPENSATION_DAMPING * float(np.mean(np.diag(h)))
     if damp <= 0.0:
         return q
-    gram[np.diag_indices_from(gram)] += damp
+    h[np.diag_indices_from(h)] += damp
     try:
-        v = np.linalg.cholesky(gram[::-1, ::-1])[::-1, ::-1]
+        _factor_upper(h)
     except np.linalg.LinAlgError:
         return q
 
+    unit_deltas, exps = np.frexp(q.deltas)
+    r = np.ldexp(r, -exps)
     zps = q.zero_points
     d = np.empty((c_in, c_out))
     codes = np.empty((c_in, c_out), dtype=np.uint8)
+    outer = np.empty((min(BLOCK, c_in), c_out))
     for b in range(0, c_in, BLOCK):
         e = min(b + BLOCK, c_in)
-        acc = v[:b, b:e].T @ d[:b]
+        acc = h[:b, b:e].T @ d[:b]
         for i in range(b, e):
-            work = r[i : i + 1] + acc[i - b] / v[i, i]
-            codes[i] = _encode(work, unit_deltas, zps, bits, "per_channel")
-            d[i] = r[i] - (codes[i] - zps) * unit_deltas
-            acc[i - b + 1 :] += np.outer(v[i, i + 1 : e], d[i])
+            di = np.divide(acc[i - b], h[i, i], out=d[i])
+            di += r[i]
+            codes[i] = _round(di, unit_deltas, zps, bits, out=di)
+            di -= zps
+            di *= unit_deltas
+            np.subtract(r[i], di, out=di)
+            n = e - i - 1
+            acc[i - b + 1 :] += np.multiply(h[i, i + 1 : e, None], di, out=outer[:n])
+    del h
 
     # d is r - dequant of the compensated codes; score RTN the same way.
+    xs = pow2_units(x)[0]
     rtn_d = r - dequantize(replace(q, deltas=unit_deltas))
-    won = ((x @ d) ** 2).sum(axis=0) <= ((x @ rtn_d) ** 2).sum(axis=0)
+    won = ((xs @ d) ** 2).sum(axis=0) <= ((xs @ rtn_d) ** 2).sum(axis=0)
     q.codes[:, won] = codes[:, won]
     q.rtn_fallback = False
     return q
