@@ -34,7 +34,6 @@ from .spectral import (
 )
 from .tensor_io import (
     load_compressed_layer,
-    load_manifest,
     load_matrix,
     save_compressed_layer,
     save_matrix,
@@ -67,7 +66,6 @@ __all__ = [
     "fft",
     "half_spectrum_length",
     "load_compressed_layer",
-    "load_manifest",
     "load_matrix",
     "save_compressed_layer",
     "save_matrix",

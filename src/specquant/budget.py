@@ -13,7 +13,7 @@ METRICS = ("abs-mean", "abs-max", "l2-norm", "spectral-entropy")
 DEFAULT_METRIC = "spectral-entropy"
 
 
-@dataclass
+@dataclass(eq=False)
 class BudgetPlan:
     """Per-channel retained-bin counts and the softmax weights behind them,
     with the metric and ratio (None for a groups budget) they were made by."""

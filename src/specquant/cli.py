@@ -189,8 +189,7 @@ def cmd_eval_matmul(args):
         x_t = x[t : t + pipeline.TILE]
         # First, so a non-finite x / lambda is refused by that name; an output
         # past the float64 range is refused, named, by `_product` or the report.
-        with np.errstate(over="ignore", invalid="ignore"):
-            specq = pipeline.forward_approx(x_t, layer, bits)
+        specq = pipeline.forward_approx(x_t, layer, bits)
         reference = pipeline._product(x_t, w)
         naive = quant.matmul(x_t, bits, q_w)
         # The x_hat of `apply_smoothing`, rounded in its own buffer.

@@ -11,7 +11,9 @@ class SpecQuantError(Exception):
 
 
 class FormatError(SpecQuantError):
-    """Container is malformed: bad magic, header, or manifest version."""
+    """Container is malformed: an NPY header numpy's reader refuses (a bad
+    magic string included), a manifest that is not a JSON object of the
+    format's version, or a missing or wrongly typed manifest field."""
 
 
 class ShapeError(SpecQuantError):

@@ -49,7 +49,7 @@ DEFAULT_RESIDUAL_BITS = 4
 RESIDUAL_QUANTIZERS = ("rtn", "compensated")
 
 
-@dataclass
+@dataclass(eq=False)
 class SmoothingFactors:
     """Per-input-channel scale lambda and the strength it was derived with."""
 
@@ -60,7 +60,7 @@ class SmoothingFactors:
         self.lam = np.asarray(self.lam, dtype=np.float64)
 
 
-@dataclass
+@dataclass(eq=False)
 class CompressedLayer:
     """On-disk unit: smoothing factors, packed spectra, quantized residual.
 
@@ -73,7 +73,10 @@ class CompressedLayer:
     the score the strength search gave the layer on its calibration set X.
     The search sets both, the energies for its winner only; both are None
     on a loaded layer, which keeps neither the dropped bins nor X. W' is
-    built once, on first use; the residual stays in its codes. `tensor_io`
+    built in float64 on first use; the first served forward casts it to its
+    float32 operand and drops it, so a layer that has served holds W' only
+    in float32, whatever made it, and `low_freq_matrix` rebuilds the same
+    bits on demand. The residual stays in its codes. `tensor_io`
     refuses to save or load a layer its format cannot hold. `name` is the
     artifact's `layer_name`.
     """
@@ -83,11 +86,11 @@ class CompressedLayer:
     residual: quant.QuantizedTensor
     plan: BudgetPlan
     name: str = "layer"
-    energy: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    energy_unit_log2: int = field(default=0, init=False, repr=False, compare=False)
-    forward_error: float | None = field(default=None, init=False, repr=False, compare=False)
-    _w_low: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _w_low_f32: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    energy: np.ndarray | None = field(default=None, init=False, repr=False)
+    energy_unit_log2: int = field(default=0, init=False, repr=False)
+    forward_error: float | None = field(default=None, init=False, repr=False)
+    _w_low: np.ndarray | None = field(default=None, init=False, repr=False)
+    _w_low_f32: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def c_in(self):
@@ -106,13 +109,12 @@ class CompressedLayer:
     def _served_low_freq(self):
         """(W' / 2^e as float32, e), e the (1, c_out) frexp exponents of each
         column's max|W'|: the operand of the served W' branch, computed once
-        from the float64 W'. A layer that held no float64 W' does not keep
-        the one built here, so a served loaded layer holds W' only in float32."""
+        from the float64 W', which the layer then drops. So a layer that has
+        served holds W' only in float32, whatever made it."""
         if self._w_low_f32 is None:
-            kept = self._w_low
             scaled, exp = pow2_units(self.low_freq_matrix(), axis=0)
             self._w_low_f32 = scaled.astype(np.float32), exp
-            self._w_low = kept
+            self._w_low = None
         return self._w_low_f32
 
 
@@ -345,29 +347,31 @@ def forward_approx(x, layer, activation_bits):
 
     `activation_bits=None` is the unquantized forward, the single float64
     GEMM x_hat (W' + dequant(R)) that `select_migration_strength` scores.
-    Either way a loaded and an in-memory layer give the same bits.
+    Either way a loaded and an in-memory layer give the same bits. Past the
+    float64 range either mode's output is non-finite, with no warning, as
+    `validation.norm`'s is; the caller refuses it by name.
     """
     x = as_matrix(x, "x")
     if x.shape[1] != layer.c_in:
         raise ValueError(f"x has {x.shape[1]} columns, layer expects {layer.c_in}")
     bits = None if activation_bits is None else quant._check_bits(activation_bits, "activation_bits")
-    if bits is None:
-        x_hat, _, _ = _smoothed(x, layer)
-        # W' + dequant(R), summed in place in dequant(R)'s buffer (the same bits).
-        w_full = quant.dequantize(layer.residual)
-        w_full += layer.low_freq_matrix()
-        return x_hat @ w_full
-    y = np.empty((x.shape[0], layer.c_out))
-    for t in range(0, x.shape[0], TILE):
-        _served(x[t : t + TILE], layer, bits, y[t : t + TILE])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if bits is None:
+            x_hat, _, _ = _smoothed(x, layer)
+            # W' + dequant(R), summed in place in dequant(R)'s buffer (the same bits).
+            w_full = quant.dequantize(layer.residual)
+            w_full += layer.low_freq_matrix()
+            return x_hat @ w_full
+        y = np.empty((x.shape[0], layer.c_out))
+        for t in range(0, x.shape[0], TILE):
+            _served(x[t : t + TILE], layer, bits, y[t : t + TILE])
     return y
 
 
 def _smoothed(x, layer):
     """(x_hat, lo, hi): x / lambda and its per-token ranges, the prologue of
     both forward modes; a non-finite x_hat is refused by name."""
-    with np.errstate(over="ignore"):  # an overflow is refused, named, below
-        x_hat = x / layer.smoothing.lam[None, :]
+    x_hat = x / layer.smoothing.lam[None, :]
     lo, hi = x_hat.min(axis=1), x_hat.max(axis=1)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("x / lambda contains non-finite values")
@@ -388,7 +392,7 @@ def _served(x, layer, bits, y):
     y += quant.matmul(x_hat, bits, layer.residual, out=x_hat, ranges=(lo, hi))
 
 
-@dataclass
+@dataclass(eq=False)
 class BudgetComparison:
     """Spectral truncation vs truncated SVD at matched parameter counts."""
 

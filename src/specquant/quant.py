@@ -50,7 +50,7 @@ COMPENSATION_DAMPING = 0.01
 BLOCK = 128
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantizedTensor:
     """Integer codes plus the per-slice scale/offset needed to invert them;
     `rows` and `cols` are the shape of the codes.
@@ -65,7 +65,7 @@ class QuantizedTensor:
     deltas: np.ndarray
     zero_points: np.ndarray
     rtn_fallback: bool = field(default=False)
-    _gemm: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _gemm: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.codes = np.ascontiguousarray(self.codes, dtype=np.uint8)

@@ -1,8 +1,10 @@
 """Bit-exact, language-neutral I/O for matrices and compressed-layer artifacts.
 
 Matrices travel as NPY v1.0/2.0 files (C or Fortran order accepted, always
-normalized to row-major float64 in memory). A compressed layer is a
-directory holding `manifest.json` plus three raw little-endian blobs:
+normalized to row-major float64 in memory); a file whose header numpy's
+reader refuses, a bad magic string included, is a FormatError. A compressed
+layer is a directory holding `manifest.json` plus three raw little-endian
+blobs:
 
 - ``lambda.bin``    c_in float64 smoothing factors
 - ``spectra.bin``   per channel, in order: retained (amplitude, phase)
@@ -18,6 +20,9 @@ Everything else (plan, quantizer scales, migration strength, and the
 `budget_meta` record of metric, temperature and compression ratio) lives in
 the manifest, which JSON round-trips float64 exactly via shortest-repr; it is
 strict JSON, so save refuses a non-finite value instead of writing NaN.
+Save writes each scalar as the JSON type load reads it as: the residual bits
+and the total budget as integers, the strength, alpha and ratio as floats,
+so a numpy scalar or an integral float saves as the number it holds.
 `budget_meta` is the plan's own record (its `metric`, `alpha` as the
 temperature, and `ratio`), and load fills it back into the plan, as it
 fills `layer_name` into the layer's `name`. So whatever load accepts saves
@@ -32,8 +37,8 @@ DataError: non-finite plan rho or alpha, migration strength or spectra; a
 negative amplitude, a phase outside (-pi, pi], or a real-valued bin (DC, and
 Nyquist for an even c_in) whose phase is not 0 or pi; a delta that is not
 positive and finite, a non-finite zero point; residual bits outside [2, 8]
-or a code above them; a smoothing factor that is not positive and finite;
-a layer name that is not a string; a recorded metric outside
+or not an integer, or a code above them; a smoothing factor that is not
+positive and finite; a layer name that is not a string; a recorded metric outside
 `budget.METRICS`, a recorded compression ratio whose `budget.bin_budget` is
 not the plan's total budget, or plan counts k that do not sum to it.
 Load alone also refuses, with DataError, a `budget_meta.temperature` other
@@ -41,7 +46,8 @@ than the plan's alpha and a nonzero pad nibble after an odd count of 4-bit
 codes.
 
 Load raises only SpecQuantError subclasses for a malformed artifact (OSError
-if a file cannot be read): FormatError for a missing or wrongly typed
+if a file cannot be read): FormatError for a manifest that is not a JSON
+object of format `specquant/1`, and for a missing (named) or wrongly typed
 manifest field (a float field takes an integer only if float64 holds it
 exactly, and no field takes a bool for a number), ShapeError for sizes that
 disagree, DataError for invalid values.
@@ -65,24 +71,18 @@ LAMBDA_FILE = "lambda.bin"
 SPECTRA_FILE = "spectra.bin"
 RESIDUAL_FILE = "residual.bin"
 
-_NPY_MAGIC = b"\x93NUMPY"
-
 
 def load_matrix(path):
     """Read a 2-D float NPY file as a row-major float64 matrix.
 
-    Raises FormatError for a malformed container, ShapeError for wrong
-    ndim/dtype, DataError (naming the index) for non-finite values.
+    Raises FormatError for a malformed container (numpy's header check
+    names a bad magic string), ShapeError for wrong ndim/dtype, DataError
+    (naming the index) for non-finite values.
     """
     path = os.fspath(path)
     try:
         with open(path, "rb") as fh:
-            if fh.read(len(_NPY_MAGIC)) != _NPY_MAGIC:
-                raise FormatError(f"{path}: not an NPY file (bad magic)")
-            fh.seek(0)
             arr = np.lib.format.read_array(fh, allow_pickle=False)
-    except FormatError:
-        raise
     except (ValueError, EOFError) as exc:
         raise FormatError(f"{path}: malformed NPY header ({exc})") from exc
     if arr.ndim != 2:
@@ -190,6 +190,8 @@ def _check_layer(layer):
         raise DataError("residual zero points must be finite")
     if not 2 <= r.bits <= 8:
         raise DataError(f"residual bits {r.bits} outside [2, 8]")
+    if r.bits != int(r.bits):
+        raise DataError(f"residual bits {r.bits} is not an integer")
     if r.codes.size and int(r.codes.max()) > 2**r.bits - 1:
         raise DataError(f"residual codes exceed {r.bits}-bit range")
     lam = layer.smoothing.lam
@@ -235,16 +237,16 @@ def save_compressed_layer(layer, out_dir):
         "residual": RESIDUAL_FILE,
         "budget_meta": {
             "metric": layer.plan.metric,
-            "temperature": layer.plan.alpha,
-            "compression_ratio": layer.plan.ratio,
+            "temperature": float(layer.plan.alpha),
+            "compression_ratio": None if layer.plan.ratio is None else float(layer.plan.ratio),
         },
-        "residual_bits": r.bits,
-        "migration_strength": layer.smoothing.migration_strength,
+        "residual_bits": int(r.bits),
+        "migration_strength": float(layer.smoothing.migration_strength),
         "plan": {
             "rho": [float(v) for v in layer.plan.rho],
             "k": [int(v) for v in layer.plan.k],
-            "alpha": layer.plan.alpha,
-            "total_budget": layer.plan.total_budget,
+            "alpha": float(layer.plan.alpha),
+            "total_budget": int(layer.plan.total_budget),
         },
         "residual_params": {
             "granularity": r.granularity,
@@ -267,31 +269,6 @@ def save_compressed_layer(layer, out_dir):
         fh.write(pack_codes(r.codes, r.bits))
     with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as fh:
         fh.write(text)
-    return manifest
-
-
-def load_manifest(artifact_dir):
-    path = os.path.join(os.fspath(artifact_dir), MANIFEST_FILE)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise FormatError(f"{path}: manifest is not valid JSON ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{path}: manifest must be a JSON object")
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise FormatError(
-            f"{path}: format_version {version!r} is not {FORMAT_VERSION!r}"
-        )
-    required = (
-        "layer_name", "c_in", "c_out", "smoothing_factors", "spectra",
-        "residual", "budget_meta", "residual_bits", "plan", "residual_params",
-        "migration_strength",
-    )
-    missing = [key for key in required if key not in manifest]
-    if missing:
-        raise FormatError(f"{path}: manifest is missing keys {missing}")
     return manifest
 
 
@@ -334,8 +311,9 @@ def _array(obj, key, dtype, name):
 
 
 def _read_blob(artifact_dir, manifest, key, expected):
-    if manifest[key] != expected:
-        raise FormatError(f"manifest names {key} blob {manifest[key]!r}, expected {expected!r}")
+    name = _field(manifest, key, str)
+    if name != expected:
+        raise FormatError(f"manifest names {key} blob {name!r}, expected {expected!r}")
     with open(os.path.join(os.fspath(artifact_dir), expected), "rb") as fh:
         return fh.read()
 
@@ -343,7 +321,17 @@ def _read_blob(artifact_dir, manifest, key, expected):
 def load_compressed_layer(artifact_dir):
     """Rebuild a CompressedLayer from an artifact directory, validating the
     manifest's declared types and shapes against the blobs."""
-    manifest = load_manifest(artifact_dir)
+    path = os.path.join(os.fspath(artifact_dir), MANIFEST_FILE)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise FormatError(f"{path}: manifest is not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object")
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: format_version {version!r} is not {FORMAT_VERSION!r}")
     c_in = _field(manifest, "c_in", int)
     c_out = _field(manifest, "c_out", int)
     if c_in < 0 or c_out < 0:

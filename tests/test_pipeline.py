@@ -548,10 +548,11 @@ class TestCompressLayer:
 @st.composite
 def _contract_cases(draw):
     """(x, w, compress options, forward input) over the finite-input grid:
-    c_in from 1 to 53, power-of-two scales 2^-1070 to 2^1020, zeroed
+    c_in from 1 to 106, power-of-two scales 2^-1070 to 2^1020, zeroed
     activation columns and weight rows, both quantizers, fixed and auto
-    strengths. The forward input is the calibration set."""
-    c_in = draw(st.sampled_from([1, 2, 3, 5, 16, 53]))
+    strengths. The forward input is the calibration set. At c_in = 106 the
+    half-length transform is one 53-point Bluestein leaf."""
+    c_in = draw(st.sampled_from([1, 2, 3, 5, 16, 53, 106]))
     c_out = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = np.ldexp(rng.normal(size=(draw(st.integers(1, 8)), c_in)), draw(st.integers(-1070, 1020)))
@@ -766,10 +767,11 @@ class TestForwardApprox:
         assert y[0, 0] == pytest.approx((x @ w)[0, 0], rel=0.02)
 
     def test_served_loaded_layer_holds_w_low_once_in_float32(self, tmp_path):
-        """A loaded layer that served only quantized forwards keeps no
-        float64 W'; the layer compress returned keeps the one it scored."""
+        """A layer that served only quantized forwards keeps no float64 W',
+        loaded or as compress returned it, though compress scored with one."""
         x, w = self._decay_fixture()
         layer = compress_layer(x, w, ratio=0.5, smooth=0.5)
+        scored = layer._w_low.tobytes()
         sq.save_compressed_layer(layer, tmp_path)
         back = sq.load_compressed_layer(tmp_path)
         y = forward_approx(x, back, 4)
@@ -777,9 +779,24 @@ class TestForwardApprox:
         w32, exp = back._w_low_f32
         assert w32.dtype == np.float32 and w32.shape == (16, 8) and exp.shape == (1, 8)
         assert y.tobytes() == forward_approx(x, layer, 4).tobytes()
-        assert layer._w_low is not None
+        assert layer._w_low is None
         # Built again on demand, the float64 W' has the bits it had.
-        assert back.low_freq_matrix().tobytes() == layer.low_freq_matrix().tobytes()
+        assert layer.low_freq_matrix().tobytes() == scored
+        assert back.low_freq_matrix().tobytes() == scored
+
+    @pytest.mark.parametrize("bits", [4, None])
+    def test_output_past_the_float64_range_is_non_finite_without_a_warning(self, bits):
+        """Where x_hat is finite but the product is not, either mode returns
+        a non-finite output and warns of nothing; the served one holds NaN,
+        where its two branches overflow with opposite signs."""
+        x = synth.outlier_activations(64, 16, seed=2)
+        w = synth.smooth_decay_layer(16, 8, decay=1.5, seed=1) * 1e200
+        layer = compress_layer(x, w, ratio=0.5, smooth=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = forward_approx(x * 1e200, layer, bits)
+        assert not np.isfinite(y).all()
+        assert np.isnan(y).any() == (bits == 4)
 
     def test_beats_naive_w4a4_on_outlier_instance(self):
         w = synth.smooth_decay_layer(64, 64, decay=1.0, seed=21)
@@ -855,6 +872,18 @@ def _float32_w_low_branch(x_hat, w_low):
     col = np.frexp(np.abs(w_low).max(axis=0, keepdims=True))[1]
     product = np.ldexp(x_hat, -row).astype(np.float32) @ np.ldexp(w_low, -col).astype(np.float32)
     return np.ldexp(product.astype(np.float64), row + col)
+
+
+def test_records_compare_by_identity():
+    """Each record equals itself only: two records with the same fields
+    compare unequal, and comparing them raises nothing."""
+    x, w = TestForwardApprox._decay_fixture()
+    a, b = (compress_layer(x, w, ratio=0.5, smooth=0.5) for _ in range(2))
+    (ca,), (cb,) = (compare_budgets(w, [0.5]) for _ in range(2))
+    pairs = [(a, b), (a.smoothing, b.smoothing), (a.plan, b.plan), (a.residual, b.residual), (ca, cb)]
+    for one, other in pairs:
+        assert (one == other) is False and (one != other) is True
+        assert one == one
 
 
 class TestSvdBaseline:

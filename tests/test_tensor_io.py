@@ -71,6 +71,12 @@ class TestLoadMatrix:
         with pytest.raises(FormatError):
             tensor_io.load_matrix(p)
 
+    def test_file_shorter_than_the_magic_is_format_error(self, tmp_path):
+        p = tmp_path / "short.npy"
+        p.write_bytes(b"\x93NU")
+        with pytest.raises(FormatError, match="magic"):
+            tensor_io.load_matrix(p)
+
     def test_truncated_header_is_format_error(self, tmp_path):
         p = tmp_path / "trunc.npy"
         good = tmp_path / "good.npy"
@@ -281,6 +287,39 @@ class TestArtifactRoundTrip:
         ratio = options.get("ratio")
         assert meta["compression_ratio"] == ratio
         assert type(meta["compression_ratio"]) is (type(None) if ratio is None else float)
+
+    @pytest.mark.parametrize(
+        "owner, attr, value",
+        [
+            ("residual", "bits", 4.0),
+            ("residual", "bits", np.int64(4)),
+            ("plan", "total_budget", np.int64(21)),
+            ("plan", "alpha", np.float32(0.7)),
+            ("plan", "ratio", np.float32(0.4)),
+            ("smoothing", "migration_strength", np.float32(0.3)),
+        ],
+        ids=["bits-float", "bits-int64", "budget-int64", "alpha-float32", "ratio-float32",
+             "strength-float32"],
+    )
+    def test_numpy_scalars_and_integral_floats_save_what_load_reads(self, tmp_path, owner, attr, value):
+        """Save writes each scalar as the JSON number load reads, so the
+        artifact loads with that value and saves again to the same bytes."""
+        _, _, layer = _example_layer()
+        setattr(getattr(layer, owner), attr, value)
+        tensor_io.save_compressed_layer(layer, tmp_path / "a")
+        back = tensor_io.load_compressed_layer(tmp_path / "a")
+        assert getattr(getattr(back, owner), attr) == value
+        tensor_io.save_compressed_layer(back, tmp_path / "b")
+        for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_fractional_residual_bits_write_nothing(self, tmp_path):
+        _, _, layer = _example_layer()
+        layer.residual.bits = 4.5
+        out = tmp_path / "art"
+        with pytest.raises(DataError, match="residual bits 4.5 is not an integer"):
+            tensor_io.save_compressed_layer(layer, out)
+        assert not out.exists()
 
     def test_zero_delta_in_manifest_is_data_error(self, tmp_path):
         _, _, layer = _example_layer()
@@ -612,6 +651,12 @@ def _artifact_files():
     with tempfile.TemporaryDirectory() as d:
         tensor_io.save_compressed_layer(layer, d)
         return {p.name: p.read_bytes() for p in Path(d).iterdir()}
+
+
+@pytest.mark.parametrize("key", sorted(json.loads(_artifact_files()[tensor_io.MANIFEST_FILE])))
+def test_missing_manifest_key_is_named(tmp_path, key):
+    with pytest.raises(FormatError, match=rf"\b{key}\b"):
+        tensor_io.load_compressed_layer(_tampered(tmp_path, lambda m: m.pop(key)))
 
 
 _json_values = st.recursive(
