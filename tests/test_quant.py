@@ -508,26 +508,54 @@ class TestCompensatedResidual:
         if c_in > quant.BLOCK:
             assert (q.codes[quant.BLOCK :] != quantize(r, 4, "per_channel").codes[quant.BLOCK :]).any()
 
+    @pytest.mark.parametrize("c_in", [1, 7, 8, 9, 20, 300])
+    def test_codes_match_downdate_reference_across_sub_batches(self, c_in, monkeypatch):
+        """With BLOCK = 8 and SUB_BLOCK = 3, batches of 8 rows run as
+        sub-batches of 3, 3 and 2; with 3 tokens compensation carries across
+        sub-batch and batch boundaries, and moves codes past the first
+        sub-batch."""
+        monkeypatch.setattr(quant, "BLOCK", 8)
+        monkeypatch.setattr(quant, "SUB_BLOCK", 3)
+        rng = np.random.default_rng(c_in)
+        r = rng.normal(size=(c_in, 6))
+        x = rng.normal(size=(3, c_in))
+        q = quantize_residual_compensated(r, 4, x)
+        assert not q.rtn_fallback
+        np.testing.assert_array_equal(q.codes, compensated_codes_downdate(r, 4, x))
+        if c_in > 3:
+            assert (q.codes[3:] != quantize(r, 4, "per_channel").codes[3:]).any()
+
     def test_codes_match_downdate_reference_small_batches(self, monkeypatch):
-        """With BLOCK = 3 the 8-row fixtures run as batches of 3, 3 and 2."""
+        """With BLOCK = 3 and SUB_BLOCK = 2 the 8-row fixtures run as batches
+        of 3, 3 and 2, each as sub-batches of 2 and 1 or of 2."""
         monkeypatch.setattr(quant, "BLOCK", 3)
+        monkeypatch.setattr(quant, "SUB_BLOCK", 2)
         for seed in range(30):
             r = np.random.default_rng(seed).normal(size=(8, 5))
             x = np.random.default_rng(seed + 500).normal(size=(20, 8))
             q = quantize_residual_compensated(r, 4, x)
             np.testing.assert_array_equal(q.codes, compensated_codes_downdate(r, 4, x))
 
-    @pytest.mark.parametrize("block", [None, 3], ids=["BLOCK", "BLOCK=3"])
+    @pytest.mark.parametrize(
+        "block, token_div, outliers, scale",
+        [(None, 2, [0], 100.0), (3, 2, [0], 100.0), (None, 8, [0, -1], 1e4), (3, 8, [0, -1], 1e4)],
+        ids=["BLOCK", "BLOCK=3", "BLOCK-outliers-x1e4", "BLOCK=3-outliers-x1e4"],
+    )
     @pytest.mark.parametrize("c_in", [1, 2, 3, 127, 128, 129, 300])
-    def test_factor_in_place_matches_reversed_cholesky(self, c_in, block, monkeypatch):
+    def test_factor_in_place_matches_reversed_cholesky(
+        self, c_in, block, token_div, outliers, scale, monkeypatch
+    ):
         """The upper triangle of the in-place factor is the reversed-order
         Cholesky factor, from the damped Gram of fewer tokens than channels
-        with an outlier channel; the lower triangle is never read."""
+        with outlier channels; the lower triangle is never read. With two
+        outliers x1e4 and c_in // 8 + 1 tokens, the damping dominates every
+        other channel's diagonal, so cond(H) comes within a factor of two of
+        the bound 100 c_in + 1 that the factor's block inverses rely on."""
         if block:
             monkeypatch.setattr(quant, "BLOCK", block)
         rng = np.random.default_rng(c_in)
-        x = rng.normal(size=(c_in // 2 + 1, c_in))
-        x[:, 0] *= 100.0
+        x = rng.normal(size=(c_in // token_div + 1, c_in))
+        x[:, outliers] *= scale
         h = x.T @ x
         h[np.diag_indices_from(h)] += COMPENSATION_DAMPING * np.mean(np.diag(h))
         v = np.linalg.cholesky(h[::-1, ::-1])[::-1, ::-1]
