@@ -182,8 +182,8 @@ def cmd_eval_matmul(args):
     weight_bits = layer.residual.bits
     # The weights are quantized once; the tokens are walked TILE rows at a
     # time, so no full-size copy of them is made.
-    q_w = quant.quantize(w, weight_bits, "per_channel")
-    q_lw = quant.quantize(layer.smoothing.lam[:, None] * w, weight_bits, "per_channel")
+    q_w = quant.quantize(w, weight_bits)
+    q_lw = quant.quantize(layer.smoothing.lam[:, None] * w, weight_bits)
     tile_errors = []
     for t in range(0, x.shape[0], pipeline.TILE):
         x_t = x[t : t + pipeline.TILE]

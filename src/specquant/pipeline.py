@@ -272,7 +272,7 @@ def select_migration_strength(
             x_hat = x / factors.lam[None, :]  # the x_hat of `apply_smoothing`
             q = quant.quantize_residual_compensated(residual, residual_bits, x_hat)
         else:
-            q = quant.quantize(residual, residual_bits, "per_channel")
+            q = quant.quantize(residual, residual_bits)
         layer = CompressedLayer(smoothing=factors, spectra=spectra, residual=q, plan=plan)
         layer._w_low = w_low
         return layer, spec

@@ -8,19 +8,20 @@ is too small for delta to be a positive float64. A slice with an end at the
 float64 limit is coded over a range narrowed by 2^-40, so that every code
 dequantizes to a finite value.
 
-Granularity picks the slicing axis: per_token quantizes each row (activation
-matrices carry one token per row), per_channel each column (weight matrices
-carry one output channel per column). A whole matrix quantized as one slice
-is a 1-row matrix quantized per_token.
+A weight matrix carries one output channel per column and is quantized per
+channel: `quantize` codes each column as one slice into a QuantizedTensor.
+Activations carry one token per row and are quantized per token, each row
+one slice, only inside `matmul`; a caller that wants those codes quantizes
+x.T and reads the result transposed.
 
 `matmul` is the one quantized product: finite float activations, quantized
-per token inside it, times a per_channel tensor, as one GEMM on the integer
+per token inside it, times a QuantizedTensor, as one GEMM on the integer
 codes, exact in float32 while its partial sums stay below 2^24 and in
 float64 otherwise, with the zero points folded out of the product afterwards
 (Jacob et al., arXiv 1712.05877, eq. 7). The fold is per row and per column,
 so the activations never exist as codes or as a QuantizedTensor: they are
 rounded to their codes in one float64 buffer and cast once to the GEMM
-dtype. A per_channel operand keeps its codes in the GEMM dtype and its fold
+dtype. The weight operand keeps its codes in the GEMM dtype and its fold
 constants after the first product.
 
 `quantize_residual_compensated` is the error-compensated (GPTQ) residual
@@ -42,8 +43,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .validation import as_matrix, pow2_units
-
-GRANULARITIES = ("per_token", "per_channel")
 
 # Diagonal damping for the error-compensated scheme, as a fraction of the
 # mean Gram diagonal.
@@ -68,8 +67,9 @@ SUB_BLOCK = 16
 
 @dataclass(eq=False)
 class QuantizedTensor:
-    """Integer codes plus the per-slice scale/offset needed to invert them;
-    `rows` and `cols` are the shape of the codes.
+    """Integer codes of a matrix quantized per channel, with one step
+    (`deltas`) and one zero point per column to invert them; `rows` and
+    `cols` are the shape of the codes.
 
     `rtn_fallback` is set when error compensation was requested but the
     calibration Gram was unusable and plain round-to-nearest was used instead.
@@ -77,7 +77,6 @@ class QuantizedTensor:
 
     codes: np.ndarray
     bits: int
-    granularity: str
     deltas: np.ndarray
     zero_points: np.ndarray
     rtn_fallback: bool = field(default=False)
@@ -87,8 +86,6 @@ class QuantizedTensor:
         self.codes = np.ascontiguousarray(self.codes, dtype=np.uint8)
         self.deltas = np.asarray(self.deltas, dtype=np.float64)
         self.zero_points = np.asarray(self.zero_points, dtype=np.float64)
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {self.granularity!r}")
         if self.codes.ndim != 2:
             raise ValueError(f"codes must be 2-D, got {self.codes.ndim}-D")
 
@@ -101,9 +98,8 @@ class QuantizedTensor:
         return self.codes.shape[1]
 
     def _gemm_operand(self, dtype):
-        """(codes as `dtype`, `_ColumnFold`) of a per_channel tensor, the
-        right operand of the code GEMM, computed once per dtype; the codes
-        must not change afterwards."""
+        """(codes as `dtype`, `_ColumnFold`), the right operand of the code
+        GEMM, computed once per dtype; the codes must not change afterwards."""
         if dtype not in self._gemm:
             codes = self.codes.astype(dtype)
             # A GEMV of integers is exact in the dtype `_gemm_dtype` picked.
@@ -138,22 +134,6 @@ def _check_bits(bits, name="bits"):
     return int(bits)
 
 
-def _slice_ranges(x, granularity):
-    """Per-slice (min, max) of a matrix at the given granularity (0 for an
-    empty side)."""
-    if granularity == "per_token":
-        if x.shape[1] == 0 and x.shape[0] > 0:
-            raise ValueError("per_token slices must be non-empty")
-        axis = 1
-    elif granularity == "per_channel":
-        axis = 0
-    else:
-        raise ValueError(f"unknown granularity {granularity!r}")
-    if not x.size:
-        return np.zeros(x.shape[1 - axis]), np.zeros(x.shape[1 - axis])
-    return x.min(axis=axis), x.max(axis=axis)
-
-
 def _slice_params(lo, hi, bits):
     """Vectorized per-slice (deltas, zero_points) of slices spanning [lo, hi]."""
     qmax = 2**bits - 1
@@ -182,13 +162,6 @@ def _range_params(lo, hi, qmax):
     return deltas, zps
 
 
-def _broadcast(deltas, zps, granularity):
-    """Per-slice scales and zero points shaped to broadcast against the matrix."""
-    if granularity == "per_token":
-        return deltas[:, None], zps[:, None]
-    return deltas[None, :], zps[None, :]
-
-
 def _round(x, d, z, bits, out=None):
     """The codes floor(clip(x / d + z, 0, qmax) + 0.5) as float64, step by
     step in one buffer: `out` if given (it may be x itself), else a new one.
@@ -202,30 +175,25 @@ def _round(x, d, z, bits, out=None):
     return v
 
 
-def _encode(x, deltas, zps, bits, granularity):
-    return _round(x, *_broadcast(deltas, zps, granularity), bits).astype(np.uint8)
-
-
-def quantize(x, bits, granularity):
-    """Quantize a matrix slice-wise at the given granularity."""
+def quantize(x, bits, granularity="per_channel"):
+    """Quantize each column of a matrix as one slice (per channel).
+    `granularity` accepts only "per_channel"."""
+    if granularity != "per_channel":
+        raise ValueError(f"unknown granularity {granularity!r}: quantize is per_channel only")
     x = as_matrix(x, "x")
     bits = _check_bits(bits)
-    deltas, zps = _slice_params(*_slice_ranges(x, granularity), bits)
-    return QuantizedTensor(
-        codes=_encode(x, deltas, zps, bits, granularity),
-        bits=bits,
-        granularity=granularity,
-        deltas=deltas,
-        zero_points=zps,
-    )
+    # An empty column has the range [0, 0].
+    lo, hi = (x.min(axis=0), x.max(axis=0)) if x.size else (np.zeros(x.shape[1]),) * 2
+    deltas, zps = _slice_params(lo, hi, bits)
+    codes = _round(x, deltas, zps, bits).astype(np.uint8)
+    return QuantizedTensor(codes=codes, bits=bits, deltas=deltas, zero_points=zps)
 
 
 def dequantize(q):
-    """Invert quantization: (code - z) * delta per slice."""
-    d, z = _broadcast(q.deltas, q.zero_points, q.granularity)
+    """Invert quantization: (code - z) * delta per column."""
     out = q.codes.astype(np.float64)
-    out -= z
-    out *= d
+    out -= q.zero_points
+    out *= q.deltas
     return out
 
 
@@ -245,9 +213,10 @@ def _split(z):
 
 
 def matmul(x, bits, b, *, out=None, ranges=None):
-    """dequantize(quantize(x, bits, "per_token")) @ dequantize(b), up to
-    rounding, of finite float activations `x` and a per_channel `b`, from
-    their integer codes; x never becomes codes or a QuantizedTensor.
+    """dequantize(quantize(x.T, bits)).T @ dequantize(b), up to rounding,
+    of finite float activations `x`, quantized per token (each row one
+    slice), and a QuantizedTensor `b`, from their integer codes; x never
+    becomes codes or a QuantizedTensor.
 
     x's codes are rounded in one float64 buffer (`out` if given, which may
     be x itself, then overwritten) and cast once to `_gemm_dtype`, where
@@ -272,15 +241,17 @@ def matmul(x, bits, b, *, out=None, ranges=None):
     cancel to far less when codes sit on a zero point that is not an integer.
     """
     bits = _check_bits(bits)
-    if b.granularity != "per_channel":
-        raise ValueError("matmul takes a per_channel right operand")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"x must be 2-D, got {x.ndim}-D")
     k = b.rows
     if x.shape[1] != k:
         raise ValueError(f"inner sizes differ: {x.shape[1]} and {k}")
-    lo, hi = _slice_ranges(x, "per_token") if ranges is None else ranges
+    if ranges is None:
+        if x.shape[0] and not k:
+            raise ValueError("per_token slices must be non-empty")
+        ranges = (x.min(axis=1), x.max(axis=1)) if x.size else (np.zeros(x.shape[0]),) * 2
+    lo, hi = ranges
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("x contains non-finite values")
     da, za = _slice_params(lo, hi, bits)
@@ -390,7 +361,7 @@ def quantize_residual_compensated(r, bits, x_calib):
             f"calibration activations have {x.shape[1]} channels, expected {c_in}"
         )
     # The RTN candidate, returned as it is by every fallback below.
-    q = quantize(r, bits, "per_channel")
+    q = quantize(r, bits)
     q.rtn_fallback = True
     if c_in == 0 or c_out == 0:
         return q

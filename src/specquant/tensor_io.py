@@ -32,7 +32,7 @@ Save and load make the same layer checks (`_check_layer`), so save never
 writes an artifact load would reject. A layer's c_in is its count of
 smoothing factors and its c_out the length of its plan. ShapeError: plan
 counts k in [1, c_in // 2 + 1]; (sum(k), 2) spectra; a c_in x c_out
-per_channel residual with c_out deltas and zero points.
+residual with c_out deltas and zero points.
 DataError: non-finite plan rho or alpha, migration strength or spectra; a
 negative amplitude, a phase outside (-pi, pi], or a real-valued bin (DC, and
 Nyquist for an even c_in) whose phase is not 0 or pi; a delta that is not
@@ -47,10 +47,11 @@ codes.
 
 Load raises only SpecQuantError subclasses for a malformed artifact (OSError
 if a file cannot be read): FormatError for a manifest that is not a JSON
-object of format `specquant/1`, and for a missing (named) or wrongly typed
-manifest field (a float field takes an integer only if float64 holds it
-exactly, and no field takes a bool for a number), ShapeError for sizes that
-disagree, DataError for invalid values.
+object of format `specquant/1`, for a residual granularity other than
+`per_channel` (a QuantizedTensor is per channel, and save writes that), and
+for a missing (named) or wrongly typed manifest field (a float field takes
+an integer only if float64 holds it exactly, and no field takes a bool for
+a number), ShapeError for sizes that disagree, DataError for invalid values.
 """
 
 import json
@@ -180,8 +181,6 @@ def _check_layer(layer):
     r = layer.residual
     if (r.rows, r.cols) != (layer.c_in, layer.c_out):
         raise ShapeError(f"residual is {r.rows}x{r.cols}, expected {layer.c_in}x{layer.c_out}")
-    if r.granularity != "per_channel":
-        raise ShapeError("layer residual must be per_channel quantized")
     if r.deltas.size != layer.c_out or r.zero_points.size != layer.c_out:
         raise ShapeError("residual quantizer params do not match c_out")
     if not (np.isfinite(r.deltas).all() and (r.deltas > 0).all()):
@@ -249,7 +248,7 @@ def save_compressed_layer(layer, out_dir):
             "total_budget": int(layer.plan.total_budget),
         },
         "residual_params": {
-            "granularity": r.granularity,
+            "granularity": "per_channel",
             "delta": [float(v) for v in r.deltas],
             "zero_point": [float(v) for v in r.zero_points],
             "rtn_fallback": bool(r.rtn_fallback),
@@ -360,7 +359,6 @@ def load_compressed_layer(artifact_dir):
     residual = QuantizedTensor(
         codes=unpack_codes(residual_raw, bits, c_in, c_out),
         bits=bits,
-        granularity="per_channel",
         deltas=_array(rp, "delta", np.float64, "residual_params.delta"),
         zero_points=_array(rp, "zero_point", np.float64, "residual_params.zero_point"),
         rtn_fallback=_typed(rp.get("rtn_fallback", False), bool, "residual_params.rtn_fallback"),

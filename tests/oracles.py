@@ -140,7 +140,7 @@ def compensated_codes_downdate(r, bits, x):
     r = np.asarray(r, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     c_in, c_out = r.shape
-    rtn = quantize(r, bits, "per_channel")
+    rtn = quantize(r, bits)
     if c_in == 0 or c_out == 0:
         return rtn.codes
     gram = x.T @ x

@@ -116,8 +116,8 @@ def test_criterion_5_quantizer_contract():
         bits = int(rng.choice([2, 4, 8]))
         n = int(rng.integers(1, 65))
         vec = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
-        q = quant.quantize(vec[None, :], bits, "per_token")
-        back = quant.dequantize(q)
+        q = quant.quantize(vec[:, None], bits)
+        back = quant.dequantize(q)[:, 0]
         delta = float(q.deltas[0])
         worst_ratio = max(worst_ratio, float(np.abs(back - vec).max()) / (delta / 2))
         codes_ok = codes_ok and int(q.codes.max()) <= 2**bits - 1
@@ -194,14 +194,14 @@ def test_criterion_8_ablation_ordering():
         ref = x @ w
         layer = sq.compress_layer(x, w, groups=GROUPS, smooth=0.5, residual_bits=4)
         naive = np.linalg.norm(
-            quant.dequantize(quant.quantize(x, 4, "per_token"))
-            @ quant.dequantize(quant.quantize(w, 4, "per_channel"))
+            quant.dequantize(quant.quantize(x.T, 4)).T
+            @ quant.dequantize(quant.quantize(w, 4))
             - ref
         )
         xh, wh = sq.apply_smoothing(x, w, layer.smoothing)
         smooth_only = np.linalg.norm(
-            quant.dequantize(quant.quantize(xh, 4, "per_token"))
-            @ quant.dequantize(quant.quantize(wh, 4, "per_channel"))
+            quant.dequantize(quant.quantize(xh.T, 4)).T
+            @ quant.dequantize(quant.quantize(wh, 4))
             - ref
         )
         ours = np.linalg.norm(sq.forward_approx(x, layer, 4) - ref)

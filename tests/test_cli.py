@@ -207,7 +207,7 @@ def test_eval_matmul_tiles_equal_the_untiled_errors(tmp_path, decay_instance, ro
     bits = layer.residual.bits
 
     def both_quantized(acts, weights):
-        return quant.matmul(acts, 4, quant.quantize(weights, bits, "per_channel"))
+        return quant.matmul(acts, 4, quant.quantize(weights, bits))
 
     reference = x @ w
     untiled = {

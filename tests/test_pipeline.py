@@ -682,7 +682,7 @@ class TestForwardApprox:
         residual-branch product."""
         x, layer = self._residual_fixture(bits)
         x_hat = x / layer.smoothing.lam
-        x_deq = quant.dequantize(quant.quantize(x_hat, bits, "per_token"))
+        x_deq = quant.dequantize(quant.quantize(x_hat.T, bits)).T
         r_deq = quant.dequantize(layer.residual)
         w_low = layer.low_freq_matrix()
         code_branch = forward_approx(x, layer, bits) - _float32_w_low_branch(x_hat, w_low)
@@ -698,7 +698,7 @@ class TestForwardApprox:
         scalings are exact. The float64 terms get the 1e-12 bound above."""
         x, layer = self._residual_fixture(bits)
         x_hat = x / layer.smoothing.lam
-        x_deq = quant.dequantize(quant.quantize(x_hat, bits, "per_token"))
+        x_deq = quant.dequantize(quant.quantize(x_hat.T, bits)).T
         r_deq = quant.dequantize(layer.residual)
         w_low = layer.low_freq_matrix()
         dense = x_hat @ w_low + x_deq @ r_deq
@@ -805,8 +805,8 @@ class TestForwardApprox:
         layer = compress_layer(x, w, groups=8, smooth=0.5)
         ours = np.linalg.norm(forward_approx(x, layer, 4) - ref)
         naive = np.linalg.norm(
-            quant.dequantize(quant.quantize(x, 4, "per_token"))
-            @ quant.dequantize(quant.quantize(w, 4, "per_channel"))
+            quant.dequantize(quant.quantize(x.T, 4)).T
+            @ quant.dequantize(quant.quantize(w, 4))
             - ref
         )
         assert ours < naive

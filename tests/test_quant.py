@@ -31,7 +31,7 @@ def _weighted_error(q, r, x):
 
 def _slice_params(values, bits):
     """(delta, zero point) `quantize` picks for one slice of values."""
-    q = quantize(np.array([values], dtype=np.float64), bits, "per_token")
+    q = quantize(np.array([values], dtype=np.float64).T, bits)
     return q.deltas[0], q.zero_points[0]
 
 
@@ -52,8 +52,10 @@ class TestComputeParams:
         assert zp == pytest.approx(0.0)
 
     def test_empty_slice_rejected(self):
-        with pytest.raises(ValueError):
-            _slice_params([], 4)
+        """Only a token (a row of activations) can be an empty slice that
+        must be coded; an empty column has no entries to code."""
+        with pytest.raises(ValueError, match="per_token slices must be non-empty"):
+            matmul(np.zeros((1, 0)), 4, quantize(np.zeros((0, 2)), 4))
 
     def test_bits_out_of_range(self):
         with pytest.raises(ValueError):
@@ -65,47 +67,45 @@ class TestComputeParams:
 class TestQuantizeDequantize:
     def test_worked_example_half_away_rounding(self):
         # x/delta + z = [0, 1.5, 3]; 1.5 rounds away from zero to 2.
-        q = quantize(np.array([[-1.0, 0.0, 1.0]]), 2, "per_token")
-        np.testing.assert_array_equal(q.codes, [[0, 2, 3]])
+        q = quantize(np.array([[-1.0, 0.0, 1.0]]).T, 2)
+        np.testing.assert_array_equal(q.codes.T, [[0, 2, 3]])
 
     def test_dequantize_worked_example(self):
         q = QuantizedTensor(
-            codes=np.array([[0, 2, 3]], dtype=np.uint8),
+            codes=np.array([[0, 2, 3]], dtype=np.uint8).T,
             bits=2,
-            granularity="per_token",
             deltas=np.array([2.0 / 3.0]),
             zero_points=np.array([1.5]),
         )
-        np.testing.assert_allclose(dequantize(q), [[-1.0, 1.0 / 3.0, 1.0]], rtol=1e-15)
+        np.testing.assert_allclose(dequantize(q).T, [[-1.0, 1.0 / 3.0, 1.0]], rtol=1e-15)
 
     def test_sizes_are_the_shape_of_the_codes(self):
-        q = _codes(np.zeros((2, 5)), 4, "per_channel")
+        q = _codes(np.zeros((2, 5)), 4)
         assert (q.rows, q.cols) == (2, 5)
         with pytest.raises(ValueError, match="codes must be 2-D, got 1-D"):
-            QuantizedTensor(np.zeros(3), 4, "per_token", np.ones(1), np.zeros(1))
+            QuantizedTensor(np.zeros(3), 4, np.ones(1), np.zeros(1))
 
     def test_zeros_stay_exactly_zero(self):
-        q = quantize(np.zeros((3, 4)), 4, "per_token")
+        q = quantize(np.zeros((4, 3)), 4)
         assert (q.codes == q.codes[0, 0]).all()
-        np.testing.assert_array_equal(dequantize(q), np.zeros((3, 4)))
+        np.testing.assert_array_equal(dequantize(q), np.zeros((4, 3)))
 
     def test_constant_matrix_restored_exactly(self):
         x = np.full((2, 3), 5.0)
-        np.testing.assert_array_equal(dequantize(quantize(x, 4, "per_channel")), x)
+        np.testing.assert_array_equal(dequantize(quantize(x, 4)), x)
 
     @pytest.mark.parametrize("granularity", ["per_token", "per_channel"])
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_round_trip_within_half_step(self, bits, granularity):
+        """Per token is per channel on the transpose."""
         rng = np.random.default_rng(bits)
         for _ in range(25):
             x = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-3, 4)
-            q = quantize(x, bits, granularity)
-            back = dequantize(q)
             if granularity == "per_token":
-                d = q.deltas[:, None]
-            else:
-                d = q.deltas[None, :]
-            assert (np.abs(back - x) <= d / 2 * (1 + 1e-9) + 1e-300).all()
+                x = x.T
+            q = quantize(x, bits)
+            back = dequantize(q)
+            assert (np.abs(back - x) <= q.deltas / 2 * (1 + 1e-9) + 1e-300).all()
             assert q.codes.max() <= 2**bits - 1
 
     @given(
@@ -124,8 +124,8 @@ class TestQuantizeDequantize:
     @example([0.0, 1.7976931348623157e308], 8)
     @example([-1.7976931348623157e308, 0.0], 2)
     def test_round_trip_property(self, values, bits):
-        x = np.array([values])
-        q = quantize(x, bits, "per_token")
+        x = np.array([values]).T
+        q = quantize(x, bits)
         back = dequantize(q)
         tol = q.deltas[0] / 2 * (1 + 1e-9) + 1e-300
         assert (np.abs(back - x) <= tol).all()
@@ -141,23 +141,23 @@ class TestQuantizeDequantize:
     @example([0.0, 1.7976931348623157e308], 8, "per_channel")
     @example([-1.7976931348623157e308, 0.0, 5e-324], 4, "per_channel")
     def test_codes_are_the_literal_rounding(self, values, bits, granularity):
-        """The in-place encoder computes floor(clip(x / d + z, 0, qmax) + 0.5)."""
+        """The in-place encoder computes floor(clip(x / d + z, 0, qmax) + 0.5);
+        per token is per channel on the transpose."""
         x = np.array([values, values[::-1]])
-        q = quantize(x, bits, granularity)
-        axis = 1 if granularity == "per_token" else 0
-        d = np.expand_dims(q.deltas, axis)
-        z = np.expand_dims(q.zero_points, axis)
-        literal = np.floor(np.clip(x / d + z, 0, 2**bits - 1) + 0.5)
+        if granularity == "per_token":
+            x = x.T
+        q = quantize(x, bits)
+        literal = np.floor(np.clip(x / q.deltas + q.zero_points, 0, 2**bits - 1) + 0.5)
         np.testing.assert_array_equal(q.codes, literal)
 
     def test_ends_at_float64_limit_dequantize_finite(self):
         big = np.finfo(np.float64).max
         for values in ([-big, big], [0.0, big], [-big, 0.0], [-big, big / 2], [1e308, big]):
-            x = np.array([values])
+            x = np.array([values]).T
             for bits in range(2, 9):
-                q = quantize(x, bits, "per_token")
+                q = quantize(x, bits)
                 ends = dequantize(QuantizedTensor(
-                    np.array([[0, 2**bits - 1]]), bits, "per_token", q.deltas, q.zero_points
+                    np.array([[0], [2**bits - 1]]), bits, q.deltas, q.zero_points
                 ))
                 assert np.isfinite(ends).all(), (values, bits)
                 assert (np.abs(dequantize(q) - x) <= q.deltas[0] / 2).all()
@@ -166,89 +166,91 @@ class TestQuantizeDequantize:
         rng = np.random.default_rng(10)
         for _ in range(20):
             x = rng.normal(size=(6, 4)) * 50 + rng.normal() * 100
-            q1 = quantize(x, 4, "per_channel")
-            q2 = quantize(dequantize(q1), 4, "per_channel")
+            q1 = quantize(x, 4)
+            q2 = quantize(dequantize(q1), 4)
             np.testing.assert_array_equal(q1.codes, q2.codes)
 
     def test_outliers_still_land_in_range(self):
-        x = np.array([[1e12, -1e12, 0.0, 1e-12]])
+        x = np.array([[1e12, -1e12, 0.0, 1e-12]]).T
         for bits in (2, 8):
-            q = quantize(x, bits, "per_token")
+            q = quantize(x, bits)
             assert q.codes.min() >= 0 and q.codes.max() <= 2**bits - 1
 
     def test_partition_axes(self):
-        # Tokens are rows, channels are columns.
+        # Tokens are rows, channels are columns: per token is per channel
+        # on the transpose.
         x = np.array([[0.0, 100.0], [1.0, 2.0]])
-        per_token = quantize(x, 4, "per_token")
+        per_token = quantize(x.T, 4)
         assert per_token.deltas.size == 2
         assert per_token.deltas[0] == pytest.approx(100.0 / 15.0)
         assert per_token.deltas[1] == pytest.approx(1.0 / 15.0)
-        per_channel = quantize(x, 4, "per_channel")
+        per_channel = quantize(x, 4)
         assert per_channel.deltas.size == 2
         assert per_channel.deltas[0] == pytest.approx(1.0 / 15.0)
         assert per_channel.deltas[1] == pytest.approx(98.0 / 15.0)
 
     def test_unknown_granularity_rejected(self):
-        for granularity in ("per_tensor", "per_row"):
-            with pytest.raises(ValueError, match="unknown granularity"):
-                quantize(np.ones((2, 3)), 4, granularity)
+        """quantize is per channel only: "per_channel" is the one granularity
+        it accepts, and per token is quantize(x.T, bits)."""
+        x = np.array([[0.0, 100.0], [1.0, 2.0], [3.0, -4.0]])
+        for granularity in ("per_tensor", "per_row", "per_token"):
+            with pytest.raises(ValueError, match=f"unknown granularity '{granularity}'"):
+                quantize(x, 4, granularity)
+        assert quantize(x, 4, "per_channel").codes.tobytes() == quantize(x, 4).codes.tobytes()
 
     def test_empty_per_channel_allowed(self):
-        q = quantize(np.zeros((4, 0)), 4, "per_channel")
+        q = quantize(np.zeros((4, 0)), 4)
         assert q.codes.shape == (4, 0)
         assert q.deltas.size == 0
 
 
-def _codes(codes, bits, granularity):
+def _codes(codes, bits):
     """A tensor of the given codes, unit steps and zero offsets."""
     codes = np.asarray(codes, dtype=np.uint8)
-    n = codes.shape[0] if granularity == "per_token" else codes.shape[1]
-    return QuantizedTensor(codes, bits, granularity, np.ones(n), np.zeros(n))
+    return QuantizedTensor(codes, bits, np.ones(codes.shape[1]), np.zeros(codes.shape[1]))
 
 
 @st.composite
-def _values(draw, rows, cols, granularity):
+def _values(draw, rows, cols):
     """A float matrix: entries from a few decades, zeros among them, each
-    slice shifted by an offset that can make it one-sided."""
-    n = rows if granularity == "per_token" else cols
+    column shifted by an offset that can make it one-sided."""
     values = draw(st.lists(
         st.just(0.0) | st.floats(-1e3, 1e3), min_size=rows * cols, max_size=rows * cols
     ))
     offsets = draw(st.lists(
-        st.sampled_from([0.0, 1e3, -1e3, 1e6, -1e6]), min_size=n, max_size=n
+        st.sampled_from([0.0, 1e3, -1e3, 1e6, -1e6]), min_size=cols, max_size=cols
     ))
-    x = np.array(values).reshape(rows, cols)
-    x += np.expand_dims(offsets, 1 if granularity == "per_token" else 0)
-    return x
+    return np.array(values).reshape(rows, cols) + offsets
 
 
 @st.composite
 def _operands(draw):
-    """(x, bits, b): float activations, their bits and a per_channel b."""
+    """(x, bits, b): float activations, each token shifted by its own
+    offset, their bits and a quantized b."""
     t, k, n = draw(st.integers(0, 5)), draw(st.integers(1, 12)), draw(st.integers(1, 5))
-    x = draw(_values(t, k, "per_token"))
-    b = quantize(draw(_values(k, n, "per_channel")), draw(st.integers(2, 8)), "per_channel")
+    x = draw(_values(k, t)).T.copy()
+    b = quantize(draw(_values(k, n)), draw(st.integers(2, 8)))
     return x, draw(st.integers(2, 8)), b
 
 
 def _assert_near_dequantized_product(x, bits, b):
     """matmul(x, bits, b) within 1e-12 * |deq a| @ |deq b| of
-    dequantize(a) @ dequantize(b), a = quantize(x, bits, "per_token"), plus
-    a floor for the subnormal range. There a product rounds to the absolute
-    spacing 2^-1074, not relative to its size, and a sum is exact. Counting
-    one spacing per such product:
+    dequantize(a).T @ dequantize(b), a = quantize(x.T, bits) (x per token),
+    plus a floor for the subnormal range. There a product rounds to the
+    absolute spacing 2^-1074, not relative to its size, and a sum is exact.
+    Counting one spacing per such product:
     - the reference: dequantize's (code - z) * d for each entry of a and of b,
       carried into the GEMM by the other operand, and each GEMM product:
       sum_k |deq a_ik| + sum_k |deq b_kj| + K;
     - matmul: three products in the fold F, in code units, so scaled by
       da db; then out * da, scaled by db; then out * db: 3 da db + db + 1.
     """
-    a = quantize(x, bits, "per_token")
-    deq_a, deq_b = dequantize(a), dequantize(b)
+    a = quantize(x.T, bits)
+    deq_a, deq_b = dequantize(a).T.copy(), dequantize(b)
     ref = deq_a @ deq_b
     scale = np.abs(deq_a) @ np.abs(deq_b)
     da, db = a.deltas[:, None], b.deltas[None, :]
-    spacings = (np.abs(deq_a).sum(axis=1)[:, None] + np.abs(deq_b).sum(axis=0) + a.cols
+    spacings = (np.abs(deq_a).sum(axis=1)[:, None] + np.abs(deq_b).sum(axis=0) + a.rows
                 + 3 * da * db + db + 1)
     got = matmul(x, bits, b)
     assert got.shape == ref.shape
@@ -262,7 +264,7 @@ def _assert_fused(x, bits, b, monkeypatch):
     near the dequantized product."""
     kept = x.copy()
     with monkeypatch.context() as m:
-        for name in ("_encode", "QuantizedTensor"):
+        for name in ("quantize", "QuantizedTensor"):
             m.setattr(quant, name, None)  # matmul must not call them
         got = matmul(x, bits, b)
         np.testing.assert_array_equal(x, kept)
@@ -288,7 +290,7 @@ def _served_like(rows, cols, seed):
 
 class TestMatmul:
     """`matmul(x, bits, b)`: float activations, quantized per token inside
-    it, times a per_channel b, from the integer codes."""
+    it, times a quantized b, from the integer codes."""
 
     @pytest.mark.parametrize("bits_a, bits_b", [(4, 4), (8, 4), (8, 8), (2, 8)])
     def test_float32_and_float64_products_equal_the_int64_one(self, bits_a, bits_b, monkeypatch):
@@ -296,11 +298,11 @@ class TestMatmul:
         does not depend on which one runs."""
         rng = np.random.default_rng(bits_a + 10 * bits_b)
         x = rng.normal(size=(64, 200)) + 0.3
-        a = quantize(x, bits_a, "per_token")
-        b = quantize(rng.normal(size=(200, 48)) - 0.2, bits_b, "per_channel")
-        exact = a.codes.astype(np.int64) @ b.codes.astype(np.int64)
+        codes_a = quantize(x.T, bits_a).codes.T
+        b = quantize(rng.normal(size=(200, 48)) - 0.2, bits_b)
+        exact = codes_a.astype(np.int64) @ b.codes.astype(np.int64)
         for dtype in (np.float32, np.float64):
-            p = a.codes.astype(dtype) @ b._gemm_operand(dtype)[0]
+            p = codes_a.astype(dtype) @ b._gemm_operand(dtype)[0]
             assert p.dtype == dtype
             np.testing.assert_array_equal(p, exact)
         default = matmul(x, bits_a, b)
@@ -320,7 +322,7 @@ class TestMatmul:
         assert quant._gemm_dtype(bits, bits, k) is dtype
         x = np.full((1, k), float(qmax))
         x[0, 0] = 0.0
-        out = matmul(x, bits, _codes(np.full((k, 1), qmax), bits, "per_channel"))
+        out = matmul(x, bits, _codes(np.full((k, 1), qmax), bits))
         assert out[0, 0] == qmax * qmax * (k - 1)
 
     def test_codes_on_a_non_integer_zero_point_do_not_cancel(self):
@@ -328,21 +330,21 @@ class TestMatmul:
         zero point 10 + 2e-15: every term of the product is tiny, and
         folding whole zero points would round terms of size K qmax^2."""
         x = np.array([[0.0] * 20 + [-1.0, 2.0]])
-        b = quantize(np.array([[-0.2, 0.1, *np.linspace(-0.2, 0.1, 18), 0.0, 0.0]]).T, 4, "per_channel")
-        assert quantize(x, 4, "per_token").zero_points[0] == 5.0
+        b = quantize(np.array([[-0.2, 0.1, *np.linspace(-0.2, 0.1, 18), 0.0, 0.0]]).T, 4)
+        assert quantize(x.T, 4).zero_points[0] == 5.0
         assert 0 < abs(b.zero_points[0] - 10.0) < 1e-12
         _assert_near_dequantized_product(x, 4, b)
 
     @given(_operands())
     @settings(max_examples=300, deadline=None)
-    @example((np.zeros((3, 4)), 4, quantize(np.zeros((4, 2)), 4, "per_channel")))
-    @example((np.zeros((0, 5)), 4, quantize(np.ones((5, 3)), 8, "per_channel")))
-    @example((np.ones((2, 1)), 2, quantize(-np.ones((1, 3)), 8, "per_channel")))
+    @example((np.zeros((3, 4)), 4, quantize(np.zeros((4, 2)), 4)))
+    @example((np.zeros((0, 5)), 4, quantize(np.ones((5, 3)), 8)))
+    @example((np.ones((2, 1)), 2, quantize(-np.ones((1, 3)), 8)))
     # b's column 0 has the subnormal zero point 1.06e-312: the reference
     # itself rounds at 2^-1074 there, below 1e-12 * scale.
     @example((
         np.array([[1e-3, 0, 0, 1e-3], [0, 1e-3, 3, 1e-3]]), 2,
-        quantize(np.array([[-2.226e-311, 1], [63, 2], [0, 3], [5, 0.5]]), 2, "per_channel"),
+        quantize(np.array([[-2.226e-311, 1], [63, 2], [0, 3], [5, 0.5]]), 2),
     ))
     def test_matches_the_dequantized_product(self, operands):
         _assert_near_dequantized_product(*operands)
@@ -353,16 +355,16 @@ class TestMatmul:
         """Against identity codes of unit step and zero point 0, the product
         is (Ca - za) da of the activations' codes, with the one rounding of
         dequantize's (code - z) * d: so the codes, steps and zero points are
-        those of quantize(x, bits, "per_token"), bit for bit."""
+        those of quantize(x.T, bits), transposed, bit for bit."""
         x = _served_like(rows, 40, 10 * bits + rows)
-        got = matmul(x, bits, _codes(np.eye(40), 4, "per_channel"))
-        assert got.tobytes() == dequantize(quantize(x, bits, "per_token")).tobytes()
+        got = matmul(x, bits, _codes(np.eye(40), 4))
+        assert got.tobytes() == dequantize(quantize(x.T, bits)).T.tobytes()
 
     @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 389])
     @pytest.mark.parametrize("bits", range(2, 9))
     def test_fused_in_one_buffer(self, bits, rows, monkeypatch):
         rng = np.random.default_rng(bits + 10 * rows)
-        b = quantize(rng.normal(size=(40, 24)) - 0.1, 4, "per_channel")
+        b = quantize(rng.normal(size=(40, 24)) - 0.1, 4)
         _assert_fused(_served_like(rows, 40, 10 * bits + rows), bits, b, monkeypatch)
 
     @pytest.mark.parametrize("rows", [0, 1, 129])
@@ -372,16 +374,14 @@ class TestMatmul:
         rng = np.random.default_rng(rows)
         assert quant._gemm_dtype(8, 8, 300) is np.float64
         x = rng.normal(size=(rows, 300)) + 0.2
-        b = quantize(rng.normal(size=(300, 16)), 8, "per_channel")
+        b = quantize(rng.normal(size=(300, 16)), 8)
         _assert_fused(x, 8, b, monkeypatch)
 
     def test_operands_are_checked(self):
         x = np.ones((2, 3))
-        b = quantize(np.ones((3, 2)), 4, "per_channel")
-        with pytest.raises(ValueError, match="per_channel right operand"):
-            matmul(x, 4, quantize(np.ones((3, 2)), 4, "per_token"))
+        b = quantize(np.ones((3, 2)), 4)
         with pytest.raises(ValueError, match="inner sizes differ: 3 and 4"):
-            matmul(x, 4, quantize(np.ones((4, 2)), 4, "per_channel"))
+            matmul(x, 4, quantize(np.ones((4, 2)), 4))
         with pytest.raises(ValueError, match="x must be 2-D"):
             matmul(np.ones(3), 4, b)
         for bits, message in ((9, "must lie in"), (4.5, "must be an integer"), ("4", "must lie in")):
@@ -416,7 +416,7 @@ class TestCompensatedResidual:
         r = np.array([[0.37]])
         x = np.array([[1.0], [2.0]])
         qc = quantize_residual_compensated(r, 4, x)
-        qr = quantize(r, 4, "per_channel")
+        qr = quantize(r, 4)
         np.testing.assert_array_equal(qc.codes, qr.codes)
         assert not qc.rtn_fallback
 
@@ -424,7 +424,7 @@ class TestCompensatedResidual:
         r = np.array([[0.3, -0.7, 1.2]])
         x = np.random.default_rng(0).normal(size=(8, 1))
         qc = quantize_residual_compensated(r, 4, x)
-        qr = quantize(r, 4, "per_channel")
+        qr = quantize(r, 4)
         np.testing.assert_array_equal(qc.codes, qr.codes)
 
     def test_identity_gram_grid_not_worse_than_rtn(self):
@@ -437,7 +437,7 @@ class TestCompensatedResidual:
             for b in grid:
                 r = np.array([[a, b], [b - 0.3, a + 0.1]])
                 qc = quantize_residual_compensated(r, 2, x)
-                qr = quantize(r, 2, "per_channel")
+                qr = quantize(r, 2)
                 ec = np.linalg.norm(x @ (r - dequantize(qc)))
                 er = np.linalg.norm(x @ (r - dequantize(qr)))
                 assert ec <= er + 1e-12
@@ -458,7 +458,7 @@ class TestCompensatedResidual:
             r = np.random.default_rng(seed).normal(size=(8, 5)) * r_scale
             x = np.random.default_rng(seed + 500).normal(size=(20, 8)) * x_scale
             qc = quantize_residual_compensated(r, 4, x)
-            qr = quantize(r, 4, "per_channel")
+            qr = quantize(r, 4)
             assert not qc.rtn_fallback
             np.testing.assert_array_equal(qc.deltas, qr.deltas)
             ec = _weighted_error(qc, r, x)
@@ -492,7 +492,7 @@ class TestCompensatedResidual:
         layer = compress_layer(x, w, ratio=0.3, smooth=0.5, residual_quant="compensated")
         x_hat, w_hat = apply_smoothing(x, w, layer.smoothing)
         r = w_hat - layer.low_freq_matrix()
-        assert (layer.residual.codes != quantize(r, 4, "per_channel").codes).any()
+        assert (layer.residual.codes != quantize(r, 4).codes).any()
         np.testing.assert_array_equal(layer.residual.codes, compensated_codes_downdate(r, 4, x_hat))
 
     @pytest.mark.parametrize("c_in", [1, 127, 128, 129, 300])
@@ -506,7 +506,7 @@ class TestCompensatedResidual:
         assert not q.rtn_fallback
         np.testing.assert_array_equal(q.codes, compensated_codes_downdate(r, 4, x))
         if c_in > quant.BLOCK:
-            assert (q.codes[quant.BLOCK :] != quantize(r, 4, "per_channel").codes[quant.BLOCK :]).any()
+            assert (q.codes[quant.BLOCK :] != quantize(r, 4).codes[quant.BLOCK :]).any()
 
     @pytest.mark.parametrize("c_in", [1, 7, 8, 9, 20, 300])
     def test_codes_match_downdate_reference_across_sub_batches(self, c_in, monkeypatch):
@@ -523,7 +523,7 @@ class TestCompensatedResidual:
         assert not q.rtn_fallback
         np.testing.assert_array_equal(q.codes, compensated_codes_downdate(r, 4, x))
         if c_in > 3:
-            assert (q.codes[3:] != quantize(r, 4, "per_channel").codes[3:]).any()
+            assert (q.codes[3:] != quantize(r, 4).codes[3:]).any()
 
     def test_codes_match_downdate_reference_small_batches(self, monkeypatch):
         """With BLOCK = 3 and SUB_BLOCK = 2 the 8-row fixtures run as batches
@@ -594,7 +594,7 @@ class TestCompensatedResidual:
         r = rng.normal(size=(c_in, 5))
         q = quantize_residual_compensated(r, 4, rng.normal(size=(20, c_in)))
         assert raised and q.rtn_fallback
-        np.testing.assert_array_equal(q.codes, quantize(r, 4, "per_channel").codes)
+        np.testing.assert_array_equal(q.codes, quantize(r, 4).codes)
 
     def test_peak_memory_is_one_gram_buffer(self):
         """One c_in x c_in float64 buffer, one scaled T x c_in copy of X and
@@ -642,7 +642,7 @@ class TestCompensatedResidual:
             r = np.random.default_rng(seed).normal(size=(8, 5))
             x = np.random.default_rng(seed + 500).normal(size=(20, 8))
             qc = quantize_residual_compensated(r, 3, x)
-            qr = quantize(r, 3, "per_channel")
+            qr = quantize(r, 3)
             ec = np.linalg.norm(x @ (r - dequantize(qc)))
             er = np.linalg.norm(x @ (r - dequantize(qr)))
             if ec < er - 1e-12:
@@ -658,7 +658,7 @@ class TestCompensatedResidual:
     def test_singular_gram_falls_back_with_flag(self):
         q = quantize_residual_compensated(np.ones((3, 2)), 4, np.zeros((6, 3)))
         assert q.rtn_fallback
-        qr = quantize(np.ones((3, 2)), 4, "per_channel")
+        qr = quantize(np.ones((3, 2)), 4)
         np.testing.assert_array_equal(q.codes, qr.codes)
 
     def test_shape_mismatch_rejected(self):

@@ -172,7 +172,7 @@ class TestArtifactRoundTrip:
         layer = CompressedLayer(
             smoothing=SmoothingFactors(lam=np.ones(4), migration_strength=0.5),
             spectra=np.zeros((0, 2)),
-            residual=quantize(np.zeros((4, 0)), 4, "per_channel"),
+            residual=quantize(np.zeros((4, 0)), 4),
             plan=BudgetPlan(
                 rho=np.zeros(0), k=np.zeros(0, dtype=np.int64), alpha=1.0, total_budget=0
             ),
@@ -493,7 +493,9 @@ def _set_item(get, index, value):
 # before a layer exists, it raises there, with the (class, message) in
 # _LOAD_FIRST: a blob size or plan length that disagrees with the manifest
 # is a ShapeError, and a granularity other than per_channel is a format
-# field the manifest cannot hold.
+# field the manifest cannot hold. A QuantizedTensor has no granularity
+# field; in memory a per-token residual is one delta and zero point per
+# row, which breaks the per-column params rule.
 _LOAD_FIRST = {
     "spectra-rows": (ShapeError, "spectra blob holds"),
     "residual-shape": (ShapeError, "residual blob holds"),
@@ -546,12 +548,13 @@ _RULES = {
     ),
     "residual-shape": (
         ShapeError, "residual is",
-        _set_attr(lambda l: l, "residual", sq.quantize(np.zeros((15, 6)), 4, "per_channel")),
+        _set_attr(lambda l: l, "residual", sq.quantize(np.zeros((15, 6)), 4)),
         _blob(tensor_io.RESIDUAL_FILE, lambda a: a[:-3]),
     ),
     "granularity": (
-        ShapeError, "per_channel",
-        _set_attr(lambda l: l.residual, "granularity", "per_token"),
+        ShapeError, "quantizer params do not match c_out",
+        lambda l: (setattr(l.residual, "deltas", np.ones(16)),
+                   setattr(l.residual, "zero_points", np.zeros(16))),
         _manifest(_set(["residual_params", "granularity"], "per_token")),
     ),
     "delta-short": (
