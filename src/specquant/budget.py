@@ -99,7 +99,7 @@ def bin_budget(c_in, c_out, *, ratio=None, groups=None):
         raise ValueError("exactly one of ratio and groups must be set")
     half = spectral.half_spectrum_length(c_in)
     if groups is not None:
-        if not (_is_number(groups) and 1 <= groups <= half) or groups != int(groups):
+        if not (_is_integer(groups) and 1 <= groups <= half):
             raise ValueError(f"groups must be an integer in [1, {half}], got {groups!r}")
         return int(groups) * c_out
     if not (_is_number(ratio) and 0.0 < ratio <= 1.0):
@@ -112,6 +112,11 @@ def bin_budget(c_in, c_out, *, ratio=None, groups=None):
 
 def _is_number(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_integer(v):
+    """A number (not a bool) whose value is an integer, such as 7 or 7.0."""
+    return _is_number(v) and (isinstance(v, numbers.Integral) or float(v).is_integer())
 
 
 def _deal(count, order, room):
@@ -142,12 +147,15 @@ def allocate(scores, alpha, total_budget, c_in):
     Equal scores split the budget evenly within the caps: budget // c_out
     bins each, one more for the first budget % c_out channels, as `groups` uses.
     An alpha * score past the float64 range, which would make the softmax
-    NaN, raises ValueError.
+    NaN, raises ValueError, as does a `total_budget` that is not an integer
+    (an integral float such as 7.0 is one; a bool or a string is not).
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
         raise ValueError("scores must be 1-D")
     _check_alpha(alpha)
+    if not _is_integer(total_budget):
+        raise ValueError(f"total_budget must be an integer, got {total_budget!r}")
     total_budget = int(total_budget)
     c_out = s.size
     if total_budget < c_out:

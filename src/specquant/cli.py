@@ -154,9 +154,7 @@ def cmd_analyze(args):
 
 def cmd_compare_svd(args):
     w = tensor_io.load_matrix(args.weights)
-    ratios = [float(v) for v in args.ratios.split(",") if v.strip()]
-    if not ratios:
-        raise ValueError("--ratios must name at least one ratio")
+    ratios = [float(v) for v in args.ratios.split(",")]
     recs = pipeline.compare_budgets(w, ratios, metric=args.metric, alpha=args.alpha)
     fields = ["ratio", "b_spectral", "b_svd", "k_svd", "budget_slack", "err_spectral", "err_svd"]
     rows = [{f: getattr(rec, f) for f in fields} for rec in recs]

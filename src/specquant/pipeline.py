@@ -14,8 +14,10 @@ compressed in two stages:
 `select_migration_strength` is the one compress path: its signature
 declares every compress option with its only default, and `compress_layer`
 forwards them. `forward_approx` is the only code that applies a compressed
-layer to activations; both of its modes form x_hat = x / lambda once and
-refuse a non-finite one by name. Served, it runs the W' branch as one
+layer's W' and residual to activations (`eval-matmul`'s smooth-only
+baseline divides by lambda too, but multiplies by its own quantized
+weights); both of its modes form x_hat = x / lambda once and refuse a
+non-finite one by name. Served, it runs the W' branch as one
 float32 GEMM in power-of-two units, on unquantized activations, and only
 the residual branch through integer quantization, as `quant.matmul`, the
 one quantized product: x_hat is rounded to its per-token codes in its own
@@ -72,11 +74,13 @@ class CompressedLayer:
     unit). `forward_error` is ||X W - forward_approx(X, layer, None)||_F,
     the score the strength search gave the layer on its calibration set X.
     The search sets both, the energies for its winner only; both are None
-    on a loaded layer, which keeps neither the dropped bins nor X. W' is
-    built in float64 on first use; the first served forward casts it to its
-    float32 operand and drops it, so a layer that has served holds W' only
-    in float32, whatever made it, and `low_freq_matrix` rebuilds the same
-    bits on demand. The residual stays in its codes. `tensor_io`
+    on a loaded layer, which keeps neither the dropped bins nor X. The only
+    float64 W' a layer ever stores is the one the strength search scored it
+    with; the first served forward casts W' (that one, or one rebuilt from
+    the spectra) to its float32 operand and drops the float64 one, so a
+    layer that has served holds W' only in float32, whatever made it.
+    `low_freq_matrix` rebuilds the same bits on demand and keeps none of
+    them. The residual stays in its codes. `tensor_io`
     refuses to save or load a layer its format cannot hold. `name` is the
     artifact's `layer_name`.
     """
@@ -101,9 +105,10 @@ class CompressedLayer:
         return self.plan.k.size
 
     def low_freq_matrix(self):
-        """Dense W' materialized from the stored spectra (computed once)."""
+        """Dense float64 W': the strength search's, while the layer holds it,
+        else rebuilt from the stored spectra, to the same bits, and not kept."""
         if self._w_low is None:
-            self._w_low = spectral.reconstruct_columns(self.spectra, self.plan.k, self.c_in)
+            return spectral.reconstruct_columns(self.spectra, self.plan.k, self.c_in)
         return self._w_low
 
     def _served_low_freq(self):
@@ -324,7 +329,8 @@ def compress_layer(x_calib, w, *, smooth="auto", **options):
 
 
 def forward_approx(x, layer, activation_bits):
-    """The approximate forward pass; the one place a layer meets activations.
+    """The approximate forward pass; the one place a layer's W' and residual
+    meet activations.
 
     With x_hat = x / lambda, `activation_bits` (2..8, checked before any
     GEMM) returns x_hat W' + dequant(quant(x_hat)) dequant(R), the served

@@ -25,8 +25,11 @@ and the total budget as integers, the strength, alpha and ratio as floats,
 so a numpy scalar or an integral float saves as the number it holds.
 `budget_meta` is the plan's own record (its `metric`, `alpha` as the
 temperature, and `ratio`), and load fills it back into the plan, as it
-fills `layer_name` into the layer's `name`. So whatever load accepts saves
-again to the same bytes.
+fills `layer_name` into the layer's `name`. Every field save writes is
+required (a missing one is a FormatError naming its dotted path), and load
+ignores fields it does not know. So for any artifact a that load accepts,
+save(load(a)) writes a's blobs byte for byte and a manifest holding a's
+value in every field (the same bytes too, for a manifest save wrote).
 
 Save and load make the same layer checks (`_check_layer`), so save never
 writes an artifact load would reject. A layer's c_in is its count of
@@ -49,9 +52,10 @@ Load raises only SpecQuantError subclasses for a malformed artifact (OSError
 if a file cannot be read): FormatError for a manifest that is not a JSON
 object of format `specquant/1`, for a residual granularity other than
 `per_channel` (a QuantizedTensor is per channel, and save writes that), and
-for a missing (named) or wrongly typed manifest field (a float field takes
-an integer only if float64 holds it exactly, and no field takes a bool for
-a number), ShapeError for sizes that disagree, DataError for invalid values.
+for a missing (named by its dotted path, such as `budget_meta.metric`) or
+wrongly typed manifest field (a float field takes an integer only if
+float64 holds it exactly, and no field takes a bool for a number),
+ShapeError for sizes that disagree, DataError for invalid values.
 """
 
 import json
@@ -271,12 +275,10 @@ def save_compressed_layer(layer, out_dir):
     return manifest
 
 
-def _typed(value, kind, name, null=False):
-    """`value` if it has JSON type `kind` (or is null, where `null` allows
-    it), else FormatError; `float` takes any number a float64 holds, an
-    integer only if it holds it exactly, and a bool is never a number."""
-    if value is None and null:
-        return None
+def _typed(value, kind, name):
+    """`value` if it has JSON type `kind`, else FormatError; `float` takes
+    any number a float64 holds, an integer only if it holds it exactly, and
+    a bool is never a number."""
     allowed = (int, float) if kind is float else kind
     if isinstance(value, allowed) and not (kind in (int, float) and isinstance(value, bool)):
         if kind is not float or isinstance(value, float):
@@ -289,24 +291,27 @@ def _typed(value, kind, name, null=False):
     raise FormatError(f"manifest field {name} must be {kind.__name__}, got {value!r}")
 
 
-def _field(obj, key, kind, name=None):
-    name = name or key
+def _field(obj, path, kind, null=False):
+    """The `_typed` value of manifest field `path` (dotted, such as
+    "plan.k") in `obj`, the object that holds it, or None for a null where
+    `null` allows it; FormatError naming `path` if it is missing."""
+    key = path.rpartition(".")[2]
     if key not in obj:
-        raise FormatError(f"manifest is missing {name}")
-    return _typed(obj[key], kind, name)
+        raise FormatError(f"manifest is missing {path}")
+    return None if null and obj[key] is None else _typed(obj[key], kind, path)
 
 
-def _array(obj, key, dtype, name):
+def _array(obj, path, dtype):
     """A manifest list of numbers as a 1-D array of `dtype`, each element
     typed by `_typed`: int64 takes only integers, and only those it holds."""
     kind = int if dtype is np.int64 else float
-    values = _field(obj, key, list, name)
+    values = _field(obj, path, list)
     if not all(type(v) is kind for v in values):  # what save writes needs no typing
-        values = [_typed(v, kind, name) for v in values]
+        values = [_typed(v, kind, path) for v in values]
     try:
         return np.array(values, dtype=dtype)
     except OverflowError:
-        raise FormatError(f"manifest field {name} holds an integer past int64") from None
+        raise FormatError(f"manifest field {path} holds an integer past int64") from None
 
 
 def _read_blob(artifact_dir, manifest, key, expected):
@@ -328,7 +333,7 @@ def load_compressed_layer(artifact_dir):
         raise FormatError(f"{path}: manifest is not valid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
-    version = manifest.get("format_version")
+    version = _field(manifest, "format_version", str)
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: format_version {version!r} is not {FORMAT_VERSION!r}")
     c_in = _field(manifest, "c_in", int)
@@ -336,14 +341,14 @@ def load_compressed_layer(artifact_dir):
     if c_in < 0 or c_out < 0:
         raise ShapeError(f"invalid dimensions c_in={c_in}, c_out={c_out}")
     plan_spec = _field(manifest, "plan", dict)
-    ks = _array(plan_spec, "k", np.int64, "plan.k")
-    rho = _array(plan_spec, "rho", np.float64, "plan.rho")
+    ks = _array(plan_spec, "plan.k", np.int64)
+    rho = _array(plan_spec, "plan.rho", np.float64)
     if ks.size != c_out or rho.size != c_out:
         raise ShapeError(f"plan length {ks.size} does not match c_out={c_out}")
     meta = _field(manifest, "budget_meta", dict)
     bits = _field(manifest, "residual_bits", int)
     rp = _field(manifest, "residual_params", dict)
-    if _field(rp, "granularity", str, "residual_params.granularity") != "per_channel":
+    if _field(rp, "residual_params.granularity", str) != "per_channel":
         raise FormatError(f"unsupported residual granularity {rp['granularity']!r}")
 
     lam_raw = _read_blob(artifact_dir, manifest, "smoothing_factors", LAMBDA_FILE)
@@ -359,9 +364,9 @@ def load_compressed_layer(artifact_dir):
     residual = QuantizedTensor(
         codes=unpack_codes(residual_raw, bits, c_in, c_out),
         bits=bits,
-        deltas=_array(rp, "delta", np.float64, "residual_params.delta"),
-        zero_points=_array(rp, "zero_point", np.float64, "residual_params.zero_point"),
-        rtn_fallback=_typed(rp.get("rtn_fallback", False), bool, "residual_params.rtn_fallback"),
+        deltas=_array(rp, "residual_params.delta", np.float64),
+        zero_points=_array(rp, "residual_params.zero_point", np.float64),
+        rtn_fallback=_field(rp, "residual_params.rtn_fallback", bool),
     )
     layer = CompressedLayer(
         smoothing=SmoothingFactors(
@@ -374,18 +379,16 @@ def load_compressed_layer(artifact_dir):
         plan=BudgetPlan(
             rho=rho,
             k=ks,
-            alpha=_field(plan_spec, "alpha", float, "plan.alpha"),
-            total_budget=_field(plan_spec, "total_budget", int, "plan.total_budget"),
-            metric=_typed(meta.get("metric"), str, "budget_meta.metric", null=True),
-            ratio=_typed(
-                meta.get("compression_ratio"), float, "budget_meta.compression_ratio", null=True
-            ),
+            alpha=_field(plan_spec, "plan.alpha", float),
+            total_budget=_field(plan_spec, "plan.total_budget", int),
+            metric=_field(meta, "budget_meta.metric", str, null=True),
+            ratio=_field(meta, "budget_meta.compression_ratio", float, null=True),
         ),
     )
     _check_layer(layer)
     # Save writes the plan's alpha as the temperature.
     alpha = layer.plan.alpha
-    temperature = _typed(meta.get("temperature", alpha), float, "budget_meta.temperature")
+    temperature = _field(meta, "budget_meta.temperature", float)
     if temperature != alpha:
         raise DataError(f"budget_meta.temperature {temperature} is not plan.alpha {alpha}")
     return layer

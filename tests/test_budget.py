@@ -181,6 +181,18 @@ class TestAllocate:
         with pytest.raises(ValueError):
             allocate(np.ones(5), 1.0, 4, 16)
 
+    @pytest.mark.parametrize("budget", [7.9, True, "7"], ids=["fraction", "bool", "string"])
+    def test_non_integer_budget_is_named(self, budget):
+        """A budget is an integer, as `groups` is: a fraction is not
+        truncated, and a bool or a string is not taken for a number."""
+        with pytest.raises(ValueError, match=f"total_budget must be an integer, got {budget!r}"):
+            allocate(np.ones(3), 1.0, budget, 8)
+
+    def test_integral_float_budget_is_its_integer(self):
+        plan = allocate(np.ones(3), 1.0, 7.0, 8)
+        assert plan.total_budget == 7 and type(plan.total_budget) is int
+        np.testing.assert_array_equal(plan.k, [3, 2, 2])
+
     @pytest.mark.parametrize("alpha", [1e308, -1e308])
     def test_overflowing_alpha_is_named_error_without_warning(self, alpha):
         """alpha * score past the float64 range would make the softmax NaN."""

@@ -397,6 +397,18 @@ def test_compare_svd_ratio_outside_unit_interval_exits_nonzero(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ratios", ["0.1,,0.3", "0.2,", "", "0.2,x"])
+def test_compare_svd_empty_or_non_number_ratio_exits_nonzero(
+    tmp_path, decay_instance, capsys, ratios
+):
+    """An empty item of --ratios is refused like a non-number, not skipped."""
+    wpath, _ = decay_instance
+    out = tmp_path / "cmp"
+    assert main(["compare-svd", "--weights", wpath, "--ratios", ratios, "--out", str(out)]) == 1
+    assert "specquant: error: could not convert string to float" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _synth(tmp_path, name, kind, rows, cols, seed):
     path = str(tmp_path / name)
     assert main([

@@ -768,10 +768,13 @@ class TestForwardApprox:
 
     def test_served_loaded_layer_holds_w_low_once_in_float32(self, tmp_path):
         """A layer that served only quantized forwards keeps no float64 W',
-        loaded or as compress returned it, though compress scored with one."""
+        loaded or as compress returned it, though compress scored with one.
+        After serving, W' and the unquantized forward are rebuilt with their
+        pre-serve bits, and neither keeps a float64 W'."""
         x, w = self._decay_fixture()
         layer = compress_layer(x, w, ratio=0.5, smooth=0.5)
         scored = layer._w_low.tobytes()
+        unquantized = forward_approx(x, layer, None).tobytes()
         sq.save_compressed_layer(layer, tmp_path)
         back = sq.load_compressed_layer(tmp_path)
         y = forward_approx(x, back, 4)
@@ -781,8 +784,10 @@ class TestForwardApprox:
         assert y.tobytes() == forward_approx(x, layer, 4).tobytes()
         assert layer._w_low is None
         # Built again on demand, the float64 W' has the bits it had.
-        assert layer.low_freq_matrix().tobytes() == scored
-        assert back.low_freq_matrix().tobytes() == scored
+        for served in (layer, back):
+            assert served.low_freq_matrix().tobytes() == scored
+            assert forward_approx(x, served, None).tobytes() == unquantized
+            assert served._w_low is None
 
     @pytest.mark.parametrize("bits", [4, None])
     def test_output_past_the_float64_range_is_non_finite_without_a_warning(self, bits):

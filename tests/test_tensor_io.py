@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -656,10 +657,29 @@ def _artifact_files():
         return {p.name: p.read_bytes() for p in Path(d).iterdir()}
 
 
-@pytest.mark.parametrize("key", sorted(json.loads(_artifact_files()[tensor_io.MANIFEST_FILE])))
-def test_missing_manifest_key_is_named(tmp_path, key):
-    with pytest.raises(FormatError, match=rf"\b{key}\b"):
-        tensor_io.load_compressed_layer(_tampered(tmp_path, lambda m: m.pop(key)))
+def _key_paths(obj, prefix=""):
+    """The dotted path of every key in the nested JSON objects of `obj`."""
+    for key, value in obj.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + key + ".")
+
+
+@pytest.mark.parametrize(
+    "path", sorted(_key_paths(json.loads(_artifact_files()[tensor_io.MANIFEST_FILE])))
+)
+def test_missing_manifest_key_is_named(tmp_path, path):
+    """Every field save writes, nested ones included, is required: load
+    names a missing one by its dotted path instead of filling it in."""
+    *parents, key = path.split(".")
+
+    def drop(manifest):
+        for parent in parents:
+            manifest = manifest[parent]
+        del manifest[key]
+
+    with pytest.raises(FormatError, match=rf"\b{re.escape(path)}\b"):
+        tensor_io.load_compressed_layer(_tampered(tmp_path, drop))
 
 
 _json_values = st.recursive(
@@ -753,7 +773,8 @@ def _set_pad_nibble(files):
 def test_fuzzed_artifact_raises_only_named_errors(files):
     """What loads is a valid layer, and it saves back to the same bytes: the
     same three blobs, and the same value on every manifest leaf that save
-    writes and the input holds (a bool is not the number 1)."""
+    writes, each of which the input holds, as load fills in none (a bool is
+    not the number 1)."""
     with tempfile.TemporaryDirectory() as d:
         for name, data in files.items():
             Path(d, name).write_bytes(data)
@@ -766,8 +787,8 @@ def test_fuzzed_artifact_raises_only_named_errors(files):
             assert Path(d, "again", name).read_bytes() == files[name], name
     given = _leaves(json.loads(files[tensor_io.MANIFEST_FILE]))
     for path, leaf in _leaves(written).items():
-        if path in given:
-            assert (type(given[path]) is bool, given[path]) == (type(leaf) is bool, leaf), path
+        assert path in given, path
+        assert (type(given[path]) is bool, given[path]) == (type(leaf) is bool, leaf), path
 
 
 class TestStorageAccounting:
