@@ -56,9 +56,9 @@ def _check_metric(metric):
 
 def _check_alpha(alpha):
     """`alpha` must be a real number finite as a float64 (an int past the
-    float64 range is not)."""
+    float64 range is not, nor is a bool)."""
     try:
-        finite = isinstance(alpha, numbers.Real) and math.isfinite(alpha)
+        finite = _is_number(alpha) and math.isfinite(alpha)
     except OverflowError:
         finite = False
     if not finite:

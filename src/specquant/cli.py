@@ -70,9 +70,6 @@ def cmd_compress(args):
         residual_quant=args.residual_quant,
     )
     layer.name = args.layer_name
-    w_hat = layer.smoothing.lam[:, None] * w
-    trunc = w_hat - layer.low_freq_matrix()
-    achieved = norm(trunc, axis=0)
     # The energy unit is an even power of two, so the bound's root rescales exactly.
     total, retained, tail = layer.energy
     bound = np.ldexp(np.sqrt(tail), layer.energy_unit_log2 // 2)
@@ -86,8 +83,8 @@ def cmd_compress(args):
         "total_retained_bins": total_bins,
         "achieved_bin_ratio": total_bins / (layer.c_out * half) if layer.c_out else 0.0,
         "bits_per_parameter": 8 * tensor_io.stored_bytes(layer) / params if params else 0.0,
-        "truncation_error_frobenius": float(norm(trunc)),
-        "reconstruction_error_frobenius": float(norm(trunc - quant.dequantize(layer.residual))),
+        "truncation_error_frobenius": layer.truncation_error,
+        "reconstruction_error_frobenius": layer.reconstruction_error,
         "forward_error_highprec": layer.forward_error,
         "residual_rtn_fallback": bool(layer.residual.rtn_fallback),
         "energy_unit_log2": layer.energy_unit_log2,
@@ -101,7 +98,7 @@ def cmd_compress(args):
             "retained_energy": float(retained[j]),
             "tail_energy": float(tail[j]),
             "error_bound": float(bound[j]),
-            "achieved_error": float(achieved[j]),
+            "achieved_error": float(layer.achieved_error[j]),
         }
         for j in range(layer.c_out)
     ]

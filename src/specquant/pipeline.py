@@ -24,8 +24,11 @@ one quantized product: x_hat is rounded to its per-token codes in its own
 buffer and multiplied by the residual codes in one GEMM on the integers.
 It serves TILE rows at a time, so a long batch holds only one tile's
 temporaries. Unquantized, it is the single float64 GEMM x_hat (W' +
-dequant(R)) that the strength search scores. A budget-matched truncated
-SVD of the same matrix acts as the baseline for error comparisons.
+dequant(R)), `_unquantized`, which the strength search scores each
+candidate with on the W' it has just rebuilt. No layer holds a float64 W':
+the search's own dies with the search, and the layer rebuilds it from its
+spectra on demand. A budget-matched truncated SVD of the same matrix acts
+as the baseline for error comparisons.
 
 This module only composes the stages: `budget.bin_budget` owns the bin
 budget, and `tensor_io` the rules of what an artifact can hold. A layer's
@@ -73,15 +76,18 @@ class CompressedLayer:
     in units of 2^energy_unit_log2 (`spectral.band_energies` picks the
     unit). `forward_error` is ||X W - forward_approx(X, layer, None)||_F,
     the score the strength search gave the layer on its calibration set X.
-    The search sets both, the energies for its winner only; both are None
-    on a loaded layer, which keeps neither the dropped bins nor X. The only
-    float64 W' a layer ever stores is the one the strength search scored it
-    with; the first served forward casts W' (that one, or one rebuilt from
-    the spectra) to its float32 operand and drops the float64 one, so a
-    layer that has served holds W' only in float32, whatever made it.
-    `low_freq_matrix` rebuilds the same bits on demand and keeps none of
-    them. The residual stays in its codes. `tensor_io`
-    refuses to save or load a layer its format cannot hold. `name` is the
+    `achieved_error` is ||W_hat_j - W'_j|| per channel j, with W_hat =
+    lambda W, `truncation_error` ||W_hat - W'||_F and
+    `reconstruction_error` ||W_hat - W' - dequant(R)||_F. The search sets
+    these, `forward_error` on every candidate and the rest on its winner
+    only; a loaded layer, which keeps neither the dropped bins, W nor X,
+    has them None (and `energy_unit_log2` 0).
+
+    A layer holds no float64 W', whatever made it: `low_freq_matrix`
+    rebuilds it from the stored spectra on each call, to the same bits, and
+    keeps none of them, and the first served forward keeps W' only as its
+    float32 operand. The residual stays in its codes. `tensor_io` refuses
+    to save or load a layer its format cannot hold. `name` is the
     artifact's `layer_name`.
     """
 
@@ -93,7 +99,9 @@ class CompressedLayer:
     energy: np.ndarray | None = field(default=None, init=False, repr=False)
     energy_unit_log2: int = field(default=0, init=False, repr=False)
     forward_error: float | None = field(default=None, init=False, repr=False)
-    _w_low: np.ndarray | None = field(default=None, init=False, repr=False)
+    achieved_error: np.ndarray | None = field(default=None, init=False, repr=False)
+    truncation_error: float | None = field(default=None, init=False, repr=False)
+    reconstruction_error: float | None = field(default=None, init=False, repr=False)
     _w_low_f32: tuple | None = field(default=None, init=False, repr=False)
 
     @property
@@ -105,21 +113,17 @@ class CompressedLayer:
         return self.plan.k.size
 
     def low_freq_matrix(self):
-        """Dense float64 W': the strength search's, while the layer holds it,
-        else rebuilt from the stored spectra, to the same bits, and not kept."""
-        if self._w_low is None:
-            return spectral.reconstruct_columns(self.spectra, self.plan.k, self.c_in)
-        return self._w_low
+        """Dense float64 W', rebuilt from the stored spectra on each call and
+        not kept: the bits the strength search scored the layer with."""
+        return spectral.reconstruct_columns(self.spectra, self.plan.k, self.c_in)
 
     def _served_low_freq(self):
         """(W' / 2^e as float32, e), e the (1, c_out) frexp exponents of each
         column's max|W'|: the operand of the served W' branch, computed once
-        from the float64 W', which the layer then drops. So a layer that has
-        served holds W' only in float32, whatever made it."""
+        from one rebuilt W', which is then freed."""
         if self._w_low_f32 is None:
             scaled, exp = pow2_units(self.low_freq_matrix(), axis=0)
             self._w_low_f32 = scaled.astype(np.float32), exp
-            self._w_low = None
         return self._w_low_f32
 
 
@@ -154,10 +158,7 @@ def _check_pair(x_calib, w):
 
 def _channel_ranges(x, w):
     """max|X[:,j]| and max|W[j,:]| per input channel j (0 for an empty side)."""
-    c_in = w.shape[0]
-    act = np.abs(x).max(axis=0) if x.shape[0] else np.zeros(c_in)
-    wgt = np.abs(w).max(axis=1) if w.shape[1] else np.zeros(c_in)
-    return act, wgt
+    return np.abs(x).max(axis=0, initial=0.0), np.abs(w).max(axis=1, initial=0.0)
 
 
 def _smoothing_factors(act, wgt, s):
@@ -203,11 +204,11 @@ def apply_smoothing(x, w, factors):
 
 def _check_strengths(grid):
     """The distinct strengths of `grid` in ascending order, each a number
-    in [0, 1]; checked before anything is compressed."""
+    in [0, 1] (a bool is not one); checked before anything is compressed."""
     strengths = set()
     for v in () if grid is None else grid:
         try:
-            s = float(v)
+            s = None if isinstance(v, (bool, np.bool_)) else float(v)
         except (TypeError, ValueError):
             s = None
         if s is None or not 0.0 <= s <= 1.0:
@@ -242,11 +243,16 @@ def select_migration_strength(
     channel ranges. Each candidate then runs only the work that depends on
     its strength (`compress_at`): the transform, the plan, the truncation,
     the W' rebuild and the residual quantization.
-    It is scored as `layer.forward_error`, ||X W - forward_approx(X, layer,
-    None)||_F on the calibration set, which `validation.norm` takes in
-    power-of-two units of the error itself, so the score stays finite
-    wherever the norm is. Ties go to the smaller strength. Only the winner
-    gets its report energies; its plan records `metric` and `float(ratio)`.
+    It is scored, once `compress_at` has freed its residual buffer, as
+    `layer.forward_error`, ||X W - X_hat (W' + dequant(R))||_F on the
+    calibration set with the W' `compress_at` rebuilt: the product and the
+    bits of `forward_approx(X, layer, None)`, which `validation.norm` takes
+    in power-of-two units of the error itself, so the score stays finite
+    wherever the norm is. Ties go to the smaller strength. Only the
+    winner's spectrum and W' outlive the loop: the winner gets its report
+    energies and errors (`achieved_error`, `truncation_error`,
+    `reconstruction_error`, from W_hat - W' formed in W''s buffer), and no
+    W' stays on the layer. Its plan records `metric` and `float(ratio)`.
     """
     strengths = _check_strengths(grid)
     x, w = _check_pair(x_calib, w)
@@ -269,8 +275,8 @@ def select_migration_strength(
         plan = allocate(scores, alpha, budget, c_in)
         plan.metric, plan.ratio = metric, None if ratio is None else float(ratio)
         spectra = spectral.truncate_columns(spec, plan.k, c_in)
-        # W' is rebuilt from the stored (amplitude, phase) values, so the
-        # layer cached here and one loaded from its artifact hold the same bits.
+        # W' is rebuilt from the stored (amplitude, phase) values, so the W'
+        # scored here and the one a loaded layer rebuilds have the same bits.
         w_low = spectral.reconstruct_columns(spectra, plan.k, c_in)
         residual = np.subtract(w_hat, w_low, out=w_hat)  # w_hat is not read again
         if residual_quant == "compensated":
@@ -278,19 +284,22 @@ def select_migration_strength(
             q = quant.quantize_residual_compensated(residual, residual_bits, x_hat)
         else:
             q = quant.quantize(residual, residual_bits)
-        layer = CompressedLayer(smoothing=factors, spectra=spectra, residual=q, plan=plan)
-        layer._w_low = w_low
-        return layer, spec
+        return CompressedLayer(factors, spectra, q, plan), spec, w_low
 
     best = None
     for factors in candidates:
-        layer, spec = compress_at(factors)
-        layer.forward_error = float(norm(reference - forward_approx(x, layer, None)))
+        # Scored once compress_at has returned, so its residual buffer is freed.
+        layer, spec, w_low = compress_at(factors)
+        layer.forward_error = float(norm(reference - _unquantized(x, layer, w_low)))
         if best is None or layer.forward_error < best[0].forward_error:
-            best = layer, spec
-        del layer, spec  # a losing candidate is freed before the next one runs
-    layer, spec = best
+            best = layer, spec, w_low
+        del layer, spec, w_low  # a losing candidate is freed before the next one runs
+    layer, spec, w_low = best
     layer.energy, layer.energy_unit_log2 = spectral.band_energies(spec, layer.plan.k, c_in)
+    # W_hat - W' in W''s buffer, W_hat formed as `apply_smoothing` forms it.
+    trunc = np.subtract(layer.smoothing.lam[:, None] * w, w_low, out=w_low)
+    layer.achieved_error, layer.truncation_error = norm(trunc, axis=0), float(norm(trunc))
+    layer.reconstruction_error = float(norm(trunc - quant.dequantize(layer.residual)))
     return layer
 
 
@@ -352,26 +361,35 @@ def forward_approx(x, layer, activation_bits):
     with, so the product takes no second pass.
 
     `activation_bits=None` is the unquantized forward, the single float64
-    GEMM x_hat (W' + dequant(R)) that `select_migration_strength` scores.
-    Either way a loaded and an in-memory layer give the same bits. Past the
+    GEMM x_hat (W' + dequant(R)) that `select_migration_strength` scores
+    (`_unquantized`); it rebuilds W' from the layer's spectra, after x_hat
+    is checked, and keeps none of it. Either way a loaded and an in-memory
+    layer give the same bits. Past the
     float64 range either mode's output is non-finite, with no warning, as
     `validation.norm`'s is; the caller refuses it by name.
     """
     x = as_matrix(x, "x")
     if x.shape[1] != layer.c_in:
         raise ValueError(f"x has {x.shape[1]} columns, layer expects {layer.c_in}")
-    bits = None if activation_bits is None else quant._check_bits(activation_bits, "activation_bits")
+    if activation_bits is None:
+        return _unquantized(x, layer)
+    bits = quant._check_bits(activation_bits, "activation_bits")
+    y = np.empty((x.shape[0], layer.c_out))
     with np.errstate(over="ignore", invalid="ignore"):
-        if bits is None:
-            x_hat, _, _ = _smoothed(x, layer)
-            # W' + dequant(R), summed in place in dequant(R)'s buffer (the same bits).
-            w_full = quant.dequantize(layer.residual)
-            w_full += layer.low_freq_matrix()
-            return x_hat @ w_full
-        y = np.empty((x.shape[0], layer.c_out))
         for t in range(0, x.shape[0], TILE):
             _served(x[t : t + TILE], layer, bits, y[t : t + TILE])
     return y
+
+
+def _unquantized(x, layer, w_low=None):
+    """x_hat (W' + dequant(R)), the unquantized forward: one float64 GEMM.
+    W' is `w_low`, else the layer's, rebuilt once x_hat is checked."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_hat, _, _ = _smoothed(x, layer)
+        # W' + dequant(R), summed in place in dequant(R)'s buffer (the same bits).
+        w_full = quant.dequantize(layer.residual)
+        w_full += layer.low_freq_matrix() if w_low is None else w_low
+        return x_hat @ w_full
 
 
 def _smoothed(x, layer):
@@ -421,8 +439,8 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
     the SVD side gets the same budget rounded down to whole singular triplets
     of c_in + c_out + 1 reals, so 0 <= B_spectral - B_svd < c_in + c_out + 1
     (the slack is reported); a budget below one triplet is refused before
-    the transform, like a bad ratio, metric or alpha. Neither approximation
-    is rebuilt: by Parseval the spectral error is the root of the summed
+    the transform, like an empty `ratios`, a bad ratio, metric or alpha.
+    Neither approximation is rebuilt: by Parseval the spectral error is the root of the summed
     tail energies, scaled back from their unit, and by Eckart-Young-Mirsky
     the rank-k SVD error is the norm of the trailing singular values. The
     transform, the importance scores and the singular values are computed
@@ -431,6 +449,8 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
     """
     w = as_matrix(w_hat, "w_hat")
     c_in, c_out = w.shape
+    if len(ratios) == 0:
+        raise ValueError("ratios must be non-empty")
     budgets = [bin_budget(c_in, c_out, ratio=ratio) for ratio in ratios]
     _check_metric(metric)
     _check_alpha(alpha)

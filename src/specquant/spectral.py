@@ -350,13 +350,15 @@ def _check_columns(half_spec, k, n):
 
 
 def _check_counts(k, shape, n):
-    """Per-channel retained counts broadcast to `shape`, each in [1, n // 2 + 1]."""
+    """Per-channel retained counts broadcast to `shape`, each an integer in
+    [1, n // 2 + 1]; an integral float such as 8.0 is one, a bool is not."""
     if n < 1:
         raise ValueError(f"signal length must be at least 1, got {n}")
-    ks = np.broadcast_to(np.asarray(k, dtype=np.int64), shape)
-    if ((ks < 1) | (ks > half_spectrum_length(n))).any():
-        raise ValueError(f"k={k} outside [1, {half_spectrum_length(n)}]")
-    return ks
+    ks, half = np.asarray(k), half_spectrum_length(n)
+    # NaN and inf fail the range test, a bool or a string the dtype test.
+    if not (ks.dtype.kind in "iuf" and ((ks >= 1) & (ks <= half) & (ks == np.trunc(ks))).all()):
+        raise ValueError(f"k={k!r} must be integer counts in [1, {half}]")
+    return np.broadcast_to(ks.astype(np.int64, copy=False), shape)
 
 
 def truncate_columns(half_spec, k, n):

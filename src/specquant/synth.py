@@ -56,8 +56,9 @@ def _pow(base, exp):
 
 
 def _check_size(n, name):
-    """`n` if it is a non-negative integer, else ValueError naming `name`."""
-    if not (isinstance(n, numbers.Integral) and n >= 0):
+    """`n` if it is a non-negative integer (not a bool), else ValueError
+    naming `name`."""
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0):
         raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
     return n
 

@@ -12,7 +12,7 @@ import pytest
 import specquant as sq
 from specquant import pipeline, quant, spectral, synth, tensor_io
 from specquant.cli import main
-from specquant.validation import pow2_units
+from specquant.validation import norm, pow2_units
 
 
 def _npy(path, arr):
@@ -508,6 +508,25 @@ def test_synth_bad_sizes_are_named(tmp_path, capsys, kind, rows, cols, extra, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: synth.smooth_decay_layer(True, 2), "c_in must be a non-negative integer"),
+        (lambda: synth.smooth_decay_layer(4, False), "c_out must be a non-negative integer"),
+        (lambda: synth.outlier_activations(4, 3, num_outliers=True),
+         "num_outliers must be a non-negative integer, got True"),
+        (lambda: synth.outlier_activations(True, 3), "rows must be a non-negative integer"),
+        (lambda: synth.gaussian_matrix(2, np.bool_(True)), "cols must be a non-negative integer"),
+    ],
+    ids=["c_in", "c_out", "num_outliers", "rows", "cols-numpy-bool"],
+)
+def test_synth_bool_sizes_are_named(call, message):
+    """A bool is not a size: refused by the argument's name, as a negative
+    size is, where numpy would take it for 0 or 1 or fail on it unnamed."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("decay", ["-2000", "nan"])
 def test_synth_non_finite_decay_exits_nonzero(tmp_path, capsys, decay):
     """Named error and exit 1, no RuntimeWarning (pytest runs with warnings
@@ -585,30 +604,52 @@ def test_report_forward_error_is_the_search_score(
     tmp_path, decay_instance, monkeypatch, smooth, candidates
 ):
     """The report's forward error is the score the strength search gave the
-    saved layer: one unquantized forward per candidate, none of the
-    command's own."""
+    saved layer: one unquantized product per candidate, on the W' the search
+    had just built, and no forward, W' rebuild or dequantization of the
+    command's own. It is, bit for bit, the unquantized forward error of the
+    layer loaded from the artifact."""
     wpath, xpath = decay_instance
-    saved, forwards = [], []
-    save, forward = tensor_io.save_compressed_layer, pipeline.forward_approx
+    saved, products = [], []
+    calls = dict.fromkeys(("forward_approx", "low_freq_matrix", "dequantize"), 0)
+    save, product = tensor_io.save_compressed_layer, pipeline._unquantized
 
     def saving(layer, *args, **kwargs):
         saved.append(layer)
         return save(layer, *args, **kwargs)
 
-    def forwarding(x, layer, activation_bits):
-        forwards.append(activation_bits)
-        return forward(x, layer, activation_bits)
+    def scoring(x, layer, w_low=None):
+        products.append(w_low is not None)
+        return product(x, layer, w_low)
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
 
     monkeypatch.setattr(tensor_io, "save_compressed_layer", saving)
-    monkeypatch.setattr(pipeline, "forward_approx", forwarding)
+    monkeypatch.setattr(pipeline, "_unquantized", scoring)
+    count(pipeline, "forward_approx")
+    count(pipeline.CompressedLayer, "low_freq_matrix")
+    count(quant, "dequantize")
     out = tmp_path / "art"
     assert main([
         "compress", "--weights", wpath, "--calib", xpath, "--ratio", "0.25",
         "--smooth", smooth, "--out", str(out),
     ]) == 0
-    assert forwards == [None] * candidates
+    assert products == [True] * candidates
+    # One dequantization per score, and one for the reconstruction error.
+    assert calls == {"forward_approx": 0, "low_freq_matrix": 0, "dequantize": candidates + 1}
     report = json.loads((out / "report.json").read_text())
     assert report["summary"]["forward_error_highprec"] == saved[0].forward_error
+    monkeypatch.undo()
+    x, w = tensor_io.load_matrix(xpath), tensor_io.load_matrix(wpath)
+    loaded = tensor_io.load_compressed_layer(out)
+    unquantized = pipeline.forward_approx(x, loaded, None)
+    assert report["summary"]["forward_error_highprec"] == float(norm(x @ w - unquantized))
 
 
 @pytest.mark.parametrize("smooth, candidates", [("0.5", 1), ("auto", 9)])

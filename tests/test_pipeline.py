@@ -109,6 +109,12 @@ class TestSmoothing:
         xh, _ = apply_smoothing(x, w, f)
         assert np.abs(xh).max() < np.abs(x).max()
 
+    def test_smoothing_length_must_match_both_sides(self):
+        f = compute_smoothing(np.ones((3, 4)), np.ones((4, 2)), 0.5)
+        for x, w in ((np.ones((3, 5)), np.ones((4, 2))), (np.ones((3, 4)), np.ones((5, 2)))):
+            with pytest.raises(ValueError, match="smoothing factor length does not match"):
+                apply_smoothing(x, w, f)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             compute_smoothing(np.ones((3, 4)), np.ones((5, 2)), 0.5)
@@ -286,13 +292,15 @@ class TestMigrationStrength:
             (dict(groups="2"), "groups must be an integer"),
             (dict(ratio=True), "ratio must lie in"),
             (dict(groups=True), "groups must be an integer"),
+            (dict(ratio=0.5, alpha=True), "alpha must be finite"),
+            (dict(groups=2, alpha=np.bool_(True)), "alpha must be finite"),
         ],
         ids=[
             "bits-1", "bits-9", "metric", "metric-groups", "alpha-nan", "alpha-inf",
             "alpha-nan-groups", "alpha-past-float64", "quantizer", "ratio", "ratio-and-groups",
             "bits-4.9",
             "bits-str", "bits-none", "alpha-str", "alpha-str-groups", "ratio-str", "groups-str",
-            "ratio-bool", "groups-bool",
+            "ratio-bool", "groups-bool", "alpha-bool", "alpha-numpy-bool",
         ],
     )
     def test_bad_option_rejected_before_any_compress(self, monkeypatch, entry, options, message):
@@ -306,7 +314,7 @@ class TestMigrationStrength:
         assert calls == {"fft_columns": 0}
 
     @pytest.mark.parametrize("entry", ["fixed", "search"])
-    @pytest.mark.parametrize("strength", [1.5, "lots", None])
+    @pytest.mark.parametrize("strength", [1.5, "lots", None, True, False, np.bool_(True)])
     def test_bad_strength_rejected_before_any_compress(self, monkeypatch, entry, strength):
         """A fixed strength is checked like a grid, before the inputs."""
         calls = _count(monkeypatch, (spectral, "fft_columns"))
@@ -428,6 +436,54 @@ class TestCompressLayer:
         np.testing.assert_array_equal(layer.spectra[:, 0], 0.0)
         np.testing.assert_array_equal(quant.dequantize(layer.residual), np.zeros((8, 3)))
 
+    @pytest.mark.parametrize("budget", [{"ratio": 0.5}, {"groups": 2}])
+    @pytest.mark.parametrize("residual_quant", ["rtn", "compensated"])
+    @pytest.mark.parametrize("smooth", [0.5, "auto"])
+    def test_zero_output_channels(self, monkeypatch, tmp_path, budget, residual_quant, smooth):
+        """A (6, 0) layer compresses to an empty plan, spectra and residual,
+        with zero errors, saves, loads and gives (tokens, 0) outputs in both
+        forward modes; the allocation and the compensated quantizer take
+        their empty-shape returns."""
+        x = np.random.default_rng(14).normal(size=(5, 6))
+        calls = _count(
+            monkeypatch, (pipeline, "allocate"), (quant, "quantize_residual_compensated")
+        )
+        layer = compress_layer(
+            x, np.zeros((6, 0)), smooth=smooth, residual_quant=residual_quant, **budget
+        )
+        candidates = 1 if smooth == 0.5 else len(DEFAULT_SMOOTH_GRID)
+        assert calls == {
+            "allocate": candidates,
+            "quantize_residual_compensated": candidates * (residual_quant == "compensated"),
+        }
+        assert layer.plan.k.shape == (0,) and layer.spectra.shape == (0, 2)
+        assert layer.residual.codes.shape == (6, 0) and layer.energy.shape == (3, 0)
+        assert layer.forward_error == layer.truncation_error == layer.reconstruction_error == 0.0
+        assert layer.achieved_error.shape == (0,)
+        sq.save_compressed_layer(layer, tmp_path)
+        back = sq.load_compressed_layer(tmp_path)
+        assert back.residual.rtn_fallback == layer.residual.rtn_fallback
+        for lay in (layer, back):
+            for bits in (None, 4):
+                assert forward_approx(x, lay, bits).shape == (5, 0)
+
+    def test_non_finite_or_wrong_ndim_input_is_named(self):
+        x, w = np.ones((4, 8)), np.ones((8, 3))
+        for bad_x, bad_w, message in (
+            (np.where(np.eye(4, 8), np.nan, x), w, "x_calib contains non-finite values"),
+            (x, np.where(np.eye(8, 3), np.inf, w), "w contains non-finite values"),
+            (x[0], w, "x_calib must be 2-D"),
+            (x, w[:, 0], "w must be 2-D"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                compress_layer(bad_x, bad_w, ratio=0.5, smooth=0.5)
+        layer = compress_layer(x, w, ratio=0.5, smooth=0.5)
+        for bits in (None, 4):
+            with pytest.raises(ValueError, match="x must be 2-D"):
+                forward_approx(x[0], layer, bits)
+            with pytest.raises(ValueError, match="x contains non-finite values"):
+                forward_approx(np.full((2, 8), np.nan), layer, bits)
+
     def test_groups_mode_fixed_k(self):
         x = np.random.default_rng(13).normal(size=(10, 32))
         w = np.random.default_rng(14).normal(size=(32, 5))
@@ -548,12 +604,12 @@ class TestCompressLayer:
 @st.composite
 def _contract_cases(draw):
     """(x, w, compress options, forward input) over the finite-input grid:
-    c_in from 1 to 106, power-of-two scales 2^-1070 to 2^1020, zeroed
-    activation columns and weight rows, both quantizers, fixed and auto
-    strengths. The forward input is the calibration set. At c_in = 106 the
+    c_in from 1 to 106, c_out from 0 to 4, power-of-two scales 2^-1070 to
+    2^1020, zeroed activation columns and weight rows, both quantizers,
+    fixed and auto strengths. The forward input is the calibration set. At c_in = 106 the
     half-length transform is one 53-point Bluestein leaf."""
     c_in = draw(st.sampled_from([1, 2, 3, 5, 16, 53, 106]))
-    c_out = draw(st.integers(1, 4))
+    c_out = draw(st.integers(0, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = np.ldexp(rng.normal(size=(draw(st.integers(1, 8)), c_in)), draw(st.integers(-1070, 1020)))
     w = np.ldexp(rng.normal(size=(c_in, c_out)), draw(st.integers(-1070, 1020)))
@@ -767,27 +823,41 @@ class TestForwardApprox:
         assert y[0, 0] == pytest.approx((x @ w)[0, 0], rel=0.02)
 
     def test_served_loaded_layer_holds_w_low_once_in_float32(self, tmp_path):
-        """A layer that served only quantized forwards keeps no float64 W',
-        loaded or as compress returned it, though compress scored with one.
-        After serving, W' and the unquantized forward are rebuilt with their
-        pre-serve bits, and neither keeps a float64 W'."""
+        """A layer that served only quantized forwards holds W' once, as its
+        float32 operand, loaded or as compress returned it. After serving,
+        W' and the unquantized forward are rebuilt with their pre-serve bits,
+        the ones compress scored the layer with, and neither is kept."""
         x, w = self._decay_fixture()
         layer = compress_layer(x, w, ratio=0.5, smooth=0.5)
-        scored = layer._w_low.tobytes()
-        unquantized = forward_approx(x, layer, None).tobytes()
+        scored = layer.low_freq_matrix().tobytes()
+        unquantized = forward_approx(x, layer, None)
+        assert layer.forward_error == float(norm(x @ w - unquantized))
         sq.save_compressed_layer(layer, tmp_path)
         back = sq.load_compressed_layer(tmp_path)
         y = forward_approx(x, back, 4)
-        assert back._w_low is None
         w32, exp = back._w_low_f32
         assert w32.dtype == np.float32 and w32.shape == (16, 8) and exp.shape == (1, 8)
         assert y.tobytes() == forward_approx(x, layer, 4).tobytes()
-        assert layer._w_low is None
-        # Built again on demand, the float64 W' has the bits it had.
         for served in (layer, back):
+            assert _dense_float64(served) == []
             assert served.low_freq_matrix().tobytes() == scored
-            assert forward_approx(x, served, None).tobytes() == unquantized
-            assert served._w_low is None
+            assert forward_approx(x, served, None).tobytes() == unquantized.tobytes()
+            assert _dense_float64(served) == []
+
+    @pytest.mark.parametrize("budget", [{"ratio": 0.4}, {"groups": 3}])
+    @pytest.mark.parametrize("residual_quant", ["rtn", "compensated"])
+    @pytest.mark.parametrize("smooth", [0.5, "auto"])
+    def test_no_layer_holds_a_float64_w_low(self, budget, residual_quant, smooth):
+        """Right after compress returns, after the unquantized forward and
+        after a serve, no array reachable from the layer is a float64
+        (c_in, c_out) matrix: the search's W' dies with the search."""
+        x, w = self._decay_fixture()
+        layer = compress_layer(x, w, smooth=smooth, residual_quant=residual_quant, **budget)
+        assert _dense_float64(layer) == []
+        forward_approx(x, layer, None)
+        assert _dense_float64(layer) == []
+        forward_approx(x, layer, 4)
+        assert layer._w_low_f32 is not None and _dense_float64(layer) == []
 
     @pytest.mark.parametrize("bits", [4, None])
     def test_output_past_the_float64_range_is_non_finite_without_a_warning(self, bits):
@@ -852,7 +922,7 @@ class TestForwardApprox:
         with pytest.raises(ValueError, match="activation_bits must"):
             forward_approx(x, back, bits)
         assert calls == {"low_freq_matrix": 0, "matmul": 0}
-        assert back._w_low is None and back._w_low_f32 is None
+        assert back._w_low_f32 is None and _dense_float64(back) == []
 
     def test_long_batch_is_served_tile_by_tile(self, monkeypatch):
         """389 rows, three full tiles and a partial one, give the bits of
@@ -867,6 +937,28 @@ class TestForwardApprox:
         calls = _count(monkeypatch, (quant, "matmul"))
         assert forward_approx(x, layer, 4).tobytes() == np.vstack(tiles).tobytes()
         assert calls == {"matmul": 4}
+
+
+def _dense_float64(layer):
+    """Every float64 (c_in, c_out) array reachable from `layer`, through its
+    attributes, containers and array bases."""
+    found, seen, todo = [], set(), [layer]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.dtype == np.float64 and obj.shape == (layer.c_in, layer.c_out):
+                found.append(obj)
+            todo.append(obj.base)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    return found
 
 
 def _float32_w_low_branch(x_hat, w_low):
@@ -993,6 +1085,13 @@ class TestCompareBudgets:
         assert rec.budget_bins == layer.plan.total_budget == 8 * 33
         with pytest.raises(ValueError, match="one retained bin per channel"):
             compare_budgets(w, [0.01])
+
+    def test_empty_sweep_rejected_before_transform_and_svd(self, monkeypatch):
+        w = synth.smooth_decay_layer(16, 4, decay=1.5, seed=0)
+        calls = _count(monkeypatch, (spectral, "fft_columns"), (np.linalg, "svd"))
+        with pytest.raises(ValueError, match="ratios must be non-empty"):
+            compare_budgets(w, [])
+        assert calls == {"fft_columns": 0, "svd": 0}
 
     @pytest.mark.parametrize(
         "options, message",

@@ -393,6 +393,59 @@ def test_truncate_k_out_of_range():
 
 
 @pytest.mark.parametrize(
+    "k", [3.7, True, 2.5, np.bool_(True), [2, 2.5], np.array([True]), "3", np.nan, np.inf]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda hs, k: truncate_columns(hs, k, 16),
+        lambda hs, k: band_energies(hs, k, 16),
+        lambda hs, k: reconstruct_columns(np.zeros((3, 2)), k, 16),
+    ],
+    ids=["truncate_columns", "band_energies", "reconstruct_columns"],
+)
+def test_counts_must_be_integers(call, k):
+    """A bool or non-integral count is refused by name, where a cast would
+    keep floor(k) bins or one bin per True."""
+    hs = fft_columns(np.arange(16.0)[:, None])
+    with pytest.raises(ValueError, match=r"must be integer counts in \[1, 9\]"):
+        call(hs, k)
+
+
+def test_integral_float_counts_are_counts():
+    """8.0 counts as 8, as it does in `budget`: the same bins and energies."""
+    hs = fft_columns(np.arange(32.0).reshape(16, 2))
+    assert np.array_equal(truncate_columns(hs, 8.0, 16), truncate_columns(hs, 8, 16))
+    assert np.array_equal(band_energies(hs, [8.0, 3.0], 16)[0], band_energies(hs, [8, 3], 16)[0])
+    bins = truncate_columns(hs, 8, 16)
+    assert np.array_equal(
+        reconstruct_columns(bins, np.array([8.0, 8.0]), 16), reconstruct_columns(bins, [8, 8], 16)
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fft(np.array([])), "x must have at least 1 element"),
+        (lambda: fft(np.array([1.0, np.nan])), "x contains non-finite values"),
+        (lambda: fft(np.ones((2, 2))), "x must be 1-D"),
+        (lambda: fft_columns(np.zeros((0, 3))), "columns must have at least 1 element"),
+        (lambda: fft_columns(np.ones(4)), "w must be 2-D"),
+        (lambda: reconstruct_columns(np.zeros((3, 2)), [2, 2], 8), r"expected a \(4, 2\) array"),
+        (lambda: reconstruct_columns(np.zeros(8), [2, 2], 8), r"expected a \(4, 2\) array"),
+        (lambda: band_energies(np.full((5, 1), np.inf), 1, 8), "half-spectra contain non-finite"),
+    ],
+    ids=[
+        "fft-empty", "fft-nan", "fft-2d", "fft_columns-empty-column", "fft_columns-1d",
+        "reconstruct-rows", "reconstruct-1d", "band_energies-inf",
+    ],
+)
+def test_bad_transform_input_is_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda hs: truncate_columns(hs, 1, 8),
