@@ -1,13 +1,12 @@
 """Channel importance metrics, bin budgets and softmax budget allocation."""
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .validation import as_matrix, norm, pow2_units
+from .validation import as_matrix, norm, pow2_units, scalar
 
 METRICS = ("abs-mean", "abs-max", "l2-norm", "spectral-entropy")
 DEFAULT_METRIC = "spectral-entropy"
@@ -54,17 +53,6 @@ def _check_metric(metric):
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
 
 
-def _check_alpha(alpha):
-    """`alpha` must be a real number finite as a float64 (an int past the
-    float64 range is not, nor is a bool)."""
-    try:
-        finite = _is_number(alpha) and math.isfinite(alpha)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
-
-
 def importance(w_smoothed, metric=DEFAULT_METRIC, *, spectrum=None):
     """Score the output channels of a (smoothed) weight matrix; returns one
     float64 score per column.
@@ -90,33 +78,21 @@ def importance(w_smoothed, metric=DEFAULT_METRIC, *, spectrum=None):
 def bin_budget(c_in, c_out, *, ratio=None, groups=None):
     """Global retained-bin budget of a c_in x c_out layer.
 
-    Exactly one of `ratio` and `groups` must be set. A ratio in (0, 1] gives
-    floor(ratio * c_out * (c_in // 2 + 1)) bins, which must cover one bin per
-    channel; an integral `groups` in [1, c_in // 2 + 1] gives groups * c_out.
-    A bool is neither.
+    Exactly one of `ratio` and `groups` must be set, each as
+    `validation.scalar` takes it. A ratio in (0, 1] gives
+    floor(ratio * c_out * (c_in // 2 + 1)) bins, floored in float64 whatever
+    numpy scalar the ratio came as, which must cover one bin per channel; an
+    integer `groups` in [1, c_in // 2 + 1] gives groups * c_out.
     """
     if (ratio is None) == (groups is None):
         raise ValueError("exactly one of ratio and groups must be set")
     half = spectral.half_spectrum_length(c_in)
     if groups is not None:
-        if not (_is_integer(groups) and 1 <= groups <= half):
-            raise ValueError(f"groups must be an integer in [1, {half}], got {groups!r}")
-        return int(groups) * c_out
-    if not (_is_number(ratio) and 0.0 < ratio <= 1.0):
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio!r}")
-    total = math.floor(ratio * c_out * half)
+        return scalar(groups, "groups", 1, half, integer=True) * c_out
+    total = math.floor(scalar(ratio, "ratio", 0, 1, open_lo=True) * c_out * half)
     if total < c_out:
         raise ValueError(f"budget {total} below one retained bin per channel (c_out={c_out})")
     return total
-
-
-def _is_number(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _is_integer(v):
-    """A number (not a bool) whose value is an integer, such as 7 or 7.0."""
-    return _is_number(v) and (isinstance(v, numbers.Integral) or float(v).is_integer())
 
 
 def _deal(count, order, room):
@@ -146,17 +122,15 @@ def allocate(scores, alpha, total_budget, c_in):
     taken back the same way in the mirrored order, down to one per channel.
     Equal scores split the budget evenly within the caps: budget // c_out
     bins each, one more for the first budget % c_out channels, as `groups` uses.
-    An alpha * score past the float64 range, which would make the softmax
-    NaN, raises ValueError, as does a `total_budget` that is not an integer
-    (an integral float such as 7.0 is one; a bool or a string is not).
+    `alpha` (finite) and `total_budget` (an integer) are taken by
+    `validation.scalar`; an alpha * score past the float64 range, which
+    would make the softmax NaN, raises ValueError.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
         raise ValueError("scores must be 1-D")
-    _check_alpha(alpha)
-    if not _is_integer(total_budget):
-        raise ValueError(f"total_budget must be an integer, got {total_budget!r}")
-    total_budget = int(total_budget)
+    alpha = scalar(alpha, "alpha")
+    total_budget = scalar(total_budget, "total_budget", integer=True)
     c_out = s.size
     if total_budget < c_out:
         raise ValueError(
@@ -164,11 +138,11 @@ def allocate(scores, alpha, total_budget, c_in):
         )
     if c_out == 0:
         return BudgetPlan(
-            rho=np.zeros(0), k=np.zeros(0, dtype=np.int64), alpha=float(alpha), total_budget=0
+            rho=np.zeros(0), k=np.zeros(0, dtype=np.int64), alpha=alpha, total_budget=0
         )
     cap = spectral.half_spectrum_length(c_in)
     with np.errstate(over="ignore"):
-        z = float(alpha) * s
+        z = alpha * s
     if not np.isfinite(z).all():
         raise ValueError(f"alpha={alpha} times the importance scores is past the float64 range")
     # Scores spread past the float64 range give -inf here, whose exp is the
@@ -183,4 +157,4 @@ def allocate(scores, alpha, total_budget, c_in):
     order = np.lexsort((np.arange(c_out), -s))
     k += _deal(max(short, 0), order, cap - k)
     k -= _deal(max(-short, 0), order[::-1], k - 1)
-    return BudgetPlan(rho=rho, k=k, alpha=float(alpha), total_budget=total_budget)
+    return BudgetPlan(rho=rho, k=k, alpha=alpha, total_budget=total_budget)

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, pipeline, quant, spectral, synth, tensor_io
 from .budget import DEFAULT_METRIC, METRICS, spectral_entropy
 from .errors import DataError, ShapeError, SpecQuantError
-from .validation import norm
+from .validation import norm, scalar
 
 
 def _json_text(payload):
@@ -58,6 +58,12 @@ def _run_config(args):
 def cmd_compress(args):
     w = tensor_io.load_matrix(args.weights)
     x = tensor_io.load_matrix(args.calib)
+    # --smooth goes in as a float where it reads as one; the library takes no
+    # other text than "auto", and refuses the rest by name.
+    try:
+        smooth = float(args.smooth)
+    except ValueError:
+        smooth = args.smooth
     layer = pipeline.compress_layer(
         x,
         w,
@@ -66,7 +72,7 @@ def cmd_compress(args):
         metric=args.metric,
         alpha=args.alpha,
         residual_bits=args.residual_bits,
-        smooth=args.smooth,
+        smooth=smooth,
         residual_quant=args.residual_quant,
     )
     layer.name = args.layer_name
@@ -162,7 +168,7 @@ def cmd_compare_svd(args):
 
 
 def cmd_eval_matmul(args):
-    bits = quant._check_bits(args.act_bits)
+    bits = scalar(args.act_bits, "act_bits", 2, 8, integer=True)
     w = tensor_io.load_matrix(args.weights)
     x = tensor_io.load_matrix(args.calib)
     layer = tensor_io.load_compressed_layer(args.artifact)

@@ -41,9 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quant, spectral
-from .budget import DEFAULT_METRIC, BudgetPlan, allocate, bin_budget, importance
-from .budget import _check_alpha, _check_metric
-from .validation import as_matrix, norm, pow2_units
+from .budget import DEFAULT_METRIC, BudgetPlan, _check_metric, allocate, bin_budget, importance
+from .validation import as_matrix, norm, pow2_units, scalar
 
 DEFAULT_SMOOTH_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # Rows per tile of the served forward and of `eval-matmul`: the served batch
@@ -204,16 +203,9 @@ def apply_smoothing(x, w, factors):
 
 def _check_strengths(grid):
     """The distinct strengths of `grid` in ascending order, each a number
-    in [0, 1] (a bool is not one); checked before anything is compressed."""
-    strengths = set()
-    for v in () if grid is None else grid:
-        try:
-            s = None if isinstance(v, (bool, np.bool_)) else float(v)
-        except (TypeError, ValueError):
-            s = None
-        if s is None or not 0.0 <= s <= 1.0:
-            raise ValueError(f"smoothing migration strength must be a number in [0, 1], got {v!r}")
-        strengths.add(s)
+    in [0, 1]; checked before anything is compressed."""
+    grid = () if grid is None else grid
+    strengths = {scalar(v, "smoothing migration strength", 0, 1) for v in grid}
     if not strengths:
         raise ValueError("migration strength grid must be non-empty")
     return sorted(strengths)
@@ -236,13 +228,14 @@ def select_migration_strength(
     `layer.smoothing.migration_strength`. The keyword options, with their
     only defaults, are those `compress_layer` documents.
 
-    The grid (non-empty, every value a number in [0, 1]; duplicates count
-    once), the inputs, the options, the reference X W (ValueError past the
-    float64 range) and every candidate's lambda are checked before any
-    transform, and taken once for the search, with the bin budget and the
-    channel ranges. Each candidate then runs only the work that depends on
-    its strength (`compress_at`): the transform, the plan, the truncation,
-    the W' rebuild and the residual quantization.
+    The grid (non-empty, every value a number in [0, 1] as
+    `validation.scalar` takes it; duplicates count once), the inputs, the
+    options, the reference X W (ValueError past the float64 range) and
+    every candidate's lambda are checked before any transform, and taken
+    once for the search, with the bin budget and the channel ranges. Each
+    candidate then runs only the work that depends on its strength
+    (`compress_at`): the transform, the plan, the truncation, the W'
+    rebuild and the residual quantization.
     It is scored, once `compress_at` has freed its residual buffer, as
     `layer.forward_error`, ||X W - X_hat (W' + dequant(R))||_F on the
     calibration set with the W' `compress_at` rebuilt: the product and the
@@ -259,8 +252,8 @@ def select_migration_strength(
     c_in, c_out = w.shape
     budget = bin_budget(c_in, c_out, ratio=ratio, groups=groups)
     _check_metric(metric)
-    _check_alpha(alpha)
-    quant._check_bits(residual_bits, "residual_bits")
+    alpha = scalar(alpha, "alpha")
+    residual_bits = scalar(residual_bits, "residual_bits", 2, 8, integer=True)
     if residual_quant not in RESIDUAL_QUANTIZERS:
         raise ValueError(f"unknown residual quantizer {residual_quant!r}")
     reference = _product(x, w)
@@ -316,7 +309,9 @@ def compress_layer(x_calib, w, *, smooth="auto", **options):
     """Compress one layer: smooth, truncate per channel, quantize the residual.
 
     The keyword options, checked before any transform (a misspelled one
-    raises TypeError):
+    raises TypeError); each scalar is taken once by `validation.scalar`, so
+    a numpy scalar counts as its Python value, an integral float such as
+    4.0 as an integer, and a bool or a string as neither:
 
     - `ratio` or `groups`: exactly one sets the bin budget
       (`budget.bin_budget`). The importance metric distributes a ratio's
@@ -328,10 +323,11 @@ def compress_layer(x_calib, w, *, smooth="auto", **options):
     - `residual_bits` (an integer in 2..8, default 4) and `residual_quant`
       (one of RESIDUAL_QUANTIZERS, default rtn): the residual quantizer.
     - `smooth`: a migration strength in [0, 1], or "auto" (the default),
-      for DEFAULT_SMOOTH_GRID. Either way this is one
-      `select_migration_strength` call, a fixed strength being the
-      one-point grid, so every layer comes back with its `forward_error`.
-      A fixed strength is checked before the inputs.
+      for DEFAULT_SMOOTH_GRID. A strength is a number; text such as "0.5"
+      is refused by name (the CLI converts `--smooth` itself). Either way
+      this is one `select_migration_strength` call, a fixed strength being
+      the one-point grid, so every layer comes back with its
+      `forward_error`. A fixed strength is checked before the inputs.
     """
     grid = DEFAULT_SMOOTH_GRID if smooth == "auto" else [smooth]
     return select_migration_strength(x_calib, w, grid, **options)
@@ -373,7 +369,7 @@ def forward_approx(x, layer, activation_bits):
         raise ValueError(f"x has {x.shape[1]} columns, layer expects {layer.c_in}")
     if activation_bits is None:
         return _unquantized(x, layer)
-    bits = quant._check_bits(activation_bits, "activation_bits")
+    bits = scalar(activation_bits, "activation_bits", 2, 8, integer=True)
     y = np.empty((x.shape[0], layer.c_out))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(0, x.shape[0], TILE):
@@ -453,7 +449,7 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
         raise ValueError("ratios must be non-empty")
     budgets = [bin_budget(c_in, c_out, ratio=ratio) for ratio in ratios]
     _check_metric(metric)
-    _check_alpha(alpha)
+    alpha = scalar(alpha, "alpha")
     per_rank = c_in + c_out + 1
     for ratio, budget_bins in zip(ratios, budgets):
         # `allocate` spends exactly a ratio's budget, so B_spectral is known here.

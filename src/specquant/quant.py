@@ -36,13 +36,12 @@ GEMM over the earlier rows of the batch, and rank-one updates only inside a
 sub-batch.
 """
 
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .validation import as_matrix, pow2_units
+from .validation import as_matrix, pow2_units, scalar
 
 # Diagonal damping for the error-compensated scheme, as a fraction of the
 # mean Gram diagonal.
@@ -125,15 +124,6 @@ class _ColumnFold(NamedTuple):
     exp: np.ndarray
 
 
-def _check_bits(bits, name="bits"):
-    """`bits` as an int: a number of integral value in [2, 8]."""
-    if not (isinstance(bits, numbers.Real) and 2 <= bits <= 8):
-        raise ValueError(f"{name} must lie in [2, 8], got {bits!r}")
-    if bits != int(bits):
-        raise ValueError(f"{name} must be an integer, got {bits!r}")
-    return int(bits)
-
-
 def _slice_params(lo, hi, bits):
     """Vectorized per-slice (deltas, zero_points) of slices spanning [lo, hi]."""
     qmax = 2**bits - 1
@@ -181,7 +171,7 @@ def quantize(x, bits, granularity="per_channel"):
     if granularity != "per_channel":
         raise ValueError(f"unknown granularity {granularity!r}: quantize is per_channel only")
     x = as_matrix(x, "x")
-    bits = _check_bits(bits)
+    bits = scalar(bits, "bits", 2, 8, integer=True)
     # An empty column has the range [0, 0].
     lo, hi = (x.min(axis=0), x.max(axis=0)) if x.size else (np.zeros(x.shape[1]),) * 2
     deltas, zps = _slice_params(lo, hi, bits)
@@ -240,7 +230,7 @@ def matmul(x, bits, b, *, out=None, ranges=None):
     - za (colsum(Cb) - K zb), rounds terms of the size of the codes, which
     cancel to far less when codes sit on a zero point that is not an integer.
     """
-    bits = _check_bits(bits)
+    bits = scalar(bits, "bits", 2, 8, integer=True)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"x must be 2-D, got {x.ndim}-D")
@@ -348,23 +338,25 @@ def quantize_residual_compensated(r, bits, x_calib):
     round-to-nearest. Greedy compensation can occasionally lose to RTN by a
     sliver, and channels are independent in the weighted objective, so each
     channel keeps whichever of the two code vectors scores lower on
-    ||X (r - dequant)||; the result is never worse than RTN. An empty matrix,
-    an all-zero or token-free X, or a Gram that Cholesky rejects triggers a
-    fallback to plain RTN, flagged on the result.
+    ||X (r - dequant)||; the result is never worse than RTN. An empty matrix
+    comes back as its RTN codes, unflagged, as nothing was there to
+    compensate; an all-zero or token-free X, or a Gram that Cholesky
+    rejects, triggers a fallback to plain RTN, flagged on the result.
     """
     r = as_matrix(r, "r")
-    bits = _check_bits(bits)
+    bits = scalar(bits, "bits", 2, 8, integer=True)
     x = as_matrix(x_calib, "x_calib")
     c_in, c_out = r.shape
     if x.shape[1] != c_in:
         raise ValueError(
             f"calibration activations have {x.shape[1]} channels, expected {c_in}"
         )
-    # The RTN candidate, returned as it is by every fallback below.
+    # The RTN candidate: an empty matrix has nothing to compensate, and
+    # every fallback below returns it flagged.
     q = quantize(r, bits)
-    q.rtn_fallback = True
     if c_in == 0 or c_out == 0:
         return q
+    q.rtn_fallback = True
 
     # From here on x, r and the deltas are in power-of-two units.
     xs = pow2_units(x)[0]

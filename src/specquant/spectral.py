@@ -57,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .validation import as_matrix, as_vector, pow2_units
+from .validation import as_matrix, as_vector, pow2_units, scalar
 
 
 def half_spectrum_length(n):
@@ -351,12 +351,22 @@ def _check_columns(half_spec, k, n):
 
 def _check_counts(k, shape, n):
     """Per-channel retained counts broadcast to `shape`, each an integer in
-    [1, n // 2 + 1]; an integral float such as 8.0 is one, a bool is not."""
+    [1, n // 2 + 1]. An integer ndarray, such as a plan's k, is taken as it
+    is; anything else is taken element by element by `validation.scalar`,
+    so an integral float such as 8.0 is a count and a bool is not."""
     if n < 1:
         raise ValueError(f"signal length must be at least 1, got {n}")
-    ks, half = np.asarray(k), half_spectrum_length(n)
-    # NaN and inf fail the range test, a bool or a string the dtype test.
-    if not (ks.dtype.kind in "iuf" and ((ks >= 1) & (ks <= half) & (ks == np.trunc(ks))).all()):
+    half = half_spectrum_length(n)
+    ks = k
+    if not (isinstance(k, np.ndarray) and k.dtype.kind in "iu"):
+        # As objects, so that a bool in a list is not cast to an integer first.
+        items = np.asarray(k, dtype=object)
+        try:
+            ks = [scalar(v, "k", 1, half, integer=True) for v in items.flat]
+            ks = np.reshape(ks, items.shape)
+        except ValueError:
+            ks = None
+    if ks is None or not ((ks >= 1) & (ks <= half)).all():
         raise ValueError(f"k={k!r} must be integer counts in [1, {half}]")
     return np.broadcast_to(ks.astype(np.int64, copy=False), shape)
 
@@ -457,9 +467,9 @@ def lowband_fraction(half_spec, n, band=0.2):
     Each channel's amplitudes are taken in units of the power of two at its
     largest bin, an exact rescaling that keeps the energies from overflowing
     or underflowing, so the fraction does not depend on the channel's scale.
+    `band` is a number in (0, 1], as `validation.scalar` takes it.
     """
-    if not 0.0 < band <= 1.0:
-        raise ValueError("band must lie in (0, 1]")
+    band = scalar(band, "band", 0, 1, open_lo=True)
     half = half_spectrum_length(n)
     k = max(1, int(band * half))
     amp = pow2_units(np.abs(half_spec), axis=0)[0]

@@ -1,15 +1,17 @@
 """Seeded synthetic instances for experiments and acceptance checks.
 
-Every size is checked first: a negative one, or more outlier columns than
-columns, raises ValueError naming the argument.
+Every size and scalar is checked first, by `validation.scalar`: a size is a
+non-negative integer (8.0 is 8), `decay` and `magnitude` are finite and
+`scale` is a finite number >= 0. Anything else, or more outlier columns
+than columns, raises ValueError naming the argument.
 """
 
 import math
-import numbers
 
 import numpy as np
 
 from . import spectral
+from .validation import scalar
 
 
 def smooth_decay_layer(c_in, c_out, *, decay=2.0, seed=0):
@@ -18,10 +20,12 @@ def smooth_decay_layer(c_in, c_out, *, decay=2.0, seed=0):
     Channel j is synthesized from a half-spectrum with amplitudes
     A_0 = C_j and A_m = C_j / m^decay, random phases, and C_j drawn
     uniformly from [0.5, 2). By construction |fft(column)[m]| reproduces those
-    amplitudes exactly, so C_j is recoverable as |fft(column)[1]|.
+    amplitudes exactly, so C_j is recoverable as |fft(column)[1]|. The
+    sizes are non-negative integers and `decay` is finite; a decay so
+    extreme that the weights are not finite raises ValueError.
     """
-    _check_size(c_in, "c_in")
-    _check_size(c_out, "c_out")
+    c_in, c_out = _size(c_in, "c_in"), _size(c_out, "c_out")
+    decay = scalar(decay, "decay")
     rng = np.random.default_rng(seed)
     half = spectral.half_spectrum_length(c_in)
     real_bins = set(spectral._real_bin_indices(c_in))
@@ -55,20 +59,22 @@ def _pow(base, exp):
         return math.inf
 
 
-def _check_size(n, name):
-    """`n` if it is a non-negative integer (not a bool), else ValueError
-    naming `name`."""
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0):
-        raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
-    return n
+def _size(n, name):
+    """`n` as an int if it is a non-negative integer, else ValueError."""
+    return scalar(n, name, 0, integer=True)
 
 
 def outlier_activations(rows, c_in, *, magnitude=100.0, num_outliers=1, seed=0):
-    """Standard-normal activations with a few columns blown up by `magnitude`."""
-    _check_size(rows, "rows")
-    _check_size(c_in, "c_in")
-    if _check_size(num_outliers, "num_outliers") > c_in:
+    """Standard-normal activations with a few columns blown up by `magnitude`.
+
+    The sizes are non-negative integers, at most c_in outlier columns, and
+    `magnitude` is finite.
+    """
+    rows, c_in = _size(rows, "rows"), _size(c_in, "c_in")
+    num_outliers = _size(num_outliers, "num_outliers")
+    if num_outliers > c_in:
         raise ValueError(f"num_outliers must be at most c_in = {c_in}, got {num_outliers}")
+    magnitude = scalar(magnitude, "magnitude")
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, (rows, c_in))
     cols = rng.choice(c_in, size=num_outliers, replace=False)
@@ -77,7 +83,9 @@ def outlier_activations(rows, c_in, *, magnitude=100.0, num_outliers=1, seed=0):
 
 
 def gaussian_matrix(rows, cols, *, scale=1.0, seed=0):
-    _check_size(rows, "rows")
-    _check_size(cols, "cols")
+    """Normal entries of standard deviation `scale`, a finite number >= 0;
+    the sizes are non-negative integers."""
+    rows, cols = _size(rows, "rows"), _size(cols, "cols")
+    scale = scalar(scale, "scale", 0)
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, scale, (rows, cols))

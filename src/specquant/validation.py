@@ -1,13 +1,48 @@
 """Input coercion and exact rescaling shared by the numeric modules.
 
 Matrices are 2-D row-major float64 arrays; vectors are 1-D float64 arrays.
-Everything is validated to be finite on the way in so the math never has to
-re-check. `norm` squares in power-of-two units, an exact rescaling that
-keeps the sum inside the float64 range for any finite input; only a norm
-that is itself past the range comes out inf.
+Scalar options become Python floats or ints through `scalar`, the one rule
+of what counts as a number, an integer or a size. Everything is validated
+to be finite on the way in so the math never has to re-check. `norm`
+squares in power-of-two units, an exact rescaling that keeps the sum inside
+the float64 range for any finite input; only a norm that is itself past the
+range comes out inf.
 """
 
+import math
+import numbers
+
 import numpy as np
+
+
+def scalar(v, name, lo=-math.inf, hi=math.inf, *, integer=False, open_lo=False):
+    """`v` as a Python float, or with `integer` an int: a real number (a
+    numpy scalar too, but not a bool or a string), finite as a float64, in
+    [lo, hi] ((lo, hi] with `open_lo`) and, with `integer`, integral, such
+    as 7 or 7.0. Anything else raises ValueError naming `name`, what it must
+    be and `v`."""
+    x = None
+    if isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)):
+        try:
+            f = float(v)
+        except OverflowError:  # an int past the float64 range
+            f = math.inf
+        if math.isfinite(f) and (not integer or f.is_integer()):
+            x = int(v) if integer else f
+    if x is None or not (lo < x <= hi or (x == lo and not open_lo)):
+        raise ValueError(f"{name} must {_requirement(lo, hi, integer, open_lo)}, got {v!r}")
+    return x
+
+
+def _requirement(lo, hi, integer, open_lo):
+    """What `scalar` requires, as the end of "<name> must ..."."""
+    if integer and (lo, hi) == (0, math.inf):
+        return "be a non-negative integer"
+    if (lo, hi) == (-math.inf, math.inf):
+        return "be an integer" if integer else "be finite"
+    left = "(" if open_lo or lo == -math.inf else "["
+    right = ")" if hi == math.inf else "]"
+    return f"{'be an integer in' if integer else 'lie in'} {left}{lo}, {hi}{right}"
 
 
 def as_matrix(a, name="matrix"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specquant.budget import METRICS, allocate, bin_budget, importance
+from specquant.budget import METRICS, BudgetPlan, allocate, bin_budget, importance
 from specquant.spectral import half_spectrum_length
 
 from oracles import allocate_round_robin
@@ -180,6 +180,19 @@ class TestAllocate:
     def test_budget_below_channel_count_rejected(self):
         with pytest.raises(ValueError):
             allocate(np.ones(5), 1.0, 4, 16)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: allocate(np.ones((2, 3)), 1.0, 6, 8), "scores must be 1-D"),
+            (lambda: BudgetPlan(rho=np.ones(3), k=np.ones(2), alpha=1.0, total_budget=2),
+             "rho and k must have equal length"),
+        ],
+        ids=["allocate-2d-scores", "plan-lengths-differ"],
+    )
+    def test_malformed_plan_input_is_named(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     @pytest.mark.parametrize("budget", [7.9, True, "7"], ids=["fraction", "bool", "string"])
     def test_non_integer_budget_is_named(self, budget):

@@ -342,9 +342,13 @@ def test_bad_smooth_value_exits_nonzero(tmp_path, decay_instance, capsys):
     assert "smooth" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("smooth", ["1.5", "nan", "lots"])
+@pytest.mark.parametrize(
+    "smooth, shown",
+    [("1.5", "1.5"), ("nan", "nan"), ("lots", "'lots'")],
+    ids=["1.5", "nan", "lots"],
+)
 def test_bad_smooth_value_exits_before_any_transform(
-    tmp_path, decay_instance, counted, capsys, smooth
+    tmp_path, decay_instance, counted, capsys, smooth, shown
 ):
     wpath, xpath = decay_instance
     out = tmp_path / "o"
@@ -355,7 +359,7 @@ def test_bad_smooth_value_exits_before_any_transform(
     ])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"smoothing migration strength must be a number in [0, 1], got '{smooth}'" in err
+    assert f"smoothing migration strength must lie in [0, 1], got {shown} [validation.py:" in err
     assert counted["fft_columns"] == 0
     assert not out.exists()
 
@@ -381,7 +385,8 @@ def test_eval_matmul_checks_act_bits_before_loading(
         "--artifact", str(art), "--act-bits", act_bits, "--out", str(out),
     ])
     assert rc == 1
-    assert f"specquant: error: bits must lie in [2, 8], got {act_bits}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"specquant: error: act_bits must be an integer in [2, 8], got {act_bits}" in err
     assert loads == []
     assert not out.exists()
 
@@ -488,14 +493,17 @@ def test_synth_zero_rows_exits_nonzero(tmp_path, capsys):
     "kind, rows, cols, extra, message",
     [
         ("outlier-activations", "8", "16", ["--num-outliers", "20"],
-         "num_outliers must be at most c_in = 16, got 20"),
+         "num_outliers must be at most c_in = 16, got 20 [synth.py:"),
         ("outlier-activations", "8", "16", ["--num-outliers", "-1"],
-         "num_outliers must be a non-negative integer, got -1"),
-        ("outlier-activations", "-3", "16", [], "rows must be a non-negative integer, got -3"),
-        ("gaussian", "-3", "4", [], "rows must be a non-negative integer, got -3"),
-        ("gaussian", "4", "-3", [], "cols must be a non-negative integer, got -3"),
-        ("smooth-decay", "-3", "4", [], "c_in must be a non-negative integer, got -3"),
-        ("smooth-decay", "4", "-3", [], "c_out must be a non-negative integer, got -3"),
+         "num_outliers must be a non-negative integer, got -1 [validation.py:"),
+        ("outlier-activations", "-3", "16", [],
+         "rows must be a non-negative integer, got -3 [validation.py:"),
+        ("gaussian", "-3", "4", [], "rows must be a non-negative integer, got -3 [validation.py:"),
+        ("gaussian", "4", "-3", [], "cols must be a non-negative integer, got -3 [validation.py:"),
+        ("smooth-decay", "-3", "4", [],
+         "c_in must be a non-negative integer, got -3 [validation.py:"),
+        ("smooth-decay", "4", "-3", [],
+         "c_out must be a non-negative integer, got -3 [validation.py:"),
     ],
 )
 def test_synth_bad_sizes_are_named(tmp_path, capsys, kind, rows, cols, extra, message):
@@ -504,7 +512,7 @@ def test_synth_bad_sizes_are_named(tmp_path, capsys, kind, rows, cols, extra, me
     out = tmp_path / "m.npy"
     rc = main(["synth", "--kind", kind, "--rows", rows, "--cols", cols, *extra, "--out", str(out)])
     assert rc == 1
-    assert f"specquant: error: {message} [synth.py:" in capsys.readouterr().err
+    assert f"specquant: error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -527,8 +535,45 @@ def test_synth_bool_sizes_are_named(call, message):
         call()
 
 
-@pytest.mark.parametrize("decay", ["-2000", "nan"])
-def test_synth_non_finite_decay_exits_nonzero(tmp_path, capsys, decay):
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: synth.outlier_activations(4, 3, magnitude=np.nan), "magnitude must be finite"),
+        (lambda: synth.outlier_activations(4, 3, magnitude=np.inf), "magnitude must be finite"),
+        (lambda: synth.outlier_activations(4, 3, magnitude=True), "magnitude must be finite"),
+        (lambda: synth.gaussian_matrix(4, 3, scale=np.nan), r"scale must lie in \[0, inf\)"),
+        (lambda: synth.gaussian_matrix(4, 3, scale=-1), r"scale must lie in \[0, inf\)"),
+        (lambda: synth.smooth_decay_layer(8, 2, decay="2"), "decay must be finite"),
+    ],
+    ids=["magnitude-nan", "magnitude-inf", "magnitude-bool", "scale-nan", "scale-negative",
+         "decay-str"],
+)
+def test_synth_bad_scalars_are_named(call, message):
+    """A scale that would give a non-finite matrix, or that numpy refuses
+    unnamed, is refused by the argument's name."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_synth_integral_float_sizes_are_sizes():
+    """8.0 is the size 8, as it is for `groups` and `residual_bits`."""
+    for make, sizes in (
+        (synth.smooth_decay_layer, (8, 2)),
+        (synth.outlier_activations, (4, 3)),
+        (synth.gaussian_matrix, (4, 3)),
+    ):
+        expected = make(*sizes)
+        assert make(*(float(n) for n in sizes)).tobytes() == expected.tobytes()
+    x = synth.outlier_activations(4, 3, num_outliers=2.0)
+    assert x.tobytes() == synth.outlier_activations(4, 3, num_outliers=2).tobytes()
+
+
+@pytest.mark.parametrize(
+    "decay, message",
+    [("-2000", "decay=-2000.0 gives"), ("nan", "decay must be finite, got nan")],
+    ids=["-2000", "nan"],
+)
+def test_synth_non_finite_decay_exits_nonzero(tmp_path, capsys, decay, message):
     """Named error and exit 1, no RuntimeWarning (pytest runs with warnings
     as errors) and no file."""
     out = tmp_path / "w.npy"
@@ -537,7 +582,7 @@ def test_synth_non_finite_decay_exits_nonzero(tmp_path, capsys, decay):
         "--decay", decay, "--out", str(out),
     ])
     assert rc == 1
-    assert f"specquant: error: decay={float(decay)} gives" in capsys.readouterr().err
+    assert f"specquant: error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

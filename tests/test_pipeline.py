@@ -272,8 +272,8 @@ class TestMigrationStrength:
     @pytest.mark.parametrize(
         "options, message",
         [
-            (dict(ratio=0.5, residual_bits=1), "bits must lie in"),
-            (dict(ratio=0.5, residual_bits=9), "bits must lie in"),
+            (dict(ratio=0.5, residual_bits=1), "residual_bits must be an integer in"),
+            (dict(ratio=0.5, residual_bits=9), "residual_bits must be an integer in"),
             (dict(ratio=0.5, metric="bogus"), "unknown metric"),
             (dict(groups=2, metric="bogus"), "unknown metric"),
             (dict(ratio=0.5, alpha=float("nan")), "alpha must be finite"),
@@ -284,8 +284,8 @@ class TestMigrationStrength:
             (dict(ratio=1.5), "ratio must lie in"),
             (dict(ratio=0.5, groups=2), "exactly one of ratio and groups"),
             (dict(ratio=0.5, residual_bits=4.9), "residual_bits must be an integer"),
-            (dict(ratio=0.5, residual_bits="4"), "residual_bits must lie in"),
-            (dict(ratio=0.5, residual_bits=None), "residual_bits must lie in"),
+            (dict(ratio=0.5, residual_bits="4"), "residual_bits must be an integer in"),
+            (dict(ratio=0.5, residual_bits=None), "residual_bits must be an integer in"),
             (dict(ratio=0.5, alpha="1"), "alpha must be finite"),
             (dict(groups=2, alpha="1"), "alpha must be finite"),
             (dict(ratio="0.5"), "ratio must lie in"),
@@ -314,11 +314,11 @@ class TestMigrationStrength:
         assert calls == {"fft_columns": 0}
 
     @pytest.mark.parametrize("entry", ["fixed", "search"])
-    @pytest.mark.parametrize("strength", [1.5, "lots", None, True, False, np.bool_(True)])
+    @pytest.mark.parametrize("strength", [1.5, "lots", None, True, False, np.bool_(True), "0.5"])
     def test_bad_strength_rejected_before_any_compress(self, monkeypatch, entry, strength):
         """A fixed strength is checked like a grid, before the inputs."""
         calls = _count(monkeypatch, (spectral, "fft_columns"))
-        with pytest.raises(ValueError, match="smoothing migration strength must be a number"):
+        with pytest.raises(ValueError, match=r"smoothing migration strength must lie in \[0, 1\]"):
             if entry == "fixed":
                 compress_layer(np.ones((2, 3)), np.ones((4, 2)), ratio=0.5, smooth=strength)
             else:
@@ -460,6 +460,8 @@ class TestCompressLayer:
         assert layer.residual.codes.shape == (6, 0) and layer.energy.shape == (3, 0)
         assert layer.forward_error == layer.truncation_error == layer.reconstruction_error == 0.0
         assert layer.achieved_error.shape == (0,)
+        # Nothing was there to compensate, so nothing fell back.
+        assert layer.residual.rtn_fallback is False
         sq.save_compressed_layer(layer, tmp_path)
         back = sq.load_compressed_layer(tmp_path)
         assert back.residual.rtn_fallback == layer.residual.rtn_fallback
@@ -575,6 +577,19 @@ class TestCompressLayer:
             compress_layer(x, w, ratio=0.5, groups=2, smooth=0.5)
         with pytest.raises(ValueError):
             compress_layer(x, w, smooth=0.5)
+
+    def test_numpy_float32_ratio_budget_is_floored_in_float64(self, tmp_path):
+        """A float32 ratio is taken as its float64 value once: the plan keeps
+        the floor(0.17499999701976776 * 8 * 65) = 90 bins a float64 floor
+        gives, not the 91 of a float32 product, and save, which checks the
+        recorded ratio against the plan, takes it."""
+        rng = np.random.default_rng(40)
+        x, w = rng.normal(size=(32, 128)), rng.normal(size=(128, 8))
+        layer = compress_layer(x, w, ratio=np.float32(0.175), smooth=0.5)
+        assert layer.plan.total_budget == int(layer.plan.k.sum()) == 90
+        assert layer.plan.ratio == float(np.float32(0.175))
+        sq.save_compressed_layer(layer, tmp_path)
+        assert sq.load_compressed_layer(tmp_path).plan.total_budget == 90
 
     def test_fractional_groups_rejected(self):
         """groups=2.7 is a named error, not a silent 2 bins per channel."""
@@ -897,7 +912,7 @@ class TestForwardApprox:
         with pytest.raises(ValueError):
             forward_approx(np.ones((2, 5)), layer, 4)
         for bits in (1, 9, 17):
-            with pytest.raises(ValueError, match="bits must lie in"):
+            with pytest.raises(ValueError, match="activation_bits must be an integer in"):
                 forward_approx(np.ones((2, 4)), layer, bits)
 
     def test_activations_past_the_float64_range_after_smoothing_are_named(self):

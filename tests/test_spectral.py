@@ -261,11 +261,15 @@ def test_smooth_decay_layer_matches_per_channel_cosine_sum(c_in, c_out):
     assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("decay", [-2000.0, np.nan])
-def test_smooth_decay_layer_rejects_a_non_finite_decay_result(decay):
-    """A decay whose amplitudes overflow (c / 0 at -2000) or are NaN raises a
-    ValueError naming it, with no RuntimeWarning on the way."""
-    with pytest.raises(ValueError, match=f"decay={decay}"):
+@pytest.mark.parametrize(
+    "decay, message",
+    [(-2000.0, "decay=-2000.0 gives"), (np.nan, "decay must be finite, got nan")],
+    ids=["-2000.0", "nan"],
+)
+def test_smooth_decay_layer_rejects_a_non_finite_decay_result(decay, message):
+    """A decay whose amplitudes overflow (c / 0 at -2000) or that is NaN
+    raises a ValueError naming it, with no RuntimeWarning on the way."""
+    with pytest.raises(ValueError, match=message):
         synth.smooth_decay_layer(8, 3, decay=decay)
 
 
@@ -393,7 +397,9 @@ def test_truncate_k_out_of_range():
 
 
 @pytest.mark.parametrize(
-    "k", [3.7, True, 2.5, np.bool_(True), [2, 2.5], np.array([True]), "3", np.nan, np.inf]
+    "k",
+    [3.7, True, 2.5, np.bool_(True), [2, 2.5], np.array([True]), "3", np.nan, np.inf,
+     [True, 2], [np.True_, 2]],
 )
 @pytest.mark.parametrize(
     "call",
@@ -410,6 +416,15 @@ def test_counts_must_be_integers(call, k):
     hs = fft_columns(np.arange(16.0)[:, None])
     with pytest.raises(ValueError, match=r"must be integer counts in \[1, 9\]"):
         call(hs, k)
+
+
+@pytest.mark.parametrize("band", [0, 1.5, np.nan, True, np.bool_(True), "0.5", None])
+def test_lowband_fraction_band_is_a_number_in_the_unit_interval(band):
+    """A band is refused by name unless it is a number in (0, 1]: a bool is
+    not a band of 1.0, and text is not converted."""
+    hs = fft_columns(np.arange(32.0).reshape(16, 2))
+    with pytest.raises(ValueError, match=r"band must lie in \(0, 1\], got"):
+        spectral.lowband_fraction(hs, 16, band=band)
 
 
 def test_integral_float_counts_are_counts():

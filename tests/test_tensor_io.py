@@ -122,9 +122,10 @@ class TestCodePacking:
         assert len(blob) == codes.size
         np.testing.assert_array_equal(tensor_io.unpack_codes(blob, bits, 4, 6), codes)
 
-    def test_wrong_blob_size_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor_io.unpack_codes(b"\x00\x00", 4, 4, 4)
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_wrong_blob_size_rejected(self, bits):
+        with pytest.raises(ShapeError, match="residual blob holds"):
+            tensor_io.unpack_codes(b"\x00\x00", bits, 4, 4)
 
 
 def _example_layer(seed=0, c_in=16, c_out=6, ratio=0.4):
@@ -395,11 +396,13 @@ class TestLoadHardening:
             (_set(["c_in"], None), FormatError),
             (_set(["c_in"], "abc"), FormatError),
             (_set(["c_in"], True), FormatError),
+            (_set(["c_in"], -1), ShapeError),
             (_set(["c_out"], 6.0), FormatError),
             (_set(["residual_bits"], 1), DataError),
             (_set(["migration_strength"], 10**400), FormatError),
             (_set(["plan", "k"], [1, 2, "3", 1, 1, 1]), FormatError),
             (_set(["plan", "k"], [[1], [2]]), FormatError),
+            (_set(["plan", "k"], [2**63, 1, 1, 1, 1, 1]), FormatError),
             (_set(["plan", "rho"], [0.5, [0.5]]), FormatError),
             (_set(["plan", "k"], [0, 1, 1, 1, 1, 1]), ShapeError),
             (_set(["plan", "k"], [1, 1, 1]), ShapeError),
@@ -417,9 +420,9 @@ class TestLoadHardening:
             (_set(["budget_meta", "compression_ratio"], "0.4"), FormatError),
         ],
         ids=[
-            "plan-list", "c_in-null", "c_in-str", "c_in-bool", "c_out-float", "bits-1",
-            "strength-huge", "k-str", "k-nested", "rho-ragged", "k-zero", "k-short",
-            "params-str", "fallback-int", "spectra-parent-dir", "residual-list",
+            "plan-list", "c_in-null", "c_in-str", "c_in-bool", "c_in-negative", "c_out-float",
+            "bits-1", "strength-huge", "k-str", "k-nested", "k-past-int64", "rho-ragged", "k-zero",
+            "k-short", "params-str", "fallback-int", "spectra-parent-dir", "residual-list",
             "k-missing", "delta-missing", "rho-nan", "alpha-nan", "strength-nan",
             "strength-inf", "metric-int", "ratio-str",
         ],
@@ -427,6 +430,21 @@ class TestLoadHardening:
     def test_bad_manifest_field_is_named_error(self, tmp_path, edit, error):
         with pytest.raises(error):
             tensor_io.load_compressed_layer(_tampered(tmp_path, edit))
+
+    def test_integer_in_a_float_field_loads_as_its_float(self, tmp_path):
+        """JSON 1 in a float field is the float 1.0; the loaded layer saves
+        the same values back."""
+        art = _tampered(tmp_path / "a", _set(["migration_strength"], 1))
+        layer = tensor_io.load_compressed_layer(art)
+        strength = layer.smoothing.migration_strength
+        assert strength == 1.0 and type(strength) is float
+        tensor_io.save_compressed_layer(layer, tmp_path / "b")
+        for name in sorted(p.name for p in art.iterdir()):
+            a, b = (tmp_path / d / name for d in ("a", "b"))
+            if name == tensor_io.MANIFEST_FILE:
+                assert json.loads(a.read_text()) == json.loads(b.read_text())
+            else:
+                assert a.read_bytes() == b.read_bytes()
 
     def test_renamed_blob_is_format_error(self, tmp_path):
         art = _tampered(tmp_path, _set(["spectra"], "other.bin"))
