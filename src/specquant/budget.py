@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .validation import as_matrix, norm, pow2_units, scalar
+from .validation import array, as_matrix, integers, norm, pow2_units, scalar
 
 METRICS = ("abs-mean", "abs-max", "l2-norm", "spectral-entropy")
 DEFAULT_METRIC = "spectral-entropy"
@@ -15,7 +15,13 @@ DEFAULT_METRIC = "spectral-entropy"
 @dataclass(eq=False)
 class BudgetPlan:
     """Per-channel retained-bin counts and the softmax weights behind them,
-    with the metric and ratio (None for a groups budget) they were made by."""
+    with the metric and ratio (None for a groups budget) they were made by.
+
+    `rho` is a 1-D real array (`validation.array`) and `k` a 1-D integer
+    array (`validation.integers`) of equal length. Neither is checked for
+    range or finiteness here: a loaded plan's are checked, with their named
+    errors, by `tensor_io`.
+    """
 
     rho: np.ndarray
     k: np.ndarray
@@ -25,8 +31,8 @@ class BudgetPlan:
     ratio: float | None = None
 
     def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=np.float64)
-        self.k = np.asarray(self.k, dtype=np.int64)
+        self.rho = array(self.rho, "rho", 1)
+        self.k = integers(self.k, "k", ndim=1)
         if self.rho.size != self.k.size:
             raise ValueError("rho and k must have equal length")
 
@@ -34,14 +40,14 @@ class BudgetPlan:
 def spectral_entropy(spectrum):
     """Shannon entropy (base 2) of each column's spectral energy split.
 
-    `spectrum` is a (half, c) array of column half-spectra; a zero column
-    scores 0. Each column is squared in units of the power of two at its
-    largest bin, an exact rescaling that keeps the power from overflowing
-    or underflowing.
+    `spectrum` is a (half, c) array of column half-spectra, real or complex
+    as `validation.array` takes it; a zero column scores 0. Each column is
+    squared in units of the power of two at its largest bin, an exact
+    rescaling that keeps the power from overflowing or underflowing.
     """
     # Row j of the transposed power is contiguous, so its sum is the same
     # pairwise sum a single channel's spectrum would get.
-    amp = np.ascontiguousarray(np.abs(spectrum.T))
+    amp = np.ascontiguousarray(np.abs(array(spectrum, "spectrum", 2, complex_ok=True).T))
     p = pow2_units(amp, axis=1)[0] ** 2
     total = p.sum(axis=1, keepdims=True)
     p = p / np.where(total == 0.0, 1.0, total)
@@ -63,16 +69,12 @@ def importance(w_smoothed, metric=DEFAULT_METRIC, *, spectrum=None):
     w = as_matrix(w_smoothed, "w_smoothed")
     _check_metric(metric)
     if metric == "abs-mean":
-        scores = np.abs(w).mean(axis=0)
-    elif metric == "abs-max":
-        scores = np.abs(w).max(axis=0)
-    elif metric == "l2-norm":
-        scores = norm(w, axis=0)
-    else:
-        if spectrum is None:
-            spectrum = spectral.fft_columns(w)
-        scores = spectral_entropy(spectrum)
-    return np.asarray(scores, dtype=np.float64)
+        return np.abs(w).mean(axis=0)
+    if metric == "abs-max":
+        return np.abs(w).max(axis=0)
+    if metric == "l2-norm":
+        return norm(w, axis=0)
+    return spectral_entropy(spectral.fft_columns(w) if spectrum is None else spectrum)
 
 
 def bin_budget(c_in, c_out, *, ratio=None, groups=None):
@@ -122,13 +124,12 @@ def allocate(scores, alpha, total_budget, c_in):
     taken back the same way in the mirrored order, down to one per channel.
     Equal scores split the budget evenly within the caps: budget // c_out
     bins each, one more for the first budget % c_out channels, as `groups` uses.
+    `scores` is a finite 1-D real array, as `validation.array` takes it;
     `alpha` (finite) and `total_budget` (an integer) are taken by
     `validation.scalar`; an alpha * score past the float64 range, which
     would make the softmax NaN, raises ValueError.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError("scores must be 1-D")
+    s = array(scores, "scores", 1, finite=True)
     alpha = scalar(alpha, "alpha")
     total_budget = scalar(total_budget, "total_budget", integer=True)
     c_out = s.size

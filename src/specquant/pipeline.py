@@ -42,7 +42,7 @@ import numpy as np
 
 from . import quant, spectral
 from .budget import DEFAULT_METRIC, BudgetPlan, _check_metric, allocate, bin_budget, importance
-from .validation import as_matrix, norm, pow2_units, scalar
+from .validation import array, as_matrix, norm, pow2_units, scalar
 
 DEFAULT_SMOOTH_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # Rows per tile of the served forward and of `eval-matmul`: the served batch
@@ -55,13 +55,15 @@ RESIDUAL_QUANTIZERS = ("rtn", "compensated")
 
 @dataclass(eq=False)
 class SmoothingFactors:
-    """Per-input-channel scale lambda and the strength it was derived with."""
+    """Per-input-channel scale lambda and the strength it was derived with.
+    `lam` is a 1-D real array (`validation.array`); its positivity and
+    finiteness are checked where factors are made and by `tensor_io`."""
 
     lam: np.ndarray
     migration_strength: float
 
     def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=np.float64)
+        self.lam = array(self.lam, "lam", 1)
 
 
 @dataclass(eq=False)

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .validation import as_matrix, pow2_units, scalar
+from .validation import array, as_matrix, integers, pow2_units, scalar
 
 # Diagonal damping for the error-compensated scheme, as a fraction of the
 # mean Gram diagonal.
@@ -70,6 +70,12 @@ class QuantizedTensor:
     (`deltas`) and one zero point per column to invert them; `rows` and
     `cols` are the shape of the codes.
 
+    The codes are a 2-D integer array with every code in [0, 255]
+    (`validation.integers`), held as uint8: a C-contiguous uint8 array is
+    kept as it is, without a copy. The steps and zero points are 1-D real
+    arrays (`validation.array`). Their finiteness, their sizes and the codes'
+    bit range are not checked here but by `tensor_io`, which names them.
+
     `rtn_fallback` is set when error compensation was requested but the
     calibration Gram was unusable and plain round-to-nearest was used instead.
     """
@@ -82,11 +88,9 @@ class QuantizedTensor:
     _gemm: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.codes = np.ascontiguousarray(self.codes, dtype=np.uint8)
-        self.deltas = np.asarray(self.deltas, dtype=np.float64)
-        self.zero_points = np.asarray(self.zero_points, dtype=np.float64)
-        if self.codes.ndim != 2:
-            raise ValueError(f"codes must be 2-D, got {self.codes.ndim}-D")
+        self.codes = integers(self.codes, "codes", 0, 255, ndim=2, dtype=np.uint8)
+        self.deltas = array(self.deltas, "deltas", 1)
+        self.zero_points = array(self.zero_points, "zero_points", 1)
 
     @property
     def rows(self):
@@ -204,9 +208,10 @@ def _split(z):
 
 def matmul(x, bits, b, *, out=None, ranges=None):
     """dequantize(quantize(x.T, bits)).T @ dequantize(b), up to rounding,
-    of finite float activations `x`, quantized per token (each row one
-    slice), and a QuantizedTensor `b`, from their integer codes; x never
-    becomes codes or a QuantizedTensor.
+    of finite activations `x`, a 2-D real array as `validation.array`
+    takes it, quantized per token (each row one slice), and a
+    QuantizedTensor `b`, from their integer codes; x never becomes codes or
+    a QuantizedTensor.
 
     x's codes are rounded in one float64 buffer (`out` if given, which may
     be x itself, then overwritten) and cast once to `_gemm_dtype`, where
@@ -231,9 +236,7 @@ def matmul(x, bits, b, *, out=None, ranges=None):
     cancel to far less when codes sit on a zero point that is not an integer.
     """
     bits = scalar(bits, "bits", 2, 8, integer=True)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"x must be 2-D, got {x.ndim}-D")
+    x = array(x, "x", 2)
     k = b.rows
     if x.shape[1] != k:
         raise ValueError(f"inner sizes differ: {x.shape[1]} and {k}")

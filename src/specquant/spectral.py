@@ -57,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .validation import as_matrix, as_vector, pow2_units, scalar
+from .validation import array, as_matrix, as_vector, integers, pow2_units, scalar
 
 
 def half_spectrum_length(n):
@@ -341,34 +341,23 @@ def _pair_weights(n):
 
 def _check_columns(half_spec, k, n):
     """Validated (half-spectra, counts) for a (half, c) array of column
-    half-spectra and a k per column (or one k for all)."""
-    hs = np.asarray(half_spec, dtype=complex)
+    half-spectra, real or complex (`validation.array`), and a k per column
+    (or one k for all)."""
+    hs = array(half_spec, "half_spec", 2, complex_ok=True)
     half = half_spectrum_length(n)
-    if hs.ndim != 2 or hs.shape[0] != half:
+    if hs.shape[0] != half:
         raise ValueError(f"expected a ({half}, c) array of column half-spectra for n={n}")
     return hs, _check_counts(k, hs.shape[1:], n)
 
 
 def _check_counts(k, shape, n):
     """Per-channel retained counts broadcast to `shape`, each an integer in
-    [1, n // 2 + 1]. An integer ndarray, such as a plan's k, is taken as it
-    is; anything else is taken element by element by `validation.scalar`,
-    so an integral float such as 8.0 is a count and a bool is not."""
+    [1, n // 2 + 1] as `validation.integers` takes it: an integer ndarray,
+    such as a plan's k, as it is, and anything else element by element, so
+    an integral float such as 8.0 is a count and a bool is not."""
     if n < 1:
         raise ValueError(f"signal length must be at least 1, got {n}")
-    half = half_spectrum_length(n)
-    ks = k
-    if not (isinstance(k, np.ndarray) and k.dtype.kind in "iu"):
-        # As objects, so that a bool in a list is not cast to an integer first.
-        items = np.asarray(k, dtype=object)
-        try:
-            ks = [scalar(v, "k", 1, half, integer=True) for v in items.flat]
-            ks = np.reshape(ks, items.shape)
-        except ValueError:
-            ks = None
-    if ks is None or not ((ks >= 1) & (ks <= half)).all():
-        raise ValueError(f"k={k!r} must be integer counts in [1, {half}]")
-    return np.broadcast_to(ks.astype(np.int64, copy=False), shape)
+    return np.broadcast_to(integers(k, "k", 1, half_spectrum_length(n)), shape)
 
 
 def truncate_columns(half_spec, k, n):
@@ -406,9 +395,13 @@ def reconstruct_columns(bins, k, n):
     real transform of their K = max k kept rows, so no bin past K is
     touched. The result depends only on the stored (amplitude, phase)
     values, so a layer and its saved-and-loaded copy rebuild the same bits.
+    `bins` is a real 2-D array as `validation.array` takes it, unchecked for
+    finiteness: a non-finite spectrum rebuilds to a non-finite W' for the
+    caller to refuse.
     """
+    bins = array(bins, "bins", 2)
     ks = _check_counts(k, np.shape(k), n)
-    if ks.ndim != 1 or np.shape(bins) != (int(ks.sum()), 2):
+    if ks.ndim != 1 or bins.shape != (int(ks.sum()), 2):
         raise ValueError(f"expected a ({ks.sum()}, 2) array of packed spectra")
     spec = np.empty(len(bins), dtype=complex)
     np.cos(bins[:, 1], out=spec.real)
@@ -467,11 +460,12 @@ def lowband_fraction(half_spec, n, band=0.2):
     Each channel's amplitudes are taken in units of the power of two at its
     largest bin, an exact rescaling that keeps the energies from overflowing
     or underflowing, so the fraction does not depend on the channel's scale.
-    `band` is a number in (0, 1], as `validation.scalar` takes it.
+    `half_spec` is a real or complex 2-D array, as `validation.array` takes
+    it, and `band` a number in (0, 1], as `validation.scalar` takes it.
     """
     band = scalar(band, "band", 0, 1, open_lo=True)
     half = half_spectrum_length(n)
     k = max(1, int(band * half))
-    amp = pow2_units(np.abs(half_spec), axis=0)[0]
+    amp = pow2_units(np.abs(array(half_spec, "half_spec", 2, complex_ok=True)), axis=0)[0]
     (total, retained, _), _ = band_energies(amp, k, n)
     return np.divide(retained, total, out=np.ones_like(total), where=total != 0.0)

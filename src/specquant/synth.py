@@ -1,9 +1,9 @@
 """Seeded synthetic instances for experiments and acceptance checks.
 
-Every size and scalar is checked first, by `validation.scalar`: a size is a
-non-negative integer (8.0 is 8), `decay` and `magnitude` are finite and
-`scale` is a finite number >= 0. Anything else, or more outlier columns
-than columns, raises ValueError naming the argument.
+Every size and scalar is checked first, by `validation.scalar`: a size and
+the `seed` are non-negative integers (8.0 is 8), `decay` and `magnitude`
+are finite and `scale` is a finite number >= 0. Anything else, or more
+outlier columns than columns, raises ValueError naming the argument.
 """
 
 import math
@@ -26,7 +26,7 @@ def smooth_decay_layer(c_in, c_out, *, decay=2.0, seed=0):
     """
     c_in, c_out = _size(c_in, "c_in"), _size(c_out, "c_out")
     decay = scalar(decay, "decay")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(scalar(seed, "seed", 0, integer=True))
     half = spectral.half_spectrum_length(c_in)
     real_bins = set(spectral._real_bin_indices(c_in))
     bins = np.empty((c_out, half, 2))
@@ -75,7 +75,7 @@ def outlier_activations(rows, c_in, *, magnitude=100.0, num_outliers=1, seed=0):
     if num_outliers > c_in:
         raise ValueError(f"num_outliers must be at most c_in = {c_in}, got {num_outliers}")
     magnitude = scalar(magnitude, "magnitude")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(scalar(seed, "seed", 0, integer=True))
     x = rng.normal(0.0, 1.0, (rows, c_in))
     cols = rng.choice(c_in, size=num_outliers, replace=False)
     x[:, cols] *= magnitude
@@ -87,5 +87,5 @@ def gaussian_matrix(rows, cols, *, scale=1.0, seed=0):
     the sizes are non-negative integers."""
     rows, cols = _size(rows, "rows"), _size(cols, "cols")
     scale = scalar(scale, "scale", 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(scalar(seed, "seed", 0, integer=True))
     return rng.normal(0.0, scale, (rows, cols))

@@ -1,12 +1,21 @@
 """Input coercion and exact rescaling shared by the numeric modules.
 
-Matrices are 2-D row-major float64 arrays; vectors are 1-D float64 arrays.
+Each argument is taken once, where it enters, by one rule of its kind.
 Scalar options become Python floats or ints through `scalar`, the one rule
-of what counts as a number, an integer or a size. Everything is validated
-to be finite on the way in so the math never has to re-check. `norm`
-squares in power-of-two units, an exact rescaling that keeps the sum inside
-the float64 range for any finite input; only a norm that is itself past the
-range comes out inf.
+of what counts as a number, an integer or a size. Arrays of real numbers
+(weights, activations, scores, smoothing factors, quantizer steps, packed
+spectra) go through `array`: an integer or float dtype, never bool,
+complex, text or objects, of the expected ndim, converted once to
+C-contiguous float64; half-spectra may also be complex, and stay complex128.
+`as_matrix` and `as_vector` are that rule with a finiteness check, so the
+math never has to re-check. Integer arrays (retained counts, plan counts,
+residual codes) go through `integers`: an integer ndarray is taken as it
+is, and anything else element by element by `scalar`, so 8.0 is an integer
+and a bool is not. A list is read by numpy first, so a bool among numbers
+in a list is taken as 0 or 1 by `array`, while a bool array is refused.
+`norm` squares in power-of-two units, an exact rescaling that keeps the sum
+inside the float64 range for any finite input; only a norm that is itself
+past the range comes out inf.
 """
 
 import math
@@ -45,23 +54,57 @@ def _requirement(lo, hi, integer, open_lo):
     return f"{'be an integer in' if integer else 'lie in'} {left}{lo}, {hi}{right}"
 
 
-def as_matrix(a, name="matrix"):
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got {arr.ndim}-D")
-    if arr.size and not np.isfinite(arr).all():
+def array(a, name, ndim, *, complex_ok=False, finite=False):
+    """`a` as a C-contiguous float64 array with `ndim` dimensions: numbers
+    of an integer or float dtype, or with `complex_ok` also complex ones,
+    which become complex128; with `finite`, none is NaN or inf. A bool,
+    complex (without `complex_ok`), text or object array, or another ndim,
+    raises ValueError naming `name`."""
+    arr = np.asarray(a)
+    if arr.dtype.kind not in ("iufc" if complex_ok else "iuf"):
+        what = "real or complex" if complex_ok else "real"
+        raise ValueError(f"{name} must hold {what} numbers, got dtype {arr.dtype}")
+    _check_ndim(arr, name, ndim)
+    arr = np.ascontiguousarray(arr, dtype=complex if arr.dtype.kind == "c" else np.float64)
+    if finite and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
-    return np.ascontiguousarray(arr)
+    return arr
+
+
+def integers(a, name, lo=-math.inf, hi=math.inf, *, ndim=None, dtype=None):
+    """`a` as an integer array with every element in [lo, hi] and, if given,
+    `ndim` dimensions. An integer ndarray is taken as it is, with no copy
+    and no widening; anything else is taken element by element, as
+    objects, by `scalar`, so 8.0 is the integer 8 and a bool (also inside
+    a list) raises. With `dtype` the result is a C-contiguous array of it,
+    which the range must fit. Anything else raises ValueError naming `name`."""
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"):
+        # As objects, so that a bool in a list is not cast to an integer first.
+        items = np.asarray(a, dtype=object)
+        values = [scalar(v, name, lo, hi, integer=True) for v in items.flat]
+        a = np.array(values, dtype=np.int64).reshape(items.shape)
+    elif a.size:  # the extremes are the elements that can be out of range
+        for v in (a.min(), a.max()):
+            scalar(v.item(), name, lo, hi, integer=True)
+    _check_ndim(a, name, ndim)
+    return a if dtype is None else np.ascontiguousarray(a, dtype=dtype)
+
+
+def _check_ndim(arr, name, ndim):
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got {arr.ndim}-D")
+
+
+def as_matrix(a, name="matrix"):
+    """`array` of a finite 2-D matrix."""
+    return array(a, name, 2, finite=True)
 
 
 def as_vector(a, name="vector"):
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got {arr.ndim}-D")
+    """`array` of a finite, non-empty 1-D vector."""
+    arr = array(a, name, 1, finite=True)
     if arr.size == 0:
         raise ValueError(f"{name} must have at least 1 element")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
     return arr
 
 

@@ -185,10 +185,14 @@ class TestAllocate:
         "call, message",
         [
             (lambda: allocate(np.ones((2, 3)), 1.0, 6, 8), "scores must be 1-D"),
+            (lambda: allocate(["1", "2"], 1.0, 4, 8), "scores must hold real numbers"),
+            (lambda: allocate([np.nan, 1.0], 1.0, 4, 8), "scores contains non-finite values"),
             (lambda: BudgetPlan(rho=np.ones(3), k=np.ones(2), alpha=1.0, total_budget=2),
              "rho and k must have equal length"),
+            (lambda: BudgetPlan([1.0], [2.7], 1.0, 2), "k must be an integer, got 2.7"),
         ],
-        ids=["allocate-2d-scores", "plan-lengths-differ"],
+        ids=["allocate-2d-scores", "allocate-text-scores", "allocate-nan-score",
+             "plan-lengths-differ", "plan-fractional-k"],
     )
     def test_malformed_plan_input_is_named(self, call, message):
         with pytest.raises(ValueError, match=message):

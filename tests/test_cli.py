@@ -544,19 +544,26 @@ def test_synth_bool_sizes_are_named(call, message):
         (lambda: synth.gaussian_matrix(4, 3, scale=np.nan), r"scale must lie in \[0, inf\)"),
         (lambda: synth.gaussian_matrix(4, 3, scale=-1), r"scale must lie in \[0, inf\)"),
         (lambda: synth.smooth_decay_layer(8, 2, decay="2"), "decay must be finite"),
+        (lambda: synth.gaussian_matrix(2, 2, seed=True), "seed must be a non-negative integer"),
+        (lambda: synth.outlier_activations(4, 3, seed=1.5),
+         "seed must be a non-negative integer, got 1.5"),
+        (lambda: synth.smooth_decay_layer(8, 2, seed="a"), "seed must be a non-negative integer"),
+        (lambda: synth.gaussian_matrix(2, 2, seed=-1), "seed must be a non-negative integer"),
     ],
     ids=["magnitude-nan", "magnitude-inf", "magnitude-bool", "scale-nan", "scale-negative",
-         "decay-str"],
+         "decay-str", "seed-bool", "seed-fraction", "seed-str", "seed-negative"],
 )
 def test_synth_bad_scalars_are_named(call, message):
-    """A scale that would give a non-finite matrix, or that numpy refuses
-    unnamed, is refused by the argument's name."""
+    """A scale that would give a non-finite matrix, or a scale or seed that
+    numpy refuses unnamed or takes for another (True for seed 1), is refused
+    by the argument's name."""
     with pytest.raises(ValueError, match=message):
         call()
 
 
 def test_synth_integral_float_sizes_are_sizes():
-    """8.0 is the size 8, as it is for `groups` and `residual_bits`."""
+    """8.0 is the size 8, as it is for `groups` and `residual_bits`, and
+    3.0 or np.int64(3) the seed 3."""
     for make, sizes in (
         (synth.smooth_decay_layer, (8, 2)),
         (synth.outlier_activations, (4, 3)),
@@ -566,6 +573,15 @@ def test_synth_integral_float_sizes_are_sizes():
         assert make(*(float(n) for n in sizes)).tobytes() == expected.tobytes()
     x = synth.outlier_activations(4, 3, num_outliers=2.0)
     assert x.tobytes() == synth.outlier_activations(4, 3, num_outliers=2).tobytes()
+    # A seed is an integer by the same rule.
+    for make, sizes in (
+        (synth.smooth_decay_layer, (8, 2)),
+        (synth.outlier_activations, (4, 3)),
+        (synth.gaussian_matrix, (4, 3)),
+    ):
+        expected = make(*sizes, seed=3).tobytes()
+        assert make(*sizes, seed=3.0).tobytes() == expected
+        assert make(*sizes, seed=np.int64(3)).tobytes() == expected
 
 
 @pytest.mark.parametrize(

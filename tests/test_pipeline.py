@@ -476,6 +476,11 @@ class TestCompressLayer:
             (x, np.where(np.eye(8, 3), np.inf, w), "w contains non-finite values"),
             (x[0], w, "x_calib must be 2-D"),
             (x, w[:, 0], "w must be 2-D"),
+            # Neither text, bools, complex numbers nor objects are weights.
+            (x, w.astype(str), "w must hold real numbers, got dtype <U"),
+            (x, w > 0, "w must hold real numbers, got dtype bool"),
+            (x, w + 1j, "w must hold real numbers, got dtype complex128"),
+            (np.full((4, 8), None), w, "x_calib must hold real numbers, got dtype object"),
         ):
             with pytest.raises(ValueError, match=message):
                 compress_layer(bad_x, bad_w, ratio=0.5, smooth=0.5)

@@ -84,6 +84,10 @@ class TestQuantizeDequantize:
         assert (q.rows, q.cols) == (2, 5)
         with pytest.raises(ValueError, match="codes must be 2-D, got 1-D"):
             QuantizedTensor(np.zeros(3), 4, np.ones(1), np.zeros(1))
+        # A cast to uint8 would keep 259 as 3, -1 as 255 and 1.7 as 1.
+        for codes in (np.array([[259]]), [[-1]], [[1.7]]):
+            with pytest.raises(ValueError, match=r"codes must be an integer in \[0, 255\], got"):
+                QuantizedTensor(codes, 4, [1.0], [0.0])
 
     def test_zeros_stay_exactly_zero(self):
         q = quantize(np.zeros((4, 3)), 4)
@@ -384,6 +388,11 @@ class TestMatmul:
             matmul(x, 4, quantize(np.ones((4, 2)), 4))
         with pytest.raises(ValueError, match="x must be 2-D"):
             matmul(np.ones(3), 4, b)
+        # Text is not parsed into numbers, neither as x nor by the quantizer.
+        with pytest.raises(ValueError, match="x must hold real numbers, got dtype <U1"):
+            matmul([["1", "2", "3"]], 4, b)
+        with pytest.raises(ValueError, match="x must hold real numbers, got dtype <U1"):
+            quantize([["1", "2"]], 4)
         for bits in (9, 4.5, "4"):
             with pytest.raises(ValueError, match=r"bits must be an integer in \[2, 8\]"):
                 matmul(x, bits, b)

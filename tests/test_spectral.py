@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from specquant import compress_layer, spectral, synth, tensor_io
+from specquant.budget import spectral_entropy
 from specquant.errors import DataError, ShapeError
 from specquant.spectral import (
     band_energies,
@@ -414,7 +415,7 @@ def test_counts_must_be_integers(call, k):
     """A bool or non-integral count is refused by name, where a cast would
     keep floor(k) bins or one bin per True."""
     hs = fft_columns(np.arange(16.0)[:, None])
-    with pytest.raises(ValueError, match=r"must be integer counts in \[1, 9\]"):
+    with pytest.raises(ValueError, match=r"k must be an integer in \[1, 9\], got "):
         call(hs, k)
 
 
@@ -444,15 +445,22 @@ def test_integral_float_counts_are_counts():
         (lambda: fft(np.array([])), "x must have at least 1 element"),
         (lambda: fft(np.array([1.0, np.nan])), "x contains non-finite values"),
         (lambda: fft(np.ones((2, 2))), "x must be 1-D"),
+        (lambda: fft(["1", "2", "3"]), "x must hold real numbers, got dtype <U1"),
+        (lambda: truncate_columns([["1"], ["2"], ["3"]], 1, 4),
+         "half_spec must hold real or complex numbers, got dtype <U1"),
+        (lambda: spectral.lowband_fraction([["1"], ["2"], ["3"]], 4),
+         "half_spec must hold real or complex numbers, got dtype <U1"),
         (lambda: fft_columns(np.zeros((0, 3))), "columns must have at least 1 element"),
         (lambda: fft_columns(np.ones(4)), "w must be 2-D"),
         (lambda: reconstruct_columns(np.zeros((3, 2)), [2, 2], 8), r"expected a \(4, 2\) array"),
-        (lambda: reconstruct_columns(np.zeros(8), [2, 2], 8), r"expected a \(4, 2\) array"),
+        (lambda: reconstruct_columns(np.zeros(8), [2, 2], 8), "bins must be 2-D, got 1-D"),
+        (lambda: reconstruct_columns([["1", "0"]], [1], 4), "bins must hold real numbers"),
         (lambda: band_energies(np.full((5, 1), np.inf), 1, 8), "half-spectra contain non-finite"),
     ],
     ids=[
-        "fft-empty", "fft-nan", "fft-2d", "fft_columns-empty-column", "fft_columns-1d",
-        "reconstruct-rows", "reconstruct-1d", "band_energies-inf",
+        "fft-empty", "fft-nan", "fft-2d", "fft-text", "truncate_columns-text",
+        "lowband_fraction-text", "fft_columns-empty-column", "fft_columns-1d",
+        "reconstruct-rows", "reconstruct-1d", "reconstruct-text", "band_energies-inf",
     ],
 )
 def test_bad_transform_input_is_named(call, message):
@@ -472,9 +480,23 @@ def test_bad_transform_input_is_named(call, message):
 def test_column_functions_reject_a_1d_half_spectrum(call):
     """A single channel is a one-column matrix; a bare vector is refused."""
     hs = fft(np.arange(8.0))
-    with pytest.raises(ValueError, match=r"\(5, c\) array"):
+    with pytest.raises(ValueError, match="half_spec must be 2-D, got 1-D"):
         call(hs)
     call(hs[:, None])
+
+
+@pytest.mark.parametrize(
+    "call, array",
+    [
+        (lambda a: spectral_entropy(a), [[1.0], [2.0], [3.0]]),
+        (lambda a: reconstruct_columns(a, [1], 4), [[1.0, 0.0]]),
+    ],
+    ids=["spectral_entropy", "reconstruct_columns"],
+)
+def test_a_list_is_taken_as_its_array(call, array):
+    """A nested list of numbers is the array numpy reads it as, with the
+    bits of the ndarray call."""
+    assert call(array).tobytes() == call(np.array(array)).tobytes()
 
 
 def test_reconstruct_dc_only_spectrum():

@@ -388,6 +388,16 @@ def _set(path, value):
     return edit
 
 
+def _set_first_k(first):
+    """Set plan.k[0] to `first` and let k[1] absorb the difference, so the
+    plan keeps its total and the spectra blob still matches it."""
+    def edit(manifest):
+        k = manifest["plan"]["k"]
+        k[1] += k[0] - first
+        k[0] = first
+    return edit
+
+
 class TestLoadHardening:
     @pytest.mark.parametrize(
         "edit, error",
@@ -406,6 +416,8 @@ class TestLoadHardening:
             (_set(["plan", "rho"], [0.5, [0.5]]), FormatError),
             (_set(["plan", "k"], [0, 1, 1, 1, 1, 1]), ShapeError),
             (_set(["plan", "k"], [1, 1, 1]), ShapeError),
+            (_set_first_k(-1), ShapeError),
+            (_set_first_k(0), ShapeError),
             (_set(["residual_params"], "per_channel"), FormatError),
             (_set(["residual_params", "rtn_fallback"], 1), FormatError),
             (_set(["spectra"], "../spectra.bin"), FormatError),
@@ -413,6 +425,11 @@ class TestLoadHardening:
             (lambda m: m["plan"].pop("k"), FormatError),
             (lambda m: m["residual_params"].pop("delta"), FormatError),
             (_set(["plan", "rho", 2], float("nan")), DataError),
+            (_set(["plan", "rho", 2], float("inf")), DataError),
+            (_set(["residual_params", "delta", 1], float("nan")), DataError),
+            (_set(["residual_params", "delta", 1], float("inf")), DataError),
+            (_set(["residual_params", "zero_point", 1], float("nan")), DataError),
+            (_set(["residual_params", "zero_point", 1], float("inf")), DataError),
             (_set(["plan", "alpha"], float("nan")), DataError),
             (_set(["migration_strength"], float("nan")), DataError),
             (_set(["migration_strength"], float("inf")), DataError),
@@ -422,8 +439,10 @@ class TestLoadHardening:
         ids=[
             "plan-list", "c_in-null", "c_in-str", "c_in-bool", "c_in-negative", "c_out-float",
             "bits-1", "strength-huge", "k-str", "k-nested", "k-past-int64", "rho-ragged", "k-zero",
-            "k-short", "params-str", "fallback-int", "spectra-parent-dir", "residual-list",
-            "k-missing", "delta-missing", "rho-nan", "alpha-nan", "strength-nan",
+            "k-short", "k-negative-same-total", "k-zero-same-total", "params-str",
+            "fallback-int", "spectra-parent-dir", "residual-list", "k-missing", "delta-missing",
+            "rho-nan", "rho-inf", "delta-nan", "delta-inf", "zero-point-nan", "zero-point-inf",
+            "alpha-nan", "strength-nan",
             "strength-inf", "metric-int", "ratio-str",
         ],
     )
