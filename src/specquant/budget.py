@@ -80,15 +80,17 @@ def importance(w_smoothed, metric=DEFAULT_METRIC, *, spectrum=None):
 def bin_budget(c_in, c_out, *, ratio=None, groups=None):
     """Global retained-bin budget of a c_in x c_out layer.
 
-    Exactly one of `ratio` and `groups` must be set, each as
-    `validation.scalar` takes it. A ratio in (0, 1] gives
-    floor(ratio * c_out * (c_in // 2 + 1)) bins, floored in float64 whatever
-    numpy scalar the ratio came as, which must cover one bin per channel; an
-    integer `groups` in [1, c_in // 2 + 1] gives groups * c_out.
+    c_in and c_out are non-negative integers, and exactly one of `ratio`
+    and `groups` must be set, each as `validation.scalar` takes it. A
+    ratio in (0, 1] gives floor(ratio * c_out * (c_in // 2 + 1)) bins,
+    floored in float64 whatever numpy scalar the ratio came as, which must
+    cover one bin per channel; an integer `groups` in [1, c_in // 2 + 1]
+    gives groups * c_out.
     """
     if (ratio is None) == (groups is None):
         raise ValueError("exactly one of ratio and groups must be set")
-    half = spectral.half_spectrum_length(c_in)
+    half = spectral.half_spectrum_length(scalar(c_in, "c_in", 0, integer=True))
+    c_out = scalar(c_out, "c_out", 0, integer=True)
     if groups is not None:
         return scalar(groups, "groups", 1, half, integer=True) * c_out
     total = math.floor(scalar(ratio, "ratio", 0, 1, open_lo=True) * c_out * half)
@@ -125,13 +127,15 @@ def allocate(scores, alpha, total_budget, c_in):
     Equal scores split the budget evenly within the caps: budget // c_out
     bins each, one more for the first budget % c_out channels, as `groups` uses.
     `scores` is a finite 1-D real array, as `validation.array` takes it;
-    `alpha` (finite) and `total_budget` (an integer) are taken by
-    `validation.scalar`; an alpha * score past the float64 range, which
-    would make the softmax NaN, raises ValueError.
+    `alpha` (finite), `total_budget` (an integer) and `c_in` (a
+    non-negative integer) are taken by `validation.scalar`; an alpha *
+    score past the float64 range, which would make the softmax NaN, raises
+    ValueError.
     """
     s = array(scores, "scores", 1, finite=True)
     alpha = scalar(alpha, "alpha")
     total_budget = scalar(total_budget, "total_budget", integer=True)
+    cap = spectral.half_spectrum_length(scalar(c_in, "c_in", 0, integer=True))
     c_out = s.size
     if total_budget < c_out:
         raise ValueError(
@@ -141,7 +145,6 @@ def allocate(scores, alpha, total_budget, c_in):
         return BudgetPlan(
             rho=np.zeros(0), k=np.zeros(0, dtype=np.int64), alpha=alpha, total_budget=0
         )
-    cap = spectral.half_spectrum_length(c_in)
     with np.errstate(over="ignore"):
         z = alpha * s
     if not np.isfinite(z).all():

@@ -72,11 +72,13 @@ class CompressedLayer:
 
     `spectra` is the (sum(plan.k), 2) float64 array of (amplitude, phase)
     rows, channel after channel, split by `plan.k`: exactly the bytes of
-    `spectra.bin`. `energy` is the (3, c_out) array of each channel's total,
-    retained and tail energy from the spectrum the layer was truncated from,
-    in units of 2^energy_unit_log2 (`spectral.band_energies` picks the
-    unit). `forward_error` is ||X W - forward_approx(X, layer, None)||_F,
-    the score the strength search gave the layer on its calibration set X.
+    `spectra.bin`. It is taken as `validation.array` takes a 2-D real
+    array; its shape and values are `tensor_io`'s checks. `energy` is the
+    (3, c_out) array of each channel's total, retained and tail energy from
+    the spectrum the layer was truncated from, in units of
+    2^energy_unit_log2 (`spectral.band_energies` picks the unit).
+    `forward_error` is ||X W - forward_approx(X, layer, None)||_F, the
+    score the strength search gave the layer on its calibration set X.
     `achieved_error` is ||W_hat_j - W'_j|| per channel j, with W_hat =
     lambda W, `truncation_error` ||W_hat - W'||_F and
     `reconstruction_error` ||W_hat - W' - dequant(R)||_F. The search sets
@@ -104,6 +106,9 @@ class CompressedLayer:
     truncation_error: float | None = field(default=None, init=False, repr=False)
     reconstruction_error: float | None = field(default=None, init=False, repr=False)
     _w_low_f32: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.spectra = array(self.spectra, "spectra", 2)
 
     @property
     def c_in(self):

@@ -61,8 +61,9 @@ from .validation import array, as_matrix, as_vector, integers, pow2_units, scala
 
 
 def half_spectrum_length(n):
-    """Number of DFT bins needed to represent a real signal of length n."""
-    return n // 2 + 1
+    """Number of DFT bins needed to represent a real signal of length n, a
+    non-negative integer as `validation.scalar` takes it (16.0 is 16)."""
+    return scalar(n, "n", 0, integer=True) // 2 + 1
 
 
 def _real_bin_indices(n):
@@ -340,24 +341,30 @@ def _pair_weights(n):
 
 
 def _check_columns(half_spec, k, n):
-    """Validated (half-spectra, counts) for a (half, c) array of column
-    half-spectra, real or complex (`validation.array`), and a k per column
-    (or one k for all)."""
+    """Validated (half-spectra, counts, n) for a (half, c) array of column
+    half-spectra, real or complex (`validation.array`), a k per column (or
+    one k for all) and the signal length n, as `_check_counts` takes them."""
     hs = array(half_spec, "half_spec", 2, complex_ok=True)
+    ks, n = _check_counts(k, hs.shape[1:], n)
     half = half_spectrum_length(n)
     if hs.shape[0] != half:
         raise ValueError(f"expected a ({half}, c) array of column half-spectra for n={n}")
-    return hs, _check_counts(k, hs.shape[1:], n)
+    return hs, ks, n
 
 
 def _check_counts(k, shape, n):
-    """Per-channel retained counts broadcast to `shape`, each an integer in
-    [1, n // 2 + 1] as `validation.integers` takes it: an integer ndarray,
-    such as a plan's k, as it is, and anything else element by element, so
-    an integral float such as 8.0 is a count and a bool is not."""
-    if n < 1:
-        raise ValueError(f"signal length must be at least 1, got {n}")
-    return np.broadcast_to(integers(k, "k", 1, half_spectrum_length(n)), shape)
+    """(counts, n): the signal length n as an int, an integer of at least 1
+    as `validation.scalar` takes it, so 16.0 is 16, and the retained counts
+    broadcast to `shape`, each an integer in [1, n // 2 + 1] as
+    `validation.integers` takes it: an integer ndarray, such as a plan's k,
+    as it is, and anything else element by element, so an integral float
+    such as 8.0 is a count and a bool is not. k is one count or one per
+    entry of `shape`; any other array of counts raises ValueError naming k."""
+    n = scalar(n, "n", 1, integer=True)
+    ks = integers(k, "k", 1, half_spectrum_length(n))
+    if ks.ndim and ks.shape != shape:
+        raise ValueError(f"k must be one count or one per column ({shape[0]}), got {ks.shape}")
+    return np.broadcast_to(ks, shape), n
 
 
 def truncate_columns(half_spec, k, n):
@@ -365,10 +372,11 @@ def truncate_columns(half_spec, k, n):
     half-spectra, packed as a (sum(k), 2) array of (amplitude, phase) rows,
     channel after channel: the layout of `spectra.bin`.
 
-    `n` is the original signal length; it cannot be recovered from the
-    half-spectrum length alone (even and odd n share lengths).
+    `n` is the original signal length, an integer of at least 1 as
+    `_check_counts` takes it; it cannot be recovered from the half-spectrum
+    length alone (even and odd n share lengths).
     """
-    hs, ks = _check_columns(half_spec, k, n)
+    hs, ks, n = _check_columns(half_spec, k, n)
     # Row-major order of the transposed mask is channel after channel.
     kept = hs.T[np.arange(hs.shape[0]) < ks[:, None]]
     pairs = np.stack([np.abs(kept), np.angle(kept)], axis=-1)
@@ -400,7 +408,7 @@ def reconstruct_columns(bins, k, n):
     caller to refuse.
     """
     bins = array(bins, "bins", 2)
-    ks = _check_counts(k, np.shape(k), n)
+    ks, n = _check_counts(k, np.shape(k), n)
     if ks.ndim != 1 or bins.shape != (int(ks.sum()), 2):
         raise ValueError(f"expected a ({ks.sum()}, 2) array of packed spectra")
     spec = np.empty(len(bins), dtype=complex)
@@ -437,7 +445,7 @@ def band_energies(half_spec, k, n):
     exponent of max|X|, an exact rescaling, and unit = 2e. A non-finite
     half-spectrum raises ValueError.
     """
-    hs, ks = _check_columns(half_spec, k, n)
+    hs, ks, n = _check_columns(half_spec, k, n)
     amp, unit = np.abs(hs), 0
     with np.errstate(over="ignore"):  # taken again in a power-of-two unit below
         terms = _pair_weights(n)[:, None] * amp**2 / n

@@ -68,7 +68,7 @@ from .budget import METRICS, BudgetPlan, bin_budget
 from .errors import DataError, FormatError, ShapeError
 from .pipeline import CompressedLayer, SmoothingFactors
 from .quant import QuantizedTensor
-from .validation import as_matrix
+from .validation import as_matrix, integers, scalar
 
 FORMAT_VERSION = "specquant/1"
 MANIFEST_FILE = "manifest.json"
@@ -109,8 +109,12 @@ def save_matrix(matrix, path):
 
 
 def pack_codes(codes, bits):
-    """Pack integer codes row-major; nibble-packed for bits <= 4."""
-    flat = np.ascontiguousarray(codes, dtype=np.uint8).ravel()
+    """Pack integer codes row-major; nibble-packed for bits <= 4. `bits` is
+    an integer in [2, 8] as `validation.scalar` takes it, and every code an
+    integer in [0, 2^bits - 1] as `validation.integers` takes it, so no code
+    is wrapped or spills into its neighbour's nibble."""
+    bits = scalar(bits, "bits", 2, 8, integer=True)
+    flat = integers(codes, "codes", 0, 2**bits - 1, dtype=np.uint8).ravel()
     if bits <= 4:
         if flat.size % 2:
             flat = np.append(flat, np.uint8(0))
@@ -123,24 +127,22 @@ def _packed_size(count, bits):
 
 
 def unpack_codes(data, bits, rows, cols):
-    count = rows * cols
-    if bits <= 4:
-        raw = np.frombuffer(data, dtype=np.uint8)
-        if raw.size != _packed_size(count, bits):
-            raise ShapeError(
-                f"residual blob holds {raw.size} bytes, expected {_packed_size(count, bits)}"
-            )
-        if count % 2 and raw[-1] >> 4:
-            raise DataError("residual blob's pad nibble after the last code must be 0")
-        flat = np.empty(raw.size * 2, dtype=np.uint8)
-        flat[0::2] = raw & 0x0F
-        flat[1::2] = raw >> 4
-        flat = flat[:count]
-    else:
-        flat = np.frombuffer(data, dtype=np.uint8).copy()
-        if flat.size != count:
-            raise ShapeError(f"residual blob holds {flat.size} codes, expected {count}")
-    return flat.reshape(rows, cols)
+    """The (rows, cols) uint8 codes `pack_codes` packed into `data`.
+
+    The blob must hold the packed size of rows * cols codes at `bits`
+    (ShapeError) and, after an odd count of 4-bit codes, a zero pad nibble
+    (DataError). The arguments are not checked otherwise: load unpacks
+    before `_check_layer` refuses a bad bit width as DataError.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    size = _packed_size(rows * cols, bits)
+    if raw.size != size:
+        raise ShapeError(f"residual blob holds {raw.size} bytes, expected {size}")
+    if bits > 4:
+        return raw.reshape(rows, cols).copy()
+    if rows * cols % 2 and raw[-1] >> 4:
+        raise DataError("residual blob's pad nibble after the last code must be 0")
+    return np.stack((raw & 0x0F, raw >> 4), axis=1).ravel()[: rows * cols].reshape(rows, cols)
 
 
 def stored_bytes(layer):
@@ -162,9 +164,8 @@ def _check_layer(layer):
     half = spectral.half_spectrum_length(layer.c_in) if layer.c_in else 0
     if ((k < 1) | (k > half)).any():
         raise ShapeError(f"plan k outside [1, {half}] for c_in={layer.c_in}")
-    shape = getattr(layer.spectra, "shape", None)
-    if shape != (int(k.sum()), 2):
-        raise ShapeError(f"spectra are {shape}, expected a ({k.sum()}, 2) array for the plan")
+    if layer.spectra.shape != (int(k.sum()), 2):
+        raise ShapeError(f"spectra are {layer.spectra.shape}, expected ({k.sum()}, 2) for the plan")
     for name, value in (
         ("plan rho", layer.plan.rho),
         ("plan alpha", layer.plan.alpha),

@@ -2,7 +2,8 @@
 
 Each argument is taken once, where it enters, by one rule of its kind.
 Scalar options become Python floats or ints through `scalar`, the one rule
-of what counts as a number, an integer or a size. Arrays of real numbers
+of what counts as a number, an integer or a size; signal lengths n and
+channel counts c_in and c_out are sizes too. Arrays of real numbers
 (weights, activations, scores, smoothing factors, quantizer steps, packed
 spectra) go through `array`: an integer or float dtype, never bool,
 complex, text or objects, of the expected ndim, converted once to
@@ -10,9 +11,10 @@ C-contiguous float64; half-spectra may also be complex, and stay complex128.
 `as_matrix` and `as_vector` are that rule with a finiteness check, so the
 math never has to re-check. Integer arrays (retained counts, plan counts,
 residual codes) go through `integers`: an integer ndarray is taken as it
-is, and anything else element by element by `scalar`, so 8.0 is an integer
-and a bool is not. A list is read by numpy first, so a bool among numbers
-in a list is taken as 0 or 1 by `array`, while a bool array is refused.
+is, and anything else element by element by `scalar` into int64, so 8.0 is
+an integer, and a bool or a value past int64 is not. A list is read by
+numpy first, so a bool among numbers in a list is taken as 0 or 1 by
+`array`, while a bool array is refused.
 `norm` squares in power-of-two units, an exact rescaling that keeps the sum
 inside the float64 range for any finite input; only a norm that is itself
 past the range comes out inf.
@@ -75,13 +77,17 @@ def integers(a, name, lo=-math.inf, hi=math.inf, *, ndim=None, dtype=None):
     """`a` as an integer array with every element in [lo, hi] and, if given,
     `ndim` dimensions. An integer ndarray is taken as it is, with no copy
     and no widening; anything else is taken element by element, as
-    objects, by `scalar`, so 8.0 is the integer 8 and a bool (also inside
-    a list) raises. With `dtype` the result is a C-contiguous array of it,
-    which the range must fit. Anything else raises ValueError naming `name`."""
+    objects, by `scalar` and held as int64, so 8.0 is the integer 8, and a
+    bool (also inside a list) or a value past int64 raises. With `dtype`
+    the result is a C-contiguous array of it, which the range must fit.
+    Anything else raises ValueError naming `name`."""
     if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"):
         # As objects, so that a bool in a list is not cast to an integer first.
         items = np.asarray(a, dtype=object)
         values = [scalar(v, name, lo, hi, integer=True) for v in items.flat]
+        past = [v for v in values if not -(2**63) <= v < 2**63]
+        if past:
+            raise ValueError(f"{name} must be an integer within int64, got {past[0]!r}")
         a = np.array(values, dtype=np.int64).reshape(items.shape)
     elif a.size:  # the extremes are the elements that can be out of range
         for v in (a.min(), a.max()):

@@ -190,9 +190,24 @@ class TestAllocate:
             (lambda: BudgetPlan(rho=np.ones(3), k=np.ones(2), alpha=1.0, total_budget=2),
              "rho and k must have equal length"),
             (lambda: BudgetPlan([1.0], [2.7], 1.0, 2), "k must be an integer, got 2.7"),
+            # Named, not left to numpy's bare OverflowError.
+            (lambda: BudgetPlan([1.0], [2**70], 1.0, 2),
+             f"k must be an integer within int64, got {2**70}"),
+            # Channel counts are non-negative integers: a fraction is not
+            # floored, and a negative count or a bool is not a layer width.
+            (lambda: allocate([1.0, 2.0], 1.0, 4, 16.5),
+             "c_in must be a non-negative integer, got 16.5"),
+            (lambda: allocate([1.0, 2.0], 1.0, 4, -3), "c_in must be a non-negative integer, got -3"),
+            (lambda: allocate([1.0, 2.0], 1.0, 4, True),
+             "c_in must be a non-negative integer, got True"),
+            (lambda: bin_budget(16.5, 2, ratio=0.5), "c_in must be a non-negative integer, got 16.5"),
+            (lambda: bin_budget(16, True, ratio=0.5),
+             "c_out must be a non-negative integer, got True"),
         ],
         ids=["allocate-2d-scores", "allocate-text-scores", "allocate-nan-score",
-             "plan-lengths-differ", "plan-fractional-k"],
+             "plan-lengths-differ", "plan-fractional-k", "plan-k-past-int64",
+             "allocate-c_in-fraction", "allocate-c_in-negative", "allocate-c_in-bool",
+             "bin_budget-c_in-fraction", "bin_budget-c_out-bool"],
     )
     def test_malformed_plan_input_is_named(self, call, message):
         with pytest.raises(ValueError, match=message):

@@ -486,7 +486,8 @@ def test_synth_zero_rows_exits_nonzero(tmp_path, capsys):
         "--out", str(tmp_path / "w.npy"),
     ])
     assert rc == 1
-    assert "specquant: error: signal length must be at least 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "specquant: error: n must be an integer in [1, inf), got 0 [validation.py:" in err
 
 
 @pytest.mark.parametrize(

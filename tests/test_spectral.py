@@ -408,12 +408,14 @@ def test_truncate_k_out_of_range():
         lambda hs, k: truncate_columns(hs, k, 16),
         lambda hs, k: band_energies(hs, k, 16),
         lambda hs, k: reconstruct_columns(np.zeros((3, 2)), k, 16),
+        lambda hs, k: band_energies(hs, k, 16.0),
     ],
-    ids=["truncate_columns", "band_energies", "reconstruct_columns"],
+    ids=["truncate_columns", "band_energies", "reconstruct_columns", "band_energies-n-16.0"],
 )
 def test_counts_must_be_integers(call, k):
     """A bool or non-integral count is refused by name, where a cast would
-    keep floor(k) bins or one bin per True."""
+    keep floor(k) bins or one bin per True. An integral float n is the
+    integer n, so the range reads [1, 9], not [1, 9.0]."""
     hs = fft_columns(np.arange(16.0)[:, None])
     with pytest.raises(ValueError, match=r"k must be an integer in \[1, 9\], got "):
         call(hs, k)
@@ -429,7 +431,8 @@ def test_lowband_fraction_band_is_a_number_in_the_unit_interval(band):
 
 
 def test_integral_float_counts_are_counts():
-    """8.0 counts as 8, as it does in `budget`: the same bins and energies."""
+    """8.0 counts as 8, as it does in `budget`: the same bins and energies.
+    So is a signal length of 16.0 or np.int64(16) the length 16."""
     hs = fft_columns(np.arange(32.0).reshape(16, 2))
     assert np.array_equal(truncate_columns(hs, 8.0, 16), truncate_columns(hs, 8, 16))
     assert np.array_equal(band_energies(hs, [8.0, 3.0], 16)[0], band_energies(hs, [8, 3], 16)[0])
@@ -437,6 +440,16 @@ def test_integral_float_counts_are_counts():
     assert np.array_equal(
         reconstruct_columns(bins, np.array([8.0, 8.0]), 16), reconstruct_columns(bins, [8, 8], 16)
     )
+    for n in (16.0, np.int64(16)):
+        assert truncate_columns(hs, 8, n).tobytes() == bins.tobytes()
+        assert (reconstruct_columns(bins, [8, 8], n).tobytes()
+                == reconstruct_columns(bins, [8, 8], 16).tobytes())
+        energy, unit = band_energies(hs, 3, n)
+        assert energy.tobytes() == band_energies(hs, 3, 16)[0].tobytes() and unit == 0
+
+
+# A 16-point, 3-column half-spectrum.
+_HS3 = fft_columns(np.arange(48.0).reshape(16, 3))
 
 
 @pytest.mark.parametrize(
@@ -456,11 +469,31 @@ def test_integral_float_counts_are_counts():
         (lambda: reconstruct_columns(np.zeros(8), [2, 2], 8), "bins must be 2-D, got 1-D"),
         (lambda: reconstruct_columns([["1", "0"]], [1], 4), "bins must hold real numbers"),
         (lambda: band_energies(np.full((5, 1), np.inf), 1, 8), "half-spectra contain non-finite"),
+        # A signal length is an integer of at least 1 (of at least 0 for
+        # the bin count): a fraction is not floored, and a bool or text is
+        # not a length.
+        (lambda: truncate_columns(_HS3, 2, 16.5), r"n must be an integer in \[1, inf\), got 16.5"),
+        (lambda: reconstruct_columns(np.zeros((2, 2)), [2], 16.5),
+         r"n must be an integer in \[1, inf\), got 16.5"),
+        (lambda: reconstruct_columns([[1.0, 0.0]], [1], True),
+         r"n must be an integer in \[1, inf\), got True"),
+        (lambda: band_energies(_HS3, 2, "16"), r"n must be an integer in \[1, inf\), got '16'"),
+        (lambda: spectral.lowband_fraction(_HS3, 17.5), "n must be a non-negative integer, got 17.5"),
+        (lambda: half_spectrum_length(-3), "n must be a non-negative integer, got -3"),
+        (lambda: half_spectrum_length(16.5), "n must be a non-negative integer, got 16.5"),
+        (lambda: half_spectrum_length(True), "n must be a non-negative integer, got True"),
+        # k is one count or one per column, named in place of numpy's
+        # broadcast message.
+        (lambda: truncate_columns(_HS3, [2, 2], 16),
+         r"k must be one count or one per column \(3\), got \(2,\)"),
     ],
     ids=[
         "fft-empty", "fft-nan", "fft-2d", "fft-text", "truncate_columns-text",
         "lowband_fraction-text", "fft_columns-empty-column", "fft_columns-1d",
         "reconstruct-rows", "reconstruct-1d", "reconstruct-text", "band_energies-inf",
+        "truncate_columns-n-fraction", "reconstruct-n-fraction", "reconstruct-n-bool",
+        "band_energies-n-text", "lowband_fraction-n-fraction", "half_spectrum_length-negative",
+        "half_spectrum_length-fraction", "half_spectrum_length-bool", "truncate_columns-k-length",
     ],
 )
 def test_bad_transform_input_is_named(call, message):

@@ -127,6 +127,24 @@ class TestCodePacking:
         with pytest.raises(ShapeError, match="residual blob holds"):
             tensor_io.unpack_codes(b"\x00\x00", bits, 4, 4)
 
+    @pytest.mark.parametrize(
+        "codes, bits, message",
+        [
+            (np.array([[259, 1]]), 8, r"codes must be an integer in \[0, 255\], got 259"),
+            (np.array([[17, 1]]), 4, r"codes must be an integer in \[0, 15\], got 17"),
+            ([[1.5, 1]], 4, r"codes must be an integer in \[0, 15\], got 1.5"),
+            (np.ones((1, 2), dtype=np.uint8), 1, r"bits must be an integer in \[2, 8\], got 1"),
+            (np.ones((1, 2), dtype=np.uint8), 4.5, r"bits must be an integer in \[2, 8\], got 4.5"),
+        ],
+        ids=["code-past-8-bits", "code-past-4-bits", "code-fraction", "bits-1", "bits-fraction"],
+    )
+    def test_code_outside_its_width_is_named(self, codes, bits, message):
+        """A code outside [0, 2^bits - 1] is refused by name: a cast to uint8
+        would write 259 as 3, and 17 at 4 bits as 1 with its high bit in the
+        next code's nibble."""
+        with pytest.raises(ValueError, match=message):
+            tensor_io.pack_codes(codes, bits)
+
 
 def _example_layer(seed=0, c_in=16, c_out=6, ratio=0.4):
     rng = np.random.default_rng(seed)
@@ -183,6 +201,22 @@ class TestArtifactRoundTrip:
         assert (tmp_path / tensor_io.SPECTRA_FILE).stat().st_size == 0
         back = tensor_io.load_compressed_layer(tmp_path)
         assert back.c_out == 0 and back.spectra.shape == (0, 2)
+
+    def test_spectra_are_taken_by_the_array_rule(self, tmp_path):
+        """A list of spectra is its array, which serves and saves; text is
+        refused by name where the layer is made."""
+        from specquant.pipeline import CompressedLayer
+
+        _, x, layer = _example_layer()
+        fields = dict(smoothing=layer.smoothing, residual=layer.residual, plan=layer.plan)
+        listed = CompressedLayer(spectra=layer.spectra.tolist(), **fields)
+        assert listed.spectra.tobytes() == layer.spectra.tobytes()
+        assert np.array_equal(sq.forward_approx(x, listed, 4), sq.forward_approx(x, layer, 4))
+        tensor_io.save_compressed_layer(listed, tmp_path)
+        saved = (tmp_path / tensor_io.SPECTRA_FILE).read_bytes()
+        assert saved == layer.spectra.astype("<f8").tobytes()
+        with pytest.raises(ValueError, match="spectra must hold real numbers, got dtype <U4"):
+            CompressedLayer(spectra="junk", **fields)
 
     def test_inconsistent_layer_rejected_at_save(self, tmp_path):
         _, _, layer = _example_layer()
