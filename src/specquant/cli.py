@@ -15,7 +15,6 @@ reports embed the resolved configuration. A report is serialized before
 
 import argparse
 import csv
-import json
 import os
 import sys
 import traceback
@@ -24,20 +23,17 @@ import numpy as np
 
 from . import __version__, pipeline, quant, spectral, synth, tensor_io
 from .budget import DEFAULT_METRIC, METRICS, spectral_entropy
-from .errors import DataError, ShapeError, SpecQuantError
+from .errors import ShapeError, SpecQuantError
 from .validation import norm, scalar
 
 
-def _json_text(payload):
-    """Strict JSON text; a value past the float64 range raises DataError."""
-    try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise DataError(f"report value past the float64 range: {exc}") from None
+def _report_text(args, **sections):
+    """The strict JSON text of a report: the run's config and `sections`."""
+    return tensor_io.json_text({"config": _run_config(args), **sections}, "report")
 
 
 def _write_report(out, stem, text, fields, rows):
-    """Write `text`, a command's `_json_text`, to <out>/<stem>.json and
+    """Write `text`, a command's `_report_text`, to <out>/<stem>.json and
     `rows` to <out>/<stem>.csv; the one place a command creates `out`, so a
     command that fails before its report is serialized writes nothing."""
     os.makedirs(out, exist_ok=True)
@@ -76,9 +72,8 @@ def cmd_compress(args):
         residual_quant=args.residual_quant,
     )
     layer.name = args.layer_name
-    # The energy unit is an even power of two, so the bound's root rescales exactly.
     total, retained, tail = layer.energy
-    bound = np.ldexp(np.sqrt(tail), layer.energy_unit_log2 // 2)
+    bound = spectral.energy_norm(tail, layer.energy_unit_log2)
     half = spectral.half_spectrum_length(layer.c_in)
     total_bins = int(layer.plan.k.sum())
     params = layer.c_in * layer.c_out
@@ -109,7 +104,7 @@ def cmd_compress(args):
         for j in range(layer.c_out)
     ]
     # Serialized first: an unrepresentable value leaves no artifact behind.
-    text = _json_text({"config": _run_config(args), "summary": summary, "channels": rows})
+    text = _report_text(args, summary=summary, channels=rows)
     tensor_io.save_compressed_layer(layer, args.out)
     fields = [
         "channel", "k", "rho", "total_energy", "retained_energy",
@@ -145,7 +140,7 @@ def cmd_analyze(args):
         "mean_spectral_entropy": float(entropy.mean()) if c_out else 0.0,
         "energy_unit_log2": unit,
     }
-    text = _json_text({"config": _run_config(args), "summary": summary})
+    text = _report_text(args, summary=summary)
     fields = ["channel", "total_energy", "lowband_fraction", "spectral_entropy"]
     _write_report(args.out, "analyze", text, fields, rows)
     print(
@@ -161,7 +156,7 @@ def cmd_compare_svd(args):
     recs = pipeline.compare_budgets(w, ratios, metric=args.metric, alpha=args.alpha)
     fields = ["ratio", "b_spectral", "b_svd", "k_svd", "budget_slack", "err_spectral", "err_svd"]
     rows = [{f: getattr(rec, f) for f in fields} for rec in recs]
-    text = _json_text({"config": _run_config(args), "rows": rows})
+    text = _report_text(args, rows=rows)
     _write_report(args.out, "compare_svd", text, fields, rows)
     print(f"wrote {len(rows)} comparison rows to {args.out}")
     return 0
@@ -184,17 +179,17 @@ def cmd_eval_matmul(args):
     # The weights are quantized once; the tokens are walked TILE rows at a
     # time, so no full-size copy of them is made.
     q_w = quant.quantize(w, weight_bits)
-    q_lw = quant.quantize(layer.smoothing.lam[:, None] * w, weight_bits)
+    q_lw = quant.quantize(layer.smoothing.w_hat(w), weight_bits)
     tile_errors = []
     for t in range(0, x.shape[0], pipeline.TILE):
         x_t = x[t : t + pipeline.TILE]
-        # First, so a non-finite x / lambda is refused by that name; an output
+        # First, so a non-finite x_hat is refused by that name; an output
         # past the float64 range is refused, named, by `_product` or the report.
         specq = pipeline.forward_approx(x_t, layer, bits)
         reference = pipeline._product(x_t, w)
         naive = quant.matmul(x_t, bits, q_w)
-        # The x_hat of `apply_smoothing`, rounded in its own buffer.
-        x_hat = x_t / layer.smoothing.lam
+        # Rounded in its own buffer.
+        x_hat = layer.smoothing.x_hat(x_t)
         smooth_only = quant.matmul(x_hat, bits, q_lw, out=x_hat)
         tile_errors.append([norm(y - reference) for y in (naive, smooth_only, specq)])
     naive, smooth_only, specq = (float(norm(e)) for e in np.reshape(tile_errors, (-1, 3)).T)
@@ -204,7 +199,7 @@ def cmd_eval_matmul(args):
         {"method": f"smooth-only-W{weight_bits}A{bits}", "frobenius_error": smooth_only},
         {"method": "specquant", "frobenius_error": specq},
     ]
-    text = _json_text({"config": _run_config(args), "rows": rows})
+    text = _report_text(args, rows=rows)
     _write_report(args.out, "eval_matmul", text, ["method", "frobenius_error"], rows)
     print(f"wrote {len(rows)} method rows to {args.out}")
     return 0

@@ -13,12 +13,13 @@ compressed in two stages:
 
 `select_migration_strength` is the one compress path: its signature
 declares every compress option with its only default, and `compress_layer`
-forwards them. `forward_approx` is the only code that applies a compressed
-layer's W' and residual to activations (`eval-matmul`'s smooth-only
-baseline divides by lambda too, but multiplies by its own quantized
-weights); both of its modes form x_hat = x / lambda once and refuse a
-non-finite one by name. Served, it runs the W' branch as one
-float32 GEMM in power-of-two units, on unquantized activations, and only
+forwards them. `SmoothingFactors.x_hat` and `w_hat` are the one place
+lambda is applied, wherever x_hat or W_hat is formed. `forward_approx` is
+the only code that applies a compressed layer's W' and residual to
+activations (`eval-matmul`'s smooth-only baseline forms x_hat too, but
+multiplies it by its own quantized weights); both of its modes form x_hat
+once and refuse a non-finite one by name. Served, it runs the W' branch as
+one float32 GEMM in power-of-two units, on unquantized activations, and only
 the residual branch through integer quantization, as `quant.matmul`, the
 one quantized product: x_hat is rounded to its per-token codes in its own
 buffer and multiplied by the residual codes in one GEMM on the integers.
@@ -57,13 +58,23 @@ RESIDUAL_QUANTIZERS = ("rtn", "compensated")
 class SmoothingFactors:
     """Per-input-channel scale lambda and the strength it was derived with.
     `lam` is a 1-D real array (`validation.array`); its positivity and
-    finiteness are checked where factors are made and by `tensor_io`."""
+    finiteness are checked where factors are made and by `tensor_io`.
+    `x_hat` and `w_hat` are the one place lambda is applied; they take
+    arrays whose channel counts their callers have checked."""
 
     lam: np.ndarray
     migration_strength: float
 
     def __post_init__(self):
         self.lam = array(self.lam, "lam", 1)
+
+    def x_hat(self, x):
+        """x / lambda, column by column: the smoothed activations."""
+        return x / self.lam[None, :]
+
+    def w_hat(self, w):
+        """lambda * w, row by row: the smoothed weights."""
+        return self.lam[:, None] * w
 
 
 @dataclass(eq=False)
@@ -202,10 +213,9 @@ def apply_smoothing(x, w, factors):
     """
     x = as_matrix(x, "x")
     w = as_matrix(w, "w")
-    lam = factors.lam
-    if x.shape[1] != lam.size or w.shape[0] != lam.size:
+    if x.shape[1] != factors.lam.size or w.shape[0] != factors.lam.size:
         raise ValueError("smoothing factor length does not match layer shapes")
-    return x / lam[None, :], lam[:, None] * w
+    return factors.x_hat(x), factors.w_hat(w)
 
 
 def _check_strengths(grid):
@@ -269,7 +279,7 @@ def select_migration_strength(
     candidates = [_smoothing_factors(act, wgt, s) for s in strengths]
 
     def compress_at(factors):
-        w_hat = factors.lam[:, None] * w  # the w_hat of `apply_smoothing`
+        w_hat = factors.w_hat(w)
         spec = spectral.fft_columns(w_hat)
         scores = np.zeros(c_out) if groups is not None else importance(w_hat, metric, spectrum=spec)
         plan = allocate(scores, alpha, budget, c_in)
@@ -280,8 +290,7 @@ def select_migration_strength(
         w_low = spectral.reconstruct_columns(spectra, plan.k, c_in)
         residual = np.subtract(w_hat, w_low, out=w_hat)  # w_hat is not read again
         if residual_quant == "compensated":
-            x_hat = x / factors.lam[None, :]  # the x_hat of `apply_smoothing`
-            q = quant.quantize_residual_compensated(residual, residual_bits, x_hat)
+            q = quant.quantize_residual_compensated(residual, residual_bits, factors.x_hat(x))
         else:
             q = quant.quantize(residual, residual_bits)
         return CompressedLayer(factors, spectra, q, plan), spec, w_low
@@ -296,8 +305,8 @@ def select_migration_strength(
         del layer, spec, w_low  # a losing candidate is freed before the next one runs
     layer, spec, w_low = best
     layer.energy, layer.energy_unit_log2 = spectral.band_energies(spec, layer.plan.k, c_in)
-    # W_hat - W' in W''s buffer, W_hat formed as `apply_smoothing` forms it.
-    trunc = np.subtract(layer.smoothing.lam[:, None] * w, w_low, out=w_low)
+    # W_hat - W' in W''s buffer.
+    trunc = np.subtract(layer.smoothing.w_hat(w), w_low, out=w_low)
     layer.achieved_error, layer.truncation_error = norm(trunc, axis=0), float(norm(trunc))
     layer.reconstruction_error = float(norm(trunc - quant.dequantize(layer.residual)))
     return layer
@@ -398,7 +407,7 @@ def _unquantized(x, layer, w_low=None):
 def _smoothed(x, layer):
     """(x_hat, lo, hi): x / lambda and its per-token ranges, the prologue of
     both forward modes; a non-finite x_hat is refused by name."""
-    x_hat = x / layer.smoothing.lam[None, :]
+    x_hat = layer.smoothing.x_hat(x)
     lo, hi = x_hat.min(axis=1), x_hat.max(axis=1)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("x / lambda contains non-finite values")
@@ -442,17 +451,23 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
     the SVD side gets the same budget rounded down to whole singular triplets
     of c_in + c_out + 1 reals, so 0 <= B_spectral - B_svd < c_in + c_out + 1
     (the slack is reported); a budget below one triplet is refused before
-    the transform, like an empty `ratios`, a bad ratio, metric or alpha.
-    Neither approximation is rebuilt: by Parseval the spectral error is the root of the summed
-    tail energies, scaled back from their unit, and by Eckart-Young-Mirsky
-    the rank-k SVD error is the norm of the trailing singular values. The
-    transform, the importance scores and the singular values are computed
-    once for the whole sweep. Smoothing, if wanted, happens upstream; the
+    the transform, like a `ratios` that is not a non-empty 1-D sequence, a
+    bad ratio (each is taken by `bin_budget`'s rule), metric or alpha.
+    Neither approximation is rebuilt: by Parseval the spectral error is the
+    `spectral.energy_norm` of the summed tail energies, and by
+    Eckart-Young-Mirsky the rank-k SVD error is the norm of the trailing
+    singular values. The transform, the importance scores and the singular
+    values are computed once for the whole sweep. Smoothing, if wanted, happens upstream; the
     comparison is decomposition only.
     """
     w = as_matrix(w_hat, "w_hat")
     c_in, c_out = w.shape
-    if len(ratios) == 0:
+    # As objects, so each ratio reaches `bin_budget` as it was given.
+    items = np.asarray(ratios, dtype=object)
+    if items.ndim != 1:
+        raise ValueError(f"ratios must be a 1-D sequence of ratios, got {ratios!r}")
+    ratios = list(items)
+    if not ratios:
         raise ValueError("ratios must be non-empty")
     budgets = [bin_budget(c_in, c_out, ratio=ratio) for ratio in ratios]
     _check_metric(metric)
@@ -471,8 +486,8 @@ def compare_budgets(w_hat, ratios, *, metric=DEFAULT_METRIC, alpha=1.0):
     for ratio, budget_bins in zip(ratios, budgets):
         plan = allocate(scores, alpha, budget_bins, c_in)
         (_, _, tail), unit = spectral.band_energies(spec, plan.k, c_in)
-        with np.errstate(over="ignore"):  # inf past the float64 range, refused by the report
-            err_spectral = float(np.ldexp(np.sqrt(tail.sum()), unit // 2))
+        # inf past the float64 range, refused by the report.
+        err_spectral = float(spectral.energy_norm(tail.sum(), unit))
         b_spectral = 2 * budget_bins
         k_svd = b_spectral // per_rank
         b_svd = k_svd * per_rank

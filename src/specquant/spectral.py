@@ -354,14 +354,17 @@ def _check_columns(half_spec, k, n):
 
 def _check_counts(k, shape, n):
     """(counts, n): the signal length n as an int, an integer of at least 1
-    as `validation.scalar` takes it, so 16.0 is 16, and the retained counts
-    broadcast to `shape`, each an integer in [1, n // 2 + 1] as
-    `validation.integers` takes it: an integer ndarray, such as a plan's k,
-    as it is, and anything else element by element, so an integral float
-    such as 8.0 is a count and a bool is not. k is one count or one per
-    entry of `shape`; any other array of counts raises ValueError naming k."""
+    as `validation.scalar` takes it, so 16.0 is 16, and the retained counts,
+    each an integer in [1, n // 2 + 1] as `validation.integers` takes it:
+    an integer ndarray, such as a plan's k, as it is, and anything else
+    element by element, so an integral float such as 8.0 is a count and a
+    bool is not. k is one count or one per entry of `shape`, broadcast to
+    it, or with `shape` None one count per channel, a 1-D array; any other
+    array of counts raises ValueError naming k."""
     n = scalar(n, "n", 1, integer=True)
-    ks = integers(k, "k", 1, half_spectrum_length(n))
+    ks = integers(k, "k", 1, half_spectrum_length(n), ndim=1 if shape is None else None)
+    if shape is None:
+        return ks, n
     if ks.ndim and ks.shape != shape:
         raise ValueError(f"k must be one count or one per column ({shape[0]}), got {ks.shape}")
     return np.broadcast_to(ks, shape), n
@@ -393,7 +396,8 @@ def truncate_columns(half_spec, k, n):
 
 def reconstruct_columns(bins, k, n):
     """(n, len(k)) matrix whose column j is the signal of channel j of the
-    packed (sum(k), 2) spectra `bins`.
+    packed (sum(k), 2) spectra `bins`, with k one count per channel as
+    `_check_counts` takes it.
 
     Column j is x[t] = (1/n) sum_m w_m A_m cos(2 pi m t / n + phi_m) over
     the channel's (amplitude, phase) rows, w_m the conjugate-pair weights:
@@ -408,8 +412,8 @@ def reconstruct_columns(bins, k, n):
     caller to refuse.
     """
     bins = array(bins, "bins", 2)
-    ks, n = _check_counts(k, np.shape(k), n)
-    if ks.ndim != 1 or bins.shape != (int(ks.sum()), 2):
+    ks, n = _check_counts(k, None, n)
+    if bins.shape != (int(ks.sum()), 2):
         raise ValueError(f"expected a ({ks.sum()}, 2) array of packed spectra")
     spec = np.empty(len(bins), dtype=complex)
     np.cos(bins[:, 1], out=spec.real)
@@ -437,7 +441,7 @@ def band_energies(half_spec, k, n):
 
     Energy of bin m is w_m * |X[m]|^2 / N, so `total` equals the time-domain
     energy sum(x^2) and `tail` is exactly the squared reconstruction error of
-    a k-bin truncation; its square root times 2^(unit / 2) is the error bound.
+    a k-bin truncation; `energy_norm(tail, unit)` is the error bound.
     `unit` is 0 unless the energy of all columns together reaches 2^1023,
     half the float64 range (so any sum of the energies fits), or max|X| is
     below 2^-458, where squares of bins 2^-53 times the largest would be
@@ -458,6 +462,15 @@ def band_energies(half_spec, k, n):
     kept = np.arange(hs.shape[0])[:, None] < ks
     return np.stack((terms.sum(axis=0), np.where(kept, terms, 0.0).sum(axis=0),
                      np.where(kept, 0.0, terms).sum(axis=0))), unit
+
+
+def energy_norm(energy, unit):
+    """The 2-norm whose square is `energy` in units of 2^unit, as
+    `band_energies` gives them: sqrt(energy) * 2^(unit / 2), exact in the
+    rescaling because the unit is even. Past the float64 range it is inf,
+    without a warning, for the caller to refuse by name."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(energy), unit // 2)
 
 
 def lowband_fraction(half_spec, n, band=0.2):

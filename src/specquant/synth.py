@@ -1,7 +1,8 @@
 """Seeded synthetic instances for experiments and acceptance checks.
 
 Every size and scalar is checked first, by `validation.scalar`: a size and
-the `seed` are non-negative integers (8.0 is 8), `decay` and `magnitude`
+the `seed` are non-negative integers (8.0 is 8), except the transform length
+c_in of `smooth_decay_layer`, an integer of at least 1; `decay` and `magnitude`
 are finite and `scale` is a finite number >= 0. Anything else, or more
 outlier columns than columns, raises ValueError naming the argument.
 """
@@ -20,11 +21,12 @@ def smooth_decay_layer(c_in, c_out, *, decay=2.0, seed=0):
     Channel j is synthesized from a half-spectrum with amplitudes
     A_0 = C_j and A_m = C_j / m^decay, random phases, and C_j drawn
     uniformly from [0.5, 2). By construction |fft(column)[m]| reproduces those
-    amplitudes exactly, so C_j is recoverable as |fft(column)[1]|. The
-    sizes are non-negative integers and `decay` is finite; a decay so
-    extreme that the weights are not finite raises ValueError.
+    amplitudes exactly, so C_j is recoverable as |fft(column)[1]|. c_in is
+    a transform length, an integer of at least 1, c_out a non-negative
+    integer and `decay` finite; a decay so extreme that the weights are not
+    finite raises ValueError.
     """
-    c_in, c_out = _size(c_in, "c_in"), _size(c_out, "c_out")
+    c_in, c_out = scalar(c_in, "c_in", 1, integer=True), _size(c_out, "c_out")
     decay = scalar(decay, "decay")
     rng = np.random.default_rng(scalar(seed, "seed", 0, integer=True))
     half = spectral.half_spectrum_length(c_in)

@@ -19,10 +19,11 @@ blobs:
 Everything else (plan, quantizer scales, migration strength, and the
 `budget_meta` record of metric, temperature and compression ratio) lives in
 the manifest, which JSON round-trips float64 exactly via shortest-repr; it is
-strict JSON, so save refuses a non-finite value instead of writing NaN.
-Save writes each scalar as the JSON type load reads it as: the residual bits
-and the total budget as integers, the strength, alpha and ratio as floats,
-so a numpy scalar or an integral float saves as the number it holds.
+strict JSON, written by `json_text` as the CLI's reports are, so save
+refuses a non-finite value instead of writing NaN. Save writes each scalar
+as the JSON type load reads it as: the residual bits and the total budget
+as integers, the strength, alpha and ratio as floats, so a numpy scalar or
+an integral float saves as the number it holds.
 `budget_meta` is the plan's own record (its `metric`, `alpha` as the
 temperature, and `ratio`), and load fills it back into the plan, as it
 fills `layer_name` into the layer's `name`. Every field save writes is
@@ -220,6 +221,17 @@ def _check_layer(layer):
         raise DataError(f"plan keeps {k.sum()} bins, its total budget is {plan.total_budget}")
 
 
+def json_text(payload, document):
+    """`payload` as strict JSON text (indent 2, sorted keys, a final
+    newline): the one writer of the manifest and of every report. A value
+    past the float64 range, which strict JSON cannot hold, raises DataError
+    naming `document`."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DataError(f"{document} value past the float64 range: {exc}") from None
+
+
 def save_compressed_layer(layer, out_dir):
     """Write manifest + blobs; returns the manifest dict.
 
@@ -259,10 +271,7 @@ def save_compressed_layer(layer, out_dir):
             "rtn_fallback": bool(r.rtn_fallback),
         },
     }
-    try:
-        text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise DataError(f"manifest holds a non-finite value ({exc})") from None
+    text = json_text(manifest, "manifest")
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, LAMBDA_FILE), "wb") as fh:

@@ -487,7 +487,7 @@ def test_synth_zero_rows_exits_nonzero(tmp_path, capsys):
     ])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "specquant: error: n must be an integer in [1, inf), got 0 [validation.py:" in err
+    assert "specquant: error: c_in must be an integer in [1, inf), got 0 [validation.py:" in err
 
 
 @pytest.mark.parametrize(
@@ -502,7 +502,7 @@ def test_synth_zero_rows_exits_nonzero(tmp_path, capsys):
         ("gaussian", "-3", "4", [], "rows must be a non-negative integer, got -3 [validation.py:"),
         ("gaussian", "4", "-3", [], "cols must be a non-negative integer, got -3 [validation.py:"),
         ("smooth-decay", "-3", "4", [],
-         "c_in must be a non-negative integer, got -3 [validation.py:"),
+         "c_in must be an integer in [1, inf), got -3 [validation.py:"),
         ("smooth-decay", "4", "-3", [],
          "c_out must be a non-negative integer, got -3 [validation.py:"),
     ],
@@ -520,7 +520,7 @@ def test_synth_bad_sizes_are_named(tmp_path, capsys, kind, rows, cols, extra, me
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: synth.smooth_decay_layer(True, 2), "c_in must be a non-negative integer"),
+        (lambda: synth.smooth_decay_layer(True, 2), r"c_in must be an integer in \[1, inf\)"),
         (lambda: synth.smooth_decay_layer(4, False), "c_out must be a non-negative integer"),
         (lambda: synth.outlier_activations(4, 3, num_outliers=True),
          "num_outliers must be a non-negative integer, got True"),

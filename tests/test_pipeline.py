@@ -115,6 +115,29 @@ class TestSmoothing:
             with pytest.raises(ValueError, match="smoothing factor length does not match"):
                 apply_smoothing(x, w, f)
 
+    def test_factors_are_the_one_place_lambda_is_applied(self, monkeypatch):
+        """x_hat = x / lambda by column and W_hat = lambda W by row, and every
+        smoothed operand is one of them: `apply_smoothing`, the search's
+        W_hat and compensated x_hat, the winner's W_hat - W' and the x_hat
+        of every forward tile."""
+        x = synth.outlier_activations(300, 32, magnitude=100.0, seed=5)
+        w = synth.smooth_decay_layer(32, 6, decay=1.5, seed=6)
+        f = compute_smoothing(x, w, 0.5)
+        x_hat, w_hat = apply_smoothing(x, w, f)
+        assert x_hat.tobytes() == (x / f.lam[None, :]).tobytes()
+        assert w_hat.tobytes() == (f.lam[:, None] * w).tobytes()
+        calls = _count(monkeypatch, (pipeline.SmoothingFactors, "x_hat"),
+                       (pipeline.SmoothingFactors, "w_hat"))
+        apply_smoothing(x, w, f)
+        assert calls == {"x_hat": 1, "w_hat": 1}
+        # The candidate's W_hat, its compensated quantizer's x_hat and its
+        # scored x_hat; the winner's W_hat once more.
+        layer = compress_layer(x, w, ratio=0.5, smooth=0.5, residual_quant="compensated")
+        assert calls == {"x_hat": 3, "w_hat": 3}
+        forward_approx(x, layer, 4)  # three tiles
+        forward_approx(x, layer, None)
+        assert calls == {"x_hat": 7, "w_hat": 3}
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             compute_smoothing(np.ones((3, 4)), np.ones((5, 2)), 0.5)
@@ -1105,6 +1128,24 @@ class TestCompareBudgets:
         assert rec.budget_bins == layer.plan.total_budget == 8 * 33
         with pytest.raises(ValueError, match="one retained bin per channel"):
             compare_budgets(w, [0.01])
+
+    def test_ratios_must_be_a_sequence(self, monkeypatch):
+        """`ratios` is a 1-D sequence, refused by name before the transform
+        otherwise (a float, a 0-d array, a generator, a 2-D list, text),
+        where `len` raised a bare TypeError; each element keeps
+        `bin_budget`'s rule, so a bool is no ratio."""
+        w = synth.smooth_decay_layer(16, 4, decay=1.5, seed=0)
+        calls = _count(monkeypatch, (spectral, "fft_columns"), (np.linalg, "svd"))
+        for ratios in (0.5, np.array(0.5), (r for r in [0.2, 0.5]), [[0.2, 0.5]], "0.5"):
+            with pytest.raises(ValueError, match="ratios must be a 1-D sequence of ratios, got "):
+                compare_budgets(w, ratios)
+        with pytest.raises(ValueError, match="ratio must lie in"):
+            compare_budgets(w, [0.2, True])
+        assert calls == {"fft_columns": 0, "svd": 0}
+        (one,) = compare_budgets(w, np.array([0.5]))
+        assert one.ratio == 0.5 and type(one.ratio) is float
+        for name in ("budget_bins", "err_spectral", "err_svd"):
+            assert getattr(one, name) == getattr(compare_budgets(w, [0.5])[0], name)
 
     def test_empty_sweep_rejected_before_transform_and_svd(self, monkeypatch):
         w = synth.smooth_decay_layer(16, 4, decay=1.5, seed=0)

@@ -274,6 +274,17 @@ def test_smooth_decay_layer_rejects_a_non_finite_decay_result(decay, message):
         synth.smooth_decay_layer(8, 3, decay=decay)
 
 
+def test_smooth_decay_layer_takes_c_in_as_a_transform_length(monkeypatch):
+    """c_in is a signal length, at least 1, refused by its own name before
+    any draw; c_out may be 0."""
+    monkeypatch.setattr(np.random, "default_rng", None)  # no draw is made
+    for c_in in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match=r"c_in must be an integer in \[1, inf\), got "):
+            synth.smooth_decay_layer(c_in, 4)
+    monkeypatch.undo()
+    assert synth.smooth_decay_layer(1, 0).shape == (1, 0)
+
+
 def test_smooth_decay_layer_steep_decay_keeps_the_lowest_bins():
     """decay=2000 overflows m**decay to inf for m >= 2, so those bins get
     amplitude 0 and only bins 0 and 1 (A_0 = A_1 = C_j) are left: a finite
@@ -468,6 +479,10 @@ _HS3 = fft_columns(np.arange(48.0).reshape(16, 3))
         (lambda: reconstruct_columns(np.zeros((3, 2)), [2, 2], 8), r"expected a \(4, 2\) array"),
         (lambda: reconstruct_columns(np.zeros(8), [2, 2], 8), "bins must be 2-D, got 1-D"),
         (lambda: reconstruct_columns([["1", "0"]], [1], 4), "bins must hold real numbers"),
+        # One count per channel: a single count or a ragged list is a k fault.
+        (lambda: reconstruct_columns(np.zeros((2, 2)), 2, 16), "k must be 1-D, got 0-D"),
+        (lambda: reconstruct_columns(np.zeros((2, 2)), [[1, 2], [3]], 16),
+         r"k must be an integer in \[1, 9\], got \[1, 2\]"),
         (lambda: band_energies(np.full((5, 1), np.inf), 1, 8), "half-spectra contain non-finite"),
         # A signal length is an integer of at least 1 (of at least 0 for
         # the bin count): a fraction is not floored, and a bool or text is
@@ -490,7 +505,8 @@ _HS3 = fft_columns(np.arange(48.0).reshape(16, 3))
     ids=[
         "fft-empty", "fft-nan", "fft-2d", "fft-text", "truncate_columns-text",
         "lowband_fraction-text", "fft_columns-empty-column", "fft_columns-1d",
-        "reconstruct-rows", "reconstruct-1d", "reconstruct-text", "band_energies-inf",
+        "reconstruct-rows", "reconstruct-1d", "reconstruct-text", "reconstruct-k-scalar",
+        "reconstruct-k-ragged", "band_energies-inf",
         "truncate_columns-n-fraction", "reconstruct-n-fraction", "reconstruct-n-bool",
         "band_energies-n-text", "lowband_fraction-n-fraction", "half_spectrum_length-negative",
         "half_spectrum_length-fraction", "half_spectrum_length-bool", "truncate_columns-k-length",
@@ -563,6 +579,25 @@ def test_bound_dominates_achieved_error_exhaustively():
                 tail = band_energies(hs, k, n)[0][2, 0]
                 achieved = np.linalg.norm(x - reconstruct(truncate_columns(hs, k, n), n))
                 assert achieved <= np.sqrt(tail) + 1e-9
+
+
+def test_energy_norm_scales_back_from_the_unit_exactly():
+    """The norm of an energy in 2^unit units is its root times 2^(unit / 2),
+    exactly, and the column norm at any scale the unit is picked for; a
+    norm past the float64 range, here of 64 columns of +-4e307, is inf with
+    no warning (warnings are errors)."""
+    x = np.random.default_rng(7).normal(size=(24, 3))
+    for scale in (1.0, 2.0**-600, 2.0**600):
+        (total, _, tail), unit = band_energies(fft_columns(x * scale), 2, 24)
+        assert unit != 0 or scale == 1.0
+        got = spectral.energy_norm(total, unit)
+        np.testing.assert_allclose(got, np.linalg.norm(x, axis=0) * scale, rtol=1e-14)
+        exact = np.sqrt(tail) * 2.0 ** (unit // 2)
+        assert spectral.energy_norm(tail, unit).tobytes() == exact.tobytes()
+    w = np.random.default_rng(0).choice([-1.0, 1.0], size=(4, 64)) * 4e307
+    (total, _, _), unit = band_energies(fft_columns(w), 1, 4)
+    assert np.isfinite(spectral.energy_norm(total, unit)).all()
+    assert spectral.energy_norm(total.sum(), unit) == np.inf
 
 
 def test_energy_split_matches_parseval():

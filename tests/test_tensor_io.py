@@ -285,6 +285,19 @@ class TestArtifactRoundTrip:
             tensor_io.save_compressed_layer(layer, out)
         assert not out.exists()
 
+    def test_one_strict_json_writer(self, tmp_path):
+        """The manifest is the `json_text` of the dict save returns, byte for
+        byte: indent 2, sorted keys, a final newline. A value past the
+        float64 range is refused by the name of its document."""
+        _, _, layer = _example_layer()
+        manifest = tensor_io.save_compressed_layer(layer, tmp_path)
+        text = (tmp_path / tensor_io.MANIFEST_FILE).read_text()
+        assert text == tensor_io.json_text(manifest, "manifest")
+        assert tensor_io.json_text({"b": 1, "a": [0.5]}, "x") == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
+        for value in (np.nan, np.inf, -np.inf, np.float64(np.inf)):
+            with pytest.raises(DataError, match=r"^report value past the float64 range: "):
+                tensor_io.json_text({"a": [1.0, value]}, "report")
+
     def test_budget_meta_temperature_is_the_plan_alpha(self, tmp_path):
         w, x, _ = _example_layer()
         layer = sq.compress_layer(x, w, ratio=0.4, smooth=0.5, metric="l2-norm", alpha=2.0)
